@@ -6,7 +6,11 @@ Two equivalent code paths are kept on purpose.  The typed path
 and serves as the readable reference.  The array path
 (:class:`EvalContext`, :func:`hub_tables`, :func:`evaluate_mask`) expresses
 a plan as a boolean hub-route mask over the pair grid and is what the
-solvers use; a property test pins the two paths to each other.
+solvers use; a property test pins the two paths to each other.  The array
+path prices a route in one place: the kernel :func:`_price`, with
+:func:`_hub_route` for the hub-route geometry.  The direct tables of
+:func:`make_context`, :func:`hub_tables` and the exact solver's per-hub-set
+tensors all come from it.
 
 Objective semantics, per ordered pair with crisp demand ``q``:
 
@@ -23,7 +27,7 @@ Objective semantics, per ordered pair with crisp demand ``q``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,31 +190,61 @@ class EvalContext:
     direct_z1: np.ndarray
     direct_z2: np.ndarray
     direct_z3: np.ndarray
-    direct_time: np.ndarray
     direct_feasible: np.ndarray
 
 
-def make_context(inst: ProblemInstance, alpha_prime: float) -> EvalContext:
-    n = inst.n
-    q = inst.demand_matrix(alpha_prime)
-    m = np.maximum(0, np.ceil(q / inst.aircraft_capacity - FEAS_TOL))
-    offdiag = ~np.eye(n, dtype=bool)
-    cd = inst.unit_transport_cost * inst.distance
-    t = inst.travel_time
+def _price(ctx: EvalContext, pair, unit_cost, dist, time, legs) -> tuple[np.ndarray, ...]:
+    """Objectives and time-cap feasibility of one route per selected pair.
+
+    ``pair`` selects the pairs from the (n, n) instance arrays: a basic
+    slice (``np.s_[:, :]``, or ``np.s_[:, :, None, None]`` against
+    (n, n, h, h) hub-pair tensors), so no gather is made, or a tuple of
+    pair-index arrays.  ``unit_cost`` (money per cargo unit), ``dist``,
+    ``time`` and ``legs`` describe the route and broadcast against the
+    selection.  Returns ``(z1, z2, z3, feasible)``; z3 is zero on the
+    diagonal.
+    """
+    inst = ctx.inst
     lto = inst.lto_p1 + inst.lto_p2
     rate = inst.ccd_rate_p1 + inst.ccd_rate_p2
-    direct_z1 = cd * q
-    direct_z2 = (lto + rate * inst.distance) * m
-    direct_z3 = np.where(
-        offdiag,
-        inst.early_penalty * np.maximum(0.0, inst.window_lower - t)
-        + inst.late_penalty * np.maximum(0.0, t - inst.window_upper),
+    z1 = unit_cost * ctx.q[pair]
+    z2 = (legs * lto + rate * dist) * ctx.m[pair]
+    z3 = np.where(
+        ctx.offdiag[pair],
+        inst.early_penalty[pair] * np.maximum(0.0, inst.window_lower[pair] - time)
+        + inst.late_penalty[pair] * np.maximum(0.0, time - inst.window_upper[pair]),
         0.0,
     )
-    direct_feasible = t <= inst.max_transfer_time + FEAS_TOL
-    return EvalContext(inst=inst, alpha_prime=alpha_prime, q=q, m=m, offdiag=offdiag,
-                       cd=cd, direct_z1=direct_z1, direct_z2=direct_z2,
-                       direct_z3=direct_z3, direct_time=t, direct_feasible=direct_feasible)
+    feasible = time <= inst.max_transfer_time[pair] + FEAS_TOL
+    return z1, z2, z3, feasible
+
+
+def _hub_route(ctx: EvalContext, i, j, k, l, pair) -> tuple[np.ndarray, ...]:
+    """:func:`_price` of the hub routes from origins ``i`` to destinations ``j``.
+
+    ``k`` is the origin's hub and ``l`` the destination's; the route runs
+    i -> k -> j where ``k == l`` and i -> k -> l -> j otherwise.  All four
+    are broadcastable node-index arrays.
+    """
+    inst = ctx.inst
+    d, t, cd, u = inst.distance, inst.travel_time, ctx.cd, inst.handling_cost
+    two = k != l
+    dist = d[i, k] + np.where(two, d[k, l], 0.0) + d[l, j]
+    time = t[i, k] + np.where(two, t[k, l], 0.0) + t[l, j]
+    unit_cost = (inst.beta_discount * (cd[i, k] + cd[l, j])
+                 + np.where(two, inst.alpha_discount * cd[k, l] + u[l], 0.0) + u[k])
+    return _price(ctx, pair, unit_cost, dist, time, 2.0 + two)
+
+
+def make_context(inst: ProblemInstance, alpha_prime: float) -> EvalContext:
+    q = inst.demand_matrix(alpha_prime)
+    m = np.maximum(0, np.ceil(q / inst.aircraft_capacity - FEAS_TOL))
+    cd = inst.unit_transport_cost * inst.distance
+    ctx = EvalContext(inst=inst, alpha_prime=alpha_prime, q=q, m=m,
+                      offdiag=~np.eye(inst.n, dtype=bool), cd=cd, direct_z1=None,
+                      direct_z2=None, direct_z3=None, direct_feasible=None)
+    z1, z2, z3, feasible = _price(ctx, np.s_[:, :], cd, inst.distance, inst.travel_time, 1)
+    return replace(ctx, direct_z1=z1, direct_z2=z2, direct_z3=z3, direct_feasible=feasible)
 
 
 @dataclass(frozen=True)
@@ -222,50 +256,16 @@ class DesignTables:
     hub_z1: np.ndarray
     hub_z2: np.ndarray
     hub_z3: np.ndarray
-    hub_time: np.ndarray
     hub_feasible: np.ndarray
 
 
 def hub_tables(ctx: EvalContext, assignment: np.ndarray) -> DesignTables:
-    inst = ctx.inst
     a = np.asarray(assignment, dtype=np.intp)
-    n = inst.n
-    idx = np.arange(n)
-    d, t, cd, u = inst.distance, inst.travel_time, ctx.cd, inst.handling_cost
-
-    same = a[:, None] == a[None, :]
-    diff = ~same
-    d_ik = d[idx, a][:, None]
-    d_lj = d[a, idx][None, :]
-    d_kl = d[a[:, None], a[None, :]]
-    t_ik = t[idx, a][:, None]
-    t_lj = t[a, idx][None, :]
-    t_kl = t[a[:, None], a[None, :]]
-    cd_ik = cd[idx, a][:, None]
-    cd_lj = cd[a, idx][None, :]
-    cd_kl = cd[a[:, None], a[None, :]]
-    u_k = u[a][:, None]
-    u_l = u[a][None, :]
-
-    legs_d = d_ik + np.where(diff, d_kl, 0.0) + d_lj
-    legs_t = t_ik + np.where(diff, t_kl, 0.0) + t_lj
-    unit_cost = (inst.beta_discount * (cd_ik + cd_lj)
-                 + np.where(diff, inst.alpha_discount * cd_kl + u_l, 0.0) + u_k)
-    n_lto = 2.0 + diff
-    lto = inst.lto_p1 + inst.lto_p2
-    rate = inst.ccd_rate_p1 + inst.ccd_rate_p2
-
-    hub_z1 = unit_cost * ctx.q
-    hub_z2 = (n_lto * lto + rate * legs_d) * ctx.m
-    hub_z3 = np.where(
-        ctx.offdiag,
-        inst.early_penalty * np.maximum(0.0, inst.window_lower - legs_t)
-        + inst.late_penalty * np.maximum(0.0, legs_t - inst.window_upper),
-        0.0,
-    )
-    hub_feasible = legs_t <= inst.max_transfer_time + FEAS_TOL
-    return DesignTables(assignment=a, same_hub=same, hub_z1=hub_z1, hub_z2=hub_z2,
-                        hub_z3=hub_z3, hub_time=legs_t, hub_feasible=hub_feasible)
+    idx = np.arange(ctx.inst.n)
+    z1, z2, z3, feasible = _hub_route(ctx, idx[:, None], idx[None, :], a[:, None], a[None, :],
+                                      np.s_[:, :])
+    return DesignTables(assignment=a, same_hub=a[:, None] == a[None, :], hub_z1=z1, hub_z2=z2,
+                        hub_z3=z3, hub_feasible=feasible)
 
 
 def evaluate_mask(ctx: EvalContext, tables: DesignTables, hubs: np.ndarray,

@@ -26,6 +26,7 @@ import numpy as np
 
 from .evaluation import (
     EvalContext,
+    _hub_route,
     hub_tables,
     make_context,
     plan_from_mask,
@@ -52,6 +53,9 @@ __all__ = [
     "brute_force_oracle",
 ]
 
+# The index costs 48 bytes per configuration, a (3, total) float64 bound
+# array plus three int64 sort orders, so this budget admits an index of
+# about 4.8 GB before any repair tables.
 DEFAULT_BUDGET = 10 ** 8
 ORACLE_MAX_NODES = 6
 
@@ -185,38 +189,10 @@ def _build_block(ctx: EvalContext, hubs: tuple[int, ...]) -> Optional[_Block]:
         return None
     n = inst.n
     H = np.asarray(hubs, dtype=np.intp)
-    h = len(H)
-    d, t, cd, u = inst.distance, inst.travel_time, ctx.cd, inst.handling_cost
-    same = np.eye(h, dtype=bool)
-
-    d_iH = d[:, H][:, None, :, None]
-    d_Hj = d[H, :].T[None, :, None, :]
-    t_iH = t[:, H][:, None, :, None]
-    t_Hj = t[H, :].T[None, :, None, :]
-    cd_iH = cd[:, H][:, None, :, None]
-    cd_Hj = cd[H, :].T[None, :, None, :]
-    mid_d = np.where(same, 0.0, d[np.ix_(H, H)])[None, None, :, :]
-    mid_t = np.where(same, 0.0, t[np.ix_(H, H)])[None, None, :, :]
-    extra_cost = np.where(same, 0.0,
-                          inst.alpha_discount * cd[np.ix_(H, H)] + u[H][None, :])[None, None, :, :]
-
-    legs_d = d_iH + mid_d + d_Hj
-    legs_t = t_iH + mid_t + t_Hj
-    unit_cost = (inst.beta_discount * (cd_iH + cd_Hj) + extra_cost
-                 + u[H][None, None, :, None])
-    n_lto = np.where(same, 2.0, 3.0)[None, None, :, :]
-    lto = inst.lto_p1 + inst.lto_p2
-    rate = inst.ccd_rate_p1 + inst.ccd_rate_p2
-
-    q4 = ctx.q[:, :, None, None]
-    m4 = ctx.m[:, :, None, None]
-    z1h = unit_cost * q4
-    z2h = (n_lto * lto + rate * legs_d) * m4
-    z3h = (inst.early_penalty[:, :, None, None] * np.maximum(0.0, inst.window_lower[:, :, None, None] - legs_t)
-           + inst.late_penalty[:, :, None, None] * np.maximum(0.0, legs_t - inst.window_upper[:, :, None, None]))
-    feas_h = legs_t <= inst.max_transfer_time[:, :, None, None] + FEAS_TOL
-    diag = np.arange(n)
-    z3h[diag, diag] = 0.0
+    idx = np.arange(n)
+    z1h, z2h, z3h, feas_h = _hub_route(ctx, idx[:, None, None, None], idx[None, :, None, None],
+                                       H[None, None, :, None], H[None, None, None, :],
+                                       np.s_[:, :, None, None])
 
     n_configs = 1
     radices = []
@@ -523,44 +499,48 @@ def _pair_order(contrib: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(score)), -score))
 
 
-def _pair_data(index: _ExactIndex, block: _Block, a_idx: np.ndarray) -> Optional[_PairData]:
-    ctx = index.ctx
-    i_arr, j_arr = index.i_arr, index.j_arr
-    ai = a_idx[i_arr]
-    aj = a_idx[j_arr]
-    hub_z = np.stack([
-        block.z1h[i_arr, j_arr, ai, aj],
-        block.z2h[i_arr, j_arr, ai, aj],
-        block.z3h[i_arr, j_arr, ai, aj],
-    ], axis=1)
-    fh = block.feas_h[i_arr, j_arr, ai, aj]
-    dir_z = np.stack([
-        ctx.direct_z1[i_arr, j_arr],
-        ctx.direct_z2[i_arr, j_arr],
-        ctx.direct_z3[i_arr, j_arr],
-    ], axis=1)
-    fd = ctx.direct_feasible[i_arr, j_arr]
+def _options(ctx: EvalContext, pairs: tuple, hub: Sequence[np.ndarray],
+             at: tuple) -> Optional[np.ndarray]:
+    """Canonical (P, 2, 3) option table of the pairs ``pairs``, or None.
+
+    Row t holds pair t's direct route (option 0) and hub route (option 1)
+    as objective triples, inf where the option breaks the pair's time cap.
+    ``hub`` is the hub route's (z1, z2, z3, feasible) arrays, read at
+    ``at``.  None when some pair has no feasible option.
+    """
+    fd = ctx.direct_feasible[pairs]
+    fh = hub[3][at]
     if np.any(~fd & ~fh):
         return None
+    contrib = np.full((len(fd), 2, 3), np.inf)
+    contrib[fd, 0] = np.stack([z[pairs] for z in (ctx.direct_z1, ctx.direct_z2, ctx.direct_z3)],
+                              axis=1)[fd]
+    contrib[fh, 1] = np.stack([z[at] for z in hub[:3]], axis=1)[fh]
+    return contrib
 
-    P = len(i_arr)
-    contrib = np.full((P, 2, 3), np.inf)
-    contrib[fd, 0] = dir_z[fd]
-    contrib[fh, 1] = hub_z[fh]
+
+def _search_data(ctx: EvalContext, pairs: tuple, contrib: np.ndarray,
+                 assignment: np.ndarray) -> _PairData:
+    """Routing search data of a canonical option table under a node assignment."""
     order = _pair_order(contrib)
     contrib = contrib[order]
-
-    hub_arr = np.asarray(block.hubs, dtype=np.intp)
-    first = hub_arr[ai][order]
-    second = hub_arr[aj][order]
+    first = assignment[pairs[0]][order]
+    second = assignment[pairs[1]][order]
     load_nodes = np.stack([first, np.where(first == second, -1, second)], axis=1)
-    load_q = ctx.q[i_arr, j_arr][order]
-
     best = np.minimum(contrib[:, 0, :], contrib[:, 1, :])
-    suffix = np.zeros((P + 1, 3))
-    suffix[:P] = best[::-1].cumsum(axis=0)[::-1]
+    suffix = np.zeros((len(contrib) + 1, 3))
+    suffix[:-1] = best[::-1].cumsum(axis=0)[::-1]
     return _PairData(contrib=contrib, suffix_min=suffix, load_nodes=load_nodes,
-                     load_q=load_q, canon_pos=order)
+                     load_q=ctx.q[pairs][order], canon_pos=order)
+
+
+def _pair_data(index: _ExactIndex, block: _Block, a_idx: np.ndarray) -> Optional[_PairData]:
+    pairs = (index.i_arr, index.j_arr)
+    contrib = _options(index.ctx, pairs, (block.z1h, block.z2h, block.z3h, block.feas_h),
+                       pairs + (a_idx[index.i_arr], a_idx[index.j_arr]))
+    if contrib is None:
+        return None
+    return _search_data(index.ctx, pairs, contrib, np.asarray(block.hubs, dtype=np.intp)[a_idx])
 
 
 def _bb_routing(pd: _PairData, caps: np.ndarray, fixed: float, main: int,
@@ -713,12 +693,13 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, fixed: float, main: int,
     return best
 
 
-def _mask_from_choices(index: _ExactIndex, pd: _PairData, choices: np.ndarray) -> np.ndarray:
-    n = index.ctx.inst.n
-    mask = np.zeros((n, n), dtype=bool)
-    flat = np.empty(len(choices), dtype=np.int8)
-    flat[pd.canon_pos] = choices
-    mask[index.i_arr, index.j_arr] = flat.astype(bool)
+def _mask_from_choices(ctx: EvalContext, canon_pos: np.ndarray,
+                       choices: Sequence[int]) -> np.ndarray:
+    """Hub-route mask of per-pair choices; choice t is canonical pair ``canon_pos[t]``."""
+    flat = np.zeros(len(choices), dtype=bool)
+    flat[canon_pos] = choices
+    mask = np.zeros_like(ctx.offdiag)
+    mask[ctx.offdiag] = flat
     return mask
 
 
@@ -792,7 +773,7 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
         return None
     block, a_idx, pd, choices = best_payload
     design = _design_of(index, block, a_idx)
-    mask = _mask_from_choices(index, pd, choices)
+    mask = _mask_from_choices(index.ctx, pd.canon_pos, choices)
     plan = plan_from_mask(design, mask)
     return solution_from_plan(index.ctx.inst, design, plan, index.ctx.alpha_prime)
 
@@ -807,42 +788,19 @@ def solve_routing(inst: ProblemInstance, design: NetworkDesign,
     time caps always.  Returns None when no routing satisfies everything.
     """
     ctx = make_context(inst, alpha_prime)
-    tables = hub_tables(ctx, np.asarray(design.assignment, dtype=np.intp))
-    i_arr, j_arr = np.where(ctx.offdiag)
-
-    contrib = np.full((len(i_arr), 2, 3), np.inf)
-    fd = ctx.direct_feasible[i_arr, j_arr]
-    fh = tables.hub_feasible[i_arr, j_arr]
-    if np.any(~fd & ~fh):
-        return None
-    dir_z = np.stack([m[i_arr, j_arr] for m in (ctx.direct_z1, ctx.direct_z2, ctx.direct_z3)], axis=1)
-    hub_z = np.stack([m[i_arr, j_arr] for m in (tables.hub_z1, tables.hub_z2, tables.hub_z3)], axis=1)
-    contrib[fd, 0] = dir_z[fd]
-    contrib[fh, 1] = hub_z[fh]
-    order = _pair_order(contrib)
-    contrib = contrib[order]
-
     a = np.asarray(design.assignment, dtype=np.intp)
-    first = a[i_arr][order]
-    second = a[j_arr][order]
-    load_nodes = np.stack([first, np.where(first == second, -1, second)], axis=1)
-    load_q = ctx.q[i_arr, j_arr][order]
-    best = np.minimum(contrib[:, 0, :], contrib[:, 1, :])
-    suffix = np.zeros((len(i_arr) + 1, 3))
-    suffix[:len(i_arr)] = best[::-1].cumsum(axis=0)[::-1]
-    pd = _PairData(contrib=contrib, suffix_min=suffix, load_nodes=load_nodes,
-                   load_q=load_q, canon_pos=order)
+    tables = hub_tables(ctx, a)
+    pairs = np.where(ctx.offdiag)
+    contrib = _options(ctx, pairs, (tables.hub_z1, tables.hub_z2, tables.hub_z3,
+                                    tables.hub_feasible), pairs)
+    if contrib is None:
+        return None
+    pd = _search_data(ctx, pairs, contrib, a)
     fixed = float(inst.fixed_cost[list(design.hubs)].sum())
     res = _bb_routing(pd, inst.capacity, fixed, 0, eps2, eps3, None)
     if res is None:
         return None
-    _, choices = res
-    n = inst.n
-    mask = np.zeros((n, n), dtype=bool)
-    flat = np.empty(len(choices), dtype=np.int8)
-    flat[pd.canon_pos] = choices
-    mask[i_arr, j_arr] = flat.astype(bool)
-    return plan_from_mask(design, mask)
+    return plan_from_mask(design, _mask_from_choices(ctx, pd.canon_pos, res[1]))
 
 
 def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonGrid(),
@@ -905,24 +863,15 @@ def _oracle_config_states(index: _ExactIndex, block: _Block, a_idx: np.ndarray
     whenever capacity could bind), which preserves the exact front.
     """
     ctx = index.ctx
-    inst = ctx.inst
     i_arr, j_arr = index.i_arr, index.j_arr
     ai = a_idx[i_arr]
     aj = a_idx[j_arr]
-    hub_z = np.stack([
-        block.z1h[i_arr, j_arr, ai, aj],
-        block.z2h[i_arr, j_arr, ai, aj],
-        block.z3h[i_arr, j_arr, ai, aj],
-    ], axis=1)
-    fh = block.feas_h[i_arr, j_arr, ai, aj]
-    dir_z = np.stack([
-        ctx.direct_z1[i_arr, j_arr],
-        ctx.direct_z2[i_arr, j_arr],
-        ctx.direct_z3[i_arr, j_arr],
-    ], axis=1)
-    fd = ctx.direct_feasible[i_arr, j_arr]
-    if np.any(~fd & ~fh):
+    contrib = _options(ctx, (i_arr, j_arr), (block.z1h, block.z2h, block.z3h, block.feas_h),
+                       (i_arr, j_arr, ai, aj))
+    if contrib is None:
         return None
+    fd = np.isfinite(contrib[:, 0, 0])
+    fh = np.isfinite(contrib[:, 1, 0])
 
     hub_arr = np.asarray(block.hubs, dtype=np.intp)
     h = len(hub_arr)
@@ -932,7 +881,7 @@ def _oracle_config_states(index: _ExactIndex, block: _Block, a_idx: np.ndarray
     for x in range(h):
         touches = (ai == x) | (aj == x)
         worst[x] = q_pairs[touches & fh].sum()
-    caps = inst.capacity[hub_arr]
+    caps = ctx.inst.capacity[hub_arr]
     track_loads = bool(np.any(worst > caps + FEAS_TOL))
 
     objs = np.array([[block.fixed_total, 0.0, 0.0]])
@@ -945,12 +894,12 @@ def _oracle_config_states(index: _ExactIndex, block: _Block, a_idx: np.ndarray
         parts_masks: list[list[int]] = []
         parts_loads = []
         if fd[t]:
-            parts_objs.append(objs + dir_z[t])
+            parts_objs.append(objs + contrib[t, 0])
             parts_masks.append(masks)
             if track_loads:
                 parts_loads.append(loads)
         if fh[t]:
-            parts_objs.append(objs + hub_z[t])
+            parts_objs.append(objs + contrib[t, 1])
             bit = 1 << t
             parts_masks.append([mk | bit for mk in masks])
             if track_loads:
@@ -1007,15 +956,13 @@ def brute_force_oracle(inst: ProblemInstance, alpha_prime: float = 0.5) -> Paret
         return ParetoFront(solutions=())
     rows = np.concatenate(all_rows, axis=0)
     keep = nondominated_mask(np.round(rows, 6))
+    canon = np.arange(len(index.i_arr))
     candidates = []
     for flag, (block, a_idx, mk) in zip(keep, all_refs):
         if not flag:
             continue
         design = _design_of(index, block, a_idx)
-        n = inst.n
-        mask = np.zeros((n, n), dtype=bool)
-        bits = np.array([(mk >> t) & 1 for t in range(len(index.i_arr))], dtype=bool)
-        mask[index.i_arr, index.j_arr] = bits
+        mask = _mask_from_choices(index.ctx, canon, [(mk >> t) & 1 for t in canon])
         plan = plan_from_mask(design, mask)
         candidates.append(solution_from_plan(inst, design, plan, alpha_prime))
     return ParetoFront.from_candidates(candidates)

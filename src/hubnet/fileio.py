@@ -55,6 +55,10 @@ _ARRAY_FIELDS = (
 )
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"instance file holds {name}; every number must be finite")
+
+
 def save_instance(inst: ProblemInstance, path: Union[str, Path]) -> None:
     doc = {"schema": INSTANCE_SCHEMA}
     for name in _SCALAR_FIELDS:
@@ -62,11 +66,11 @@ def save_instance(inst: ProblemInstance, path: Union[str, Path]) -> None:
         doc[name] = int(value) if name in ("n", "p") else float(value)
     for name in _ARRAY_FIELDS:
         doc[name] = getattr(inst, name).tolist()
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def load_instance(path: Union[str, Path]) -> ProblemInstance:
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     schema = doc.get("schema")
     if schema != INSTANCE_SCHEMA:
         raise ValueError(f"unsupported instance schema {schema!r}, expected {INSTANCE_SCHEMA!r}")

@@ -22,12 +22,12 @@ so invalid inputs can be inspected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .fuzzy import TrapezoidalFuzzyNumber, defuzzify_components
+from .fuzzy import defuzzify_components
 
 __all__ = [
     "FEAS_TOL",
@@ -121,9 +121,6 @@ class ProblemInstance:
             raise ValueError(f"demand must have shape ({n}, {n}, 4), got {dem.shape}")
         dem.flags.writeable = False
         object.__setattr__(self, "demand", dem)
-
-    def fuzzy_demand(self, i: int, j: int) -> TrapezoidalFuzzyNumber:
-        return TrapezoidalFuzzyNumber(*self.demand[i, j])
 
     def demand_matrix(self, alpha_prime: float) -> np.ndarray:
         """Crisp demand for every ordered pair at the given uncertainty rate."""
@@ -257,6 +254,9 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
     if n < 1:
         out.append(f"node count must be >= 1, got {n}")
         return out
+    for f in fields(inst):
+        if not np.all(np.isfinite(getattr(inst, f.name))):
+            out.append(f"{f.name} has non-finite values")
     if not 1 <= inst.p <= n:
         out.append(f"hub budget p must satisfy 1 <= p <= n, got p={inst.p}")
     if not np.allclose(inst.distance, inst.distance.T, rtol=0.0, atol=0.0):

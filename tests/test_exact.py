@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from hubnet.evaluation import compute_objectives
+from hubnet import exact
+from hubnet.evaluation import compute_objectives, hub_tables
 from hubnet.exact import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
@@ -244,3 +245,44 @@ def test_infeasible_instance_gives_empty_front(tiny):
 
 def test_default_budget_is_large():
     assert DEFAULT_BUDGET == 10 ** 8
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("cap", [None, 2.0, 1.0], ids=["uncapped", "some-options-late", "pairs-stranded"])
+def test_heuristic_and_exact_paths_price_routes_alike(n, cap, monkeypatch):
+    """The metaheuristics price hub routes with ``hub_tables``, the exact
+    solver with per-hub-set tensors; both must give the same bits.  And
+    ``solve_routing`` (built on ``hub_tables``) must hand the routing search
+    the same option table as the exact index does for that design.
+
+    ``cap`` sets every time cap to that multiple of the median flight time:
+    at 2.0 some options break their cap (inf entries in the table), at 1.0
+    some pair has no feasible option at all (no table)."""
+    inst = generate(GeneratorSpec(n=n, p=3, seed=n))
+    if cap is not None:
+        offdiag = ~np.eye(n, dtype=bool)
+        limit = cap * np.median(inst.travel_time[offdiag])
+        inst = dataclasses.replace(inst, max_transfer_time=np.where(offdiag, limit, 0.0))
+    index = exact._build_index(inst, 0.83, DEFAULT_BUDGET)
+    routed = []
+    monkeypatch.setattr(exact, "_bb_routing", lambda pd, *args, **kwargs: routed.append(pd))
+    ii, jj = np.indices((n, n))
+    rng = np.random.default_rng(n)
+    for g in rng.choice(index.total, size=min(16, index.total), replace=False):
+        block, a_idx, pd = index.pair_data(int(g))
+        design = exact._design_of(index, block, a_idx)
+        tables = hub_tables(index.ctx, np.asarray(design.assignment))
+        at = (ii, jj, a_idx[ii], a_idx[jj])
+        assert np.array_equal(tables.hub_z1, block.z1h[at])
+        assert np.array_equal(tables.hub_z2, block.z2h[at])
+        assert np.array_equal(tables.hub_z3, block.z3h[at])
+        assert np.array_equal(tables.hub_feasible, block.feas_h[at])
+
+        routed.clear()
+        assert solve_routing(inst, design, alpha_prime=0.83) is None   # search stubbed out
+        if pd is None:
+            assert routed == []
+            continue
+        (mine,) = routed
+        for name in ("contrib", "suffix_min", "load_nodes", "load_q", "canon_pos"):
+            assert np.array_equal(getattr(mine, name), getattr(pd, name)), name

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +56,25 @@ def test_load_rejects_wrong_schema(tmp_path, gen5):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="schema"):
         load_instance(path)
+
+
+def test_instance_files_refuse_non_finite_numbers(tmp_path, gen5):
+    path = tmp_path / "inst.json"
+    save_instance(gen5, path)
+    doc = json.loads(path.read_text())
+    travel = doc["travel_time"]
+    for token, value in (("NaN", math.nan), ("Infinity", math.inf), ("-Infinity", -math.inf)):
+        # json.dumps writes these as the bare tokens NaN / Infinity / -Infinity
+        path.write_text(json.dumps(dict(doc, aircraft_capacity=value)))
+        with pytest.raises(ValueError, match=token):
+            load_instance(path)
+        row = list(travel[0])
+        row[1] = value
+        path.write_text(json.dumps(dict(doc, travel_time=[row] + travel[1:])))
+        with pytest.raises(ValueError, match=token):
+            load_instance(path)
+    with pytest.raises(ValueError):
+        save_instance(dataclasses.replace(gen5, aircraft_capacity=math.nan), tmp_path / "nan.json")
 
 
 def test_route_tokens_roundtrip():

@@ -106,6 +106,14 @@ def test_validate_instance_reports_each_break(tiny):
     assert any("demand diagonal" in v for v in
                validate_instance(dataclasses.replace(tiny, demand=dem2)))
 
+    # NaN slips past every sign and order check, so finiteness is its own test
+    nan_time = np.array(tiny.travel_time)
+    nan_time[0, 1] = math.nan
+    for name, value in (("travel_time", nan_time), ("aircraft_capacity", math.nan),
+                        ("capacity", np.full(3, math.inf)), ("omega", -math.inf)):
+        report = validate_instance(dataclasses.replace(tiny, **{name: value}))
+        assert f"{name} has non-finite values" in report, report
+
 
 def test_instance_shape_checks():
     with pytest.raises(ValueError):
