@@ -1,128 +1,14 @@
 """Solver workbench for capacitated single-allocation hub location with
 fuzzy demand and three objectives: cost, emissions, delivery-window
-penalty."""
+penalty.
 
-from .analysis import (
-    DecisionMatrix,
-    FrontMetrics,
-    compute_metrics,
-    hypervolume,
-    topsis_rank,
-)
-from .encoding import Genome, decode, genome_length, repair_capacity
-from .evaluation import (
-    compute_objectives,
-    evaluate,
-    eval_cost,
-    eval_emissions,
-    eval_time_penalty,
-    make_context,
-    solution_from_plan,
-)
-from .exact import (
-    DEFAULT_BUDGET,
-    EnumerationBudgetError,
-    EpsilonGrid,
-    brute_force_oracle,
-    configuration_count,
-    enumerate_configurations,
-    epsilon_constraint_front,
-    solve_routing,
-)
-from .fileio import (
-    load_instance,
-    parse_route,
-    read_front_csv,
-    render_route,
-    save_instance,
-    write_front_csv,
-    write_metrics_csv,
-)
-from .fronts import ParetoFront, crowding_distance, dominates, nondominated_sort
-from .fuzzy import TrapezoidalFuzzyNumber, defuzzify, expected_interval
-from .generator import GeneratorSpec, generate, preset
-from .metaheuristics import (
-    ALGORITHMS,
-    AlgorithmParams,
-    run_mopso,
-    run_mowoa,
-    run_nsga2,
-)
-from .model import (
-    Direct,
-    EvaluatedSolution,
-    NetworkDesign,
-    ObjectiveVector,
-    OneHub,
-    ProblemInstance,
-    RoutePlan,
-    TwoHub,
-    check_feasibility,
-    validate_instance,
-)
-from .workbench import ExperimentConfig, run_compare, run_solver, sweep_rows
+Names are imported from their submodules, e.g.
+``from hubnet.exact import epsilon_constraint_front``.  Importing the
+package loads every submodule except ``cli``, which ``python -m hubnet.cli``
+must be the first to import.
+"""
+
+from . import (analysis, archive, encoding, evaluation, exact, fileio, fronts, fuzzy, generator,
+               metaheuristics, model, workbench)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALGORITHMS",
-    "AlgorithmParams",
-    "DEFAULT_BUDGET",
-    "DecisionMatrix",
-    "Direct",
-    "EnumerationBudgetError",
-    "EpsilonGrid",
-    "EvaluatedSolution",
-    "ExperimentConfig",
-    "FrontMetrics",
-    "Genome",
-    "GeneratorSpec",
-    "NetworkDesign",
-    "ObjectiveVector",
-    "OneHub",
-    "ParetoFront",
-    "ProblemInstance",
-    "RoutePlan",
-    "TrapezoidalFuzzyNumber",
-    "TwoHub",
-    "brute_force_oracle",
-    "check_feasibility",
-    "compute_metrics",
-    "compute_objectives",
-    "configuration_count",
-    "crowding_distance",
-    "decode",
-    "defuzzify",
-    "dominates",
-    "enumerate_configurations",
-    "epsilon_constraint_front",
-    "eval_cost",
-    "eval_emissions",
-    "eval_time_penalty",
-    "evaluate",
-    "expected_interval",
-    "generate",
-    "genome_length",
-    "hypervolume",
-    "load_instance",
-    "make_context",
-    "nondominated_sort",
-    "parse_route",
-    "preset",
-    "read_front_csv",
-    "render_route",
-    "repair_capacity",
-    "run_compare",
-    "run_mopso",
-    "run_mowoa",
-    "run_nsga2",
-    "run_solver",
-    "save_instance",
-    "solution_from_plan",
-    "solve_routing",
-    "sweep_rows",
-    "topsis_rank",
-    "validate_instance",
-    "write_front_csv",
-    "write_metrics_csv",
-]

@@ -57,21 +57,21 @@ class GridArchive:
             return any(e is entry for e in self.entries)
         return True
 
-    def _cells(self) -> list[tuple[int, ...]]:
-        """Grid cell key of every entry under the current adaptive bounds."""
+    def _cell_members(self) -> dict[tuple[int, ...], list[int]]:
+        """Entry positions per occupied grid cell under the current adaptive bounds."""
         rows = np.array([e.objectives for e in self.entries])
         lo = rows.min(axis=0)
         hi = rows.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
         idx = np.floor((rows - lo) / span * self.divisions).astype(int)
         idx = np.minimum(idx, self.divisions - 1)
-        return [tuple(int(v) for v in row) for row in idx]
+        members: dict[tuple[int, ...], list[int]] = {}
+        for pos, row in enumerate(idx):
+            members.setdefault(tuple(int(v) for v in row), []).append(pos)
+        return members
 
     def _evict(self, rng: np.random.Generator) -> None:
-        cells = self._cells()
-        counts: dict[tuple[int, ...], list[int]] = {}
-        for pos, key in enumerate(cells):
-            counts.setdefault(key, []).append(pos)
+        counts = self._cell_members()
         # fullest cell loses a random member; key order breaks count ties
         worst_key = min(counts, key=lambda k: (-len(counts[k]), k))
         members = counts[worst_key]
@@ -82,10 +82,7 @@ class GridArchive:
         """Sparse-cell roulette, then a uniform member of the chosen cell."""
         if not self.entries:
             return None
-        cells = self._cells()
-        counts: dict[tuple[int, ...], list[int]] = {}
-        for pos, key in enumerate(cells):
-            counts.setdefault(key, []).append(pos)
+        counts = self._cell_members()
         keys = sorted(counts)
         weights = np.array([1.0 / len(counts[k]) for k in keys])
         total = weights.sum()

@@ -96,22 +96,35 @@ def _params_from(args: argparse.Namespace) -> AlgorithmParams:
 
 
 def _add_solver_options(sub: argparse.ArgumentParser) -> None:
+    params = AlgorithmParams()
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--alpha-prime", type=float, default=0.5,
                      help="demand defuzzification rate in [0, 1]")
-    sub.add_argument("--max-it", type=int, default=125)
-    sub.add_argument("--pop", type=int, default=100)
-    sub.add_argument("--pc", type=float, default=0.05, help="crossover probability")
-    sub.add_argument("--pm", type=float, default=0.9, help="per-gene mutation probability")
-    sub.add_argument("--w", type=float, default=0.9, help="swarm inertia weight")
-    sub.add_argument("--c1", type=float, default=1.0, help="cognitive coefficient")
-    sub.add_argument("--c2", type=float, default=1.0, help="social coefficient")
-    sub.add_argument("--a-max", type=float, default=2.0, help="whale amplitude start")
-    sub.add_argument("--c-range", type=float, default=3.0, help="whale wobble bound")
-    sub.add_argument("--archive-cap", type=int, default=None)
-    sub.add_argument("--grid-divisions", type=int, default=7, help="archive grid slices")
-    sub.add_argument("--grid-z2", type=int, default=6, help="emission bound segments (exact)")
-    sub.add_argument("--grid-z3", type=int, default=6, help="penalty bound segments (exact)")
+    sub.add_argument("--max-it", type=int, default=params.max_iterations)
+    sub.add_argument("--pop", type=int, default=params.population_size)
+    sub.add_argument("--pc", type=float, default=params.crossover_prob,
+                     help="crossover probability")
+    sub.add_argument("--pm", type=float, default=params.mutation_prob,
+                     help="per-offspring mutation probability")
+    sub.add_argument("--w", type=float, default=params.inertia, help="swarm inertia weight")
+    sub.add_argument("--c1", type=float, default=params.cognitive, help="cognitive coefficient")
+    sub.add_argument("--c2", type=float, default=params.social, help="social coefficient")
+    sub.add_argument("--a-max", type=float, default=params.whale_a_max,
+                     help="whale amplitude start")
+    sub.add_argument("--c-range", type=float, default=params.whale_c_range,
+                     help="whale wobble bound")
+    sub.add_argument("--archive-cap", type=int, default=params.archive_capacity)
+    sub.add_argument("--grid-divisions", type=int, default=params.grid_divisions,
+                     help="archive grid slices")
+    _add_exact_options(sub)
+
+
+def _add_exact_options(sub: argparse.ArgumentParser) -> None:
+    grid = EpsilonGrid()
+    sub.add_argument("--grid-z2", type=int, default=grid.segments_z2,
+                     help="emission bound segments (exact)")
+    sub.add_argument("--grid-z3", type=int, default=grid.segments_z3,
+                     help="penalty bound segments (exact)")
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="max enumerable configurations (exact)")
 
@@ -144,9 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--front", help="front CSV; its minimum-cost row is the plan "
                                    "(default: solve exactly first)")
     w.add_argument("--alpha-prime", type=float, default=0.5)
-    w.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    w.add_argument("--grid-z2", type=int, default=6)
-    w.add_argument("--grid-z3", type=int, default=6)
+    _add_exact_options(w)
 
     c = sub.add_parser("compare", help="instances x algorithms x seeds experiment")
     c.add_argument("--instances", required=True, nargs="+")

@@ -7,65 +7,30 @@ Layout for an n-node instance, every gene in [0, 1):
     [1+n : 1+2n]        assignment keys: pick a feasible hub by distance rank
     [1+2n : 1+2n+n*n]   route keys row-major: >= 0.5 prefers the hub route
 
+The population solvers decode a genome with :func:`_decode_arrays` and
+then fix capacity with :func:`_repair_mask`; both work on the array form
+of :mod:`hubnet.evaluation` (assignment vector, hub-route mask).
 Decoding never consumes randomness, so evaluation order cannot change
 results.  A genome with an uncoverable spoke or an untimeable pair fails
-to decode; capacity overruns are repaired by flipping the heaviest
-offending hub-routed pairs to direct shipment.
+to decode.  Repair takes the most overloaded hub (lowest index on ties)
+and sends its heaviest hub-routed pair that may fly direct (lowest flat
+pair index on ties) direct, until every hub fits or no pair can move.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .evaluation import (
-    DesignTables,
-    EvalContext,
-    hub_tables,
-    loads_from_mask,
-    make_context,
-    plan_from_mask,
-)
-from .model import FEAS_TOL, NetworkDesign, ProblemInstance, RoutePlan
+from .evaluation import DesignTables, EvalContext, hub_tables, loads_from_mask
+from .model import FEAS_TOL
 
-__all__ = ["Genome", "genome_length", "decode", "repair_capacity"]
+__all__ = ["genome_length"]
 
 
 def genome_length(n: int) -> int:
     return 1 + 2 * n + n * n
-
-
-@dataclass(frozen=True)
-class Genome:
-    """Structured view of one random-key vector."""
-
-    count_gene: float
-    hub_keys: tuple[float, ...]
-    assign_keys: tuple[float, ...]
-    route_keys: tuple[float, ...]   # row-major n*n
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "Genome":
-        vec = np.asarray(vec, dtype=float)
-        n_sq = len(vec) - 1
-        # solve 2n + n^2 = len - 1 for n
-        n = int(round((-2 + np.sqrt(4 + 4 * n_sq)) / 2))
-        if genome_length(n) != len(vec):
-            raise ValueError(f"vector length {len(vec)} is not 1 + 2n + n^2 for any n")
-        if np.any(vec < 0.0) or np.any(vec >= 1.0):
-            raise ValueError("genes must lie in [0, 1)")
-        return cls(
-            count_gene=float(vec[0]),
-            hub_keys=tuple(vec[1:1 + n]),
-            assign_keys=tuple(vec[1 + n:1 + 2 * n]),
-            route_keys=tuple(vec[1 + 2 * n:]),
-        )
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([[self.count_gene], self.hub_keys,
-                               self.assign_keys, self.route_keys])
 
 
 def _decode_arrays(ctx: EvalContext, vec: np.ndarray
@@ -130,31 +95,3 @@ def _repair_mask(ctx: EvalContext, tables: DesignTables,
         loads[a[i]] -= q
         if a[j] != a[i]:
             loads[a[j]] -= q
-
-
-def decode(genome: Genome, inst: ProblemInstance,
-           alpha_prime: float = 0.5) -> Optional[tuple[NetworkDesign, RoutePlan]]:
-    """Genome -> capacity-repaired (design, plan), or None when infeasible."""
-    ctx = make_context(inst, alpha_prime)
-    dec = _decode_arrays(ctx, genome.to_vector())
-    if dec is None:
-        return None
-    assignment, hubs, mask, tables = dec
-    mask = _repair_mask(ctx, tables, mask)
-    if mask is None:
-        return None
-    design = NetworkDesign.from_hubs(inst.n, hubs, assignment)
-    return design, plan_from_mask(design, mask)
-
-
-def repair_capacity(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
-                    alpha_prime: float = 0.5) -> Optional[RoutePlan]:
-    """Public repair: heaviest offending hub-routed pair goes direct, repeat."""
-    from .evaluation import mask_from_plan   # local to avoid cycle at import
-
-    ctx = make_context(inst, alpha_prime)
-    tables = hub_tables(ctx, np.asarray(design.assignment, dtype=np.intp))
-    mask = _repair_mask(ctx, tables, mask_from_plan(plan))
-    if mask is None:
-        return None
-    return plan_from_mask(design, mask)

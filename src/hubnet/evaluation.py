@@ -62,7 +62,6 @@ __all__ = [
     "hub_tables",
     "evaluate_mask",
     "loads_from_mask",
-    "mask_from_plan",
     "plan_from_mask",
 ]
 
@@ -291,14 +290,6 @@ def loads_from_mask(ctx: EvalContext, tables: DesignTables, mask: np.ndarray) ->
     np.add.at(loads, a, qm.sum(axis=1))                                # origin-side hub
     np.add.at(loads, a, np.where(~tables.same_hub, qm, 0.0).sum(axis=0))  # destination-side hub
     return loads
-
-
-def mask_from_plan(plan: RoutePlan) -> np.ndarray:
-    n = plan.n
-    mask = np.zeros((n, n), dtype=bool)
-    for i, j, route in plan.items():
-        mask[i, j] = not isinstance(route, Direct)
-    return mask
 
 
 def plan_from_mask(design: NetworkDesign, mask: np.ndarray) -> RoutePlan:

@@ -20,14 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .evaluation import (
     EvalContext,
     _hub_route,
-    hub_tables,
     make_context,
     plan_from_mask,
     solution_from_plan,
@@ -38,7 +37,6 @@ from .model import (
     EvaluatedSolution,
     NetworkDesign,
     ProblemInstance,
-    RoutePlan,
     round6,
 )
 
@@ -47,8 +45,6 @@ __all__ = [
     "EnumerationBudgetError",
     "EpsilonGrid",
     "configuration_count",
-    "enumerate_configurations",
-    "solve_routing",
     "epsilon_constraint_front",
     "brute_force_oracle",
 ]
@@ -127,36 +123,6 @@ def _spoke_choices(inst: ProblemInstance, hubs: Sequence[int]) -> Optional[list[
             return None
         choices.append(ok)
     return choices
-
-
-def enumerate_configurations(inst: ProblemInstance,
-                             budget: int = DEFAULT_BUDGET) -> Iterator[NetworkDesign]:
-    """Yield every legal design: hub subsets of size 1..p, spokes within omega.
-
-    Order is canonical: subsets by size then lexicographically, assignments
-    in product order over spokes (node order, candidate hubs ascending).
-
-    Raises:
-        EnumerationBudgetError: when ``configuration_count`` exceeds ``budget``.
-    """
-    count = configuration_count(inst.n, inst.p)
-    if count > budget:
-        raise EnumerationBudgetError(count, budget)
-    n = inst.n
-    for h in range(1, inst.p + 1):
-        for hubs in itertools.combinations(range(n), h):
-            choices = _spoke_choices(inst, hubs)
-            if choices is None:
-                continue
-            spokes = [i for i in range(n) if i not in hubs]
-            hub_arr = list(hubs)
-            for combo in itertools.product(*[list(c) for c in choices]):
-                assignment = list(range(n))
-                for s, cidx in zip(spokes, combo):
-                    assignment[s] = hub_arr[cidx]
-                for k in hubs:
-                    assignment[k] = k
-                yield NetworkDesign.from_hubs(n, hubs, assignment)
 
 
 # --- per-hub-set tensors and the configuration index -----------------------
@@ -259,6 +225,16 @@ _LB_CHUNK = 4096
 
 
 def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _ExactIndex:
+    """Every legal design with its objective lower bounds.
+
+    Designs open 1..p hubs and link every spoke to a hub within omega.
+    Config ids follow the canonical order: hub subsets by size, then
+    lexicographically; assignments in product order over the spokes (node
+    order, candidate hubs ascending).
+
+    Raises:
+        EnumerationBudgetError: when ``configuration_count`` exceeds ``budget``.
+    """
     count = configuration_count(inst.n, inst.p)
     if count > budget:
         raise EnumerationBudgetError(count, budget)
@@ -778,31 +754,6 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
     return solution_from_plan(index.ctx.inst, design, plan, index.ctx.alpha_prime)
 
 
-def solve_routing(inst: ProblemInstance, design: NetworkDesign,
-                  eps2: float = math.inf, eps3: float = math.inf,
-                  alpha_prime: float = 0.5) -> Optional[RoutePlan]:
-    """Minimum-cost routing for one fixed design under inclusive bounds.
-
-    Exact branch-and-bound over per-pair route choices; bounds hold for
-    emissions (eps2) and time penalty (eps3), hub capacities and per-pair
-    time caps always.  Returns None when no routing satisfies everything.
-    """
-    ctx = make_context(inst, alpha_prime)
-    a = np.asarray(design.assignment, dtype=np.intp)
-    tables = hub_tables(ctx, a)
-    pairs = np.where(ctx.offdiag)
-    contrib = _options(ctx, pairs, (tables.hub_z1, tables.hub_z2, tables.hub_z3,
-                                    tables.hub_feasible), pairs)
-    if contrib is None:
-        return None
-    pd = _search_data(ctx, pairs, contrib, a)
-    fixed = float(inst.fixed_cost[list(design.hubs)].sum())
-    res = _bb_routing(pd, inst.capacity, fixed, 0, eps2, eps3, None)
-    if res is None:
-        return None
-    return plan_from_mask(design, _mask_from_choices(ctx, pd.canon_pos, res[1]))
-
-
 def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonGrid(),
                              alpha_prime: float = 0.5,
                              budget: int = DEFAULT_BUDGET) -> ParetoFront:
@@ -933,9 +884,9 @@ def _oracle_config_states(index: _ExactIndex, block: _Block, a_idx: np.ndarray
 def brute_force_oracle(inst: ProblemInstance, alpha_prime: float = 0.5) -> ParetoFront:
     """Ground-truth Pareto front by exhausting designs and route combinations.
 
-    Guarded to tiny instances (n <= 6); every configuration from
-    ``enumerate_configurations`` is expanded into all feasible per-pair
-    route combinations.
+    Guarded to tiny instances (n <= 6); every configuration of the exact
+    index (``_build_index``) is expanded into all feasible per-pair route
+    combinations.
     """
     if inst.n > ORACLE_MAX_NODES:
         raise ValueError(

@@ -59,6 +59,23 @@ def _reject_constant(name: str):
     raise ValueError(f"instance file holds {name}; every number must be finite")
 
 
+def _numbers(doc: dict, name: str) -> np.ndarray:
+    """Field ``name`` as a finite int or float array, else ValueError."""
+    try:
+        arr = np.asarray(doc[name])
+    except ValueError:
+        raise ValueError(f"instance field {name} is not a rectangular array") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"instance field {name} must hold numbers only")
+    if name in _SCALAR_FIELDS and arr.ndim:
+        raise ValueError(f"instance field {name} must be a single number")
+    if name in ("n", "p") and arr.dtype.kind == "f":
+        raise ValueError(f"instance field {name} must be an integer")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError(f"instance field {name} has non-finite values; every number must be finite")
+    return arr
+
+
 def save_instance(inst: ProblemInstance, path: Union[str, Path]) -> None:
     doc = {"schema": INSTANCE_SCHEMA}
     for name in _SCALAR_FIELDS:
@@ -76,9 +93,9 @@ def load_instance(path: Union[str, Path]) -> ProblemInstance:
         raise ValueError(f"unsupported instance schema {schema!r}, expected {INSTANCE_SCHEMA!r}")
     kwargs = {}
     for name in _SCALAR_FIELDS:
-        kwargs[name] = doc[name]
+        kwargs[name] = _numbers(doc, name).item()
     for name in _ARRAY_FIELDS:
-        kwargs[name] = np.asarray(doc[name], dtype=float)
+        kwargs[name] = np.asarray(_numbers(doc, name), dtype=float)
     return ProblemInstance(**kwargs)
 
 

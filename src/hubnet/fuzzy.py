@@ -26,26 +26,17 @@ __all__ = [
 class TrapezoidalFuzzyNumber:
     """Fuzzy quantity described by four ascending support points.
 
-    Valid instances satisfy ``0 <= q1 <= q2 <= q3 <= q4``.  Construction
-    does not raise so that invalid data can be loaded and reported by
-    :func:`hubnet.model.validate_instance`; use :meth:`violations`.
+    Valid points satisfy ``0 <= q1 <= q2 <= q3 <= q4``; construction does
+    not check them.  Instances hold demand as an ``(n, n, 4)`` component
+    array, which :func:`hubnet.model.validate_instance` checks and
+    :func:`defuzzify_components` collapses; this scalar form is the
+    reference that function is tested against.
     """
 
     q1: float
     q2: float
     q3: float
     q4: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.q1, self.q2, self.q3, self.q4)
-
-    def violations(self) -> list[str]:
-        out: list[str] = []
-        if not (self.q1 <= self.q2 <= self.q3 <= self.q4):
-            out.append(f"trapezoid components not ascending: {self.as_tuple()}")
-        if self.q1 < 0:
-            out.append(f"trapezoid has negative support: q1={self.q1}")
-        return out
 
 
 def expected_interval(q: TrapezoidalFuzzyNumber) -> tuple[float, float]:

@@ -192,6 +192,14 @@ def run_nsga2(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
 # --- particle swarm ----------------------------------------------------------
 
 
+def _feed(archive: GridArchive, objs: np.ndarray, X: np.ndarray, data: list,
+          rng: np.random.Generator) -> None:
+    """Offer every decodable member of the population to the archive, in order."""
+    for i, payload in enumerate(data):
+        if payload is not None:
+            archive.add(tuple(objs[i]), X[i], payload, rng)
+
+
 def _archive_front(ctx: EvalContext, archive: GridArchive) -> ParetoFront:
     sols = [_payload_solution(ctx, e.objectives, e.payload) for e in archive.entries]
     return ParetoFront.from_candidates(sols)
@@ -211,9 +219,7 @@ def run_mopso(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     pbest = objs.copy()
     archive = GridArchive(capacity=params.archive_capacity or N,
                           divisions=params.grid_divisions)
-    for i in range(N):
-        if data[i] is not None:
-            archive.add(tuple(objs[i]), X[i], data[i], rng)
+    _feed(archive, objs, X, data, rng)
     T = params.max_iterations
     for t in range(T):
         # turbulence in the style of the classic archive-based swarm:
@@ -243,9 +249,7 @@ def run_mopso(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
             if better:
                 pbest[i] = objs[i]
                 pbest_x[i] = X[i]
-        for i in range(N):
-            if data[i] is not None:
-                archive.add(tuple(objs[i]), X[i], data[i], rng)
+        _feed(archive, objs, X, data, rng)
     return _archive_front(ctx, archive)
 
 
@@ -264,9 +268,7 @@ def run_mowoa(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     objs, data = _evaluate_population(ctx, X)
     archive = GridArchive(capacity=params.archive_capacity or N,
                           divisions=params.grid_divisions)
-    for i in range(N):
-        if data[i] is not None:
-            archive.add(tuple(objs[i]), X[i], data[i], rng)
+    _feed(archive, objs, X, data, rng)
     for t in range(T):
         # encircling amplitude decays linearly to zero over the run
         a = params.whale_a_max * (1.0 - t / max(T - 1, 1))
@@ -289,9 +291,7 @@ def run_mowoa(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
                 X[i] = np.abs(lvec - X[i]) * gain + lvec
             X[i] = np.clip(X[i], 0.0, _UPPER)
         objs, data = _evaluate_population(ctx, X)
-        for i in range(N):
-            if data[i] is not None:
-                archive.add(tuple(objs[i]), X[i], data[i], rng)
+        _feed(archive, objs, X, data, rng)
     return _archive_front(ctx, archive)
 
 

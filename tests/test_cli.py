@@ -9,8 +9,10 @@ import json
 
 import pytest
 
-from hubnet.cli import main
+from hubnet.cli import _params_from, build_parser, main
+from hubnet.exact import EpsilonGrid
 from hubnet.fileio import load_instance, read_front_csv
+from hubnet.metaheuristics import AlgorithmParams
 
 
 def _gen(tmp_path, name="inst.json", nodes=5, hubs=2, seed=100):
@@ -23,6 +25,17 @@ def _gen(tmp_path, name="inst.json", nodes=5, hubs=2, seed=100):
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 1
     assert "command" in capsys.readouterr().err
+
+
+def test_untuned_runs_use_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["solve", "--instance", "i.json", "--solver", "nsga2",
+                              "--out", "f.csv"])
+    assert _params_from(args) == AlgorithmParams()
+    assert EpsilonGrid(args.grid_z2, args.grid_z3) == EpsilonGrid()
+    swept = parser.parse_args(["sweep", "--instance", "i.json", "--param", "phi",
+                               "--values", "30", "--out", "s.csv"])
+    assert EpsilonGrid(swept.grid_z2, swept.grid_z3) == EpsilonGrid()
 
 
 def test_generate_roundtrip(tmp_path):
@@ -111,6 +124,16 @@ def test_validate_io_and_data_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", "--instance", str(crooked)]) == 1
     assert "symmetric" in capsys.readouterr().out
+
+    # a number given as a string is refused on load, not met by a crash later
+    data = json.load(open(inst))
+    data["omega"] = "250"
+    quoted = tmp_path / "quoted.json"
+    quoted.write_text(json.dumps(data))
+    assert main(["validate", "--instance", str(quoted)]) == 3
+    captured = capsys.readouterr()
+    assert "cannot read instance" in captured.err
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_validate_flags_doctored_front(tmp_path, capsys):

@@ -2,7 +2,13 @@
 
 The 3-node instance is small enough to enumerate every design and every
 per-pair route combination directly in the test (at most 9 x 64 plans),
-giving a reference that shares no code with the solver under test.
+giving a reference that shares no code with the solver under test: designs
+come from ``itertools`` and the omega rule, routes from
+``model.feasible_routes``, loads from ``model.hub_loads`` and objectives
+from the typed evaluation path.  The solver side is what
+``epsilon_constraint_front`` runs: the configuration index
+(``_build_index``), its per-config option tables (``pair_data``) and the
+routing search (``_bb_routing``).
 """
 
 import dataclasses
@@ -13,16 +19,14 @@ import numpy as np
 import pytest
 
 from hubnet import exact
-from hubnet.evaluation import compute_objectives, hub_tables
+from hubnet.evaluation import compute_objectives, hub_tables, plan_from_mask
 from hubnet.exact import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
     EpsilonGrid,
     brute_force_oracle,
     configuration_count,
-    enumerate_configurations,
     epsilon_constraint_front,
-    solve_routing,
 )
 from hubnet.fronts import dominates
 from hubnet.generator import GeneratorSpec, generate
@@ -31,14 +35,30 @@ from hubnet.model import (
     feasible_routes,
     feasibility_violations,
     hub_loads,
+    NetworkDesign,
     RoutePlan,
 )
+
+
+def naive_designs(inst):
+    """Every legal design: 1..p hubs, each spoke on an open hub within omega.
+
+    Product order over the nodes (hubs serve themselves) is the canonical
+    configuration order: hub subsets by size then lexicographically, spokes'
+    candidate hubs ascending."""
+    n = inst.n
+    for h in range(1, inst.p + 1):
+        for hubs in itertools.combinations(range(n), h):
+            options = [[i] if i in hubs else [k for k in hubs if inst.distance[i, k] <= inst.omega]
+                       for i in range(n)]
+            for assignment in itertools.product(*options):
+                yield NetworkDesign.from_hubs(n, hubs, assignment)
 
 
 def naive_solutions(inst, alpha_prime=0.5):
     """Every feasible (design, plan, objectives) by raw enumeration."""
     out = []
-    for design in enumerate_configurations(inst):
+    for design in naive_designs(inst):
         options = []
         pairs = list(inst.pairs())
         for i, j in pairs:
@@ -64,6 +84,27 @@ def naive_best_z1(solutions, eps2=math.inf, eps3=math.inf):
     return min(vals) if vals else None
 
 
+def index_designs(inst):
+    """The exact index's designs in config-id order."""
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    return [exact._design_of(index, *index.pair_data(g)[:2]) for g in range(index.total)]
+
+
+def indexed_routings(inst, eps2=math.inf, eps3=math.inf):
+    """(design, plan) per config as the exact solver routes it: min cost under
+    the bounds, hub capacities and time caps; plan None when nothing fits."""
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    for g in range(index.total):
+        block, a_idx, pd = index.pair_data(g)
+        design = exact._design_of(index, block, a_idx)
+        res = None if pd is None else exact._bb_routing(
+            pd, inst.capacity, block.fixed_total, 0, eps2, eps3, None)
+        if res is None:
+            yield design, None
+            continue
+        yield design, plan_from_mask(design, exact._mask_from_choices(index.ctx, pd.canon_pos, res[1]))
+
+
 def test_configuration_count_hand_values():
     # h=1: C(3,1)*1^2 = 3; h=2: C(3,2)*2^1 = 6
     assert configuration_count(3, 2) == 9
@@ -72,7 +113,8 @@ def test_configuration_count_hand_values():
 
 
 def test_enumerate_configurations_complete(tiny):
-    designs = list(enumerate_configurations(tiny))
+    designs = index_designs(tiny)
+    assert designs == list(naive_designs(tiny))
     assert len(designs) == 9
     seen = {(d.hubs, d.assignment) for d in designs}
     expected = {((k,), (k, k, k)) for k in range(3)}
@@ -88,21 +130,19 @@ def test_enumerate_configurations_complete(tiny):
 def test_enumeration_respects_omega(tiny):
     # omega below the shortest spoke link kills every design with a spoke
     capped = dataclasses.replace(tiny, omega=50.0)
-    assert list(enumerate_configurations(capped)) == []
+    assert index_designs(capped) == []
     # omega=100: only node 1 is coverable as a spoke (via node 0), and node 0
     # only via node 1, so exactly two designs survive, one assignment each
     near = dataclasses.replace(tiny, omega=100.0)
-    survivors = [(d.hubs, d.assignment) for d in enumerate_configurations(near)]
+    survivors = [(d.hubs, d.assignment) for d in index_designs(near)]
     assert survivors == [((0, 2), (0, 0, 2)), ((1, 2), (1, 1, 2))]
 
 
 def test_budget_error_carries_counts(tiny):
     with pytest.raises(EnumerationBudgetError) as err:
-        list(enumerate_configurations(tiny, budget=5))
+        epsilon_constraint_front(tiny, EpsilonGrid(2, 2), budget=5)
     assert err.value.count == 9
     assert err.value.budget == 5
-    with pytest.raises(EnumerationBudgetError):
-        epsilon_constraint_front(tiny, EpsilonGrid(2, 2), budget=5)
 
 
 def test_epsilon_grid_cells():
@@ -117,13 +157,14 @@ def test_epsilon_grid_cells():
 
 
 def test_solve_routing_matches_naive(tiny):
+    """Per config, the exact solver's routing search finds the naive minimum
+    cost under each bound pair, and nothing when no routing fits."""
     sols = naive_solutions(tiny)
-    for design in enumerate_configurations(tiny):
-        mine = [(d, p, z) for d, p, z in sols if d == design]
-        for eps2, eps3 in ((math.inf, math.inf), (3400.0, math.inf),
-                          (math.inf, 5.0), (3300.0, 10.0), (100.0, 0.1)):
+    for eps2, eps3 in ((math.inf, math.inf), (3400.0, math.inf),
+                       (math.inf, 5.0), (3300.0, 10.0), (100.0, 0.1)):
+        for design, plan in indexed_routings(tiny, eps2, eps3):
+            mine = [(d, p, z) for d, p, z in sols if d == design]
             want = naive_best_z1(mine, eps2, eps3)
-            plan = solve_routing(tiny, design, eps2, eps3)
             if want is None:
                 assert plan is None
                 continue
@@ -136,10 +177,9 @@ def test_solve_routing_matches_naive(tiny):
 def test_solve_routing_respects_capacity(tiny):
     squeezed = dataclasses.replace(tiny, capacity=np.array([1e9, 150.0, 1e9]))
     sols = naive_solutions(squeezed)
-    for design in enumerate_configurations(squeezed):
+    for design, plan in indexed_routings(squeezed):
         mine = [(d, p, z) for d, p, z in sols if d == design]
         want = naive_best_z1(mine)
-        plan = solve_routing(squeezed, design)
         if want is None:
             assert plan is None
             continue
@@ -249,11 +289,9 @@ def test_default_budget_is_large():
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 @pytest.mark.parametrize("cap", [None, 2.0, 1.0], ids=["uncapped", "some-options-late", "pairs-stranded"])
-def test_heuristic_and_exact_paths_price_routes_alike(n, cap, monkeypatch):
+def test_heuristic_and_exact_paths_price_routes_alike(n, cap):
     """The metaheuristics price hub routes with ``hub_tables``, the exact
-    solver with per-hub-set tensors; both must give the same bits.  And
-    ``solve_routing`` (built on ``hub_tables``) must hand the routing search
-    the same option table as the exact index does for that design.
+    solver with per-hub-set tensors; both must give the same bits.
 
     ``cap`` sets every time cap to that multiple of the median flight time:
     at 2.0 some options break their cap (inf entries in the table), at 1.0
@@ -264,12 +302,10 @@ def test_heuristic_and_exact_paths_price_routes_alike(n, cap, monkeypatch):
         limit = cap * np.median(inst.travel_time[offdiag])
         inst = dataclasses.replace(inst, max_transfer_time=np.where(offdiag, limit, 0.0))
     index = exact._build_index(inst, 0.83, DEFAULT_BUDGET)
-    routed = []
-    monkeypatch.setattr(exact, "_bb_routing", lambda pd, *args, **kwargs: routed.append(pd))
     ii, jj = np.indices((n, n))
     rng = np.random.default_rng(n)
     for g in rng.choice(index.total, size=min(16, index.total), replace=False):
-        block, a_idx, pd = index.pair_data(int(g))
+        block, a_idx, _ = index.pair_data(int(g))
         design = exact._design_of(index, block, a_idx)
         tables = hub_tables(index.ctx, np.asarray(design.assignment))
         at = (ii, jj, a_idx[ii], a_idx[jj])
@@ -277,12 +313,3 @@ def test_heuristic_and_exact_paths_price_routes_alike(n, cap, monkeypatch):
         assert np.array_equal(tables.hub_z2, block.z2h[at])
         assert np.array_equal(tables.hub_z3, block.z3h[at])
         assert np.array_equal(tables.hub_feasible, block.feas_h[at])
-
-        routed.clear()
-        assert solve_routing(inst, design, alpha_prime=0.83) is None   # search stubbed out
-        if pd is None:
-            assert routed == []
-            continue
-        (mine,) = routed
-        for name in ("contrib", "suffix_min", "load_nodes", "load_q", "canon_pos"):
-            assert np.array_equal(getattr(mine, name), getattr(pd, name)), name

@@ -77,6 +77,46 @@ def test_instance_files_refuse_non_finite_numbers(tmp_path, gen5):
         save_instance(dataclasses.replace(gen5, aircraft_capacity=math.nan), tmp_path / "nan.json")
 
 
+BIG = "9" * 400   # an integer no float can hold
+
+
+@pytest.mark.parametrize("field, text, message", [
+    ("aircraft_capacity", "1e400", "non-finite"),
+    ("travel_time", "1e400", "non-finite"),
+    ("omega", "-1e400", "non-finite"),
+    ("omega", '"250"', "numbers only"),
+    ("aircraft_capacity", "null", "numbers only"),
+    ("travel_time", "null", "numbers only"),
+    ("omega", BIG, "numbers only"),
+    ("travel_time", BIG, "numbers only"),
+    ("p", "2.5", "integer"),
+    ("n", "true", "numbers only"),
+    ("omega", "[1.0, 2.0]", "single number"),
+], ids=lambda v: v if len(v) < 20 else "400-digit")
+def test_instance_files_refuse_what_is_not_a_finite_number(tmp_path, gen5, field, text, message):
+    # array fields get the bad value in one entry, scalar fields replace it
+    path = tmp_path / "inst.json"
+    save_instance(gen5, path)
+    doc = json.loads(path.read_text())
+    if isinstance(doc[field], list):
+        doc[field][0][1] = "@bad@"
+    else:
+        doc[field] = "@bad@"
+    path.write_text(json.dumps(doc).replace('"@bad@"', text))
+    with pytest.raises(ValueError, match=f"{field} .*{message}"):
+        load_instance(path)
+
+
+def test_instance_files_refuse_ragged_arrays(tmp_path, gen5):
+    path = tmp_path / "inst.json"
+    save_instance(gen5, path)
+    doc = json.loads(path.read_text())
+    doc["distance"][0] = doc["distance"][0][:-1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="distance is not a rectangular array"):
+        load_instance(path)
+
+
 def test_route_tokens_roundtrip():
     for route in (Direct(), OneHub(5), TwoHub(1, 5)):
         assert parse_route(render_route(route)) == route

@@ -46,14 +46,6 @@ def test_rate_outside_unit_interval_rejected(rate):
         defuzzify_components(np.zeros((2, 2, 4)), rate)
 
 
-def test_construction_never_raises_violations_report():
-    bad = TrapezoidalFuzzyNumber(4.0, 3.0, 2.0, 1.0)
-    assert bad.violations()
-    neg = TrapezoidalFuzzyNumber(-1.0, 0.0, 1.0, 2.0)
-    assert any("negative" in v for v in neg.violations())
-    assert Q.violations() == []
-
-
 def test_components_requires_trailing_axis_of_four():
     with pytest.raises(ValueError):
         defuzzify_components(np.zeros((3, 3, 3)), 0.5)

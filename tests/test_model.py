@@ -106,6 +106,11 @@ def test_validate_instance_reports_each_break(tiny):
     assert any("demand diagonal" in v for v in
                validate_instance(dataclasses.replace(tiny, demand=dem2)))
 
+    dem3 = np.array(tiny.demand)
+    dem3[0, 1] = [-2.0, -1.0, 1.0, 2.0]   # ascending, but below zero
+    assert "demand has negative components" in validate_instance(
+        dataclasses.replace(tiny, demand=dem3))
+
     # NaN slips past every sign and order check, so finiteness is its own test
     nan_time = np.array(tiny.travel_time)
     nan_time[0, 1] = math.nan
