@@ -15,6 +15,9 @@ results.  A genome with an uncoverable spoke or an untimeable pair fails
 to decode.  Repair takes the most overloaded hub (lowest index on ties)
 and sends its heaviest hub-routed pair that may fly direct (lowest flat
 pair index on ties) direct, until every hub fits or no pair can move.
+Since flips only remove candidates, repair sorts the movable pairs once
+by (-demand, flat index) and walks each hub's share of that list with a
+cursor, instead of rescanning the n x n grid after every flip.
 """
 
 from __future__ import annotations
@@ -74,24 +77,44 @@ def _decode_arrays(ctx: EvalContext, vec: np.ndarray
 def _repair_mask(ctx: EvalContext, tables: DesignTables,
                  mask: np.ndarray) -> Optional[np.ndarray]:
     """Flip hub-routed pairs to direct until every hub load fits, or None."""
-    inst = ctx.inst
     mask = mask.copy()
     loads = loads_from_mask(ctx, tables, mask)
-    a = tables.assignment
+    if (loads - ctx.inst.capacity).max() <= FEAS_TOL:
+        return mask
+    n = ctx.inst.n
+    # a non-hub carries no load and capacities are non-negative, so only an
+    # open hub can be the most overloaded node; loads, capacities and their
+    # excess are kept per open hub ("slot"), in ascending hub order
+    hubs, slot = np.unique(tables.assignment, return_inverse=True)
+    loads = loads[hubs].tolist()
+    cap = ctx.inst.capacity[hubs].tolist()
+    excess = [load - c for load, c in zip(loads, cap)]
+    # flips only clear mask bits, so the movable pairs only shrink: sorted
+    # once by (-q, flat index), a hub's first live entry is its heaviest
+    # movable pair, lowest flat index on ties
+    flat = np.flatnonzero(mask & ctx.direct_feasible)
+    flat = flat[np.argsort(-ctx.q.ravel()[flat], kind="stable")]
+    src, dst = slot[flat // n], slot[flat % n]
+    pairs = list(zip(flat.tolist(), ctx.q.ravel()[flat].tolist(), src.tolist(), dst.tolist()))
+    live = [True] * len(pairs)
+    queues = {}                            # slot -> cursor over its pairs
+    cells = mask.reshape(-1)               # a view: clearing a cell clears the mask
     while True:
-        over = loads - inst.capacity
-        worst = int(np.argmax(over))
-        if over[worst] <= FEAS_TOL:
+        top = max(excess)
+        if top <= FEAS_TOL:
             return mask
-        touches = mask & ((a[:, None] == worst) | (~tables.same_hub & (a[None, :] == worst)))
-        movable = touches & ctx.direct_feasible
-        if not movable.any():
+        worst = excess.index(top)          # lowest hub index on ties
+        queue = queues.get(worst)
+        if queue is None:
+            queue = queues[worst] = iter(np.flatnonzero((src == worst) | (dst == worst)).tolist())
+        k = next((k for k in queue if live[k]), None)
+        if k is None:
             return None
-        qs = np.where(movable, ctx.q, -np.inf)
-        flat = int(np.argmax(qs))          # max demand, ties lowest pair index
-        i, j = divmod(flat, inst.n)
-        mask[i, j] = False
-        q = ctx.q[i, j]
-        loads[a[i]] -= q
-        if a[j] != a[i]:
-            loads[a[j]] -= q
+        live[k] = False
+        cell, q, hi, hj = pairs[k]
+        cells[cell] = False
+        loads[hi] -= q
+        excess[hi] = loads[hi] - cap[hi]
+        if hj != hi:
+            loads[hj] -= q
+            excess[hj] = loads[hj] - cap[hj]

@@ -35,7 +35,7 @@ from .exact import (
 from .fileio import load_instance, write_csv, _solution_row, FRONT_COLUMNS
 from .fronts import ParetoFront
 from .metaheuristics import ALGORITHMS, AlgorithmParams
-from .model import EvaluatedSolution, ProblemInstance
+from .model import EvaluatedSolution, ProblemInstance, validate_instance
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -125,13 +125,17 @@ def run_solver(inst: ProblemInstance, algorithm: str, seed: int, alpha_prime: fl
 
 def _run_cell(payload: tuple) -> CellResult:
     path, name, algorithm, seed, alpha_prime, params, grid_z2, grid_z3, budget = payload
-    inst = load_instance(path)
     try:
+        inst = load_instance(path)
+        problems = validate_instance(inst)
+        if problems:
+            raise ValueError(f"invalid instance {path}: {'; '.join(problems)}")
         front, elapsed = run_solver(inst, algorithm, seed, alpha_prime, params,
                                     EpsilonGrid(grid_z2, grid_z3), budget)
         metrics = compute_metrics(front, elapsed)
     except (EnumerationBudgetError, ValueError) as exc:
-        # a failed solve (budget blown, empty front) aborts this cell only
+        # an unreadable or invalid instance or a failed solve (budget blown,
+        # empty front) aborts this cell only
         return CellResult(instance=name, algorithm=algorithm, seed=seed,
                           metrics=None, front_rows=(), error=str(exc))
     rows = tuple(tuple(_solution_row(s)) for s in front.solutions)
@@ -149,10 +153,12 @@ def _resolve_workers(workers: Optional[int]) -> int:
 def run_compare(config: ExperimentConfig) -> list[CellResult]:
     """Run the cell grid, write cells/averages/ranking tables and all fronts.
 
-    A cell whose solve fails (enumeration budget, empty front) is recorded
-    as missing: its row keeps blank indicator fields, no front file is
-    written, and the averages and ranking cover only algorithms with at
-    least one completed cell.
+    A cell whose instance file cannot be read or fails
+    ``validate_instance``, or whose solve fails (enumeration budget, empty
+    front), is recorded as missing: its row keeps blank indicator fields,
+    no front file is written, and the averages and ranking cover only
+    algorithms with at least one completed cell.  A missing instance file
+    raises ``FileNotFoundError`` and ends the campaign.
     """
     out = Path(config.out_dir)
     fronts_dir = out / "fronts"

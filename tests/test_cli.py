@@ -196,3 +196,31 @@ def test_compare_end_to_end(tmp_path):
     fronts = sorted(p.name for p in (out / "fronts").iterdir())
     assert len(fronts) == 8
     assert "a_exact_seed0.csv" in fronts
+
+
+def test_compare_contains_bad_instances(tmp_path, capsys):
+    good = _gen(tmp_path, "good.json")
+    data = json.loads(good.read_text())
+    unreadable = tmp_path / "quoted.json"
+    unreadable.write_text(json.dumps(dict(data, omega="250")))
+    data["distance"][0][1] = -data["distance"][0][1]
+    invalid = tmp_path / "negated.json"
+    invalid.write_text(json.dumps(data))
+    out = tmp_path / "exp"
+    capsys.readouterr()
+    code = main(["compare", "--instances", str(good), str(unreadable), str(invalid),
+                 "--algorithms", "nsga2", "--seeds", "0", "--out-dir", str(out),
+                 "--max-it", "5", "--pop", "12"])
+    err = capsys.readouterr().err
+    assert code == 0
+    with open(out / "cells.csv", newline="") as fh:
+        rows = {row[0]: row[3:] for row in list(csv.reader(fh))[1:]}
+    assert all(rows["good"]) and len(rows) == 3
+    assert rows["quoted"] == rows["negated"] == ["", "", "", ""]
+    assert [p.name for p in (out / "fronts").iterdir()] == ["good_nsga2_seed0.csv"]
+    assert "cell quoted/nsga2/seed0 failed: instance field omega" in err
+    assert "cell negated/nsga2/seed0 failed: invalid instance" in err
+    assert "symmetric" in err
+    # a missing file is still an I/O error for the whole campaign
+    assert main(["compare", "--instances", str(good), str(tmp_path / "nope.json"),
+                 "--algorithms", "nsga2", "--seeds", "0", "--out-dir", str(out)]) == 3

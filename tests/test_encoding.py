@@ -1,12 +1,21 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubnet.encoding import _decode_arrays, _repair_mask, genome_length
-from hubnet.evaluation import compute_objectives, hub_tables, make_context, plan_from_mask
+from hubnet.evaluation import (
+    compute_objectives,
+    hub_tables,
+    loads_from_mask,
+    make_context,
+    plan_from_mask,
+)
 from hubnet.generator import GeneratorSpec, generate
 from hubnet.metaheuristics import _evaluate_population, _payload_solution
-from hubnet.model import NetworkDesign, feasibility_violations
+from hubnet.model import FEAS_TOL, NetworkDesign, feasibility_violations
 
 
 def test_genome_length():
@@ -100,3 +109,80 @@ def test_repair_returns_none_when_stuck(tiny):
     ctx = make_context(no_direct, 0.5)
     tables = hub_tables(ctx, np.array([1, 1, 1]))
     assert _repair_mask(ctx, tables, ctx.offdiag.copy()) is None
+
+
+def _reference_repair(ctx, tables, mask):
+    # the rescanning loop _repair_mask replaced: after every flip it
+    # recomputes the most overloaded hub and argmaxes its movable pairs
+    inst = ctx.inst
+    mask = mask.copy()
+    loads = loads_from_mask(ctx, tables, mask)
+    a = tables.assignment
+    while True:
+        over = loads - inst.capacity
+        worst = int(np.argmax(over))
+        if over[worst] <= FEAS_TOL:
+            return mask
+        touches = mask & ((a[:, None] == worst) | (~tables.same_hub & (a[None, :] == worst)))
+        movable = touches & ctx.direct_feasible
+        if not movable.any():
+            return None
+        qs = np.where(movable, ctx.q, -np.inf)
+        flat = int(np.argmax(qs))          # max demand, ties lowest pair index
+        i, j = divmod(flat, inst.n)
+        mask[i, j] = False
+        q = ctx.q[i, j]
+        loads[a[i]] -= q
+        if a[j] != a[i]:
+            loads[a[j]] -= q
+
+
+def test_repair_matches_the_rescanning_loop():
+    seen = Counter()
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(4, 15), hub_budget=st.integers(1, 6), seed=st.integers(0, 2**16),
+           demand=st.sampled_from(["generated", "coarse", "uniform", "zero"]),
+           capacity=st.sampled_from(["scaled", "equal", "below-smallest-demand"]),
+           scale=st.floats(0.05, 1.0), thin=st.sampled_from([0.0, 0.2, 0.6]))
+    def check(n, hub_budget, seed, demand, capacity, scale, thin):
+        inst = generate(GeneratorSpec(n=n, p=min(hub_budget, n), seed=seed))
+        # equal demands and equal capacities exercise both tie rules
+        if demand == "coarse":       # components of 60 or 70
+            inst = dataclasses.replace(inst, demand=inst.demand.round(-1))
+        elif demand == "uniform":
+            inst = dataclasses.replace(inst, demand=np.where(inst.demand > 0, 65.0, 0.0))
+        elif demand == "zero":
+            inst = dataclasses.replace(inst, demand=np.zeros_like(inst.demand))
+        if capacity == "scaled":
+            cap = inst.capacity * scale
+        elif capacity == "equal":
+            cap = np.full(n, 2500.0 * scale)
+        else:
+            q = make_context(inst, 0.5).q
+            cap = np.full(n, 0.9 * q[q > 0].min() if (q > 0).any() else 1.0)
+        inst = dataclasses.replace(inst, capacity=cap)
+        ctx = make_context(inst, 0.5)
+        rng = np.random.default_rng(seed)
+        # pairs that may not fly direct leave some overloads unrepairable
+        thinned = dataclasses.replace(
+            ctx, direct_feasible=ctx.direct_feasible & (rng.random((n, n)) >= thin))
+        for vec in rng.random((8, genome_length(n))):
+            dec = _decode_arrays(ctx, vec)
+            if dec is None:
+                continue
+            _, _, mask, tables = dec
+            before = mask.copy()
+            got = _repair_mask(thinned, tables, mask)
+            want = _reference_repair(thinned, tables, mask)
+            assert np.array_equal(mask, before)
+            assert (got is None) == (want is None)
+            if want is None:
+                seen["none"] += 1
+            else:
+                assert np.array_equal(got, want)
+                seen["flips"] += int(before.sum() - want.sum())
+
+    check()
+    # the examples reach both exits and move pairs on the way
+    assert seen["flips"] > 0 and seen["none"] > 0
