@@ -4,23 +4,28 @@ The main objective is cost; emissions and time-window penalty are turned
 into inclusive upper bounds over a grid derived from the individual optima
 of the three objectives.  Per grid cell the solver takes the minimum over
 every configuration (hub set + assignment) of an exact routing
-branch-and-bound; configurations are visited in lower-bound order so most
-are pruned without search.  ``brute_force_oracle`` independently exhausts
-every configuration and every per-pair route combination (with
+branch-and-bound; configurations are visited in order of a cost bound
+conditioned on the cell's budgets, built only for those the scan reaches,
+so most are pruned without search.  ``brute_force_oracle`` independently
+exhausts every configuration and every per-pair route combination (with
 exactness-preserving dominance pruning on partial states) and is the
 ground truth the solver is tested against.
 
 Determinism: ties between equal-objective routings break on the route
-encoding (Direct=0, hub route=1, canonical pair order), ties between
-configurations on the canonical enumeration index.
+encoding (Direct=0, hub route=1, canonical pair order).  Configurations
+are visited in ascending (bound, canonical config id) order; the winner
+is the first one in that order to reach the best key, and the scan stops
+at the first bound that reaches the incumbent, so a configuration whose
+bound equals it is never searched.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +56,8 @@ __all__ = [
 
 # The index costs 48 bytes per configuration, a (3, total) float64 bound
 # array plus three int64 sort orders, so this budget admits an index of
-# about 4.8 GB before any repair tables.
+# about 4.8 GB; the conditioned cost bounds are priced in chunks along the
+# scan and add no per-configuration memory.
 DEFAULT_BUDGET = 10 ** 8
 ORACLE_MAX_NODES = 6
 
@@ -183,7 +189,6 @@ class _ExactIndex:
     i_arr: np.ndarray             # canonical off-diagonal pair rows
     j_arr: np.ndarray
     pd_cache: dict = field(default_factory=dict)
-    repair: Optional["_RepairIndex"] = None
 
     @property
     def total(self) -> int:
@@ -198,7 +203,7 @@ class _ExactIndex:
         cached = self.pd_cache.get(g)
         if cached is None:
             block, local = self.locate(g)
-            a_idx = _assignment_chunk(block, local, local + 1)[0]
+            a_idx = _assignment_chunk(block, np.array([local]))[0]
             cached = (block, a_idx, _pair_data(self, block, a_idx))
             if len(self.pd_cache) >= 1024:
                 self.pd_cache.pop(next(iter(self.pd_cache)))
@@ -206,14 +211,13 @@ class _ExactIndex:
         return cached
 
 
-def _assignment_chunk(block: _Block, start: int, stop: int) -> np.ndarray:
-    """(m, n) hub-position assignments for local config indices [start, stop)."""
+def _assignment_chunk(block: _Block, local: np.ndarray) -> np.ndarray:
+    """(m, n) hub-position assignments for the local config indices ``local``."""
     n = len(block.spokes) + len(block.hubs)
-    m = stop - start
-    out = np.empty((m, n), dtype=np.intp)
+    out = np.empty((len(local), n), dtype=np.intp)
     for pos, k in enumerate(block.hubs):
         out[:, k] = pos
-    local = np.arange(start, stop)
+    local = np.array(local, dtype=np.intp)      # a copy: divided in place below
     for s_idx in range(len(block.spokes) - 1, -1, -1):
         r = block.radices[s_idx]
         out[:, block.spokes[s_idx]] = block.choices[s_idx][local % r]
@@ -258,7 +262,7 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
         rows = np.empty((3, block.n_configs))
         for start in range(0, block.n_configs, _LB_CHUNK):
             stop = min(start + _LB_CHUNK, block.n_configs)
-            A = _assignment_chunk(block, start, stop)
+            A = _assignment_chunk(block, np.arange(start, stop))
             ai = A[:, :, None]
             aj = A[:, None, :]
             fh = block.feas_h[ii[None], jj[None], ai, aj]
@@ -283,105 +287,78 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
                        i_arr=i_arr, j_arr=j_arr)
 
 
-@dataclass
-class _RepairIndex:
-    """Per-config fractional-repair tables for budget-aware cost bounds.
+def _build_repair(index: _ExactIndex, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Fractional-repair tables of the configs ``g``, one per budget objective.
 
-    For each config the cost floor takes every pair's cheapest option; the
-    tables record how much emission/penalty that floor uses (``used``) and,
-    in cost-per-saving order, the cumulative savings and costs of switching
-    pairs to their other option (padded with zeros past the real entries).
-    A budget's conditional cost bound is the floor plus the cheapest
-    fractional repair covering the overuse, see _conditional_lb.
+    For each config the cost floor takes every pair's cheapest option; a
+    table holds how much of the budget objective that floor uses, (m,),
+    and, in cost-per-saving order, the cumulative savings and costs of
+    switching pairs to their other option and the ratios, (m, P) each and
+    zero-padded past the real entries.  See _conditional_lb.
     """
-
-    used: list[np.ndarray]        # per budget objective: (total,)
-    cum_save: list[np.ndarray]    # per budget objective: (total, P)
-    cum_cost: list[np.ndarray]
-    ratio: list[np.ndarray]
-
-
-def _build_repair(index: _ExactIndex) -> _RepairIndex:
     ctx = index.ctx
     i_arr, j_arr = index.i_arr, index.j_arr
-    P = len(i_arr)
-    total = index.total
-    used = [np.zeros(total), np.zeros(total)]
-    cum_save = [np.empty((total, P)), np.empty((total, P))]
-    cum_cost = [np.empty((total, P)), np.empty((total, P))]
-    ratio = [np.empty((total, P)), np.empty((total, P))]
+    block_of = np.searchsorted(index.offsets, g, side="right") - 1
+    hub_of = np.empty((len(g), ctx.inst.n), dtype=np.intp)     # each node's hub node
+    for b in np.unique(block_of):
+        sel = block_of == b
+        block = index.blocks[b]
+        positions = _assignment_chunk(block, g[sel] - index.offsets[b])
+        hub_of[sel] = np.asarray(block.hubs, dtype=np.intp)[positions]
+    z1h, z2h, z3h, fh = _hub_route(ctx, i_arr, j_arr, hub_of[:, i_arr], hub_of[:, j_arr],
+                                   (i_arr, j_arr))
 
     fd = ctx.direct_feasible[i_arr, j_arr]
     dir1 = np.where(fd, ctx.direct_z1[i_arr, j_arr], np.inf)
-    dir_c = [np.where(fd, ctx.direct_z2[i_arr, j_arr], np.inf),
-             np.where(fd, ctx.direct_z3[i_arr, j_arr], np.inf)]
-
-    for b, block in enumerate(index.blocks):
-        goff = int(index.offsets[b])
-        for start in range(0, block.n_configs, _LB_CHUNK):
-            stop = min(start + _LB_CHUNK, block.n_configs)
-            A = _assignment_chunk(block, start, stop)
-            ai = A[:, i_arr]
-            aj = A[:, j_arr]
-            fh = block.feas_h[i_arr[None, :], j_arr[None, :], ai, aj]
-            hub1 = np.where(fh, block.z1h[i_arr[None, :], j_arr[None, :], ai, aj], np.inf)
-            hub_c = [np.where(fh, block.z2h[i_arr[None, :], j_arr[None, :], ai, aj], np.inf),
-                     np.where(fh, block.z3h[i_arr[None, :], j_arr[None, :], ai, aj], np.inf)]
-            cheap_hub = hub1 < dir1[None, :]
-            base1 = np.where(cheap_hub, hub1, dir1[None, :])
-            alt1 = np.where(cheap_hub, dir1[None, :], hub1)
-            sl = slice(goff + start, goff + stop)
-            for c in range(2):
-                base_c = np.where(cheap_hub, hub_c[c], dir_c[c][None, :])
-                alt_c = np.where(cheap_hub, dir_c[c][None, :], hub_c[c])
-                used[c][sl] = base_c.sum(axis=1)
-                with np.errstate(invalid="ignore"):
-                    d1 = alt1 - base1
-                    dc = base_c - alt_c
-                valid = np.isfinite(d1) & np.isfinite(dc) & (dc > 0)
-                d1 = np.where(valid, d1, 0.0)
-                dc = np.where(valid, dc, 0.0)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r = np.where(valid, d1 / dc, np.inf)
-                ord_ = np.argsort(r, axis=1, kind="stable")
-                r_s = np.take_along_axis(np.where(valid, r, 0.0), ord_, axis=1)
-                cum_save[c][sl] = np.cumsum(np.take_along_axis(dc, ord_, axis=1), axis=1)
-                cum_cost[c][sl] = np.cumsum(np.take_along_axis(d1, ord_, axis=1), axis=1)
-                ratio[c][sl] = r_s
-    return _RepairIndex(used=used, cum_save=cum_save, cum_cost=cum_cost, ratio=ratio)
+    hub1 = np.where(fh, z1h, np.inf)
+    cheap_hub = hub1 < dir1
+    base1 = np.where(cheap_hub, hub1, dir1)
+    alt1 = np.where(cheap_hub, dir1, hub1)
+    tables = []
+    for hub_z, direct_z in ((z2h, ctx.direct_z2), (z3h, ctx.direct_z3)):
+        dir_c = np.where(fd, direct_z[i_arr, j_arr], np.inf)
+        hub_c = np.where(fh, hub_z, np.inf)
+        base_c = np.where(cheap_hub, hub_c, dir_c)
+        alt_c = np.where(cheap_hub, dir_c, hub_c)
+        with np.errstate(invalid="ignore"):
+            d1 = alt1 - base1
+            dc = base_c - alt_c
+        valid = np.isfinite(d1) & np.isfinite(dc) & (dc > 0)
+        d1 = np.where(valid, d1, 0.0)
+        dc = np.where(valid, dc, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(valid, d1 / dc, np.inf)
+        ord_ = np.argsort(r, axis=1, kind="stable")
+        # summed in pair order: .sum() adds a lone config's row pairwise but
+        # a chunk's rows in pair order, which would tie a bound to its chunk
+        tables.append((np.cumsum(base_c, axis=1)[:, -1],
+                       np.cumsum(np.take_along_axis(dc, ord_, axis=1), axis=1),
+                       np.cumsum(np.take_along_axis(d1, ord_, axis=1), axis=1),
+                       np.take_along_axis(np.where(valid, r, 0.0), ord_, axis=1)))
+    return tables
 
 
-# the cached repair tables cost 48 bytes per (config, pair); past this cap
-# fall back to the unconditioned bounds rather than exhaust memory
-_REPAIR_BYTES_CAP = 768 * 2 ** 20
-
-
-def _conditional_lb(index: _ExactIndex, eps2: float, eps3: float) -> np.ndarray:
-    """Per-config cost lower bound conditioned on the cell's budgets.
+def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float) -> np.ndarray:
+    """Cost lower bounds of the configs ``g`` conditioned on the cell's budgets.
 
     The unconstrained bound plus the cheapest fractional repair (greedy
     over cost/saving ratios) that brings each budget objective's floor
     usage inside its bound; inf marks configs that cannot fit the cell.
     The repairs for the two budgets are computed independently, so the
-    max of the two penalties is still a valid joint bound.
+    max of the two penalties is still a valid joint bound.  Never below
+    ``index.lb[0, g]``.
     """
-    if index.repair is None:
-        if index.total * len(index.i_arr) * 48 > _REPAIR_BYTES_CAP:
-            return index.lb[0].copy()
-        index.repair = _build_repair(index)
-    rep = index.repair
-    pen = np.zeros(index.total)
-    for c, eps in ((0, eps2), (1, eps3)):
+    if not (math.isfinite(eps2) or math.isfinite(eps3)):
+        return index.lb[0, g]
+    pen = np.zeros(len(g))
+    for (used, cum_save, cum_cost, ratio), eps in zip(_build_repair(index, g), (eps2, eps3)):
         if not math.isfinite(eps):
             continue
-        need = rep.used[c] - (eps + _ROUND_SLACK)
+        need = used - (eps + _ROUND_SLACK)
         rows = np.where((need > 0) & np.isfinite(need))[0]
         if not len(rows):
             continue
-        nv = need[rows]
-        cs = rep.cum_save[c][rows]
-        cc = rep.cum_cost[c][rows]
-        rr = rep.ratio[c][rows]
+        nv, cs, cc, rr = need[rows], cum_save[rows], cum_cost[rows], ratio[rows]
         p = np.full(len(rows), np.inf)
         ok = nv <= cs[:, -1]
         if ok.any():
@@ -394,7 +371,36 @@ def _conditional_lb(index: _ExactIndex, eps2: float, eps3: float) -> np.ndarray:
         # cumsum drift must never push the bound past the true cost
         p = np.where(p > 1e-9, p - 1e-9, 0.0)
         pen[rows] = np.maximum(pen[rows], p)
-    return index.lb[0] + pen
+    return index.lb[0, g] + pen
+
+
+def _visiting_order(index: _ExactIndex, main: int, eps2: float,
+                    eps3: float) -> Iterator[tuple[float, int]]:
+    """Configs that fit the cell, as (bound, id) in ascending order, lazily.
+
+    The bound on ``main`` is the budget-conditioned one (_conditional_lb)
+    for cost and the stock ``index.lb[main]`` otherwise.  Configs are
+    priced in growing chunks along the stock order ``index.orders[main]``;
+    no bound is below its stock bound, so the heap's top is final once it
+    lies strictly below the next unpriced stock bound (on a tie, an
+    unpriced config could still come first by id).  Configs with an
+    infinite bound are never yielded.
+    """
+    floor, order = index.lb[main], index.orders[main]
+    heap: list[tuple[float, int]] = []
+    start, size = 0, 16
+    while True:
+        nxt = floor[order[start]] if start < len(order) else math.inf
+        while heap and heap[0][0] < nxt:
+            yield heapq.heappop(heap)
+        if not math.isfinite(nxt):
+            return
+        g = order[start:start + size]
+        start, size = start + len(g), min(2 * size, _LB_CHUNK)
+        g = g[(index.lb[1, g] <= eps2 + _ROUND_SLACK) & (index.lb[2, g] <= eps3 + _ROUND_SLACK)]
+        bound = _conditional_lb(index, g, eps2, eps3) if main == 0 else floor[g]
+        for item in zip(bound.tolist(), g.tolist()):
+            heapq.heappush(heap, item)
 
 
 # --- routing branch and bound ----------------------------------------------
@@ -686,15 +692,15 @@ def _design_of(index: _ExactIndex, block: _Block, a_idx: np.ndarray) -> NetworkD
 
 
 def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
-               incumbent_value: float = math.inf, lexicographic: bool = True,
-               bound_v: Optional[np.ndarray] = None) -> Optional[EvaluatedSolution]:
+               incumbent_value: float = math.inf,
+               lexicographic: bool = True) -> Optional[EvaluatedSolution]:
     """Global minimum of objective ``main`` under the bounds.
 
     ``incumbent_value`` is an upper bound (a 1e-6 multiple from an already
     known feasible solution); returns None when nothing at least ties it,
     in which case the caller's incumbent solution is already optimal.
-    ``bound_v`` replaces the stock per-config bound on ``main`` with a
-    sharper one (e.g. budget-conditioned) for ordering and cutoff.
+    Configs are visited in _visiting_order, so a cost solve orders and
+    cuts off on the budget-conditioned bound.
 
     Budget-constrained solves run two passes: a scouting pass of
     node-limited searches whose best leaf seeds the incumbent, then the
@@ -702,27 +708,18 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
     single config with a weak bound can burn minutes proving optimality
     from nothing.
     """
-    if bound_v is None:
-        bound_v = index.lb[main]
-        order_v = index.orders[main]
-    else:
-        order_v = np.argsort(bound_v, kind="stable")
     best_key: Optional[tuple] = None
     best_payload = None
 
-    def scan(node_limit: Optional[int]) -> None:
+    def scan(order, node_limit: Optional[int]) -> None:
         nonlocal best_key, best_payload
         examined = 0
-        for g in order_v:
-            g = int(g)
-            lbm = bound_v[g]
+        for lbm, g in order:
             # a config whose bound already matches the best value can only
             # tie; the first achiever in bound order is the winner
             cap = incumbent_value if best_key is None else min(incumbent_value, best_key[0])
-            if not math.isfinite(lbm) or lbm >= cap:
+            if lbm >= cap:
                 break
-            if index.lb[1, g] > eps2 + _ROUND_SLACK or index.lb[2, g] > eps3 + _ROUND_SLACK:
-                continue
             if node_limit is not None:
                 examined += 1
                 if examined > 64:
@@ -742,9 +739,12 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
                 best_key = key
                 best_payload = (block, a_idx, pd, choices)
 
+    order = _visiting_order(index, main, eps2, eps3)
     if math.isfinite(eps2) or math.isfinite(eps3):
-        scan(node_limit=4000)
-    scan(node_limit=None)
+        # the proof pass replays the configs the scout already drew
+        scout, order = itertools.tee(order)
+        scan(scout, node_limit=4000)
+    scan(order, node_limit=None)
     if best_payload is None:
         return None
     block, a_idx, pd, choices = best_payload
@@ -793,8 +793,7 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
             if z.z2 <= eps2 and z.z3 <= eps3 and z.z1 < inc_val:
                 inc_val = z.z1
                 inc_sol = s
-        clb = _conditional_lb(index, eps2, eps3)
-        res = _solve_min(index, 0, eps2, eps3, incumbent_value=inc_val, bound_v=clb)
+        res = _solve_min(index, 0, eps2, eps3, incumbent_value=inc_val)
         winner = res if res is not None else inc_sol
         if winner is not None:
             candidates.append(winner)
@@ -894,9 +893,8 @@ def brute_force_oracle(inst: ProblemInstance, alpha_prime: float = 0.5) -> Paret
     index = _build_index(inst, alpha_prime, budget=DEFAULT_BUDGET)
     all_rows = []
     all_refs: list[tuple[_Block, np.ndarray, int]] = []
-    for b, block in enumerate(index.blocks):
-        for local in range(block.n_configs):
-            a_idx = _assignment_chunk(block, local, local + 1)[0]
+    for block in index.blocks:
+        for a_idx in _assignment_chunk(block, np.arange(block.n_configs)):
             states = _oracle_config_states(index, block, a_idx)
             if states is None:
                 continue

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -158,7 +159,10 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
     front), is recorded as missing: its row keeps blank indicator fields,
     no front file is written, and the averages and ranking cover only
     algorithms with at least one completed cell.  A missing instance file
-    raises ``FileNotFoundError`` and ends the campaign.
+    raises ``FileNotFoundError`` and ends the campaign.  When TOPSIS cannot
+    rank the averages (a criterion is zero for every algorithm, as msi and
+    sm are when every front has one point), ``ranking.csv`` keeps only its
+    header and the reason goes to stderr.
     """
     out = Path(config.out_dir)
     fronts_dir = out / "fronts"
@@ -212,6 +216,7 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
     write_csv(out / "averages.csv", ("algorithm", "npf", "msi", "sm", "cpt"),
               [[a] + [repr(v) for v in row] for a, row in zip(ranked, averages)])
 
+    ranking = []
     if ranked:
         matrix = DecisionMatrix(
             alternatives=tuple(ranked),
@@ -220,10 +225,13 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
             directions=("benefit", "benefit", "cost", "cost"),
             weights=(0.25, 0.25, 0.25, 0.25),
         )
-        ci, order = topsis_rank(matrix)
-        write_csv(out / "ranking.csv", ("rank", "algorithm", "closeness"),
-                  [[str(pos + 1), ranked[a], repr(float(ci[a]))]
-                   for pos, a in enumerate(order)])
-    else:
-        write_csv(out / "ranking.csv", ("rank", "algorithm", "closeness"), [])
+        try:
+            ci, order = topsis_rank(matrix)
+        except ValueError as exc:
+            # e.g. every front has one point, so msi and sm are all zero
+            print(f"ranking skipped: {exc}", file=sys.stderr)
+        else:
+            ranking = [[str(pos + 1), ranked[a], repr(float(ci[a]))]
+                       for pos, a in enumerate(order)]
+    write_csv(out / "ranking.csv", ("rank", "algorithm", "closeness"), ranking)
     return results

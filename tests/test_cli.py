@@ -224,3 +224,21 @@ def test_compare_contains_bad_instances(tmp_path, capsys):
     # a missing file is still an I/O error for the whole campaign
     assert main(["compare", "--instances", str(good), str(tmp_path / "nope.json"),
                  "--algorithms", "nsga2", "--seeds", "0", "--out-dir", str(out)]) == 3
+
+
+def test_compare_skips_a_ranking_topsis_cannot_make(tmp_path, capsys):
+    # on this instance every cell's front has one point, so the msi and sm
+    # averages are all zero and TOPSIS cannot normalize them
+    inst = _gen(tmp_path)
+    out = tmp_path / "exp"
+    capsys.readouterr()
+    code = main(["compare", "--instances", str(inst), "--algorithms", "nsga2", "--seeds", "0",
+                 "--out-dir", str(out), "--max-it", "3", "--pop", "8"])
+    err = capsys.readouterr().err
+    assert code == 0
+    with open(out / "averages.csv", newline="") as fh:
+        averages = list(csv.reader(fh))
+    assert [row[0] for row in averages[1:]] == ["nsga2"]
+    assert float(averages[1][2]) == float(averages[1][3]) == 0.0
+    assert (out / "ranking.csv").read_text().splitlines() == ["rank,algorithm,closeness"]
+    assert "ranking skipped: criteria with all-zero columns" in err

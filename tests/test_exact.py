@@ -8,7 +8,9 @@ come from ``itertools`` and the omega rule, routes from
 from the typed evaluation path.  The solver side is what
 ``epsilon_constraint_front`` runs: the configuration index
 (``_build_index``), its per-config option tables (``pair_data``) and the
-routing search (``_bb_routing``).
+routing search (``_bb_routing``).  The lazy visiting order is checked
+against a stable sort of the conditioned cost bound over every config, and
+that bound against the oracle's per-config routings.
 """
 
 import dataclasses
@@ -38,6 +40,8 @@ from hubnet.model import (
     NetworkDesign,
     RoutePlan,
 )
+
+from conftest import make_instance
 
 
 def naive_designs(inst):
@@ -313,3 +317,104 @@ def test_heuristic_and_exact_paths_price_routes_alike(n, cap):
         assert np.array_equal(tables.hub_z2, block.z2h[at])
         assert np.array_equal(tables.hub_z3, block.z3h[at])
         assert np.array_equal(tables.hub_feasible, block.feas_h[at])
+
+
+def _lattice_instance():
+    """Six nodes on a 100-unit lattice with equal demands: the round
+    numbers make many configurations share a stock cost bound."""
+    pts = np.array([[300, 200], [200, 100], [100, 0], [0, 0], [0, 300], [200, 300]], dtype=float)
+    distance = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    return make_instance(6, 3, distance=distance, demand=np.full((6, 6), 60.0))
+
+
+def _payoff_cells(index, grid):
+    """The grid's cells over the ranges that ``epsilon_constraint_front`` spans."""
+    payoff = [exact._solve_min(index, m, math.inf, math.inf, lexicographic=(m == 0))
+              for m in range(3)]
+    rows = np.array([s.objectives.as_tuple() for s in payoff])
+    return grid.cells((rows[:, 1].min(), rows[:, 1].max()), (rows[:, 2].min(), rows[:, 2].max()))
+
+
+def _tie_cells(index):
+    """Emission budgets at which a config priced in the first chunk (the
+    first 16 of the stock order) gets a conditioned bound exactly equal to
+    the stock bound of ``order[16]``, which opens the second chunk and has
+    the smaller id: the walk must price that chunk before yielding either."""
+    lb, order = index.lb, index.orders[0]
+    first = int(order[16])
+    target = lb[0, first]
+    cells = []
+    for g in map(int, order[:16]):
+        if g < first or lb[0, g] >= target:
+            continue
+
+        def bound(eps2, g=g):
+            return exact._conditional_lb(index, np.array([g]), eps2, math.inf)[0]
+
+        # bisect the budget between the emission floor and a loose one
+        lo, hi = lb[1, g], lb[1, g] + 1e6
+        if not bound(lo) > target:
+            continue
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            value = bound(mid)
+            if value == target or mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if value > target else (lo, mid)
+        if (value == target and lb[1, first] <= mid + exact._ROUND_SLACK
+                and exact._conditional_lb(index, np.array([first]), mid, math.inf)[0] == target):
+            cells.append((mid, math.inf))
+    return cells
+
+
+def test_visiting_order_is_the_stable_sort_of_the_conditioned_bound(gen5, gen6):
+    """The lazy walk yields exactly the configs that fit the cell, in the
+    order a stable sort of the conditioned bound over every config gives."""
+    lattice = _lattice_instance()
+    for inst in (gen5, gen6, lattice):
+        index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+        cells = _payoff_cells(index, EpsilonGrid(4, 4)) + [(math.inf, math.inf)]
+        if inst is lattice:
+            assert len(np.unique(index.lb[0])) < index.total     # tied stock bounds
+            ties = _tie_cells(index)
+            assert ties
+            cells += ties
+        bound = {}
+        for eps2, eps3 in cells:
+            every = exact._conditional_lb(index, np.arange(index.total), eps2, eps3)
+            # inf marks a config whose budgets no repair can meet
+            fits = ((index.lb[1] <= eps2 + exact._ROUND_SLACK)
+                    & (index.lb[2] <= eps3 + exact._ROUND_SLACK) & np.isfinite(every))
+            want = [(float(every[g]), int(g)) for g in np.argsort(every, kind="stable") if fits[g]]
+            assert list(exact._visiting_order(index, 0, eps2, eps3)) == want
+            bound[eps2, eps3] = every
+        # the conditioned bound is the stock one without budgets, never below it
+        assert np.array_equal(bound[math.inf, math.inf], index.lb[0])
+        assert all(np.all(b >= index.lb[0]) for b in bound.values())
+
+
+@pytest.mark.parametrize("name", ["tiny", "gen5", "gen6"])
+def test_conditioned_bound_never_exceeds_a_fitting_routing(name, request):
+    """Per config and cell, the conditioned cost bound is at most the cost
+    of the cheapest routing (capacities and time caps included) whose
+    rounded emissions and penalty fit the cell."""
+    index = exact._build_index(request.getfixturevalue(name), 0.5, DEFAULT_BUDGET)
+    states = []
+    for g in range(index.total):
+        block, a_idx, _ = index.pair_data(g)
+        found = exact._oracle_config_states(index, block, a_idx)
+        states.append(None if found is None else np.round(found[0], 6))
+    rows = np.concatenate([s for s in states if s is not None])
+    cells = EpsilonGrid(5, 5).cells((rows[:, 1].min(), rows[:, 1].max()),
+                                    (rows[:, 2].min(), rows[:, 2].max()))
+    raised = 0
+    for eps2, eps3 in cells:
+        bound = exact._conditional_lb(index, np.arange(index.total), eps2, eps3)
+        for g, objs in enumerate(states):
+            if objs is None:
+                continue
+            fit = objs[(objs[:, 1] <= eps2) & (objs[:, 2] <= eps3), 0]
+            if len(fit):
+                assert bound[g] <= fit.min() + 1e-6, (g, eps2, eps3)
+                raised += bound[g] > index.lb[0, g] + 1e-6
+    assert raised > 0        # the budgets do lift some bounds
