@@ -70,6 +70,17 @@ def _ints(text: str) -> list[int]:
         raise _CliError(EXIT_USAGE, f"expected comma-separated integers, got {text!r}")
 
 
+def _rate(text: str) -> float:
+    """``--alpha-prime``: a demand defuzzification rate in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def _load(path: str):
     try:
         return load_instance(path)
@@ -77,6 +88,15 @@ def _load(path: str):
         raise _CliError(EXIT_IO, f"instance file not found: {path}")
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         raise _CliError(EXIT_IO, f"cannot read instance {path}: {exc}")
+
+
+def _load_valid(path: str):
+    """The instance at ``path``; every broken invariant is a usage error."""
+    inst = _load(path)
+    problems = validate_instance(inst)
+    if problems:
+        raise _CliError(EXIT_USAGE, "\n".join(f"invalid instance: {line}" for line in problems))
+    return inst
 
 
 def _params_from(args: argparse.Namespace) -> AlgorithmParams:
@@ -98,7 +118,7 @@ def _params_from(args: argparse.Namespace) -> AlgorithmParams:
 def _add_solver_options(sub: argparse.ArgumentParser) -> None:
     params = AlgorithmParams()
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--alpha-prime", type=float, default=0.5,
+    sub.add_argument("--alpha-prime", type=_rate, default=0.5,
                      help="demand defuzzification rate in [0, 1]")
     sub.add_argument("--max-it", type=int, default=params.max_iterations)
     sub.add_argument("--pop", type=int, default=params.population_size)
@@ -156,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--out", required=True)
     w.add_argument("--front", help="front CSV; its minimum-cost row is the plan "
                                    "(default: solve exactly first)")
-    w.add_argument("--alpha-prime", type=float, default=0.5)
+    w.add_argument("--alpha-prime", type=_rate, default=0.5,
+                   help="demand defuzzification rate in [0, 1]")
     _add_exact_options(w)
 
     c = sub.add_parser("compare", help="instances x algorithms x seeds experiment")
@@ -196,14 +217,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = _load(args.instance)
-    problems = validate_instance(inst)
-    if problems:
-        for line in problems:
-            print(f"invalid instance: {line}", file=sys.stderr)
-        return EXIT_USAGE
-    if not 0.0 <= args.alpha_prime <= 1.0:
-        raise _CliError(EXIT_USAGE, f"--alpha-prime must lie in [0, 1], got {args.alpha_prime}")
+    inst = _load_valid(args.instance)
     try:
         params = _params_from(args)
         front, elapsed = run_solver(inst, args.solver, args.seed, args.alpha_prime,
@@ -251,7 +265,7 @@ def _pick_plan(args, inst):
 
 
 def _cmd_sweep(args) -> int:
-    inst = _load(args.instance)
+    inst = _load_valid(args.instance)
     values = _floats(args.values)
     if not values:
         raise _CliError(EXIT_USAGE, "--values must name at least one number")
@@ -261,6 +275,8 @@ def _cmd_sweep(args) -> int:
     except EnumerationBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, str(exc))
     try:
         write_csv(args.out, ("value", "z1", "z2", "z3"),
                   [[repr(float(v)), repr(z1), repr(z2), repr(z3)]

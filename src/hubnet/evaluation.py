@@ -10,7 +10,7 @@ solvers use; a property test pins the two paths to each other.  The array
 path prices a route in one place: the kernel :func:`_price`, with
 :func:`_hub_route` for the hub-route geometry.  The direct tables of
 :func:`make_context`, :func:`hub_tables` and the exact solver's per-hub-set
-tensors all come from it.
+option arrays all come from it.
 
 Objective semantics, per ordered pair with crisp demand ``q``:
 

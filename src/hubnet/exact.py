@@ -131,15 +131,17 @@ def _spoke_choices(inst: ProblemInstance, hubs: Sequence[int]) -> Optional[list[
     return choices
 
 
-# --- per-hub-set tensors and the configuration index -----------------------
+# --- per-hub-set options and the configuration index -----------------------
 
 
 @dataclass
 class _Block:
-    """All configurations sharing one hub set, with hub-route tensors.
+    """All configurations sharing one hub set, with its hub-route options.
 
-    Tensors are indexed ``[i, j, x, y]`` where x, y are positions in
-    ``hubs`` of the origin's and destination's hub.
+    ``hub_opts[i, j, x, y]`` holds the (z1, z2, z3) of pair (i, j)'s hub
+    route when x and y are the positions in ``hubs`` of the origin's and
+    destination's hub; inf marks a route over the pair's time cap, as in
+    the option tables of ``_options``.
     """
 
     hubs: tuple[int, ...]
@@ -147,10 +149,7 @@ class _Block:
     choices: list[np.ndarray]     # per spoke: feasible hub positions
     n_configs: int
     fixed_total: float
-    z1h: np.ndarray               # (n, n, h, h)
-    z2h: np.ndarray
-    z3h: np.ndarray
-    feas_h: np.ndarray            # (n, n, h, h) bool
+    hub_opts: np.ndarray          # (n, n, h, h, 3)
     radices: list[int] = field(default_factory=list)
 
 
@@ -174,7 +173,8 @@ def _build_block(ctx: EvalContext, hubs: tuple[int, ...]) -> Optional[_Block]:
     spokes = np.array([i for i in range(n) if i not in hubs], dtype=np.intp)
     return _Block(hubs=hubs, spokes=spokes, choices=choices, n_configs=n_configs,
                   fixed_total=float(inst.fixed_cost[H].sum()),
-                  z1h=z1h, z2h=z2h, z3h=z3h, feas_h=feas_h, radices=radices)
+                  hub_opts=np.where(feas_h[..., None], np.stack([z1h, z2h, z3h], axis=-1), np.inf),
+                  radices=radices)
 
 
 @dataclass
@@ -188,6 +188,7 @@ class _ExactIndex:
     orders: list[np.ndarray]      # argsort of each lb row
     i_arr: np.ndarray             # canonical off-diagonal pair rows
     j_arr: np.ndarray
+    direct_opts: np.ndarray       # (n, n, 3) direct routes, inf over the time cap
     pd_cache: dict = field(default_factory=dict)
 
     @property
@@ -199,12 +200,10 @@ class _ExactIndex:
         return self.blocks[b], g - int(self.offsets[b])
 
     def pair_data(self, g: int) -> tuple[_Block, np.ndarray, Optional[_PairData]]:
-        """Config id -> (block, assignment, routing options), memoised."""
+        """Config id -> (block, hub positions, routing search data), memoised."""
         cached = self.pd_cache.get(g)
         if cached is None:
-            block, local = self.locate(g)
-            a_idx = _assignment_chunk(block, np.array([local]))[0]
-            cached = (block, a_idx, _pair_data(self, block, a_idx))
+            cached = _pair_data(self, g)
             if len(self.pd_cache) >= 1024:
                 self.pd_cache.pop(next(iter(self.pd_cache)))
             self.pd_cache[g] = cached
@@ -223,6 +222,28 @@ def _assignment_chunk(block: _Block, local: np.ndarray) -> np.ndarray:
         out[:, block.spokes[s_idx]] = block.choices[s_idx][local % r]
         local //= r
     return out
+
+
+def _options(index: _ExactIndex, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (m, P, 2, 3) option tables of the configs ``g``, and their
+    (m, n) assignments as positions in each config's ``block.hubs``.
+
+    Row t of a table holds canonical pair t's direct route (option 0) and
+    hub route (option 1) as objective triples, inf where the option breaks
+    the pair's time cap; a config with a pair whose both options are inf
+    cannot be routed.
+    """
+    i_arr, j_arr = index.i_arr, index.j_arr
+    opts = np.empty((len(g), len(i_arr), 2, 3))
+    opts[:, :, 0] = index.direct_opts[i_arr, j_arr]
+    positions = np.empty((len(g), index.ctx.inst.n), dtype=np.intp)
+    block_of = np.searchsorted(index.offsets, g, side="right") - 1
+    for b in np.unique(block_of):
+        sel = block_of == b
+        A = _assignment_chunk(index.blocks[b], g[sel] - index.offsets[b])
+        opts[sel, :, 1] = index.blocks[b].hub_opts[i_arr, j_arr, A[:, i_arr], A[:, j_arr]]
+        positions[sel] = A
+    return opts, positions
 
 
 _LB_CHUNK = 4096
@@ -252,77 +273,49 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
                 blocks.append(block)
 
     i_arr, j_arr = np.where(ctx.offdiag)
+    direct_opts = np.where(ctx.direct_feasible[..., None],
+                           np.stack([ctx.direct_z1, ctx.direct_z2, ctx.direct_z3], axis=-1), np.inf)
+    offsets = np.cumsum([0] + [block.n_configs for block in blocks], dtype=np.int64)
 
-    lb_parts = [np.empty((3, 0))]
+    # summed per config over the n x n grid: the bounds' bits depend on that order
+    lb = np.empty((3, int(offsets[-1])))
     ii, jj = np.indices((n, n))
-    fd = ctx.direct_feasible | ~ctx.offdiag          # diagonal never blocks
-    d1, d2, d3 = ctx.direct_z1, ctx.direct_z2, ctx.direct_z3
     diag = np.arange(n)
-    for block in blocks:
-        rows = np.empty((3, block.n_configs))
+    for block, base in zip(blocks, offsets.tolist()):
         for start in range(0, block.n_configs, _LB_CHUNK):
             stop = min(start + _LB_CHUNK, block.n_configs)
             A = _assignment_chunk(block, np.arange(start, stop))
-            ai = A[:, :, None]
-            aj = A[:, None, :]
-            fh = block.feas_h[ii[None], jj[None], ai, aj]
-            blocked = ~(fh | fd[None])
-            for row, tensor, direct in ((0, block.z1h, d1), (1, block.z2h, d2), (2, block.z3h, d3)):
-                hv = tensor[ii[None], jj[None], ai, aj]
-                best = np.where(fh, hv, np.inf)
-                best = np.minimum(best, np.where(fd[None], direct[None], np.inf))
+            at = (ii[None], jj[None], A[:, :, None], A[:, None, :])
+            for row in range(3):
+                best = np.minimum(block.hub_opts[at + (row,)], direct_opts[None, :, :, row])
                 best[:, diag, diag] = 0.0
-                sums = best.sum(axis=(1, 2))
-                sums[blocked.any(axis=(1, 2))] = np.inf
-                if row == 0:
-                    sums = sums + block.fixed_total
-                rows[row, start:stop] = sums
-        lb_parts.append(rows)
-    lb = np.concatenate(lb_parts, axis=1)
-    offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-    for b, block in enumerate(blocks):
-        offsets[b + 1] = offsets[b] + block.n_configs
+                # a pair with no option within its time cap makes the sum inf
+                lb[row, base + start:base + stop] = best.sum(axis=(1, 2))
+            lb[0, base + start:base + stop] += block.fixed_total
     orders = [np.argsort(lb[row], kind="stable") for row in range(3)]
     return _ExactIndex(ctx=ctx, blocks=blocks, offsets=offsets, lb=lb, orders=orders,
-                       i_arr=i_arr, j_arr=j_arr)
+                       i_arr=i_arr, j_arr=j_arr, direct_opts=direct_opts)
 
 
 def _build_repair(index: _ExactIndex, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Fractional-repair tables of the configs ``g``, one per budget objective.
 
-    For each config the cost floor takes every pair's cheapest option; a
-    table holds how much of the budget objective that floor uses, (m,),
-    and, in cost-per-saving order, the cumulative savings and costs of
-    switching pairs to their other option and the ratios, (m, P) each and
+    Read from the configs' option tables (``_options``).  For each config
+    the cost floor takes every pair's cheapest option; a table holds how
+    much of the budget objective that floor uses, (m,), and, in
+    cost-per-saving order, the cumulative savings and costs of switching
+    pairs to their other option and the ratios, (m, P) each and
     zero-padded past the real entries.  See _conditional_lb.
     """
-    ctx = index.ctx
-    i_arr, j_arr = index.i_arr, index.j_arr
-    block_of = np.searchsorted(index.offsets, g, side="right") - 1
-    hub_of = np.empty((len(g), ctx.inst.n), dtype=np.intp)     # each node's hub node
-    for b in np.unique(block_of):
-        sel = block_of == b
-        block = index.blocks[b]
-        positions = _assignment_chunk(block, g[sel] - index.offsets[b])
-        hub_of[sel] = np.asarray(block.hubs, dtype=np.intp)[positions]
-    z1h, z2h, z3h, fh = _hub_route(ctx, i_arr, j_arr, hub_of[:, i_arr], hub_of[:, j_arr],
-                                   (i_arr, j_arr))
-
-    fd = ctx.direct_feasible[i_arr, j_arr]
-    dir1 = np.where(fd, ctx.direct_z1[i_arr, j_arr], np.inf)
-    hub1 = np.where(fh, z1h, np.inf)
-    cheap_hub = hub1 < dir1
-    base1 = np.where(cheap_hub, hub1, dir1)
-    alt1 = np.where(cheap_hub, dir1, hub1)
+    opts, _ = _options(index, g)
+    cheap_hub = opts[:, :, 1, 0] < opts[:, :, 0, 0]
+    base = np.where(cheap_hub[..., None], opts[:, :, 1], opts[:, :, 0])
+    alt = np.where(cheap_hub[..., None], opts[:, :, 0], opts[:, :, 1])
     tables = []
-    for hub_z, direct_z in ((z2h, ctx.direct_z2), (z3h, ctx.direct_z3)):
-        dir_c = np.where(fd, direct_z[i_arr, j_arr], np.inf)
-        hub_c = np.where(fh, hub_z, np.inf)
-        base_c = np.where(cheap_hub, hub_c, dir_c)
-        alt_c = np.where(cheap_hub, dir_c, hub_c)
+    for c in (1, 2):
         with np.errstate(invalid="ignore"):
-            d1 = alt1 - base1
-            dc = base_c - alt_c
+            d1 = alt[..., 0] - base[..., 0]
+            dc = base[..., c] - alt[..., c]
         valid = np.isfinite(d1) & np.isfinite(dc) & (dc > 0)
         d1 = np.where(valid, d1, 0.0)
         dc = np.where(valid, dc, 0.0)
@@ -331,7 +324,7 @@ def _build_repair(index: _ExactIndex, g: np.ndarray) -> list[tuple[np.ndarray, .
         ord_ = np.argsort(r, axis=1, kind="stable")
         # summed in pair order: .sum() adds a lone config's row pairwise but
         # a chunk's rows in pair order, which would tie a bound to its chunk
-        tables.append((np.cumsum(base_c, axis=1)[:, -1],
+        tables.append((np.cumsum(base[..., c], axis=1)[:, -1],
                        np.cumsum(np.take_along_axis(dc, ord_, axis=1), axis=1),
                        np.cumsum(np.take_along_axis(d1, ord_, axis=1), axis=1),
                        np.take_along_axis(np.where(valid, r, 0.0), ord_, axis=1)))
@@ -481,48 +474,26 @@ def _pair_order(contrib: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(score)), -score))
 
 
-def _options(ctx: EvalContext, pairs: tuple, hub: Sequence[np.ndarray],
-             at: tuple) -> Optional[np.ndarray]:
-    """Canonical (P, 2, 3) option table of the pairs ``pairs``, or None.
-
-    Row t holds pair t's direct route (option 0) and hub route (option 1)
-    as objective triples, inf where the option breaks the pair's time cap.
-    ``hub`` is the hub route's (z1, z2, z3, feasible) arrays, read at
-    ``at``.  None when some pair has no feasible option.
-    """
-    fd = ctx.direct_feasible[pairs]
-    fh = hub[3][at]
-    if np.any(~fd & ~fh):
-        return None
-    contrib = np.full((len(fd), 2, 3), np.inf)
-    contrib[fd, 0] = np.stack([z[pairs] for z in (ctx.direct_z1, ctx.direct_z2, ctx.direct_z3)],
-                              axis=1)[fd]
-    contrib[fh, 1] = np.stack([z[at] for z in hub[:3]], axis=1)[fh]
-    return contrib
-
-
-def _search_data(ctx: EvalContext, pairs: tuple, contrib: np.ndarray,
-                 assignment: np.ndarray) -> _PairData:
-    """Routing search data of a canonical option table under a node assignment."""
-    order = _pair_order(contrib)
-    contrib = contrib[order]
-    first = assignment[pairs[0]][order]
-    second = assignment[pairs[1]][order]
-    load_nodes = np.stack([first, np.where(first == second, -1, second)], axis=1)
+def _pair_data(index: _ExactIndex, g: int) -> tuple[_Block, np.ndarray, Optional[_PairData]]:
+    """Config id -> (block, hub positions, routing search data), the search
+    data None when some pair has no option within its time cap."""
+    block, _ = index.locate(g)
+    opts, positions = _options(index, np.array([g]))
+    a_idx = positions[0]
+    if np.isinf(opts[0, :, :, 0]).all(axis=1).any():
+        return block, a_idx, None
+    order = _pair_order(opts[0])
+    contrib = opts[0, order]
+    assignment = np.asarray(block.hubs, dtype=np.intp)[a_idx]
+    first = assignment[index.i_arr[order]]
+    second = assignment[index.j_arr[order]]
     best = np.minimum(contrib[:, 0, :], contrib[:, 1, :])
     suffix = np.zeros((len(contrib) + 1, 3))
     suffix[:-1] = best[::-1].cumsum(axis=0)[::-1]
-    return _PairData(contrib=contrib, suffix_min=suffix, load_nodes=load_nodes,
-                     load_q=ctx.q[pairs][order], canon_pos=order)
-
-
-def _pair_data(index: _ExactIndex, block: _Block, a_idx: np.ndarray) -> Optional[_PairData]:
-    pairs = (index.i_arr, index.j_arr)
-    contrib = _options(index.ctx, pairs, (block.z1h, block.z2h, block.z3h, block.feas_h),
-                       pairs + (a_idx[index.i_arr], a_idx[index.j_arr]))
-    if contrib is None:
-        return None
-    return _search_data(index.ctx, pairs, contrib, np.asarray(block.hubs, dtype=np.intp)[a_idx])
+    return block, a_idx, _PairData(
+        contrib=contrib, suffix_min=suffix,
+        load_nodes=np.stack([first, np.where(first == second, -1, second)], axis=1),
+        load_q=index.ctx.q[index.i_arr[order], index.j_arr[order]], canon_pos=order)
 
 
 def _bb_routing(pd: _PairData, caps: np.ndarray, fixed: float, main: int,
@@ -804,24 +775,24 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
 # --- exhaustive oracle ------------------------------------------------------
 
 
-def _oracle_config_states(index: _ExactIndex, block: _Block, a_idx: np.ndarray
-                          ) -> Optional[tuple[np.ndarray, list[int]]]:
+def _oracle_config_states(index: _ExactIndex, block: _Block, contrib: np.ndarray,
+                          a_idx: np.ndarray) -> Optional[tuple[np.ndarray, list[int]]]:
     """All nondominated (objectives, route-choice bitmask) states of a config.
 
-    Walks pairs in canonical order, branching into every feasible route and
-    pruning only states that are dominated in objectives (and in hub loads
-    whenever capacity could bind), which preserves the exact front.
+    ``contrib`` and ``a_idx`` are the config's option table and hub
+    positions from ``_options``.  Walks pairs in canonical order, branching
+    into every feasible route and pruning only states that are dominated in
+    objectives (and in hub loads whenever capacity could bind), which
+    preserves the exact front.
     """
     ctx = index.ctx
     i_arr, j_arr = index.i_arr, index.j_arr
     ai = a_idx[i_arr]
     aj = a_idx[j_arr]
-    contrib = _options(ctx, (i_arr, j_arr), (block.z1h, block.z2h, block.z3h, block.feas_h),
-                       (i_arr, j_arr, ai, aj))
-    if contrib is None:
-        return None
     fd = np.isfinite(contrib[:, 0, 0])
     fh = np.isfinite(contrib[:, 1, 0])
+    if not np.all(fd | fh):
+        return None
 
     hub_arr = np.asarray(block.hubs, dtype=np.intp)
     h = len(hub_arr)
@@ -891,16 +862,17 @@ def brute_force_oracle(inst: ProblemInstance, alpha_prime: float = 0.5) -> Paret
         raise ValueError(
             f"oracle is limited to n <= {ORACLE_MAX_NODES} nodes, got n={inst.n}")
     index = _build_index(inst, alpha_prime, budget=DEFAULT_BUDGET)
+    opts, positions = _options(index, np.arange(index.total))
     all_rows = []
     all_refs: list[tuple[_Block, np.ndarray, int]] = []
-    for block in index.blocks:
-        for a_idx in _assignment_chunk(block, np.arange(block.n_configs)):
-            states = _oracle_config_states(index, block, a_idx)
-            if states is None:
-                continue
-            objs, masks = states
-            all_rows.append(objs)
-            all_refs.extend((block, a_idx, mk) for mk in masks)
+    for g in range(index.total):
+        block, _ = index.locate(g)
+        states = _oracle_config_states(index, block, opts[g], positions[g])
+        if states is None:
+            continue
+        objs, masks = states
+        all_rows.append(objs)
+        all_refs.extend((block, positions[g], mk) for mk in masks)
     if not all_refs:
         return ParetoFront(solutions=())
     rows = np.concatenate(all_rows, axis=0)

@@ -44,7 +44,6 @@ __all__ = [
     "validate_instance",
     "design_violations",
     "route_time",
-    "feasible_routes",
     "plan_violations",
     "feasibility_violations",
     "check_feasibility",
@@ -251,8 +250,9 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
     """Report every violated instance invariant (empty report = valid)."""
     out: list[str] = []
     n = inst.n
-    if n < 1:
-        out.append(f"node count must be >= 1, got {n}")
+    if n < 2:
+        # a lone node has no pair to route; the generator refuses it as well
+        out.append(f"node count must be >= 2, got {n}")
         return out
     for f in fields(inst):
         if not np.all(np.isfinite(getattr(inst, f.name))):
@@ -329,27 +329,6 @@ def route_time(inst: ProblemInstance, route: Route, i: int, j: int) -> float:
     if isinstance(route, OneHub):
         return float(t[i, route.hub] + t[route.hub, j])
     return float(t[i, route.first] + t[route.first, route.second] + t[route.second, j])
-
-
-def feasible_routes(inst: ProblemInstance, design: NetworkDesign, i: int, j: int) -> set[Route]:
-    """Routes legal for pair (i, j) under the design and within its time cap.
-
-    At most two routes exist: Direct, plus the unique hub route determined
-    by the endpoint assignments (OneHub when they share a hub, TwoHub
-    otherwise).  A route is included only if its time respects the pair's
-    hard cap.
-    """
-    if i == j:
-        raise ValueError("routes are defined for ordered pairs with i != j")
-    cap = float(inst.max_transfer_time[i, j]) + FEAS_TOL
-    out: set[Route] = set()
-    if route_time(inst, Direct(), i, j) <= cap:
-        out.add(Direct())
-    k, l = design.assignment[i], design.assignment[j]
-    hub_route: Route = OneHub(k) if k == l else TwoHub(k, l)
-    if route_time(inst, hub_route, i, j) <= cap:
-        out.add(hub_route)
-    return out
 
 
 def _legal_route(design: NetworkDesign, i: int, j: int, route: Route) -> Optional[str]:

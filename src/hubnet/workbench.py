@@ -57,6 +57,10 @@ def sweep_rows(inst: ProblemInstance, solution: EvaluatedSolution,
     ``alpha``/``beta`` are the inter-hub and collection discounts, ``phi``
     the aircraft capacity, ``alpha_prime`` the demand defuzzification
     rate.  Other instance data stays put.
+
+    Raises:
+        ValueError: naming the value, when it breaks an instance invariant
+            (``validate_instance``) or puts the rate outside [0, 1].
     """
     if param not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {param!r}, expected one of {SWEEP_PARAMETERS}")
@@ -73,6 +77,11 @@ def sweep_rows(inst: ProblemInstance, solution: EvaluatedSolution,
             swept = dataclasses.replace(inst, aircraft_capacity=v)
         else:
             rate = v
+        problems = validate_instance(swept)
+        if not 0.0 <= rate <= 1.0:
+            problems.append(f"uncertainty rate must lie in [0, 1], got {rate!r}")
+        if problems:
+            raise ValueError(f"cannot sweep {param} to {v!r}: " + "; ".join(problems))
         z1, z2, z3 = compute_objectives(swept, solution.design, solution.plan, rate)
         rows.append((v, z1, z2, z3))
     return rows

@@ -9,9 +9,12 @@ import json
 
 import pytest
 
+import numpy as np
+
+from conftest import make_instance
 from hubnet.cli import _params_from, build_parser, main
 from hubnet.exact import EpsilonGrid
-from hubnet.fileio import load_instance, read_front_csv
+from hubnet.fileio import load_instance, read_front_csv, save_instance
 from hubnet.metaheuristics import AlgorithmParams
 
 
@@ -180,6 +183,58 @@ def test_sweep_rejects_garbled_values(tmp_path):
     inst = _gen(tmp_path)
     assert main(["sweep", "--instance", str(inst), "--param", "phi",
                  "--values", "30,abc", "--out", str(tmp_path / "s.csv")]) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--param", "phi", "--values", "30"], "invalid instance: distance has negative entries"),
+    (["--param", "alpha", "--values", "0.5,-3"],
+     "cannot sweep alpha to -3.0: alpha_discount must lie in (0, 1], got -3.0"),
+    (["--param", "phi", "--values", "0"],
+     "cannot sweep phi to 0.0: aircraft_capacity must be > 0, got 0.0"),
+    (["--param", "alpha_prime", "--values", "1.5"],
+     "cannot sweep alpha_prime to 1.5: uncertainty rate must lie in [0, 1], got 1.5"),
+    (["--param", "phi", "--values", "30", "--alpha-prime", "2"],
+     "argument --alpha-prime: must lie in [0, 1], got 2"),
+], ids=["invalid-instance", "alpha", "phi", "rate", "alpha-prime-flag"])
+def test_sweep_refuses_bad_input(tmp_path, capsys, args, message):
+    inst = _gen(tmp_path)
+    if message.startswith("invalid instance"):
+        data = json.loads(inst.read_text())
+        data["distance"][0][1] = -data["distance"][0][1]
+        inst.write_text(json.dumps(data))
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    code = main(["sweep", "--instance", str(inst), "--out", str(out),
+                 "--grid-z2", "1", "--grid-z3", "1"] + args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
+def test_bad_alpha_prime_stops_compare_before_any_cell(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    out = tmp_path / "exp"
+    capsys.readouterr()
+    code = main(["compare", "--instances", str(inst), "--algorithms", "nsga2", "--seeds", "0",
+                 "--out-dir", str(out), "--alpha-prime", "1.5"])
+    assert code == 1
+    assert "argument --alpha-prime: must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_node_instance_is_refused(tmp_path, capsys):
+    path = tmp_path / "lone.json"
+    save_instance(make_instance(1, 1, distance=np.zeros((1, 1)), demand=np.zeros((1, 1))), path)
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(path)]) == 1
+    assert "node count must be >= 2, got 1" in capsys.readouterr().out
+    assert main(["solve", "--instance", str(path), "--solver", "exact",
+                 "--out", str(tmp_path / "f.csv")]) == 1
+    captured = capsys.readouterr()
+    assert "invalid instance: node count must be >= 2, got 1" in captured.err
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_compare_end_to_end(tmp_path):

@@ -3,9 +3,9 @@
 The 3-node instance is small enough to enumerate every design and every
 per-pair route combination directly in the test (at most 9 x 64 plans),
 giving a reference that shares no code with the solver under test: designs
-come from ``itertools`` and the omega rule, routes from
-``model.feasible_routes``, loads from ``model.hub_loads`` and objectives
-from the typed evaluation path.  The solver side is what
+come from ``itertools`` and the omega rule, routes from the assignments and
+``model.route_time`` (``naive_routes``), loads from ``model.hub_loads`` and
+objectives from the typed evaluation path.  The solver side is what
 ``epsilon_constraint_front`` runs: the configuration index
 (``_build_index``), its per-config option tables (``pair_data``) and the
 routing search (``_bb_routing``).  The lazy visiting order is checked
@@ -34,11 +34,14 @@ from hubnet.fronts import dominates
 from hubnet.generator import GeneratorSpec, generate
 from hubnet.model import (
     check_feasibility,
-    feasible_routes,
     feasibility_violations,
     hub_loads,
+    Direct,
     NetworkDesign,
+    OneHub,
     RoutePlan,
+    TwoHub,
+    route_time,
 )
 
 from conftest import make_instance
@@ -59,6 +62,14 @@ def naive_designs(inst):
                 yield NetworkDesign.from_hubs(n, hubs, assignment)
 
 
+def naive_routes(inst, design, i, j):
+    """Direct plus the one hub route the assignments allow, each kept only
+    within the pair's time cap."""
+    k, l = design.assignment[i], design.assignment[j]
+    routes = [Direct(), OneHub(k) if k == l else TwoHub(k, l)]
+    return [r for r in routes if route_time(inst, r, i, j) <= inst.max_transfer_time[i, j] + 1e-9]
+
+
 def naive_solutions(inst, alpha_prime=0.5):
     """Every feasible (design, plan, objectives) by raw enumeration."""
     out = []
@@ -66,7 +77,7 @@ def naive_solutions(inst, alpha_prime=0.5):
         options = []
         pairs = list(inst.pairs())
         for i, j in pairs:
-            routes = sorted(feasible_routes(inst, design, i, j), key=repr)
+            routes = naive_routes(inst, design, i, j)
             if not routes:
                 options = None
                 break
@@ -295,11 +306,13 @@ def test_default_budget_is_large():
 @pytest.mark.parametrize("cap", [None, 2.0, 1.0], ids=["uncapped", "some-options-late", "pairs-stranded"])
 def test_heuristic_and_exact_paths_price_routes_alike(n, cap):
     """The metaheuristics price hub routes with ``hub_tables``, the exact
-    solver with per-hub-set tensors; both must give the same bits.
+    solver with each hub set's ``hub_opts``: both must mark the same routes
+    feasible and give the same bits where the route is feasible (``hub_opts``
+    holds inf elsewhere).
 
     ``cap`` sets every time cap to that multiple of the median flight time:
     at 2.0 some options break their cap (inf entries in the table), at 1.0
-    some pair has no feasible option at all (no table)."""
+    some pair has no feasible option at all (no search data)."""
     inst = generate(GeneratorSpec(n=n, p=3, seed=n))
     if cap is not None:
         offdiag = ~np.eye(n, dtype=bool)
@@ -312,11 +325,11 @@ def test_heuristic_and_exact_paths_price_routes_alike(n, cap):
         block, a_idx, _ = index.pair_data(int(g))
         design = exact._design_of(index, block, a_idx)
         tables = hub_tables(index.ctx, np.asarray(design.assignment))
-        at = (ii, jj, a_idx[ii], a_idx[jj])
-        assert np.array_equal(tables.hub_z1, block.z1h[at])
-        assert np.array_equal(tables.hub_z2, block.z2h[at])
-        assert np.array_equal(tables.hub_z3, block.z3h[at])
-        assert np.array_equal(tables.hub_feasible, block.feas_h[at])
+        opts = block.hub_opts[ii, jj, a_idx[ii], a_idx[jj]]
+        feasible = tables.hub_feasible
+        assert np.array_equal(feasible, np.isfinite(opts).all(axis=-1))
+        for c, hub_z in enumerate((tables.hub_z1, tables.hub_z2, tables.hub_z3)):
+            assert np.array_equal(hub_z[feasible], opts[feasible, c])
 
 
 def _lattice_instance():
@@ -399,10 +412,11 @@ def test_conditioned_bound_never_exceeds_a_fitting_routing(name, request):
     of the cheapest routing (capacities and time caps included) whose
     rounded emissions and penalty fit the cell."""
     index = exact._build_index(request.getfixturevalue(name), 0.5, DEFAULT_BUDGET)
+    opts, positions = exact._options(index, np.arange(index.total))
     states = []
     for g in range(index.total):
-        block, a_idx, _ = index.pair_data(g)
-        found = exact._oracle_config_states(index, block, a_idx)
+        block, _ = index.locate(g)
+        found = exact._oracle_config_states(index, block, opts[g], positions[g])
         states.append(None if found is None else np.round(found[0], 6))
     rows = np.concatenate([s for s in states if s is not None])
     cells = EpsilonGrid(5, 5).cells((rows[:, 1].min(), rows[:, 1].max()),

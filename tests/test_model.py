@@ -14,7 +14,6 @@ from hubnet.model import (
     TwoHub,
     design_violations,
     feasibility_violations,
-    feasible_routes,
     hub_loads,
     plan_violations,
     round6,
@@ -111,6 +110,10 @@ def test_validate_instance_reports_each_break(tiny):
     assert "demand has negative components" in validate_instance(
         dataclasses.replace(tiny, demand=dem3))
 
+    # one node leaves no pair to route
+    lone = make_instance(1, 1, distance=np.zeros((1, 1)), demand=np.zeros((1, 1)))
+    assert validate_instance(lone) == ["node count must be >= 2, got 1"]
+
     # NaN slips past every sign and order check, so finiteness is its own test
     nan_time = np.array(tiny.travel_time)
     nan_time[0, 1] = math.nan
@@ -186,16 +189,16 @@ def test_route_time_and_feasible_routes(tiny):
     assert route_time(tiny, OneHub(1), 0, 2) == 25.0
     assert route_time(tiny, TwoHub(0, 2), 1, 2) == 30.0
 
-    with pytest.raises(ValueError):
-        feasible_routes(tiny, design, 1, 1)
+    # pairs originating or ending at the hub still have a legal OneHub route
+    direct = RoutePlan.from_dict(3, {pair: Direct() for pair in tiny.pairs()})
+    hub = all_hub_plan(tiny, design)
+    assert plan_violations(tiny, design, direct) == []
+    assert plan_violations(tiny, design, hub) == []
 
-    assert feasible_routes(tiny, design, 0, 2) == {Direct(), OneHub(1)}
-
-    # pair originating at the hub still has a legal OneHub route
-    assert feasible_routes(tiny, design, 1, 2) == {Direct(), OneHub(1)}
-
+    # a 24 h cap keeps every direct flight but not the 25 h route 0 -> 1 -> 2
     capped = dataclasses.replace(tiny, max_transfer_time=np.full((3, 3), 24.0))
-    assert feasible_routes(capped, design, 0, 2) == {Direct()}
+    assert plan_violations(capped, design, direct) == []
+    assert "pair (0, 2) route time 25.0 exceeds cap 24.0" in plan_violations(capped, design, hub)
 
 
 def test_hub_loads(tiny):
