@@ -32,6 +32,7 @@ from .workbench import (
     ExperimentConfig,
     run_compare,
     run_solver,
+    swept_instance,
     sweep_rows,
 )
 
@@ -270,6 +271,8 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise _CliError(EXIT_USAGE, "--values must name at least one number")
     try:
+        for v in values:     # refuse a bad value before solving for the plan
+            swept_instance(inst, args.param, v, args.alpha_prime)
         plan = _pick_plan(args, inst)
         rows = sweep_rows(inst, plan, args.param, values)
     except EnumerationBudgetError as exc:

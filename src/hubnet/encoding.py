@@ -7,9 +7,10 @@ Layout for an n-node instance, every gene in [0, 1):
     [1+n : 1+2n]        assignment keys: pick a feasible hub by distance rank
     [1+2n : 1+2n+n*n]   route keys row-major: >= 0.5 prefers the hub route
 
-The population solvers decode a genome with :func:`_decode_arrays` and
-then fix capacity with :func:`_repair_mask`; both work on the array form
-of :mod:`hubnet.evaluation` (assignment vector, hub-route mask).
+The population solvers decode a whole population at once with
+:func:`_decode_arrays` and then fix capacity genome by genome with
+:func:`_repair_mask`; both work on the array form of
+:mod:`hubnet.evaluation` (assignment vector, hub-route mask).
 Decoding never consumes randomness, so evaluation order cannot change
 results.  A genome with an uncoverable spoke or an untimeable pair fails
 to decode.  Repair takes the most overloaded hub (lowest index on ties)
@@ -36,42 +37,43 @@ def genome_length(n: int) -> int:
     return 1 + 2 * n + n * n
 
 
-def _decode_arrays(ctx: EvalContext, vec: np.ndarray
-                   ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, DesignTables]]:
-    """Vector -> (assignment, hubs, route mask, tables), or None if undecodable."""
+def _decode_arrays(ctx: EvalContext, X: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, DesignTables, np.ndarray]:
+    """Population (N, L) -> (assignment, is_hub, mask, tables, bad), a row per genome.
+
+    ``bad`` flags the genomes that fail to decode; their other rows are meaningless.
+    """
     inst = ctx.inst
     n = inst.n
-    h = 1 + int(vec[0] * inst.p)
-    if h > inst.p:
-        h = inst.p
-    hub_keys = vec[1:1 + n]
-    ranked = np.lexsort((np.arange(n), -hub_keys))
-    hubs = np.sort(ranked[:h])
+    N = len(X)
+    h = np.minimum(1 + (X[:, 0] * inst.p).astype(np.intp), inst.p)
+    # the h largest hub keys open, lower node first on ties
+    ranked = np.argsort(-X[:, 1:1 + n], axis=1, kind="stable")
+    place = np.empty_like(ranked)
+    place[np.arange(N)[:, None], ranked] = np.arange(n)
+    is_hub = place < h[:, None]
 
-    dist = inst.distance[:, hubs]
-    feasible = dist <= inst.omega + FEAS_TOL
-    if not feasible.any(axis=1).all():
-        return None
-    # the key picks a feasible hub by distance rank; the sixth power keeps
-    # most draws on the nearest hub while every coverable assignment stays
-    # reachable
-    order = np.argsort(np.where(feasible, dist, np.inf), axis=1, kind="stable")
-    counts = feasible.sum(axis=1)
-    keys = vec[1 + n:1 + 2 * n]
+    feasible = is_hub[:, None, :] & (inst.distance <= inst.omega + FEAS_TOL)
+    counts = feasible.sum(axis=2)
+    bad = (counts == 0).any(axis=1)
+    # the key picks a feasible hub by distance rank, lower hub on ties; the
+    # sixth power keeps most draws on the nearest hub while every coverable
+    # assignment stays reachable
+    order = np.argsort(np.where(feasible, inst.distance, np.inf), axis=2, kind="stable")
+    keys = X[:, 1 + n:1 + 2 * n]
     rank = np.minimum((keys ** 6 * counts).astype(np.intp), counts - 1)
-    assignment = hubs[order[np.arange(n), rank]]
-    assignment[hubs] = hubs   # hubs serve themselves regardless of keys
+    assignment = np.take_along_axis(order, rank[..., None], axis=2)[..., 0]
+    assignment = np.where(is_hub, np.arange(n), assignment)   # hubs serve themselves
 
     tables = hub_tables(ctx, assignment)
-    route_keys = vec[1 + 2 * n:].reshape(n, n)
+    route_keys = X[:, 1 + 2 * n:].reshape(N, n, n)
     fh = tables.hub_feasible
     fd = ctx.direct_feasible
-    if np.any(ctx.offdiag & ~fh & ~fd):
-        return None
+    bad |= (ctx.offdiag & ~fh & ~fd).any(axis=(1, 2))
     prefer_hub = route_keys >= 0.5
     mask = np.where(prefer_hub, fh, fh & ~fd)
     mask &= ctx.offdiag
-    return assignment, hubs, mask, tables
+    return assignment, is_hub, mask, tables, bad
 
 
 def _repair_mask(ctx: EvalContext, tables: DesignTables,

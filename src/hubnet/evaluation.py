@@ -5,8 +5,9 @@ Two equivalent code paths are kept on purpose.  The typed path
 :func:`evaluate`) walks ``RoutePlan`` objects with plain scalar arithmetic
 and serves as the readable reference.  The array path
 (:class:`EvalContext`, :func:`hub_tables`, :func:`evaluate_mask`) expresses
-a plan as a boolean hub-route mask over the pair grid and is what the
-solvers use; a property test pins the two paths to each other.  The array
+a plan as a boolean hub-route mask over the pair grid, prices a whole
+population of masks at once, and is what the solvers use; a property test
+pins the two paths to each other.  The array
 path prices a route in one place: the kernel :func:`_price`, with
 :func:`_hub_route` for the hub-route geometry.  The direct tables of
 :func:`make_context`, :func:`hub_tables` and the exact solver's per-hub-set
@@ -248,38 +249,52 @@ def make_context(inst: ProblemInstance, alpha_prime: float) -> EvalContext:
 
 @dataclass(frozen=True)
 class DesignTables:
-    """Per-pair contributions of the hub route implied by an assignment."""
+    """Per-pair contributions of the hub routes implied by assignments.
 
-    assignment: np.ndarray     # (n,) int
-    same_hub: np.ndarray       # (n, n) bool, endpoints share a hub
+    Built for an ``(n,)`` assignment or a population of ``(N, n)`` ones;
+    the pair tables then carry the same leading axis.
+    """
+
+    assignment: np.ndarray     # (..., n) int
+    same_hub: np.ndarray       # (..., n, n) bool, endpoints share a hub
     hub_z1: np.ndarray
     hub_z2: np.ndarray
     hub_z3: np.ndarray
     hub_feasible: np.ndarray
 
+    def row(self, r: int) -> "DesignTables":
+        """The tables of genome ``r`` of a population (views, no copies)."""
+        return DesignTables(self.assignment[r], self.same_hub[r], self.hub_z1[r], self.hub_z2[r],
+                            self.hub_z3[r], self.hub_feasible[r])
+
 
 def hub_tables(ctx: EvalContext, assignment: np.ndarray) -> DesignTables:
     a = np.asarray(assignment, dtype=np.intp)
     idx = np.arange(ctx.inst.n)
-    z1, z2, z3, feasible = _hub_route(ctx, idx[:, None], idx[None, :], a[:, None], a[None, :],
-                                      np.s_[:, :])
-    return DesignTables(assignment=a, same_hub=a[:, None] == a[None, :], hub_z1=z1, hub_z2=z2,
-                        hub_z3=z3, hub_feasible=feasible)
+    k, l = a[..., :, None], a[..., None, :]
+    z1, z2, z3, feasible = _hub_route(ctx, idx[:, None], idx[None, :], k, l, np.s_[:, :])
+    return DesignTables(assignment=a, same_hub=k == l, hub_z1=z1, hub_z2=z2, hub_z3=z3,
+                        hub_feasible=feasible)
 
 
-def evaluate_mask(ctx: EvalContext, tables: DesignTables, hubs: np.ndarray,
-                  mask: np.ndarray) -> tuple[float, float, float]:
-    """Objectives of the plan encoded by a hub-route mask (True = hub route)."""
-    use_hub = mask & ctx.offdiag
-    use_dir = ~mask & ctx.offdiag
-    z1 = (float(ctx.inst.fixed_cost[hubs].sum())
-          + float(np.sum(ctx.direct_z1, where=use_dir))
-          + float(np.sum(tables.hub_z1, where=use_hub)))
-    z2 = (float(np.sum(ctx.direct_z2, where=use_dir))
-          + float(np.sum(tables.hub_z2, where=use_hub)))
-    z3 = (float(np.sum(ctx.direct_z3, where=use_dir))
-          + float(np.sum(tables.hub_z3, where=use_hub)))
-    return (round6(z1), round6(z2), round6(z3))
+def evaluate_mask(ctx: EvalContext, tables: DesignTables, hubs: list[np.ndarray],
+                  mask: np.ndarray) -> np.ndarray:
+    """Objective rows (N, 3) of the plans encoded by (N, n, n) hub-route masks.
+
+    ``tables`` are the population's :func:`hub_tables` and ``hubs`` holds
+    each genome's open hubs as an index array.  Every plan is summed as a
+    flat row of its own, the order in which one (n, n) masked sum runs.
+    """
+    N = len(mask)
+    use_hub = (mask & ctx.offdiag).reshape(N, -1)
+    use_dir = (~mask & ctx.offdiag).reshape(N, -1)
+    direct = [np.sum(np.broadcast_to(z.ravel(), use_dir.shape), axis=1, where=use_dir)
+              for z in (ctx.direct_z1, ctx.direct_z2, ctx.direct_z3)]
+    hub = [np.sum(z.reshape(N, -1), axis=1, where=use_hub)
+           for z in (tables.hub_z1, tables.hub_z2, tables.hub_z3)]
+    fixed = np.array([ctx.inst.fixed_cost[h].sum() for h in hubs], dtype=float)
+    objs = np.column_stack([fixed + direct[0] + hub[0], direct[1] + hub[1], direct[2] + hub[2]])
+    return np.round(objs, 6)
 
 
 def loads_from_mask(ctx: EvalContext, tables: DesignTables, mask: np.ndarray) -> np.ndarray:

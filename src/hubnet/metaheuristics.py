@@ -23,7 +23,7 @@ import numpy as np
 from .archive import GridArchive
 from .encoding import _decode_arrays, _repair_mask, genome_length
 from .evaluation import EvalContext, evaluate_mask, make_context, plan_from_mask
-from .fronts import ParetoFront, crowding_distance, dominates, nondominated_sort
+from .fronts import ParetoFront, crowding_distance, nondominated_sort
 from .model import EvaluatedSolution, NetworkDesign, ObjectiveVector, ProblemInstance
 
 __all__ = ["AlgorithmParams", "run_nsga2", "run_mopso", "run_mowoa", "ALGORITHMS"]
@@ -32,6 +32,7 @@ _UPPER = np.nextafter(1.0, 0.0)
 _PENALTY = (math.inf, math.inf, math.inf)
 _SBX_ETA = 15.0
 _V_MAX = 0.2    # swarm speed cap, fraction of the unit box per step
+_CHUNK_CELLS = 2 ** 20   # pair cells per decode-and-price chunk of a population
 
 
 @dataclass(frozen=True)
@@ -72,20 +73,29 @@ class AlgorithmParams:
 
 def _evaluate_population(ctx: EvalContext, X: np.ndarray
                          ) -> tuple[np.ndarray, list]:
-    """Objective rows (+inf rows for failures) and decoded payloads."""
+    """Objective rows (+inf rows for failures) and decoded payloads.
+
+    Decoding and pricing run on row chunks of at most ``_CHUNK_CELLS``
+    pair cells, which bounds the (rows, n, n) tables on large instances;
+    repair runs genome by genome on its chunk's tables.
+    """
+    step = max(1, _CHUNK_CELLS // ctx.inst.n ** 2)
     objs = np.empty((len(X), 3))
     payloads: list = []
-    for r, vec in enumerate(X):
-        dec = _decode_arrays(ctx, vec)
-        if dec is not None:
-            assignment, hubs, mask, tables = dec
-            mask = _repair_mask(ctx, tables, mask)
-        if dec is None or mask is None:
-            objs[r] = _PENALTY
-            payloads.append(None)
-            continue
-        objs[r] = evaluate_mask(ctx, tables, hubs, mask)
-        payloads.append((assignment, hubs, mask))
+    for start in range(0, len(X), step):
+        assignment, is_hub, masks, tables, bad = _decode_arrays(ctx, X[start:start + step])
+        hubs = [np.flatnonzero(row) for row in is_hub]
+        for r in range(len(bad)):
+            mask = None if bad[r] else _repair_mask(ctx, tables.row(r), masks[r])
+            if mask is None:
+                bad[r] = True
+                payloads.append(None)
+            else:
+                masks[r] = mask
+                payloads.append((assignment[r].copy(), hubs[r], mask))
+        chunk = objs[start:start + len(bad)]
+        chunk[:] = evaluate_mask(ctx, tables, hubs, masks)
+        chunk[bad] = _PENALTY
     return objs, payloads
 
 
@@ -192,6 +202,11 @@ def run_nsga2(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
 # --- particle swarm ----------------------------------------------------------
 
 
+def _dominates_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`dominates` of two (N, 3) objective arrays."""
+    return (a <= b).all(axis=1) & (a < b).any(axis=1)
+
+
 def _feed(archive: GridArchive, objs: np.ndarray, X: np.ndarray, data: list,
           rng: np.random.Generator) -> None:
     """Offer every decodable member of the population to the archive, in order."""
@@ -238,17 +253,12 @@ def run_mopso(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
             if rng.random() < p_turb:
                 X[i][int(rng.integers(L))] = rng.random()
         objs, data = _evaluate_population(ctx, X)
-        for i in range(N):
-            new, old = tuple(objs[i]), tuple(pbest[i])
-            if dominates(new, old):
-                better = True
-            elif dominates(old, new):
-                better = False
-            else:
-                better = rng.random() < 0.5   # incomparable: coin flip
-            if better:
-                pbest[i] = objs[i]
-                pbest_x[i] = X[i]
+        new_wins = _dominates_rows(objs, pbest)
+        better = new_wins.copy()
+        for i in np.flatnonzero(~new_wins & ~_dominates_rows(pbest, objs)):
+            better[i] = rng.random() < 0.5   # incomparable: coin flip
+        pbest[better] = objs[better]
+        pbest_x[better] = X[better]
         _feed(archive, objs, X, data, rng)
     return _archive_front(ctx, archive)
 

@@ -40,6 +40,7 @@ from .model import EvaluatedSolution, ProblemInstance, validate_instance
 
 __all__ = [
     "SWEEP_PARAMETERS",
+    "swept_instance",
     "sweep_rows",
     "ExperimentConfig",
     "CellResult",
@@ -50,40 +51,51 @@ __all__ = [
 SWEEP_PARAMETERS = ("alpha", "beta", "phi", "alpha_prime")
 
 
+def swept_instance(inst: ProblemInstance, param: str, value: float,
+                   rate: float) -> tuple[ProblemInstance, float]:
+    """The instance and uncertainty rate with one sweep knob set to ``value``.
+
+    ``alpha``/``beta`` are the inter-hub and collection discounts, ``phi``
+    the aircraft capacity, ``alpha_prime`` the demand defuzzification
+    rate (which replaces ``rate``).  Other instance data stays put.
+
+    Raises:
+        ValueError: for an unknown knob, or naming the value when it
+            breaks an instance invariant (``validate_instance``) or puts
+            the rate outside [0, 1].
+    """
+    if param not in SWEEP_PARAMETERS:
+        raise ValueError(f"unknown sweep parameter {param!r}, expected one of {SWEEP_PARAMETERS}")
+    v = float(value)
+    swept = inst
+    if param == "alpha":
+        swept = dataclasses.replace(inst, alpha_discount=v)
+    elif param == "beta":
+        swept = dataclasses.replace(inst, beta_discount=v)
+    elif param == "phi":
+        swept = dataclasses.replace(inst, aircraft_capacity=v)
+    else:
+        rate = v
+    problems = validate_instance(swept)
+    if not 0.0 <= rate <= 1.0:
+        problems.append(f"uncertainty rate must lie in [0, 1], got {rate!r}")
+    if problems:
+        raise ValueError(f"cannot sweep {param} to {v!r}: " + "; ".join(problems))
+    return swept, rate
+
+
 def sweep_rows(inst: ProblemInstance, solution: EvaluatedSolution,
                param: str, values: Sequence[float]) -> list[tuple[float, float, float, float]]:
     """Objectives of the frozen plan as one knob moves; rows (value, z1, z2, z3).
 
-    ``alpha``/``beta`` are the inter-hub and collection discounts, ``phi``
-    the aircraft capacity, ``alpha_prime`` the demand defuzzification
-    rate.  Other instance data stays put.
-
-    Raises:
-        ValueError: naming the value, when it breaks an instance invariant
-            (``validate_instance``) or puts the rate outside [0, 1].
+    Each value sets the knob as :func:`swept_instance` does, and raises
+    its ``ValueError`` for a value it refuses.
     """
-    if param not in SWEEP_PARAMETERS:
-        raise ValueError(f"unknown sweep parameter {param!r}, expected one of {SWEEP_PARAMETERS}")
     rows = []
     for v in values:
-        v = float(v)
-        rate = solution.alpha_prime
-        swept = inst
-        if param == "alpha":
-            swept = dataclasses.replace(inst, alpha_discount=v)
-        elif param == "beta":
-            swept = dataclasses.replace(inst, beta_discount=v)
-        elif param == "phi":
-            swept = dataclasses.replace(inst, aircraft_capacity=v)
-        else:
-            rate = v
-        problems = validate_instance(swept)
-        if not 0.0 <= rate <= 1.0:
-            problems.append(f"uncertainty rate must lie in [0, 1], got {rate!r}")
-        if problems:
-            raise ValueError(f"cannot sweep {param} to {v!r}: " + "; ".join(problems))
+        swept, rate = swept_instance(inst, param, v, solution.alpha_prime)
         z1, z2, z3 = compute_objectives(swept, solution.design, solution.plan, rate)
-        rows.append((v, z1, z2, z3))
+        rows.append((float(v), z1, z2, z3))
     return rows
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hubnet.archive import GridArchive
+from hubnet.archive import ArchiveEntry, GridArchive
+from hubnet.fronts import dominates
 
 
 def rng():
@@ -74,3 +75,118 @@ def test_leader_draws_are_reproducible():
     picks1 = [a.select_leader(np.random.default_rng(9)).payload for _ in range(1)]
     picks2 = [a.select_leader(np.random.default_rng(9)).payload for _ in range(1)]
     assert picks1 == picks2
+
+
+def test_entries_given_at_construction_take_part():
+    first = ArchiveEntry((1.0, 5.0, 1.0), np.zeros(2), "first")
+    second = ArchiveEntry((5.0, 1.0, 1.0), np.zeros(2), "second")
+    a = GridArchive(capacity=3, entries=[first, second])
+    assert not add(a, (2, 6, 1))          # dominated by a given entry
+    assert not add(a, (5, 1, 1))          # duplicate of a given entry
+    assert add(a, (0, 5, 1), tag="third")  # dominates the first
+    assert [e.payload for e in a.entries] == ["second", "third"]
+    r = rng()
+    assert {a.select_leader(r).payload for _ in range(30)} == {"second", "third"}
+    assert add(a, (3, 3, 0), tag="fourth")
+    assert add(a, (4, 2, 0.5), tag="fifth")  # one over capacity: an eviction
+    assert len(a) == 3
+    assert a.select_leader(r).payload in {e.payload for e in a.entries}
+
+
+class ListArchive:
+    """The archive as a plain list, one ``dominates`` call per entry and the
+    leader roulette re-priced on every pick."""
+
+    def __init__(self, capacity, divisions):
+        self.capacity, self.divisions, self.entries = capacity, divisions, []
+        self.evictions = 0
+
+    def add(self, objectives, vector, payload, rng):
+        if not all(np.isfinite(objectives)):
+            return False
+        for e in self.entries:
+            if e.objectives == tuple(objectives) or dominates(e.objectives, objectives):
+                return False
+        self.entries = [e for e in self.entries if not dominates(objectives, e.objectives)]
+        entry = ArchiveEntry(tuple(float(z) for z in objectives), np.array(vector), payload)
+        self.entries.append(entry)
+        if len(self.entries) > self.capacity:
+            counts = self._cell_members()
+            worst_key = min(counts, key=lambda k: (-len(counts[k]), k))
+            members = counts[worst_key]
+            del self.entries[members[int(rng.integers(len(members)))]]
+            self.evictions += 1
+            return any(e is entry for e in self.entries)
+        return True
+
+    def _cell_members(self):
+        rows = np.array([e.objectives for e in self.entries])
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+        span = np.where(hi > lo, hi - lo, 1.0)
+        idx = np.minimum(np.floor((rows - lo) / span * self.divisions).astype(int),
+                         self.divisions - 1)
+        members = {}
+        for pos, row in enumerate(idx):
+            members.setdefault(tuple(int(v) for v in row), []).append(pos)
+        return members
+
+    def select_leader(self, rng):
+        if not self.entries:
+            return None
+        counts = self._cell_members()
+        keys = sorted(counts)
+        weights = np.array([1.0 / len(counts[k]) for k in keys])
+        r = rng.random() * weights.sum()
+        acc = 0.0
+        chosen = keys[-1]
+        for k, w in zip(keys, weights):
+            acc += w
+            if r < acc:
+                chosen = k
+                break
+        members = counts[chosen]
+        return self.entries[members[int(rng.integers(len(members)))]]
+
+
+@pytest.mark.parametrize("capacity, divisions", [(6, 3), (12, 7), (40, 4)])
+def test_archive_matches_the_list_reference(capacity, divisions):
+    offers = np.random.default_rng(capacity)
+    mine, ref = GridArchive(capacity, divisions), ListArchive(capacity, divisions)
+    r_mine, r_ref = np.random.default_rng(5), np.random.default_rng(5)
+    picks = accepted = 0
+    for step in range(400):
+        # coarse integer objectives on a tradeoff plane give duplicates, ties
+        # on single objectives and many incomparable offers
+        z1, z2 = offers.integers(0, 12, size=2)
+        triple = (float(z1), float(z2), float(max(0, 20 - z1 - z2) + offers.integers(0, 3)))
+        if step % 37 == 0:
+            triple = (np.inf, 0.0, 0.0)
+        got = mine.add(triple, np.zeros(1), step, r_mine)
+        assert got == ref.add(triple, np.zeros(1), step, r_ref)
+        accepted += got
+        assert [(e.objectives, e.payload) for e in mine.entries] == \
+            [(e.objectives, e.payload) for e in ref.entries]
+        for _ in range(step % 4):
+            assert mine.select_leader(r_mine).payload == ref.select_leader(r_ref).payload
+            picks += 1
+    assert r_mine.random() == r_ref.random()
+    assert picks > 500 and accepted > 40 and ref.evictions > 20
+
+
+@pytest.mark.parametrize("u", [0.5, 1.0])
+def test_a_draw_on_a_running_sum_takes_the_next_cell(u):
+    # two one-member cells: a draw of half the total lands exactly on the
+    # first running sum, which the walk's strict ``r < acc`` passes by; one
+    # of the whole total passes every sum and falls back to the last cell
+    class Fixed:
+        def random(self):
+            return u
+
+        def integers(self, k):
+            return 0
+
+    mine, ref = GridArchive(4), ListArchive(4, 7)
+    for archive in (mine, ref):
+        archive.add((0.0, 1.0, 0.0), np.zeros(1), "a", Fixed())
+        archive.add((1.0, 0.0, 0.0), np.zeros(1), "b", Fixed())
+    assert mine.select_leader(Fixed()).payload == ref.select_leader(Fixed()).payload == "b"

@@ -297,3 +297,18 @@ def test_compare_skips_a_ranking_topsis_cannot_make(tmp_path, capsys):
     assert float(averages[1][2]) == float(averages[1][3]) == 0.0
     assert (out / "ranking.csv").read_text().splitlines() == ["rank,algorithm,closeness"]
     assert "ranking skipped: criteria with all-zero columns" in err
+
+
+def test_sweep_refuses_a_bad_value_before_solving(tmp_path, capsys, monkeypatch):
+    # without --front the plan comes from an exact solve; a value the
+    # sweep must refuse is caught before that solve starts
+    inst = _gen(tmp_path)
+    solves = []
+    monkeypatch.setattr("hubnet.cli._pick_plan", lambda args, inst: solves.append(1))
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--instance", str(inst), "--param", "alpha", "--values=0.5,-3",
+                 "--out", str(out)])
+    assert code == 1
+    assert "cannot sweep alpha to -3.0" in capsys.readouterr().err
+    assert solves == []
+    assert not out.exists()

@@ -1,21 +1,26 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hubnet import metaheuristics
 from hubnet.encoding import _decode_arrays, _repair_mask, genome_length
 from hubnet.evaluation import (
+    DesignTables,
+    _hub_route,
     compute_objectives,
     hub_tables,
     loads_from_mask,
     make_context,
     plan_from_mask,
 )
-from hubnet.generator import GeneratorSpec, generate
+from hubnet.generator import GeneratorSpec, generate, preset
 from hubnet.metaheuristics import _evaluate_population, _payload_solution
-from hubnet.model import FEAS_TOL, NetworkDesign, feasibility_violations
+from hubnet.model import FEAS_TOL, NetworkDesign, feasibility_violations, round6
 
 
 def test_genome_length():
@@ -58,28 +63,27 @@ def test_count_gene_opens_hubs(tiny):
     vec = np.zeros(genome_length(n))
     vec[1:1 + n] = [0.2, 0.9, 0.1]     # node 1 has the best hub key
     vec[1 + 2 * n:] = 0.9              # prefer hub routes
-    dec = _decode_arrays(ctx, vec)
-    assert dec is not None
-    assert list(dec[1]) == [1]         # count gene 0.0 -> one hub
-
     vec2 = vec.copy()
     vec2[0] = 0.6                       # 1 + floor(0.6 * 2) = 2 hubs
-    assert list(_decode_arrays(ctx, vec2)[1]) == [0, 1]
+    _, is_hub, _, _, bad = _decode_arrays(ctx, np.array([vec, vec2]))
+    assert not bad.any()
+    assert list(np.flatnonzero(is_hub[0])) == [1]      # count gene 0.0 -> one hub
+    assert list(np.flatnonzero(is_hub[1])) == [0, 1]
 
 
 def test_route_keys_choose_hub_vs_direct(tiny):
     n = tiny.n
     vec = np.zeros(genome_length(n))
     vec[1:1 + n] = [0.2, 0.9, 0.1]
-    dec = _decode_arrays(make_context(tiny, 0.5), vec)   # all route keys 0 -> direct
-    assert dec is not None
-    assert not dec[2].any()
+    _, _, mask, _, bad = _decode_arrays(make_context(tiny, 0.5), vec[None])   # route keys 0
+    assert not bad[0]
+    assert not mask[0].any()                                                  # -> direct
 
 
 def test_decode_none_when_uncoverable(tiny):
     isolated = dataclasses.replace(tiny, omega=40.0)
     vec = np.full(genome_length(3), 0.3)
-    assert _decode_arrays(make_context(isolated, 0.5), vec) is None
+    assert _decode_arrays(make_context(isolated, 0.5), vec[None])[4][0]
 
 
 def test_repair_flips_heaviest_pairs(tiny):
@@ -167,11 +171,9 @@ def test_repair_matches_the_rescanning_loop():
         # pairs that may not fly direct leave some overloads unrepairable
         thinned = dataclasses.replace(
             ctx, direct_feasible=ctx.direct_feasible & (rng.random((n, n)) >= thin))
-        for vec in rng.random((8, genome_length(n))):
-            dec = _decode_arrays(ctx, vec)
-            if dec is None:
-                continue
-            _, _, mask, tables = dec
+        _, _, masks, population_tables, bad = _decode_arrays(ctx, rng.random((8, genome_length(n))))
+        for r in np.flatnonzero(~bad):
+            mask, tables = masks[r], population_tables.row(r)
             before = mask.copy()
             got = _repair_mask(thinned, tables, mask)
             want = _reference_repair(thinned, tables, mask)
@@ -186,3 +188,117 @@ def test_repair_matches_the_rescanning_loop():
     check()
     # the examples reach both exits and move pairs on the way
     assert seen["flips"] > 0 and seen["none"] > 0
+
+
+# --- the batched population path against a genome-by-genome reference -------
+
+
+def _reference_decode(ctx, vec):
+    # one genome at a time, as the solvers decoded before the population
+    # was batched: (assignment, hubs, mask, tables), or None
+    inst = ctx.inst
+    n = inst.n
+    h = min(1 + int(vec[0] * inst.p), inst.p)
+    ranked = np.lexsort((np.arange(n), -vec[1:1 + n]))
+    hubs = np.sort(ranked[:h])
+    dist = inst.distance[:, hubs]
+    feasible = dist <= inst.omega + FEAS_TOL
+    if not feasible.any(axis=1).all():
+        return None
+    order = np.argsort(np.where(feasible, dist, np.inf), axis=1, kind="stable")
+    counts = feasible.sum(axis=1)
+    rank = np.minimum((vec[1 + n:1 + 2 * n] ** 6 * counts).astype(np.intp), counts - 1)
+    assignment = hubs[order[np.arange(n), rank]]
+    assignment[hubs] = hubs
+    idx = np.arange(n)
+    z1, z2, z3, fh = _hub_route(ctx, idx[:, None], idx[None, :], assignment[:, None],
+                               assignment[None, :], np.s_[:, :])
+    tables = DesignTables(assignment, assignment[:, None] == assignment[None, :],
+                          z1, z2, z3, fh)
+    fd = ctx.direct_feasible
+    if np.any(ctx.offdiag & ~fh & ~fd):
+        return None
+    mask = np.where(vec[1 + 2 * n:].reshape(n, n) >= 0.5, fh, fh & ~fd) & ctx.offdiag
+    return assignment, hubs, mask, tables
+
+
+def _reference_price(ctx, tables, hubs, mask):
+    use_hub = mask & ctx.offdiag
+    use_dir = ~mask & ctx.offdiag
+    z1 = (float(ctx.inst.fixed_cost[hubs].sum())
+          + float(np.sum(ctx.direct_z1, where=use_dir))
+          + float(np.sum(tables.hub_z1, where=use_hub)))
+    z2 = float(np.sum(ctx.direct_z2, where=use_dir)) + float(np.sum(tables.hub_z2, where=use_hub))
+    z3 = float(np.sum(ctx.direct_z3, where=use_dir)) + float(np.sum(tables.hub_z3, where=use_hub))
+    return round6(z1), round6(z2), round6(z3)
+
+
+def _reference_population(ctx, X):
+    objs = np.full((len(X), 3), np.inf)
+    payloads = []
+    for r, vec in enumerate(X):
+        dec = _reference_decode(ctx, vec)
+        mask = None if dec is None else _repair_mask(ctx, dec[3], dec[2])
+        if mask is None:
+            payloads.append(None)
+            continue
+        assignment, hubs, _, tables = dec
+        objs[r] = _reference_price(ctx, tables, hubs, mask)
+        payloads.append((assignment, hubs, mask))
+    return objs, payloads
+
+
+def _hub_heavy(inst, rows, seed):
+    # random genomes, a third of them asking for every hub the budget allows
+    X = np.random.default_rng(seed).random((rows, genome_length(inst.n)))
+    X[::3, 0] = metaheuristics._UPPER
+    return X
+
+
+@pytest.mark.parametrize("name", ["c7", "preset1", "gen6", "p11", "short-range"])
+def test_population_path_matches_the_genome_by_genome_reference(name, gen6, monkeypatch):
+    c7 = generate(GeneratorSpec(n=10, p=3, seed=7))
+    inst = {
+        "c7": c7,
+        "preset1": generate(preset(1)),
+        "gen6": gen6,
+        "p11": generate(GeneratorSpec(n=14, p=11, seed=5)),   # up to 11 open hubs
+        # spokes out of every hub's range: undecodable genomes
+        "short-range": dataclasses.replace(c7, omega=float(np.percentile(c7.distance, 25))),
+    }[name]
+    X = _hub_heavy(inst, 60, 11)
+    for rate in (0.0, 0.5, 1.0):
+        ctx = make_context(inst, rate)
+        want, want_payloads = _reference_population(ctx, X)
+        # one chunk, then chunks of seven rows with a short last one
+        for cells in (metaheuristics._CHUNK_CELLS, 7 * inst.n ** 2):
+            monkeypatch.setattr(metaheuristics, "_CHUNK_CELLS", cells)
+            got, got_payloads = _evaluate_population(ctx, X)
+            assert got.tobytes() == want.tobytes()
+            assert len(got_payloads) == len(want_payloads)
+            for g, w in zip(got_payloads, want_payloads):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                               for a, b in zip(g, w))
+    if name == "short-range":
+        assert any(_reference_decode(ctx, vec) is None for vec in X)
+    if name == "p11":
+        assert max(len(p[1]) for p in want_payloads if p is not None) >= 8
+
+
+def test_population_memory_stays_bounded():
+    # n = 150: in row chunks the pass peaks near 110 MB, in one (100, n, n)
+    # chunk near 180 MB; capacities scaled by 1e6 make repair a no-op
+    inst = generate(preset(10))
+    inst = dataclasses.replace(inst, capacity=inst.capacity * 1e6)
+    ctx = make_context(inst, 0.5)
+    X = np.random.default_rng(0).random((100, genome_length(inst.n)))
+    tracemalloc.start()
+    try:
+        objs, payloads = _evaluate_population(ctx, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2 ** 20
+    assert np.isfinite(objs).all(axis=1).sum() == sum(p is not None for p in payloads)
