@@ -116,21 +116,6 @@ class EpsilonGrid:
         return [(e2, e3) for e2 in v2 for e3 in v3]
 
 
-def _spoke_choices(inst: ProblemInstance, hubs: Sequence[int]) -> Optional[list[np.ndarray]]:
-    """Feasible hub positions (indices into ``hubs``) per non-hub node, or None."""
-    hub_arr = np.asarray(hubs, dtype=np.intp)
-    choices: list[np.ndarray] = []
-    hub_set = set(int(k) for k in hubs)
-    for i in range(inst.n):
-        if i in hub_set:
-            continue
-        ok = np.where(inst.distance[i, hub_arr] <= inst.omega + FEAS_TOL)[0]
-        if len(ok) == 0:
-            return None
-        choices.append(ok)
-    return choices
-
-
 # --- per-hub-set options and the configuration index -----------------------
 
 
@@ -146,35 +131,28 @@ class _Block:
 
     hubs: tuple[int, ...]
     spokes: np.ndarray            # non-hub node ids
-    choices: list[np.ndarray]     # per spoke: feasible hub positions
+    choices: list[np.ndarray]     # per spoke: hub positions within omega
     n_configs: int
     fixed_total: float
     hub_opts: np.ndarray          # (n, n, h, h, 3)
-    radices: list[int] = field(default_factory=list)
 
 
 def _build_block(ctx: EvalContext, hubs: tuple[int, ...]) -> Optional[_Block]:
+    """The hub set's block, or None when some spoke has no hub within omega."""
     inst = ctx.inst
-    choices = _spoke_choices(inst, hubs)
-    if choices is None:
-        return None
-    n = inst.n
+    idx = np.arange(inst.n)
     H = np.asarray(hubs, dtype=np.intp)
-    idx = np.arange(n)
+    spokes = np.setdiff1d(idx, H)
+    reach = inst.distance[spokes[:, None], H] <= inst.omega + FEAS_TOL
+    counts = reach.sum(axis=1)
+    if not counts.all():
+        return None
     z1h, z2h, z3h, feas_h = _hub_route(ctx, idx[:, None, None, None], idx[None, :, None, None],
                                        H[None, None, :, None], H[None, None, None, :],
                                        np.s_[:, :, None, None])
-
-    n_configs = 1
-    radices = []
-    for c in choices:
-        n_configs *= len(c)
-        radices.append(len(c))
-    spokes = np.array([i for i in range(n) if i not in hubs], dtype=np.intp)
-    return _Block(hubs=hubs, spokes=spokes, choices=choices, n_configs=n_configs,
-                  fixed_total=float(inst.fixed_cost[H].sum()),
-                  hub_opts=np.where(feas_h[..., None], np.stack([z1h, z2h, z3h], axis=-1), np.inf),
-                  radices=radices)
+    return _Block(hubs=hubs, spokes=spokes, choices=[np.flatnonzero(row) for row in reach],
+                  n_configs=int(np.prod(counts)), fixed_total=float(inst.fixed_cost[H].sum()),
+                  hub_opts=np.where(feas_h[..., None], np.stack([z1h, z2h, z3h], axis=-1), np.inf))
 
 
 @dataclass
@@ -217,10 +195,9 @@ def _assignment_chunk(block: _Block, local: np.ndarray) -> np.ndarray:
     for pos, k in enumerate(block.hubs):
         out[:, k] = pos
     local = np.array(local, dtype=np.intp)      # a copy: divided in place below
-    for s_idx in range(len(block.spokes) - 1, -1, -1):
-        r = block.radices[s_idx]
-        out[:, block.spokes[s_idx]] = block.choices[s_idx][local % r]
-        local //= r
+    for spoke, choices in zip(block.spokes[::-1], block.choices[::-1]):
+        out[:, spoke] = choices[local % len(choices)]
+        local //= len(choices)
     return out
 
 
@@ -253,8 +230,8 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
     """Every legal design with its objective lower bounds.
 
     Designs open 1..p hubs and link every spoke to a hub within omega.
-    Config ids follow the canonical order: hub subsets by size, then
-    lexicographically; assignments in product order over the spokes (node
+    Config ids follow the canonical order: hub subsets by size, then in
+    dictionary order; assignments in product order over the spokes (node
     order, candidate hubs ascending).
 
     Raises:
@@ -297,37 +274,55 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
                        i_arr=i_arr, j_arr=j_arr, direct_opts=direct_opts)
 
 
+def _repair_terms(opts: np.ndarray, v: int, b: int) -> tuple[np.ndarray, ...]:
+    """Continuous-knapsack terms bounding objective ``v`` under a budget on ``b``.
+
+    ``opts`` holds option tables (..., P, 2, 3) over any leading axes.
+    Taking every pair's option that is cheapest in ``v`` gives v's floor
+    but uses some amount of ``b``; honoring a budget on ``b`` means
+    switching pairs to their other option, paying the pair's delta ``dv``
+    in v for its saving ``db`` in b.  The cheapest total repair covering a
+    given overuse is the continuous knapsack over the switches, greedy by
+    cost/saving ratio (Dantzig 1957), a valid lower bound on any integral
+    routing.  Returns, per pair, the floor option's use of b, ``dv``,
+    ``db``, the ratio (inf where invalid), the validity mask (both deltas
+    finite and a positive saving), and the stable ratio order along the
+    pair axis.
+    """
+    hub = (opts[..., 1, v] < opts[..., 0, v])[..., None]
+    base = np.where(hub, opts[..., 1, :], opts[..., 0, :])
+    alt = np.where(hub, opts[..., 0, :], opts[..., 1, :])
+    with np.errstate(invalid="ignore"):
+        dv = alt[..., v] - base[..., v]
+        db = base[..., b] - alt[..., b]
+    valid = np.isfinite(dv) & np.isfinite(db) & (db > 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(valid, dv / db, np.inf)
+    return base[..., b], dv, db, ratio, valid, np.argsort(ratio, axis=-1, kind="stable")
+
+
 def _build_repair(index: _ExactIndex, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Fractional-repair tables of the configs ``g``, one per budget objective.
 
-    Read from the configs' option tables (``_options``).  For each config
-    the cost floor takes every pair's cheapest option; a table holds how
-    much of the budget objective that floor uses, (m,), and, in
-    cost-per-saving order, the cumulative savings and costs of switching
-    pairs to their other option and the ratios, (m, P) each and
-    zero-padded past the real entries.  See _conditional_lb.
+    Read from the configs' option tables (``_options``) through
+    ``_repair_terms`` with cost as the bounded objective.  A table holds
+    how much of the budget objective the cost floor uses, (m,), and, in
+    ratio order, the cumulative savings and costs of the switches and
+    their ratios, (m, P) each, invalid switches adding zero.  See
+    _conditional_lb.
     """
     opts, _ = _options(index, g)
-    cheap_hub = opts[:, :, 1, 0] < opts[:, :, 0, 0]
-    base = np.where(cheap_hub[..., None], opts[:, :, 1], opts[:, :, 0])
-    alt = np.where(cheap_hub[..., None], opts[:, :, 0], opts[:, :, 1])
     tables = []
     for c in (1, 2):
-        with np.errstate(invalid="ignore"):
-            d1 = alt[..., 0] - base[..., 0]
-            dc = base[..., c] - alt[..., c]
-        valid = np.isfinite(d1) & np.isfinite(dc) & (dc > 0)
-        d1 = np.where(valid, d1, 0.0)
-        dc = np.where(valid, dc, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(valid, d1 / dc, np.inf)
-        ord_ = np.argsort(r, axis=1, kind="stable")
+        base_b, dv, db, ratio, valid, order = _repair_terms(opts, 0, c)
+
+        def ordered(x: np.ndarray) -> np.ndarray:
+            return np.take_along_axis(np.where(valid, x, 0.0), order, axis=1)
+
         # summed in pair order: .sum() adds a lone config's row pairwise but
         # a chunk's rows in pair order, which would tie a bound to its chunk
-        tables.append((np.cumsum(base[..., c], axis=1)[:, -1],
-                       np.cumsum(np.take_along_axis(dc, ord_, axis=1), axis=1),
-                       np.cumsum(np.take_along_axis(d1, ord_, axis=1), axis=1),
-                       np.take_along_axis(np.where(valid, r, 0.0), ord_, axis=1)))
+        tables.append((np.cumsum(base_b, axis=1)[:, -1], np.cumsum(ordered(db), axis=1),
+                       np.cumsum(ordered(dv), axis=1), ordered(ratio)))
     return tables
 
 
@@ -412,39 +407,24 @@ class _PairData:
 
 
 def _repair_tables(contrib: np.ndarray, v: int, b: int) -> tuple:
-    """Fractional-repair table bounding objective ``v`` under a budget on ``b``.
+    """Fractional-repair table of ``_repair_terms`` per suffix of one config.
 
-    Taking every pair's option that is cheapest in ``v`` gives v's floor
-    but uses some amount of ``b`` (``used``); honoring a budget on ``b``
-    means switching pairs to their other option, paying that pair's delta
-    in ``v`` for its saving in ``b``.  The cheapest total repair covering
-    a given overuse is the continuous knapsack over deltas (greedy by
-    cost/saving ratio), a valid lower bound on any integral routing.  Per
-    suffix start t the table holds the suffix's switch candidates in ratio
-    order with cumulative savings and costs.
+    ``used[t]`` is how much of ``b`` the suffix at t uses on v's floor;
+    row t of the cumulative savings and costs runs over the valid switches
+    in ratio order, those before t adding zero.  ``pos`` maps a pair to its
+    place in that order (P when it has no valid switch).
     """
     P = len(contrib)
-    rows = np.arange(P)
-    cheap = np.where(contrib[:, 1, v] < contrib[:, 0, v], 1, 0)
-    base_v = contrib[rows, cheap, v]
-    alt_v = contrib[rows, 1 - cheap, v]
-    base_b = contrib[rows, cheap, b]
-    alt_b = contrib[rows, 1 - cheap, b]
+    base_b, dv, db, ratio, valid, order = _repair_terms(contrib, v, b)
     used = np.zeros(P + 1)
     used[:P] = base_b[::-1].cumsum()[::-1]
-    with np.errstate(invalid="ignore"):
-        dv = alt_v - base_v
-        db = base_b - alt_b
-    cand = np.where(np.isfinite(dv) & np.isfinite(db) & (db > 0))[0]
-    ratio = dv[cand] / db[cand]
-    order = np.lexsort((cand, ratio))
-    ss = cand[order]
-    valid = ss[None, :] >= np.arange(P + 1)[:, None]
-    cum_save = np.cumsum(np.where(valid, db[ss][None, :], 0.0), axis=1)
-    cum_cost = np.cumsum(np.where(valid, dv[ss][None, :], 0.0), axis=1)
+    ss = order[valid[order]]
+    in_suffix = ss[None, :] >= np.arange(P + 1)[:, None]
+    cum_save = np.cumsum(np.where(in_suffix, db[ss][None, :], 0.0), axis=1)
+    cum_cost = np.cumsum(np.where(in_suffix, dv[ss][None, :], 0.0), axis=1)
     pos = np.full(P, P, dtype=np.intp)
     pos[ss] = np.arange(len(ss))
-    return (used.tolist(), cum_save, cum_cost, ratio[order], pos.tolist())
+    return (used.tolist(), cum_save, cum_cost, ratio[ss], pos.tolist())
 
 
 def _budget_tables(contrib: np.ndarray) -> list:
@@ -498,7 +478,6 @@ def _pair_data(index: _ExactIndex, g: int) -> tuple[_Block, np.ndarray, Optional
 
 def _bb_routing(pd: _PairData, caps: np.ndarray, fixed: float, main: int,
                 eps2: float, eps3: float, incumbent: Optional[tuple],
-                lexicographic: bool = True,
                 node_limit: Optional[int] = None) -> Optional[tuple[tuple, np.ndarray]]:
     """Exact DFS over per-pair options minimising objective ``main``.
 
@@ -507,17 +486,17 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, fixed: float, main: int,
     ``incumbent`` primes the bound with a 4-component key prefix from a
     competitor found elsewhere; only strictly better keys are returned.
 
-    Pruning compares the componentwise lower-bound tuple with the best key
-    lexicographically: since every leaf key is >= that tuple in lex order,
-    a bound tuple already > the best key cannot contain an improvement.
-    This also collapses tie plateaus (many routings sharing the same main
-    value) that a plain value bound would fully enumerate.
+    A cost search (``main == 0``) prunes by comparing the componentwise
+    lower-bound tuple with the best key in tuple order: since every
+    leaf key is >= that tuple in that order, a bound tuple already > the
+    best key cannot contain an improvement.  This also collapses tie
+    plateaus (many routings sharing the same main value) that a plain
+    value bound would fully enumerate.
 
-    ``lexicographic=False`` keeps only the main value exact and settles
-    ties by first discovery, skipping the full secondary-key hunt; the
-    individual-optimum (payoff) solves use this because hunting, say, the
-    cheapest among all zero-penalty routings is a hard subproblem whose
-    answer the bound grid never uses.
+    A search on emissions or penalty (``main != 0``) prunes on the main
+    value alone and settles ties by first discovery: those solves only
+    span the bound grid, and hunting, say, the cheapest among all
+    zero-penalty routings is a hard subproblem the grid never uses.
 
     ``node_limit`` caps the number of search nodes; the result is then the
     best leaf found so far (a valid upper bound, not necessarily optimal),
@@ -588,22 +567,14 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, fixed: float, main: int,
             pen = pen2 if pen2 >= pen3 else pen3
             if pen == math.inf:
                 return
-        else:
-            if s1 + suffix[t, 1] > eps2 + _ROUND_SLACK:
-                return
-            if s2 + suffix[t, 2] > eps3 + _ROUND_SLACK:
-                return
         sums = (s0, s1, s2)
         if best_prefix is not None:
-            if not lexicographic:
-                bm = sums[main] + suffix[t, main] + (pen if main == 0 else 0.0)
-                if bm >= best_prefix[0]:
+            if main:
+                if sums[main] + suffix[t, main] >= best_prefix[0]:
                     return
             else:
                 b1 = s0 + suffix[t, 0] + pen
-                bound = (b1 if main == 0 else sums[main] + suffix[t, main], b1,
-                         s1 + suffix[t, 1], s2 + suffix[t, 2])
-                if bound > best_prefix:
+                if (b1, b1, s1 + suffix[t, 1], s2 + suffix[t, 2]) > best_prefix:
                     return
         if t == P:
             # bounds are inclusive on the rounded objective values
@@ -663,8 +634,7 @@ def _design_of(index: _ExactIndex, block: _Block, a_idx: np.ndarray) -> NetworkD
 
 
 def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
-               incumbent_value: float = math.inf,
-               lexicographic: bool = True) -> Optional[EvaluatedSolution]:
+               incumbent_value: float = math.inf) -> Optional[EvaluatedSolution]:
     """Global minimum of objective ``main`` under the bounds.
 
     ``incumbent_value`` is an upper bound (a 1e-6 multiple from an already
@@ -702,7 +672,7 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
                 (incumbent_value, math.inf, math.inf, math.inf)
                 if math.isfinite(incumbent_value) else None)
             res = _bb_routing(pd, index.ctx.inst.capacity, block.fixed_total, main,
-                              eps2, eps3, prime, lexicographic, node_limit)
+                              eps2, eps3, prime, node_limit)
             if res is None:
                 continue
             key, choices = res
@@ -742,9 +712,8 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
     payoff: list[EvaluatedSolution] = []
     for main in range(3):
         # secondary objectives only need their optimum VALUE here (the
-        # ranges), so their solves skip the lexicographic tie-break hunt
-        res = _solve_min(index, main, math.inf, math.inf,
-                         lexicographic=(main == 0))
+        # ranges), so their solves skip the secondary-key tie-break hunt
+        res = _solve_min(index, main, math.inf, math.inf)
         if res is None:
             return ParetoFront(solutions=())
         payoff.append(res)

@@ -46,7 +46,7 @@ def dominates(a, b) -> bool:
 def _staircase_filter_3d(rows: np.ndarray) -> np.ndarray:
     """Boolean keep-mask of nondominated rows among (S, 3) minimisation rows.
 
-    Duplicates of a kept row are dropped.  Sweep in lexicographic order;
+    Duplicates of a kept row are dropped.  Sweep in (z1, z2, z3) order;
     a sorted staircase over (z2, z3) answers the dominance query in
     O(log S) per row.
     """
@@ -97,8 +97,8 @@ def _pairwise_filter(rows: np.ndarray) -> np.ndarray:
 def nondominated_mask(rows: np.ndarray) -> np.ndarray:
     """Keep-mask of nondominated minimisation rows; one survivor per duplicate set.
 
-    For duplicated rows the survivor is the first in lexicographic row
-    order, which callers exploit for deterministic representatives.
+    For duplicated rows the survivor is the first in input order (the row
+    sort is stable), which callers exploit for deterministic representatives.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -185,20 +185,17 @@ class ParetoFront:
 
     @classmethod
     def from_candidates(cls, candidates: Iterable[EvaluatedSolution]) -> "ParetoFront":
-        """Deduplicate by objective triple, drop dominated, sort. Order-independent."""
+        """Deduplicate by objective triple, drop dominated, sort. Order-independent.
+
+        Of several candidates with one triple, the first by
+        ``solution_sort_key`` stays: ``nondominated_mask`` keeps the first
+        copy in input order.
+        """
         pool = sorted(candidates, key=solution_sort_key)
-        unique: list[EvaluatedSolution] = []
-        seen: set[tuple[float, float, float]] = set()
-        for sol in pool:
-            key = sol.objectives.as_tuple()
-            if key not in seen:
-                seen.add(key)
-                unique.append(sol)
-        if not unique:
+        if not pool:
             return cls(solutions=())
-        rows = np.array([s.objectives.as_tuple() for s in unique])
-        keep = nondominated_mask(rows)
-        return cls(solutions=tuple(s for s, k in zip(unique, keep) if k))
+        keep = nondominated_mask(np.array([s.objectives.as_tuple() for s in pool]))
+        return cls(solutions=tuple(s for s, k in zip(pool, keep) if k))
 
     def objective_rows(self) -> np.ndarray:
         return np.array([s.objectives.as_tuple() for s in self.solutions], dtype=float)

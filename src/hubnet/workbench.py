@@ -15,7 +15,6 @@ count because cell results are collected and written in grid order.
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -112,11 +111,17 @@ class ExperimentConfig:
     grid_z2: int = 6
     grid_z3: int = 6
     budget: int = DEFAULT_BUDGET
-    workers: Optional[int] = None   # None: HUBNET_WORKERS env var, else 1
+    workers: int = 1                # process count; 1 runs the cells in-process
 
     def __post_init__(self) -> None:
         if not self.instances or not self.algorithms or not self.seeds:
             raise ValueError("need at least one instance, algorithm and seed")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        names = [Path(p).stem for p in self.instances]
+        if len(set(names)) != len(names):
+            # the stem names each cell's front file and table rows
+            raise ValueError(f"instance file stems must be unique, got {names}")
         known = set(ALGORITHMS) | {"exact"}
         bad = [a for a in self.algorithms if a not in known]
         if bad:
@@ -165,13 +170,6 @@ def _run_cell(payload: tuple) -> CellResult:
                       metrics=metrics, front_rows=rows)
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("HUBNET_WORKERS", "")
-    return max(1, int(env)) if env.strip() else 1
-
-
 def run_compare(config: ExperimentConfig) -> list[CellResult]:
     """Run the cell grid, write cells/averages/ranking tables and all fronts.
 
@@ -189,22 +187,19 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
     fronts_dir = out / "fronts"
     fronts_dir.mkdir(parents=True, exist_ok=True)
 
-    names = [Path(p).stem for p in config.instances]
-    if len(set(names)) != len(names):
-        raise ValueError(f"instance file stems must be unique, got {names}")
     payloads = []
-    for path, name in zip(config.instances, names):
+    for path in config.instances:
+        name = Path(path).stem
         for algorithm in config.algorithms:
             for seed in config.seeds:
                 payloads.append((path, name, algorithm, seed, config.alpha_prime,
                                  config.params, config.grid_z2, config.grid_z3,
                                  config.budget))
 
-    workers = _resolve_workers(config.workers)
-    if workers == 1:
+    if config.workers == 1:
         results = [_run_cell(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_run_cell, payloads))
 
     cell_rows = []

@@ -81,7 +81,7 @@ def test_c01_exact_solver_matches_exhaustive_oracle():
             if beaten.any():
                 problems.append(f"seed {seed}: front member {tuple(z)} dominated")
         index = _build_index(inst, 0.5, DEFAULT_BUDGET)
-        payoff = [_solve_min(index, m, math.inf, math.inf, lexicographic=(m == 0))
+        payoff = [_solve_min(index, m, math.inf, math.inf)
                   for m in range(3)]
         rows = np.array([s.objectives.as_tuple() for s in payoff])
         r2 = (float(rows[:, 1].min()), float(rows[:, 1].max()))

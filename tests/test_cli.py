@@ -224,6 +224,25 @@ def test_bad_alpha_prime_stops_compare_before_any_cell(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compare_usage_errors_write_nothing(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    first, second = _gen(a, "same.json"), _gen(b, "same.json")
+    out = tmp_path / "exp"
+    capsys.readouterr()
+    code = main(["compare", "--instances", str(first), str(second), "--algorithms", "nsga2",
+                 "--seeds", "0", "--out-dir", str(out)])
+    assert code == 1
+    assert "instance file stems must be unique" in capsys.readouterr().err
+    assert not out.exists()
+    code = main(["compare", "--instances", str(first), "--algorithms", "nsga2",
+                 "--seeds", "0", "--out-dir", str(out), "--workers", "0"])
+    assert code == 1
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_one_node_instance_is_refused(tmp_path, capsys):
     path = tmp_path / "lone.json"
     save_instance(make_instance(1, 1, distance=np.zeros((1, 1)), demand=np.zeros((1, 1))), path)

@@ -342,7 +342,7 @@ def _lattice_instance():
 
 def _payoff_cells(index, grid):
     """The grid's cells over the ranges that ``epsilon_constraint_front`` spans."""
-    payoff = [exact._solve_min(index, m, math.inf, math.inf, lexicographic=(m == 0))
+    payoff = [exact._solve_min(index, m, math.inf, math.inf)
               for m in range(3)]
     rows = np.array([s.objectives.as_tuple() for s in payoff])
     return grid.cells((rows[:, 1].min(), rows[:, 1].max()), (rows[:, 2].min(), rows[:, 2].max()))

@@ -10,7 +10,6 @@ from hubnet.metaheuristics import AlgorithmParams
 from hubnet.workbench import (
     SWEEP_PARAMETERS,
     ExperimentConfig,
-    _resolve_workers,
     run_compare,
     run_solver,
     sweep_rows,
@@ -80,13 +79,13 @@ def test_config_validation(tmp_path):
                          seeds=(0,), out_dir=str(tmp_path))
 
 
-def test_resolve_workers(monkeypatch):
-    assert _resolve_workers(4) == 4
-    assert _resolve_workers(0) == 1
-    monkeypatch.delenv("HUBNET_WORKERS", raising=False)
-    assert _resolve_workers(None) == 1
-    monkeypatch.setenv("HUBNET_WORKERS", "3")
-    assert _resolve_workers(None) == 3
+def test_config_refuses_fewer_than_one_worker(tmp_path):
+    base = dict(instances=("x.json",), algorithms=("exact",), seeds=(0,),
+                out_dir=str(tmp_path))
+    assert ExperimentConfig(**base).workers == 1
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentConfig(**base, workers=workers)
 
 
 def _read(path):
@@ -164,9 +163,9 @@ def test_run_compare_rejects_duplicate_stems(tmp_path, gen5):
     d2.mkdir()
     for d in (d1, d2):
         save_instance(gen5, d / "same.json")
-    config = ExperimentConfig(
-        instances=(str(d1 / "same.json"), str(d2 / "same.json")),
-        algorithms=("nsga2",), seeds=(0,), out_dir=str(tmp_path / "out2"),
-        params=SMALL)
     with pytest.raises(ValueError, match="unique"):
-        run_compare(config)
+        run_compare(ExperimentConfig(
+            instances=(str(d1 / "same.json"), str(d2 / "same.json")),
+            algorithms=("nsga2",), seeds=(0,), out_dir=str(tmp_path / "out2"),
+            params=SMALL))
+    assert not (tmp_path / "out2").exists()
