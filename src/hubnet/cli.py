@@ -91,6 +91,15 @@ def _load(path: str):
         raise _CliError(EXIT_IO, f"cannot read instance {path}: {exc}")
 
 
+def _read_front(path: str):
+    try:
+        return read_front_csv(path)
+    except FileNotFoundError:
+        raise _CliError(EXIT_IO, f"front file not found: {path}")
+    except (OSError, ValueError) as exc:
+        raise _CliError(EXIT_IO, f"cannot read front {path}: {exc}")
+
+
 def _load_valid(path: str):
     """The instance at ``path``; every broken invariant is a usage error."""
     inst = _load(path)
@@ -248,12 +257,7 @@ def _pick_plan(args, inst):
     from .exact import epsilon_constraint_front
 
     if args.front:
-        try:
-            rows = read_front_csv(args.front)
-        except FileNotFoundError:
-            raise _CliError(EXIT_IO, f"front file not found: {args.front}")
-        except (OSError, ValueError) as exc:
-            raise _CliError(EXIT_IO, f"cannot read front {args.front}: {exc}")
+        rows = _read_front(args.front)
         if not rows:
             raise _CliError(EXIT_INFEASIBLE, f"front {args.front} is empty")
         best = min(rows, key=lambda r: (r.z1, r.z2, r.z3))
@@ -328,12 +332,7 @@ def _cmd_validate(args) -> int:
     for line in problems:
         print(f"instance: {line}")
     if args.front:
-        try:
-            rows = read_front_csv(args.front)
-        except FileNotFoundError:
-            raise _CliError(EXIT_IO, f"front file not found: {args.front}")
-        except (OSError, ValueError) as exc:
-            raise _CliError(EXIT_IO, f"cannot read front {args.front}: {exc}")
+        rows = _read_front(args.front)
         for r, row in enumerate(rows):
             try:
                 sol = solution_from_row(inst, row)

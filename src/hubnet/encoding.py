@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluation import DesignTables, EvalContext, hub_tables, loads_from_mask
+from .evaluation import EvalContext, hub_tables, loads_from_mask
 from .model import FEAS_TOL
 
 __all__ = ["genome_length"]
@@ -38,7 +38,7 @@ def genome_length(n: int) -> int:
 
 
 def _decode_arrays(ctx: EvalContext, X: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, DesignTables, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Population (N, L) -> (assignment, is_hub, mask, tables, bad), a row per genome.
 
     ``bad`` flags the genomes that fail to decode; their other rows are meaningless.
@@ -67,8 +67,8 @@ def _decode_arrays(ctx: EvalContext, X: np.ndarray
 
     tables = hub_tables(ctx, assignment)
     route_keys = X[:, 1 + 2 * n:].reshape(N, n, n)
-    fh = tables.hub_feasible
-    fd = ctx.direct_feasible
+    fh = np.isfinite(tables[..., 0])
+    fd = np.isfinite(ctx.direct[..., 0])
     bad |= (ctx.offdiag & ~fh & ~fd).any(axis=(1, 2))
     prefer_hub = route_keys >= 0.5
     mask = np.where(prefer_hub, fh, fh & ~fd)
@@ -76,25 +76,25 @@ def _decode_arrays(ctx: EvalContext, X: np.ndarray
     return assignment, is_hub, mask, tables, bad
 
 
-def _repair_mask(ctx: EvalContext, tables: DesignTables,
+def _repair_mask(ctx: EvalContext, assignment: np.ndarray,
                  mask: np.ndarray) -> Optional[np.ndarray]:
     """Flip hub-routed pairs to direct until every hub load fits, or None."""
     mask = mask.copy()
-    loads = loads_from_mask(ctx, tables, mask)
+    loads = loads_from_mask(ctx, assignment, mask)
     if (loads - ctx.inst.capacity).max() <= FEAS_TOL:
         return mask
     n = ctx.inst.n
     # a non-hub carries no load and capacities are non-negative, so only an
     # open hub can be the most overloaded node; loads, capacities and their
     # excess are kept per open hub ("slot"), in ascending hub order
-    hubs, slot = np.unique(tables.assignment, return_inverse=True)
+    hubs, slot = np.unique(assignment, return_inverse=True)
     loads = loads[hubs].tolist()
     cap = ctx.inst.capacity[hubs].tolist()
     excess = [load - c for load, c in zip(loads, cap)]
     # flips only clear mask bits, so the movable pairs only shrink: sorted
     # once by (-q, flat index), a hub's first live entry is its heaviest
     # movable pair, lowest flat index on ties
-    flat = np.flatnonzero(mask & ctx.direct_feasible)
+    flat = np.flatnonzero(mask & np.isfinite(ctx.direct[..., 0]))
     flat = flat[np.argsort(-ctx.q.ravel()[flat], kind="stable")]
     src, dst = slot[flat // n], slot[flat % n]
     pairs = list(zip(flat.tolist(), ctx.q.ravel()[flat].tolist(), src.tolist(), dst.tolist()))

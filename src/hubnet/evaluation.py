@@ -7,11 +7,11 @@ and serves as the readable reference.  The array path
 (:class:`EvalContext`, :func:`hub_tables`, :func:`evaluate_mask`) expresses
 a plan as a boolean hub-route mask over the pair grid, prices a whole
 population of masks at once, and is what the solvers use; a property test
-pins the two paths to each other.  The array
-path prices a route in one place: the kernel :func:`_price`, with
-:func:`_hub_route` for the hub-route geometry.  The direct tables of
-:func:`make_context`, :func:`hub_tables` and the exact solver's per-hub-set
-option arrays all come from it.
+pins the two paths to each other.  The array path prices a route in one
+place: the kernel :func:`_price`, with :func:`_hub_route` for the hub-route
+geometry, returns (..., 3) objective triples with inf over the pair's time
+cap.  The direct table of :func:`make_context`, :func:`hub_tables` and the
+exact solver's per-hub-set option arrays are its output as it is.
 
 Objective semantics, per ordered pair with crisp demand ``q``:
 
@@ -58,7 +58,6 @@ __all__ = [
     "solution_from_plan",
     "route_time",
     "EvalContext",
-    "DesignTables",
     "make_context",
     "hub_tables",
     "evaluate_mask",
@@ -187,39 +186,39 @@ class EvalContext:
     m: np.ndarray              # (n, n) aircraft counts
     offdiag: np.ndarray        # (n, n) bool, True off the diagonal
     cd: np.ndarray             # unit_transport_cost * distance
-    direct_z1: np.ndarray
-    direct_z2: np.ndarray
-    direct_z3: np.ndarray
-    direct_feasible: np.ndarray
+    direct: np.ndarray         # (n, n, 3) direct routes, see _price
 
 
-def _price(ctx: EvalContext, pair, unit_cost, dist, time, legs) -> tuple[np.ndarray, ...]:
-    """Objectives and time-cap feasibility of one route per selected pair.
+def _price(ctx: EvalContext, pair, unit_cost, dist, time, legs) -> np.ndarray:
+    """Objective triples of one route per selected pair, inf over the time cap.
 
     ``pair`` selects the pairs from the (n, n) instance arrays: a basic
     slice (``np.s_[:, :]``, or ``np.s_[:, :, None, None]`` against
     (n, n, h, h) hub-pair tensors), so no gather is made, or a tuple of
     pair-index arrays.  ``unit_cost`` (money per cargo unit), ``dist``,
     ``time`` and ``legs`` describe the route and broadcast against the
-    selection.  Returns ``(z1, z2, z3, feasible)``; z3 is zero on the
-    diagonal.
+    selection; ``time`` spans it.  Returns a ``time.shape + (3,)`` array of
+    (z1, z2, z3), z3 zero on the diagonal, with every component inf where
+    the route's time breaks the pair's cap; feasibility is
+    ``np.isfinite(z[..., 0])``.
     """
     inst = ctx.inst
-    lto = inst.lto_p1 + inst.lto_p2
-    rate = inst.ccd_rate_p1 + inst.ccd_rate_p2
-    z1 = unit_cost * ctx.q[pair]
-    z2 = (legs * lto + rate * dist) * ctx.m[pair]
-    z3 = np.where(
+    lto, rate = inst.lto_p1 + inst.lto_p2, inst.ccd_rate_p1 + inst.ccd_rate_p2
+    late = time > inst.max_transfer_time[pair] + FEAS_TOL
+    z = np.empty(late.shape + (3,))
+    np.multiply(unit_cost, ctx.q[pair], out=z[..., 0])
+    np.multiply(legs * lto + rate * dist, ctx.m[pair], out=z[..., 1])
+    z[..., 2] = np.where(
         ctx.offdiag[pair],
         inst.early_penalty[pair] * np.maximum(0.0, inst.window_lower[pair] - time)
         + inst.late_penalty[pair] * np.maximum(0.0, time - inst.window_upper[pair]),
         0.0,
     )
-    feasible = time <= inst.max_transfer_time[pair] + FEAS_TOL
-    return z1, z2, z3, feasible
+    z[late] = np.inf
+    return z
 
 
-def _hub_route(ctx: EvalContext, i, j, k, l, pair) -> tuple[np.ndarray, ...]:
+def _hub_route(ctx: EvalContext, i, j, k, l, pair) -> np.ndarray:
     """:func:`_price` of the hub routes from origins ``i`` to destinations ``j``.
 
     ``k`` is the origin's hub and ``l`` the destination's; the route runs
@@ -241,43 +240,19 @@ def make_context(inst: ProblemInstance, alpha_prime: float) -> EvalContext:
     m = np.maximum(0, np.ceil(q / inst.aircraft_capacity - FEAS_TOL))
     cd = inst.unit_transport_cost * inst.distance
     ctx = EvalContext(inst=inst, alpha_prime=alpha_prime, q=q, m=m,
-                      offdiag=~np.eye(inst.n, dtype=bool), cd=cd, direct_z1=None,
-                      direct_z2=None, direct_z3=None, direct_feasible=None)
-    z1, z2, z3, feasible = _price(ctx, np.s_[:, :], cd, inst.distance, inst.travel_time, 1)
-    return replace(ctx, direct_z1=z1, direct_z2=z2, direct_z3=z3, direct_feasible=feasible)
+                      offdiag=~np.eye(inst.n, dtype=bool), cd=cd, direct=None)
+    return replace(ctx, direct=_price(ctx, np.s_[:, :], cd, inst.distance, inst.travel_time, 1))
 
 
-@dataclass(frozen=True)
-class DesignTables:
-    """Per-pair contributions of the hub routes implied by assignments.
-
-    Built for an ``(n,)`` assignment or a population of ``(N, n)`` ones;
-    the pair tables then carry the same leading axis.
-    """
-
-    assignment: np.ndarray     # (..., n) int
-    same_hub: np.ndarray       # (..., n, n) bool, endpoints share a hub
-    hub_z1: np.ndarray
-    hub_z2: np.ndarray
-    hub_z3: np.ndarray
-    hub_feasible: np.ndarray
-
-    def row(self, r: int) -> "DesignTables":
-        """The tables of genome ``r`` of a population (views, no copies)."""
-        return DesignTables(self.assignment[r], self.same_hub[r], self.hub_z1[r], self.hub_z2[r],
-                            self.hub_z3[r], self.hub_feasible[r])
-
-
-def hub_tables(ctx: EvalContext, assignment: np.ndarray) -> DesignTables:
+def hub_tables(ctx: EvalContext, assignment: np.ndarray) -> np.ndarray:
+    """(..., n, n, 3) prices of the hub routes of an (n,) or (N, n) assignment."""
     a = np.asarray(assignment, dtype=np.intp)
     idx = np.arange(ctx.inst.n)
-    k, l = a[..., :, None], a[..., None, :]
-    z1, z2, z3, feasible = _hub_route(ctx, idx[:, None], idx[None, :], k, l, np.s_[:, :])
-    return DesignTables(assignment=a, same_hub=k == l, hub_z1=z1, hub_z2=z2, hub_z3=z3,
-                        hub_feasible=feasible)
+    return _hub_route(ctx, idx[:, None], idx[None, :], a[..., :, None], a[..., None, :],
+                      np.s_[:, :])
 
 
-def evaluate_mask(ctx: EvalContext, tables: DesignTables, hubs: list[np.ndarray],
+def evaluate_mask(ctx: EvalContext, tables: np.ndarray, hubs: list[np.ndarray],
                   mask: np.ndarray) -> np.ndarray:
     """Objective rows (N, 3) of the plans encoded by (N, n, n) hub-route masks.
 
@@ -288,22 +263,21 @@ def evaluate_mask(ctx: EvalContext, tables: DesignTables, hubs: list[np.ndarray]
     N = len(mask)
     use_hub = (mask & ctx.offdiag).reshape(N, -1)
     use_dir = (~mask & ctx.offdiag).reshape(N, -1)
-    direct = [np.sum(np.broadcast_to(z.ravel(), use_dir.shape), axis=1, where=use_dir)
-              for z in (ctx.direct_z1, ctx.direct_z2, ctx.direct_z3)]
-    hub = [np.sum(z.reshape(N, -1), axis=1, where=use_hub)
-           for z in (tables.hub_z1, tables.hub_z2, tables.hub_z3)]
+    direct = [np.sum(np.broadcast_to(ctx.direct[..., c].ravel(), use_dir.shape), axis=1,
+                     where=use_dir) for c in range(3)]
+    hub = [np.sum(tables[..., c].reshape(N, -1), axis=1, where=use_hub) for c in range(3)]
     fixed = np.array([ctx.inst.fixed_cost[h].sum() for h in hubs], dtype=float)
     objs = np.column_stack([fixed + direct[0] + hub[0], direct[1] + hub[1], direct[2] + hub[2]])
     return np.round(objs, 6)
 
 
-def loads_from_mask(ctx: EvalContext, tables: DesignTables, mask: np.ndarray) -> np.ndarray:
+def loads_from_mask(ctx: EvalContext, assignment: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-node hub throughput of a masked plan (TwoHub loads both hubs)."""
-    a = tables.assignment
+    a = assignment
     qm = np.where(mask & ctx.offdiag, ctx.q, 0.0)
     loads = np.zeros(ctx.inst.n)
-    np.add.at(loads, a, qm.sum(axis=1))                                # origin-side hub
-    np.add.at(loads, a, np.where(~tables.same_hub, qm, 0.0).sum(axis=0))  # destination-side hub
+    np.add.at(loads, a, qm.sum(axis=1))                                   # origin-side hub
+    np.add.at(loads, a, np.where(a[:, None] != a[None, :], qm, 0.0).sum(axis=0))  # destination
     return loads
 
 

@@ -147,12 +147,11 @@ def _build_block(ctx: EvalContext, hubs: tuple[int, ...]) -> Optional[_Block]:
     counts = reach.sum(axis=1)
     if not counts.all():
         return None
-    z1h, z2h, z3h, feas_h = _hub_route(ctx, idx[:, None, None, None], idx[None, :, None, None],
-                                       H[None, None, :, None], H[None, None, None, :],
-                                       np.s_[:, :, None, None])
+    hub_opts = _hub_route(ctx, idx[:, None, None, None], idx[None, :, None, None],
+                          H[None, None, :, None], H[None, None, None, :], np.s_[:, :, None, None])
     return _Block(hubs=hubs, spokes=spokes, choices=[np.flatnonzero(row) for row in reach],
                   n_configs=int(np.prod(counts)), fixed_total=float(inst.fixed_cost[H].sum()),
-                  hub_opts=np.where(feas_h[..., None], np.stack([z1h, z2h, z3h], axis=-1), np.inf))
+                  hub_opts=hub_opts)
 
 
 @dataclass
@@ -166,7 +165,6 @@ class _ExactIndex:
     orders: list[np.ndarray]      # argsort of each lb row
     i_arr: np.ndarray             # canonical off-diagonal pair rows
     j_arr: np.ndarray
-    direct_opts: np.ndarray       # (n, n, 3) direct routes, inf over the time cap
     pd_cache: dict = field(default_factory=dict)
 
     @property
@@ -212,7 +210,7 @@ def _options(index: _ExactIndex, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     i_arr, j_arr = index.i_arr, index.j_arr
     opts = np.empty((len(g), len(i_arr), 2, 3))
-    opts[:, :, 0] = index.direct_opts[i_arr, j_arr]
+    opts[:, :, 0] = index.ctx.direct[i_arr, j_arr]
     positions = np.empty((len(g), index.ctx.inst.n), dtype=np.intp)
     block_of = np.searchsorted(index.offsets, g, side="right") - 1
     for b in np.unique(block_of):
@@ -250,8 +248,6 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
                 blocks.append(block)
 
     i_arr, j_arr = np.where(ctx.offdiag)
-    direct_opts = np.where(ctx.direct_feasible[..., None],
-                           np.stack([ctx.direct_z1, ctx.direct_z2, ctx.direct_z3], axis=-1), np.inf)
     offsets = np.cumsum([0] + [block.n_configs for block in blocks], dtype=np.int64)
 
     # summed per config over the n x n grid: the bounds' bits depend on that order
@@ -264,14 +260,14 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
             A = _assignment_chunk(block, np.arange(start, stop))
             at = (ii[None], jj[None], A[:, :, None], A[:, None, :])
             for row in range(3):
-                best = np.minimum(block.hub_opts[at + (row,)], direct_opts[None, :, :, row])
+                best = np.minimum(block.hub_opts[at + (row,)], ctx.direct[None, :, :, row])
                 best[:, diag, diag] = 0.0
                 # a pair with no option within its time cap makes the sum inf
                 lb[row, base + start:base + stop] = best.sum(axis=(1, 2))
             lb[0, base + start:base + stop] += block.fixed_total
     orders = [np.argsort(lb[row], kind="stable") for row in range(3)]
     return _ExactIndex(ctx=ctx, blocks=blocks, offsets=offsets, lb=lb, orders=orders,
-                       i_arr=i_arr, j_arr=j_arr, direct_opts=direct_opts)
+                       i_arr=i_arr, j_arr=j_arr)
 
 
 def _repair_terms(opts: np.ndarray, v: int, b: int) -> tuple[np.ndarray, ...]:

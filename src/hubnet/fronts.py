@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -110,14 +110,20 @@ def nondominated_mask(rows: np.ndarray) -> np.ndarray:
     return _pairwise_filter(rows)
 
 
-def nondominated_sort(objectives: Sequence) -> list[list[int]]:
-    """Fast nondominated sorting into fronts of indices (rank 0 first).
+def _objective_rows(objectives: np.ndarray) -> np.ndarray:
+    rows = np.asarray(objectives, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"expected (S, 3) objective rows, got shape {rows.shape}")
+    return rows
 
-    Accepts any sequence of 3-component objectives; nonfinite components
-    are legal and sink to the worst fronts (any finite vector dominates
-    the all-infinite penalty vector).
+
+def nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
+    """Fast nondominated sorting of (S, 3) rows into fronts of indices (rank 0 first).
+
+    Nonfinite components are legal and sink to the worst fronts (any
+    finite vector dominates the all-infinite penalty vector).
     """
-    rows = np.array([_triple(o) for o in objectives], dtype=float)
+    rows = _objective_rows(objectives)
     s = len(rows)
     if s == 0:
         return []
@@ -139,13 +145,13 @@ def nondominated_sort(objectives: Sequence) -> list[list[int]]:
     return fronts
 
 
-def crowding_distance(objectives: Sequence) -> np.ndarray:
-    """Crowding distances within one front; boundary members get +inf.
+def crowding_distance(objectives: np.ndarray) -> np.ndarray:
+    """Crowding distances within one front of (S, 3) rows; boundary members get +inf.
 
     Objectives with zero (or nonfinite) spread contribute nothing to the
     interior distances.
     """
-    rows = np.array([_triple(o) for o in objectives], dtype=float)
+    rows = _objective_rows(objectives)
     s = len(rows)
     dist = np.zeros(s)
     if s <= 2:

@@ -86,7 +86,7 @@ def _evaluate_population(ctx: EvalContext, X: np.ndarray
         assignment, is_hub, masks, tables, bad = _decode_arrays(ctx, X[start:start + step])
         hubs = [np.flatnonzero(row) for row in is_hub]
         for r in range(len(bad)):
-            mask = None if bad[r] else _repair_mask(ctx, tables.row(r), masks[r])
+            mask = None if bad[r] else _repair_mask(ctx, assignment[r], masks[r])
             if mask is None:
                 bad[r] = True
                 payloads.append(None)

@@ -118,6 +118,7 @@ class ExperimentConfig:
             raise ValueError("need at least one instance, algorithm and seed")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        EpsilonGrid(self.grid_z2, self.grid_z3)     # refuse a bad grid before any cell runs
         names = [Path(p).stem for p in self.instances]
         if len(set(names)) != len(names):
             # the stem names each cell's front file and table rows

@@ -120,7 +120,7 @@ def test_validate_io_and_data_errors(tmp_path, capsys):
 
     # structurally fine JSON whose numbers break the model rules
     inst = _gen(tmp_path)
-    data = json.load(open(inst))
+    data = json.loads(inst.read_text())
     data["distance"][0][1] += 5.0   # asymmetry
     crooked = tmp_path / "crooked.json"
     crooked.write_text(json.dumps(data))
@@ -129,7 +129,7 @@ def test_validate_io_and_data_errors(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().out
 
     # a number given as a string is refused on load, not met by a crash later
-    data = json.load(open(inst))
+    data = json.loads(inst.read_text())
     data["omega"] = "250"
     quoted = tmp_path / "quoted.json"
     quoted.write_text(json.dumps(data))
@@ -240,6 +240,18 @@ def test_compare_usage_errors_write_nothing(tmp_path, capsys):
                  "--seeds", "0", "--out-dir", str(out), "--workers", "0"])
     assert code == 1
     assert "workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--grid-z2", "--grid-z3"])
+def test_compare_refuses_an_empty_grid_before_any_cell(tmp_path, capsys, flag):
+    inst = _gen(tmp_path)
+    out = tmp_path / "exp"
+    capsys.readouterr()
+    code = main(["compare", "--instances", str(inst), "--algorithms", "nsga2", "exact",
+                 "--seeds", "0", "--out-dir", str(out), flag, "0"])
+    assert code == 1
+    assert "grid segment counts must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from hubnet import metaheuristics
 from hubnet.encoding import _decode_arrays, _repair_mask, genome_length
 from hubnet.evaluation import (
-    DesignTables,
     _hub_route,
     compute_objectives,
-    hub_tables,
     loads_from_mask,
     make_context,
     plan_from_mask,
@@ -92,7 +90,7 @@ def test_repair_flips_heaviest_pairs(tiny):
     squeezed = dataclasses.replace(tiny, capacity=np.array([1e9, 150.0, 1e9]))
     ctx = make_context(squeezed, 0.5)
     a = np.array([1, 1, 1])
-    repaired = _repair_mask(ctx, hub_tables(ctx, a), ctx.offdiag.copy())
+    repaired = _repair_mask(ctx, a, ctx.offdiag.copy())
     assert repaired is not None
     direct_pairs = {(int(i), int(j)) for i, j in np.argwhere(ctx.offdiag & ~repaired)}
     assert direct_pairs == {(1, 2), (2, 0), (0, 2)}
@@ -111,24 +109,23 @@ def test_repair_returns_none_when_stuck(tiny):
         travel_time=tt,
     )
     ctx = make_context(no_direct, 0.5)
-    tables = hub_tables(ctx, np.array([1, 1, 1]))
-    assert _repair_mask(ctx, tables, ctx.offdiag.copy()) is None
+    assert _repair_mask(ctx, np.array([1, 1, 1]), ctx.offdiag.copy()) is None
 
 
-def _reference_repair(ctx, tables, mask):
+def _reference_repair(ctx, a, mask):
     # the rescanning loop _repair_mask replaced: after every flip it
     # recomputes the most overloaded hub and argmaxes its movable pairs
     inst = ctx.inst
     mask = mask.copy()
-    loads = loads_from_mask(ctx, tables, mask)
-    a = tables.assignment
+    loads = loads_from_mask(ctx, a, mask)
     while True:
         over = loads - inst.capacity
         worst = int(np.argmax(over))
         if over[worst] <= FEAS_TOL:
             return mask
-        touches = mask & ((a[:, None] == worst) | (~tables.same_hub & (a[None, :] == worst)))
-        movable = touches & ctx.direct_feasible
+        same_hub = a[:, None] == a[None, :]
+        touches = mask & ((a[:, None] == worst) | (~same_hub & (a[None, :] == worst)))
+        movable = touches & np.isfinite(ctx.direct[..., 0])
         if not movable.any():
             return None
         qs = np.where(movable, ctx.q, -np.inf)
@@ -169,14 +166,14 @@ def test_repair_matches_the_rescanning_loop():
         ctx = make_context(inst, 0.5)
         rng = np.random.default_rng(seed)
         # pairs that may not fly direct leave some overloads unrepairable
-        thinned = dataclasses.replace(
-            ctx, direct_feasible=ctx.direct_feasible & (rng.random((n, n)) >= thin))
-        _, _, masks, population_tables, bad = _decode_arrays(ctx, rng.random((8, genome_length(n))))
+        keep = rng.random((n, n)) >= thin
+        thinned = dataclasses.replace(ctx, direct=np.where(keep[..., None], ctx.direct, np.inf))
+        assignment, _, masks, _, bad = _decode_arrays(ctx, rng.random((8, genome_length(n))))
         for r in np.flatnonzero(~bad):
-            mask, tables = masks[r], population_tables.row(r)
+            mask, a = masks[r], assignment[r]
             before = mask.copy()
-            got = _repair_mask(thinned, tables, mask)
-            want = _reference_repair(thinned, tables, mask)
+            got = _repair_mask(thinned, a, mask)
+            want = _reference_repair(thinned, a, mask)
             assert np.array_equal(mask, before)
             assert (got is None) == (want is None)
             if want is None:
@@ -211,11 +208,10 @@ def _reference_decode(ctx, vec):
     assignment = hubs[order[np.arange(n), rank]]
     assignment[hubs] = hubs
     idx = np.arange(n)
-    z1, z2, z3, fh = _hub_route(ctx, idx[:, None], idx[None, :], assignment[:, None],
-                               assignment[None, :], np.s_[:, :])
-    tables = DesignTables(assignment, assignment[:, None] == assignment[None, :],
-                          z1, z2, z3, fh)
-    fd = ctx.direct_feasible
+    tables = _hub_route(ctx, idx[:, None], idx[None, :], assignment[:, None],
+                        assignment[None, :], np.s_[:, :])
+    fh = np.isfinite(tables[..., 0])
+    fd = np.isfinite(ctx.direct[..., 0])
     if np.any(ctx.offdiag & ~fh & ~fd):
         return None
     mask = np.where(vec[1 + 2 * n:].reshape(n, n) >= 0.5, fh, fh & ~fd) & ctx.offdiag
@@ -226,10 +222,12 @@ def _reference_price(ctx, tables, hubs, mask):
     use_hub = mask & ctx.offdiag
     use_dir = ~mask & ctx.offdiag
     z1 = (float(ctx.inst.fixed_cost[hubs].sum())
-          + float(np.sum(ctx.direct_z1, where=use_dir))
-          + float(np.sum(tables.hub_z1, where=use_hub)))
-    z2 = float(np.sum(ctx.direct_z2, where=use_dir)) + float(np.sum(tables.hub_z2, where=use_hub))
-    z3 = float(np.sum(ctx.direct_z3, where=use_dir)) + float(np.sum(tables.hub_z3, where=use_hub))
+          + float(np.sum(ctx.direct[..., 0], where=use_dir))
+          + float(np.sum(tables[..., 0], where=use_hub)))
+    z2 = (float(np.sum(ctx.direct[..., 1], where=use_dir))
+          + float(np.sum(tables[..., 1], where=use_hub)))
+    z3 = (float(np.sum(ctx.direct[..., 2], where=use_dir))
+          + float(np.sum(tables[..., 2], where=use_hub)))
     return round6(z1), round6(z2), round6(z3)
 
 
@@ -238,7 +236,7 @@ def _reference_population(ctx, X):
     payloads = []
     for r, vec in enumerate(X):
         dec = _reference_decode(ctx, vec)
-        mask = None if dec is None else _repair_mask(ctx, dec[3], dec[2])
+        mask = None if dec is None else _repair_mask(ctx, dec[0], dec[2])
         if mask is None:
             payloads.append(None)
             continue

@@ -34,12 +34,14 @@ from hubnet.evaluation import (
 )
 from hubnet.generator import GeneratorSpec, generate
 from hubnet.model import (
+    FEAS_TOL,
     Direct,
     NetworkDesign,
     OneHub,
     RoutePlan,
     TwoHub,
     hub_loads,
+    route_time,
 )
 from test_model import all_hub_plan
 
@@ -136,7 +138,6 @@ def test_mask_path_matches_typed_path():
         hubs = np.sort(rng.choice(n, size=int(rng.integers(1, inst.p + 1)), replace=False))
         assignment = hubs[rng.integers(0, len(hubs), size=n)]
         assignment[hubs] = hubs
-        tables = hub_tables(ctx, assignment)
         mask = rng.random((n, n)) < 0.5
         mask &= ctx.offdiag
 
@@ -146,9 +147,37 @@ def test_mask_path_matches_typed_path():
         arrayed = evaluate_mask(ctx, hub_tables(ctx, assignment[None]), [hubs], mask[None])
         assert typed == tuple(arrayed[0])
 
-        np.testing.assert_allclose(loads_from_mask(ctx, tables, mask),
+        np.testing.assert_allclose(loads_from_mask(ctx, assignment, mask),
                                    hub_loads(inst, plan, rate), atol=1e-9)
         assert np.array_equal(_direct_pairs(plan), ctx.offdiag & ~mask)
+
+
+def test_time_cap_sets_inf_exactly_where_the_typed_route_time_breaks_it():
+    # caps at 1.3x the median flight time cut some direct and some hub
+    # routes; _price must mark those, and only those, with inf
+    inst = generate(GeneratorSpec(n=7, p=3, seed=3))
+    offdiag = ~np.eye(7, dtype=bool)
+    limit = 1.3 * np.median(inst.travel_time[offdiag])
+    inst = dataclasses.replace(inst, max_transfer_time=np.where(offdiag, limit, 0.0))
+    ctx = make_context(inst, 0.5)
+    cap = inst.max_transfer_time + FEAS_TOL
+    late_direct = np.array([[route_time(inst, Direct(), i, j) > cap[i, j] for j in range(7)]
+                            for i in range(7)])
+    assert np.array_equal(np.isinf(ctx.direct), np.repeat(late_direct[..., None], 3, axis=-1))
+    rng = np.random.default_rng(3)
+    cut = 0
+    for _ in range(10):
+        hubs = np.sort(rng.choice(7, size=3, replace=False))
+        a = hubs[rng.integers(0, 3, size=7)]
+        a[hubs] = hubs
+        routes = [[OneHub(a[i]) if a[i] == a[j] else TwoHub(a[i], a[j]) for j in range(7)]
+                  for i in range(7)]
+        late_hub = np.array([[route_time(inst, routes[i][j], i, j) > cap[i, j] for j in range(7)]
+                             for i in range(7)])
+        tables = hub_tables(ctx, a)
+        assert np.array_equal(np.isinf(tables), np.repeat(late_hub[..., None], 3, axis=-1))
+        cut += int((late_hub & offdiag).sum())
+    assert late_direct.any() and (~late_direct & offdiag).any() and cut > 0
 
 
 def _direct_pairs(plan):

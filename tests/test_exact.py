@@ -306,9 +306,8 @@ def test_default_budget_is_large():
 @pytest.mark.parametrize("cap", [None, 2.0, 1.0], ids=["uncapped", "some-options-late", "pairs-stranded"])
 def test_heuristic_and_exact_paths_price_routes_alike(n, cap):
     """The metaheuristics price hub routes with ``hub_tables``, the exact
-    solver with each hub set's ``hub_opts``: both must mark the same routes
-    feasible and give the same bits where the route is feasible (``hub_opts``
-    holds inf elsewhere).
+    solver with each hub set's ``hub_opts``: both must give the same bits,
+    inf entries over the time cap included.
 
     ``cap`` sets every time cap to that multiple of the median flight time:
     at 2.0 some options break their cap (inf entries in the table), at 1.0
@@ -326,10 +325,7 @@ def test_heuristic_and_exact_paths_price_routes_alike(n, cap):
         design = exact._design_of(index, block, a_idx)
         tables = hub_tables(index.ctx, np.asarray(design.assignment))
         opts = block.hub_opts[ii, jj, a_idx[ii], a_idx[jj]]
-        feasible = tables.hub_feasible
-        assert np.array_equal(feasible, np.isfinite(opts).all(axis=-1))
-        for c, hub_z in enumerate((tables.hub_z1, tables.hub_z2, tables.hub_z3)):
-            assert np.array_equal(hub_z[feasible], opts[feasible, c])
+        assert tables.tobytes() == opts.tobytes()
 
 
 def _lattice_instance():

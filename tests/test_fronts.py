@@ -96,6 +96,13 @@ def test_nondominated_sort_layers():
     assert sorted(fronts[1]) == [1, 3]
     assert fronts[2] == [2]
     assert fronts[3] == [4]
+    # an array is taken as it is: same fronts
+    assert nondominated_sort(np.array(objs, dtype=float)) == fronts
+    for bad in (np.zeros((2, 2)), np.zeros(3), [(1, 2)]):
+        with pytest.raises(ValueError, match="objective rows"):
+            nondominated_sort(bad)
+        with pytest.raises(ValueError, match="objective rows"):
+            crowding_distance(bad)
 
 
 def test_crowding_distance():
