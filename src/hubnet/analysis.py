@@ -91,7 +91,6 @@ def hypervolume(front: Union[ParetoFront, Sequence], reference: Sequence[float])
     if np.any(rows > ref[None, :]):
         worst = rows.max(axis=0)
         raise ValueError(f"reference {tuple(ref)} does not cover front maxima {tuple(worst)}")
-    rows = np.unique(rows, axis=0)
     rows = rows[nondominated_mask(rows)]
     z1_levels = np.unique(rows[:, 0])
     bounds = np.append(z1_levels, ref[0])

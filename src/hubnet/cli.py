@@ -57,18 +57,13 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(EXIT_USAGE, f"{self.prog}: {message}")
 
 
-def _floats(text: str) -> list[float]:
+def _numbers(text: str, kind: type) -> list:
+    """A comma-separated list of ``kind`` values; empty items are skipped."""
     try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
+        return [kind(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise _CliError(EXIT_USAGE, f"expected comma-separated numbers, got {text!r}")
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError:
-        raise _CliError(EXIT_USAGE, f"expected comma-separated integers, got {text!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise _CliError(EXIT_USAGE, f"expected comma-separated {noun}, got {text!r}")
 
 
 def _rate(text: str) -> float:
@@ -271,7 +266,7 @@ def _pick_plan(args, inst):
 
 def _cmd_sweep(args) -> int:
     inst = _load_valid(args.instance)
-    values = _floats(args.values)
+    values = _numbers(args.values, float)
     if not values:
         raise _CliError(EXIT_USAGE, "--values must name at least one number")
     try:
@@ -299,12 +294,11 @@ def _cmd_compare(args) -> int:
         config = ExperimentConfig(
             instances=tuple(args.instances),
             algorithms=tuple(args.algorithms),
-            seeds=tuple(_ints(args.seeds)),
+            seeds=tuple(_numbers(args.seeds, int)),
             out_dir=args.out_dir,
             alpha_prime=args.alpha_prime,
             params=_params_from(args),
-            grid_z2=args.grid_z2,
-            grid_z3=args.grid_z3,
+            grid=EpsilonGrid(args.grid_z2, args.grid_z3),
             budget=args.budget,
             workers=args.workers,
         )

@@ -1,9 +1,9 @@
 """Objective evaluation: cost, emissions and time-window penalty.
 
 Two equivalent code paths are kept on purpose.  The typed path
-(:func:`eval_cost`, :func:`eval_emissions`, :func:`eval_time_penalty`,
-:func:`evaluate`) walks ``RoutePlan`` objects with plain scalar arithmetic
-and serves as the readable reference.  The array path
+(:func:`compute_objectives`, :func:`evaluate`) walks ``RoutePlan`` objects
+with plain scalar arithmetic and serves as the readable reference; it
+prices a route in one place, :func:`_route_objectives`.  The array path
 (:class:`EvalContext`, :func:`hub_tables`, :func:`evaluate_mask`) expresses
 a plan as a boolean hub-route mask over the pair grid, prices a whole
 population of masks at once, and is what the solvers use; a property test
@@ -50,9 +50,6 @@ from .model import (
 
 __all__ = [
     "aircraft_count",
-    "eval_cost",
-    "eval_emissions",
-    "eval_time_penalty",
     "evaluate",
     "compute_objectives",
     "solution_from_plan",
@@ -80,76 +77,52 @@ def aircraft_count(q: float, phi: float) -> int:
     return max(0, math.ceil(q / phi - FEAS_TOL))
 
 
-def _route_distance(inst: ProblemInstance, route: Route, i: int, j: int) -> tuple[float, int]:
-    """Total flown distance and leg count of a route."""
-    d = inst.distance
-    if isinstance(route, Direct):
-        return float(d[i, j]), 1
-    if isinstance(route, OneHub):
-        return float(d[i, route.hub] + d[route.hub, j]), 2
-    k, l = route.first, route.second
-    return float(d[i, k] + d[k, l] + d[l, j]), 3
+def _route_objectives(inst: ProblemInstance, q: np.ndarray, cd: np.ndarray, i: int, j: int,
+                      route: Route) -> tuple[float, float, float]:
+    """Unrounded (cost, emissions, penalty) of pair (i, j) flown on ``route``.
 
-
-def eval_cost(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
-              alpha_prime: float) -> float:
-    """Transport + handling + fixed hub operating cost of a plan."""
-    q = inst.demand_matrix(alpha_prime)
-    cd = inst.unit_transport_cost * inst.distance
-    beta, alpha = inst.beta_discount, inst.alpha_discount
-    u = inst.handling_cost
-    total = float(inst.fixed_cost[list(design.hubs)].sum())
-    for i, j, route in plan.items():
-        if isinstance(route, Direct):
-            total += cd[i, j] * q[i, j]
-        elif isinstance(route, OneHub):
-            k = route.hub
-            total += (beta * (cd[i, k] + cd[k, j]) + u[k]) * q[i, j]
-        else:
-            k, l = route.first, route.second
-            total += (beta * (cd[i, k] + cd[l, j]) + alpha * cd[k, l] + u[k] + u[l]) * q[i, j]
-    return round6(total)
-
-
-def eval_emissions(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
-                   alpha_prime: float) -> float:
-    """Two-pollutant emission total over all aircraft movements of a plan."""
-    q = inst.demand_matrix(alpha_prime)
-    phi = inst.aircraft_capacity
-    total = 0.0
-    for i, j, route in plan.items():
-        m = aircraft_count(q[i, j], phi)
-        if m == 0:
-            continue
-        dist, legs = _route_distance(inst, route, i, j)
-        total += (legs * inst.lto_p1 + inst.ccd_rate_p1 * dist) * m
-        total += (legs * inst.lto_p2 + inst.ccd_rate_p2 * dist) * m
-    return round6(total)
-
-
-def eval_time_penalty(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
-                      alpha_prime: float) -> float:
-    """Earliness/lateness penalty of a plan against per-pair delivery windows.
-
-    Depends only on route times, never on demand, so it is constant in the
-    uncertainty rate (the argument is kept for signature uniformity).
+    ``q`` is the crisp demand matrix and ``cd`` the unit transport cost
+    times distance.  The penalty depends only on the route's time, never
+    on demand, so it is constant in the uncertainty rate.
     """
-    total = 0.0
-    for i, j, route in plan.items():
-        t = route_time(inst, route, i, j)
-        total += inst.early_penalty[i, j] * max(0.0, inst.window_lower[i, j] - t)
-        total += inst.late_penalty[i, j] * max(0.0, t - inst.window_upper[i, j])
-    return round6(total)
+    d, u = inst.distance, inst.handling_cost
+    if isinstance(route, Direct):
+        unit, dist, legs = cd[i, j], d[i, j], 1
+    elif isinstance(route, OneHub):
+        k = route.hub
+        unit = inst.beta_discount * (cd[i, k] + cd[k, j]) + u[k]
+        dist, legs = d[i, k] + d[k, j], 2
+    else:
+        k, l = route.first, route.second
+        unit = (inst.beta_discount * (cd[i, k] + cd[l, j]) + inst.alpha_discount * cd[k, l]
+                + u[k] + u[l])
+        dist, legs = d[i, k] + d[k, l] + d[l, j], 3
+    m = aircraft_count(q[i, j], inst.aircraft_capacity)
+    emissions = ((legs * inst.lto_p1 + inst.ccd_rate_p1 * dist) * m
+                 + (legs * inst.lto_p2 + inst.ccd_rate_p2 * dist) * m)
+    t = route_time(inst, route, i, j)
+    penalty = (inst.early_penalty[i, j] * max(0.0, inst.window_lower[i, j] - t)
+               + inst.late_penalty[i, j] * max(0.0, t - inst.window_upper[i, j]))
+    return unit * q[i, j], emissions, penalty
 
 
 def compute_objectives(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
                        alpha_prime: float) -> tuple[float, float, float]:
-    """Objective triple without feasibility enforcement (sweeps use this)."""
-    return (
-        eval_cost(inst, design, plan, alpha_prime),
-        eval_emissions(inst, design, plan, alpha_prime),
-        eval_time_penalty(inst, design, plan, alpha_prime),
-    )
+    """Objective triple without feasibility enforcement (sweeps use this).
+
+    Cost opens with the fixed cost of the open hubs; each total sums
+    :func:`_route_objectives` over the plan and is rounded once.
+    """
+    q = inst.demand_matrix(alpha_prime)
+    cd = inst.unit_transport_cost * inst.distance
+    z1 = float(inst.fixed_cost[list(design.hubs)].sum())
+    z2 = z3 = 0.0
+    for i, j, route in plan.items():
+        c, e, p = _route_objectives(inst, q, cd, i, j, route)
+        z1 += c
+        z2 += e
+        z3 += p
+    return round6(z1), round6(z2), round6(z3)
 
 
 def evaluate(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,

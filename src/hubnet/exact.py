@@ -1,4 +1,4 @@
-"""Exact solvers: configuration enumeration, epsilon-constraint front, oracle.
+"""Exact solver: configuration enumeration and the epsilon-constraint front.
 
 The main objective is cost; emissions and time-window penalty are turned
 into inclusive upper bounds over a grid derived from the individual optima
@@ -6,10 +6,7 @@ of the three objectives.  Per grid cell the solver takes the minimum over
 every configuration (hub set + assignment) of an exact routing
 branch-and-bound; configurations are visited in order of a cost bound
 conditioned on the cell's budgets, built only for those the scan reaches,
-so most are pruned without search.  ``brute_force_oracle`` independently
-exhausts every configuration and every per-pair route combination (with
-exactness-preserving dominance pruning on partial states) and is the
-ground truth the solver is tested against.
+so most are pruned without search.
 
 Determinism: ties between equal-objective routings break on the route
 encoding (Direct=0, hub route=1, canonical pair order).  Configurations
@@ -36,7 +33,7 @@ from .evaluation import (
     plan_from_mask,
     solution_from_plan,
 )
-from .fronts import ParetoFront, nondominated_mask
+from .fronts import ParetoFront
 from .model import (
     FEAS_TOL,
     EvaluatedSolution,
@@ -51,7 +48,6 @@ __all__ = [
     "EpsilonGrid",
     "configuration_count",
     "epsilon_constraint_front",
-    "brute_force_oracle",
 ]
 
 # The index costs 48 bytes per configuration, a (3, total) float64 bound
@@ -59,7 +55,6 @@ __all__ = [
 # about 4.8 GB; the conditioned cost bounds are priced in chunks along the
 # scan and add no per-configuration memory.
 DEFAULT_BUDGET = 10 ** 8
-ORACLE_MAX_NODES = 6
 
 # Objectives are rounded to 1e-6; a bound within half that of an incumbent
 # could still tie after rounding, so pruning leaves this much slack.
@@ -734,121 +729,4 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
         if winner is not None:
             candidates.append(winner)
             pool.append(winner)
-    return ParetoFront.from_candidates(candidates)
-
-
-# --- exhaustive oracle ------------------------------------------------------
-
-
-def _oracle_config_states(index: _ExactIndex, block: _Block, contrib: np.ndarray,
-                          a_idx: np.ndarray) -> Optional[tuple[np.ndarray, list[int]]]:
-    """All nondominated (objectives, route-choice bitmask) states of a config.
-
-    ``contrib`` and ``a_idx`` are the config's option table and hub
-    positions from ``_options``.  Walks pairs in canonical order, branching
-    into every feasible route and pruning only states that are dominated in
-    objectives (and in hub loads whenever capacity could bind), which
-    preserves the exact front.
-    """
-    ctx = index.ctx
-    i_arr, j_arr = index.i_arr, index.j_arr
-    ai = a_idx[i_arr]
-    aj = a_idx[j_arr]
-    fd = np.isfinite(contrib[:, 0, 0])
-    fh = np.isfinite(contrib[:, 1, 0])
-    if not np.all(fd | fh):
-        return None
-
-    hub_arr = np.asarray(block.hubs, dtype=np.intp)
-    h = len(hub_arr)
-    q_pairs = ctx.q[i_arr, j_arr]
-    # worst-case per-hub load decides whether loads must join the dominance test
-    worst = np.zeros(h)
-    for x in range(h):
-        touches = (ai == x) | (aj == x)
-        worst[x] = q_pairs[touches & fh].sum()
-    caps = ctx.inst.capacity[hub_arr]
-    track_loads = bool(np.any(worst > caps + FEAS_TOL))
-
-    objs = np.array([[block.fixed_total, 0.0, 0.0]])
-    masks = [0]
-    loads = np.zeros((1, h)) if track_loads else None
-
-    P = len(i_arr)
-    for t in range(P):
-        parts_objs = []
-        parts_masks: list[list[int]] = []
-        parts_loads = []
-        if fd[t]:
-            parts_objs.append(objs + contrib[t, 0])
-            parts_masks.append(masks)
-            if track_loads:
-                parts_loads.append(loads)
-        if fh[t]:
-            parts_objs.append(objs + contrib[t, 1])
-            bit = 1 << t
-            parts_masks.append([mk | bit for mk in masks])
-            if track_loads:
-                delta = np.zeros(h)
-                delta[ai[t]] += q_pairs[t]
-                if aj[t] != ai[t]:
-                    delta[aj[t]] += q_pairs[t]
-                parts_loads.append(loads + delta)
-        objs = np.concatenate(parts_objs, axis=0)
-        masks = [mk for part in parts_masks for mk in part]
-        if track_loads:
-            loads = np.concatenate(parts_loads, axis=0)
-            ok = np.all(loads <= caps + FEAS_TOL, axis=1)
-            if not ok.all():
-                objs = objs[ok]
-                loads = loads[ok]
-                masks = [mk for mk, k in zip(masks, ok) if k]
-            if len(objs) == 0:
-                return None
-            criteria = np.concatenate([objs, loads], axis=1)
-        else:
-            criteria = objs
-        keep = nondominated_mask(criteria)
-        objs = objs[keep]
-        masks = [mk for mk, k in zip(masks, keep) if k]
-        if track_loads:
-            loads = loads[keep]
-    return objs, masks
-
-
-def brute_force_oracle(inst: ProblemInstance, alpha_prime: float = 0.5) -> ParetoFront:
-    """Ground-truth Pareto front by exhausting designs and route combinations.
-
-    Guarded to tiny instances (n <= 6); every configuration of the exact
-    index (``_build_index``) is expanded into all feasible per-pair route
-    combinations.
-    """
-    if inst.n > ORACLE_MAX_NODES:
-        raise ValueError(
-            f"oracle is limited to n <= {ORACLE_MAX_NODES} nodes, got n={inst.n}")
-    index = _build_index(inst, alpha_prime, budget=DEFAULT_BUDGET)
-    opts, positions = _options(index, np.arange(index.total))
-    all_rows = []
-    all_refs: list[tuple[_Block, np.ndarray, int]] = []
-    for g in range(index.total):
-        block, _ = index.locate(g)
-        states = _oracle_config_states(index, block, opts[g], positions[g])
-        if states is None:
-            continue
-        objs, masks = states
-        all_rows.append(objs)
-        all_refs.extend((block, positions[g], mk) for mk in masks)
-    if not all_refs:
-        return ParetoFront(solutions=())
-    rows = np.concatenate(all_rows, axis=0)
-    keep = nondominated_mask(np.round(rows, 6))
-    canon = np.arange(len(index.i_arr))
-    candidates = []
-    for flag, (block, a_idx, mk) in zip(keep, all_refs):
-        if not flag:
-            continue
-        design = _design_of(index, block, a_idx)
-        mask = _mask_from_choices(index.ctx, canon, [(mk >> t) & 1 for t in canon])
-        plan = plan_from_mask(design, mask)
-        candidates.append(solution_from_plan(inst, design, plan, alpha_prime))
     return ParetoFront.from_candidates(candidates)

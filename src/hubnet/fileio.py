@@ -180,12 +180,32 @@ def read_front_csv(path: Union[str, Path]) -> list[FrontRow]:
 
 
 def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution:
-    """Rebuild the full solution object encoded by one CSV record."""
-    design = NetworkDesign.from_hubs(inst.n, row.hubs, row.assignment)
-    pairs = [(i, j) for i in range(inst.n) for j in range(inst.n) if i != j]
+    """Rebuild the full solution object encoded by one CSV record.
+
+    Raises:
+        ValueError: naming the field when a hub, an assignment entry or a
+            route token's node lies outside ``0..n-1``, or when the
+            assignment or route token count is wrong.
+    """
+    n = inst.n
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     if len(row.routes) != len(pairs):
         raise ValueError(f"expected {len(pairs)} route tokens, got {len(row.routes)}")
-    mapping = {pair: parse_route(tok) for pair, tok in zip(pairs, row.routes)}
+    if len(row.assignment) != n:
+        raise ValueError(f"assignment: expected {n} entries, got {len(row.assignment)}")
+    routes = [parse_route(tok) for tok in row.routes]
+    nodes = {
+        "hubs": row.hubs,
+        "assignment": row.assignment,
+        "routes": [k for r in routes if not isinstance(r, Direct)
+                   for k in ((r.hub,) if isinstance(r, OneHub) else (r.first, r.second))],
+    }
+    for field, ids in nodes.items():
+        bad = sorted({k for k in ids if not 0 <= k < n})
+        if bad:
+            raise ValueError(f"{field}: node(s) {bad} outside 0..{n - 1}")
+    design = NetworkDesign.from_hubs(n, row.hubs, row.assignment)
+    mapping = dict(zip(pairs, routes))
     plan = RoutePlan.from_dict(inst.n, mapping)
     return EvaluatedSolution(
         design=design, plan=plan,

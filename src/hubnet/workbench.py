@@ -15,6 +15,7 @@ count because cell results are collected and written in grid order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -108,8 +109,7 @@ class ExperimentConfig:
     out_dir: str
     alpha_prime: float = 0.5
     params: AlgorithmParams = AlgorithmParams()
-    grid_z2: int = 6
-    grid_z3: int = 6
+    grid: EpsilonGrid = EpsilonGrid()
     budget: int = DEFAULT_BUDGET
     workers: int = 1                # process count; 1 runs the cells in-process
 
@@ -118,7 +118,6 @@ class ExperimentConfig:
             raise ValueError("need at least one instance, algorithm and seed")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        EpsilonGrid(self.grid_z2, self.grid_z3)     # refuse a bad grid before any cell runs
         names = [Path(p).stem for p in self.instances]
         if len(set(names)) != len(names):
             # the stem names each cell's front file and table rows
@@ -151,21 +150,25 @@ def run_solver(inst: ProblemInstance, algorithm: str, seed: int, alpha_prime: fl
     return front, time.perf_counter() - start
 
 
-def _run_cell(payload: tuple) -> CellResult:
-    path, name, algorithm, seed, alpha_prime, params, grid_z2, grid_z3, budget = payload
+def _run_cell(config: ExperimentConfig, path: str, algorithm: str, seed: int) -> CellResult:
+    name = Path(path).stem
     try:
         inst = load_instance(path)
         problems = validate_instance(inst)
         if problems:
             raise ValueError(f"invalid instance {path}: {'; '.join(problems)}")
-        front, elapsed = run_solver(inst, algorithm, seed, alpha_prime, params,
-                                    EpsilonGrid(grid_z2, grid_z3), budget)
+        front, elapsed = run_solver(inst, algorithm, seed, config.alpha_prime, config.params,
+                                    config.grid, config.budget)
         metrics = compute_metrics(front, elapsed)
-    except (EnumerationBudgetError, ValueError) as exc:
-        # an unreadable or invalid instance or a failed solve (budget blown,
-        # empty front) aborts this cell only
+    except FileNotFoundError:
+        raise       # a missing instance file ends the campaign
+    except Exception as exc:
+        # an unreadable or invalid instance, a failed solve (budget blown,
+        # empty front) or any other fault aborts this cell only
+        known = isinstance(exc, (EnumerationBudgetError, ValueError))
+        error = str(exc) if known else f"{type(exc).__name__}: {exc}"
         return CellResult(instance=name, algorithm=algorithm, seed=seed,
-                          metrics=None, front_rows=(), error=str(exc))
+                          metrics=None, front_rows=(), error=error)
     rows = tuple(tuple(_solution_row(s)) for s in front.solutions)
     return CellResult(instance=name, algorithm=algorithm, seed=seed,
                       metrics=metrics, front_rows=rows)
@@ -176,9 +179,10 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
 
     A cell whose instance file cannot be read or fails
     ``validate_instance``, or whose solve fails (enumeration budget, empty
-    front), is recorded as missing: its row keeps blank indicator fields,
-    no front file is written, and the averages and ranking cover only
-    algorithms with at least one completed cell.  A missing instance file
+    front, or any other exception, recorded with its type), is recorded as
+    missing: its row keeps blank indicator fields, no front file is
+    written, and the averages and ranking cover only algorithms with at
+    least one completed cell.  A missing instance file
     raises ``FileNotFoundError`` and ends the campaign.  When TOPSIS cannot
     rank the averages (a criterion is zero for every algorithm, as msi and
     sm are when every front has one point), ``ranking.csv`` keeps only its
@@ -188,20 +192,12 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
     fronts_dir = out / "fronts"
     fronts_dir.mkdir(parents=True, exist_ok=True)
 
-    payloads = []
-    for path in config.instances:
-        name = Path(path).stem
-        for algorithm in config.algorithms:
-            for seed in config.seeds:
-                payloads.append((path, name, algorithm, seed, config.alpha_prime,
-                                 config.params, config.grid_z2, config.grid_z3,
-                                 config.budget))
-
+    keys = list(itertools.product(config.instances, config.algorithms, config.seeds))
     if config.workers == 1:
-        results = [_run_cell(p) for p in payloads]
+        results = [_run_cell(config, *key) for key in keys]
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_cell, payloads))
+            results = list(pool.map(_run_cell, itertools.repeat(config), *zip(*keys)))
 
     cell_rows = []
     for r in results:

@@ -20,7 +20,6 @@ from hubnet.exact import (
     EpsilonGrid,
     _build_index,
     _solve_min,
-    brute_force_oracle,
     epsilon_constraint_front,
 )
 from hubnet.fileio import save_instance, write_front_csv
@@ -32,6 +31,7 @@ from hubnet.model import check_feasibility
 from hubnet.workbench import ExperimentConfig, run_compare, sweep_rows
 
 from conftest import record_acceptance
+from oracle import oracle_front
 
 
 def _record(ok: bool, tag: str, detail: str) -> str:
@@ -73,7 +73,7 @@ def test_c01_exact_solver_matches_exhaustive_oracle():
     problems = []
     for seed in range(100, 120):
         inst = generate(GeneratorSpec(n=5, p=2, seed=seed))
-        orows = brute_force_oracle(inst).objective_rows()
+        orows = oracle_front(inst).objective_rows()
         front = epsilon_constraint_front(inst, grid)
         for sol in front.solutions:
             z = np.asarray(sol.objectives.as_tuple())
@@ -229,7 +229,7 @@ def test_c08_metaheuristics_never_beat_the_oracle():
     members = 0
     for seed in range(100, 105):
         inst = generate(GeneratorSpec(n=5, p=2, seed=seed))
-        oracle = [s.objectives.as_tuple() for s in brute_force_oracle(inst)]
+        oracle = [s.objectives.as_tuple() for s in oracle_front(inst)]
         for name in sorted(ALGORITHMS):
             front = ALGORITHMS[name](inst, params, seed=seed)
             for sol in front.solutions:
@@ -328,7 +328,7 @@ def test_c10_seeded_runs_are_byte_identical(tmp_path):
         run_compare(ExperimentConfig(
             instances=(str(a),), algorithms=("exact",) + tuple(sorted(ALGORITHMS)),
             seeds=(0,), out_dir=str(out), params=params,
-            grid_z2=3, grid_z3=3, workers=workers))
+            grid=EpsilonGrid(3, 3), workers=workers))
         outs.append(out)
     front_names = sorted(p.name for p in (outs[0] / "fronts").iterdir())
     pool_ok = front_names == sorted(p.name for p in (outs[1] / "fronts").iterdir())

@@ -156,6 +156,42 @@ def test_validate_flags_doctored_front(tmp_path, capsys):
     assert "differ" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("column, edit, message", [
+    ("hubs", lambda v: v + " 99", "hubs: node(s) [99] outside 0..4"),
+    ("assignment", lambda v: "99 " + v.split(" ", 1)[1], "assignment: node(s) [99] outside 0..4"),
+    ("assignment", lambda v: v.rsplit(" ", 1)[0], "assignment: expected 5 entries, got 4"),
+    ("routes", lambda v: "k99 " + v.split(" ", 1)[1], "routes: node(s) [99] outside 0..4"),
+    ("routes", lambda v: "k0->k-3 " + v.split(" ", 1)[1], "routes: node(s) [-3] outside 0..4"),
+], ids=["hub", "assignment", "short-assignment", "one-hub-route", "two-hub-route"])
+def test_front_rows_that_do_not_fit_the_instance_are_refused(tmp_path, capsys,
+                                                            column, edit, message):
+    inst = _gen(tmp_path)
+    front = tmp_path / "front.csv"
+    assert main(["solve", "--instance", str(inst), "--solver", "exact",
+                 "--out", str(front), "--grid-z2", "2", "--grid-z3", "2"]) == 0
+    with open(front, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row[column] = edit(row[column])
+    with open(front, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst), "--front", str(front)]) == 1
+    captured = capsys.readouterr()
+    assert f"front row 0: {message}" in captured.out
+    assert "Traceback" not in captured.err + captured.out
+
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--instance", str(inst), "--param", "phi", "--values", "30",
+                 "--front", str(front), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
 def test_sweep_from_front(tmp_path):
     inst = _gen(tmp_path)
     front = tmp_path / "front.csv"

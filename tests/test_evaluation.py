@@ -21,9 +21,6 @@ from conftest import make_instance
 from hubnet.evaluation import (
     aircraft_count,
     compute_objectives,
-    eval_cost,
-    eval_emissions,
-    eval_time_penalty,
     evaluate,
     evaluate_mask,
     hub_tables,
@@ -63,9 +60,10 @@ def test_aircraft_count_boundaries():
 def test_all_hub_plan_totals(tiny):
     design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
     plan = all_hub_plan(tiny, design)
-    assert eval_cost(tiny, design, plan, 0.5) == 40250.0
-    assert eval_emissions(tiny, design, plan, 0.5) == 3564.0
-    assert eval_time_penalty(tiny, design, plan, 0.5) == 12.6
+    z = compute_objectives(tiny, design, plan, 0.5)
+    assert z[0] == 40250.0
+    assert z[1] == 3564.0
+    assert z[2] == 12.6
 
 
 def test_mixed_plan_totals(tiny):
@@ -99,7 +97,7 @@ def test_two_hub_route_totals(tiny):
 def test_penalty_ignores_demand_rate(tiny):
     design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
     plan = all_hub_plan(tiny, design)
-    vals = {eval_time_penalty(tiny, design, plan, r) for r in (0.0, 0.3, 1.0)}
+    vals = {compute_objectives(tiny, design, plan, r)[2] for r in (0.0, 0.3, 1.0)}
     assert vals == {12.6}
 
 
@@ -110,9 +108,9 @@ def test_defuzzified_demand_scales_cost():
                          demand=fuzzy, fixed=0.0, handling=0.0)
     design = NetworkDesign.from_hubs(3, [0], [0, 0, 0])
     plan = RoutePlan.from_dict(3, {(i, j): Direct() for i, j in inst.pairs()})
-    assert eval_cost(inst, design, plan, 0.0) == 100.0 * 35.0
-    assert eval_cost(inst, design, plan, 1.0) == 100.0 * 55.0
-    assert eval_cost(inst, design, plan, 0.5) == 100.0 * 45.0
+    assert compute_objectives(inst, design, plan, 0.0)[0] == 100.0 * 35.0
+    assert compute_objectives(inst, design, plan, 1.0)[0] == 100.0 * 55.0
+    assert compute_objectives(inst, design, plan, 0.5)[0] == 100.0 * 45.0
 
 
 def test_evaluate_rejects_infeasible(tiny):

@@ -1,16 +1,18 @@
-"""Exact-solver checks against naive enumeration.
+"""Exact-solver checks against naive enumeration and the exhaustive oracle.
 
 The 3-node instance is small enough to enumerate every design and every
 per-pair route combination directly in the test (at most 9 x 64 plans),
 giving a reference that shares no code with the solver under test: designs
-come from ``itertools`` and the omega rule, routes from the assignments and
-``model.route_time`` (``naive_routes``), loads from ``model.hub_loads`` and
-objectives from the typed evaluation path.  The solver side is what
-``epsilon_constraint_front`` runs: the configuration index
+come from ``itertools`` and the omega rule (``oracle.naive_designs``),
+routes from the assignments and ``model.route_time`` (``naive_routes``),
+loads from ``model.hub_loads`` and objectives from the typed evaluation
+path.  The exhaustive oracle of ``tests/oracle.py`` prices on that typed
+path too and covers the generated 5- and 6-node instances.  The solver
+side is what ``epsilon_constraint_front`` runs: the configuration index
 (``_build_index``), its per-config option tables (``pair_data``) and the
 routing search (``_bb_routing``).  The lazy visiting order is checked
 against a stable sort of the conditioned cost bound over every config, and
-that bound against the oracle's per-config routings.
+that bound against the oracle's per-design routings.
 """
 
 import dataclasses
@@ -26,7 +28,6 @@ from hubnet.exact import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
     EpsilonGrid,
-    brute_force_oracle,
     configuration_count,
     epsilon_constraint_front,
 )
@@ -37,7 +38,6 @@ from hubnet.model import (
     feasibility_violations,
     hub_loads,
     Direct,
-    NetworkDesign,
     OneHub,
     RoutePlan,
     TwoHub,
@@ -45,21 +45,7 @@ from hubnet.model import (
 )
 
 from conftest import make_instance
-
-
-def naive_designs(inst):
-    """Every legal design: 1..p hubs, each spoke on an open hub within omega.
-
-    Product order over the nodes (hubs serve themselves) is the canonical
-    configuration order: hub subsets by size then lexicographically, spokes'
-    candidate hubs ascending."""
-    n = inst.n
-    for h in range(1, inst.p + 1):
-        for hubs in itertools.combinations(range(n), h):
-            options = [[i] if i in hubs else [k for k in hubs if inst.distance[i, k] <= inst.omega]
-                       for i in range(n)]
-            for assignment in itertools.product(*options):
-                yield NetworkDesign.from_hubs(n, hubs, assignment)
+from oracle import config_states, naive_designs, oracle_front
 
 
 def naive_routes(inst, design, i, j):
@@ -210,7 +196,7 @@ def test_oracle_equals_naive_front(tiny):
     keep_rows = rows[_brute_nondominated(rows)]
     want = {tuple(r) for r in keep_rows}
 
-    got = {s.objectives.as_tuple() for s in brute_force_oracle(tiny)}
+    got = {s.objectives.as_tuple() for s in oracle_front(tiny)}
     assert got == want
 
 
@@ -220,7 +206,7 @@ def test_oracle_handles_binding_capacity(tiny):
     naive = naive_solutions(squeezed)
     rows = np.array([z for _, _, z in naive])
     want = {tuple(r) for r in rows[_brute_nondominated(rows)]}
-    got = {s.objectives.as_tuple() for s in brute_force_oracle(squeezed)}
+    got = {s.objectives.as_tuple() for s in oracle_front(squeezed)}
     assert got == want
 
 
@@ -229,7 +215,7 @@ def test_oracle_handles_time_caps(tiny):
     naive = naive_solutions(capped)
     rows = np.array([z for _, _, z in naive])
     want = {tuple(r) for r in rows[_brute_nondominated(rows)]}
-    got = {s.objectives.as_tuple() for s in brute_force_oracle(capped)}
+    got = {s.objectives.as_tuple() for s in oracle_front(capped)}
     assert got == want
 
 
@@ -253,12 +239,12 @@ def _brute_nondominated(rows):
 def test_oracle_rejects_large_instances():
     inst = generate(GeneratorSpec(n=7, p=2, seed=0))
     with pytest.raises(ValueError, match="n <= 6"):
-        brute_force_oracle(inst)
+        oracle_front(inst)
 
 
 def test_front_members_lie_on_oracle_front(tiny, gen5):
     for inst in (tiny, gen5):
-        oracle = {s.objectives.as_tuple() for s in brute_force_oracle(inst)}
+        oracle = {s.objectives.as_tuple() for s in oracle_front(inst)}
         front = epsilon_constraint_front(inst, EpsilonGrid(6, 6))
         assert len(front) >= 1
         for s in front:
@@ -402,29 +388,58 @@ def test_visiting_order_is_the_stable_sort_of_the_conditioned_bound(gen5, gen6):
         assert all(np.all(b >= index.lb[0]) for b in bound.values())
 
 
+def _oracle_states(inst):
+    """The exact index, the oracle's rounded objective states per config id
+    (None where nothing routes), and a 5 x 5 grid of cells over them."""
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    states = []
+    for g in range(index.total):
+        found = config_states(inst, exact._design_of(index, *index.pair_data(g)[:2]))
+        states.append(None if found is None else np.round(found[0], 6))
+    rows = np.concatenate([s for s in states if s is not None])
+    cells = EpsilonGrid(5, 5).cells((rows[:, 1].min(), rows[:, 1].max()),
+                                    (rows[:, 2].min(), rows[:, 2].max()))
+    return index, states, cells
+
+
+def _fitting_costs(objs, eps2, eps3):
+    if objs is None:
+        return np.empty(0)
+    return objs[(objs[:, 1] <= eps2) & (objs[:, 2] <= eps3), 0]
+
+
 @pytest.mark.parametrize("name", ["tiny", "gen5", "gen6"])
 def test_conditioned_bound_never_exceeds_a_fitting_routing(name, request):
     """Per config and cell, the conditioned cost bound is at most the cost
     of the cheapest routing (capacities and time caps included) whose
     rounded emissions and penalty fit the cell."""
-    index = exact._build_index(request.getfixturevalue(name), 0.5, DEFAULT_BUDGET)
-    opts, positions = exact._options(index, np.arange(index.total))
-    states = []
-    for g in range(index.total):
-        block, _ = index.locate(g)
-        found = exact._oracle_config_states(index, block, opts[g], positions[g])
-        states.append(None if found is None else np.round(found[0], 6))
-    rows = np.concatenate([s for s in states if s is not None])
-    cells = EpsilonGrid(5, 5).cells((rows[:, 1].min(), rows[:, 1].max()),
-                                    (rows[:, 2].min(), rows[:, 2].max()))
+    index, states, cells = _oracle_states(request.getfixturevalue(name))
     raised = 0
     for eps2, eps3 in cells:
         bound = exact._conditional_lb(index, np.arange(index.total), eps2, eps3)
         for g, objs in enumerate(states):
-            if objs is None:
-                continue
-            fit = objs[(objs[:, 1] <= eps2) & (objs[:, 2] <= eps3), 0]
+            fit = _fitting_costs(objs, eps2, eps3)
             if len(fit):
                 assert bound[g] <= fit.min() + 1e-6, (g, eps2, eps3)
                 raised += bound[g] > index.lb[0, g] + 1e-6
     assert raised > 0        # the budgets do lift some bounds
+
+
+@pytest.mark.parametrize("name", ["tiny", "gen5", "gen6"])
+def test_routing_search_cost_is_the_oracle_cheapest_fitting_routing(name, request):
+    """Per config and cell, the cost the routing search reaches on its own
+    option arrays is the cost of the oracle's cheapest fitting routing,
+    priced on the typed path.  A pricing slip in the solver's arrays shows
+    here even where it moves no cell winner, whose objectives the typed
+    path re-prices."""
+    inst = request.getfixturevalue(name)
+    index, states, cells = _oracle_states(inst)
+    for eps2, eps3 in cells:
+        for g, objs in enumerate(states):
+            block, _, pd = index.pair_data(g)
+            res = None if pd is None else exact._bb_routing(
+                pd, inst.capacity, block.fixed_total, 0, eps2, eps3, None)
+            fit = _fitting_costs(objs, eps2, eps3)
+            assert (res is None) == (len(fit) == 0), (g, eps2, eps3)
+            if res is not None:
+                assert abs(res[0][0] - fit.min()) <= 1e-6, (g, eps2, eps3)

@@ -6,7 +6,7 @@ import pytest
 
 from hubnet.exact import EpsilonGrid, epsilon_constraint_front
 from hubnet.fileio import read_front_csv, save_instance
-from hubnet.metaheuristics import AlgorithmParams
+from hubnet.metaheuristics import ALGORITHMS, AlgorithmParams
 from hubnet.workbench import (
     SWEEP_PARAMETERS,
     ExperimentConfig,
@@ -107,7 +107,7 @@ def test_run_compare_writes_consistent_tables(tmp_path, gen5, gen6):
         seeds=(0, 1),
         out_dir=str(out),
         params=SMALL,
-        grid_z2=3, grid_z3=3,
+        grid=EpsilonGrid(3, 3),
         workers=1,
     )
     results = run_compare(config)
@@ -143,7 +143,7 @@ def test_run_compare_worker_count_does_not_change_fronts(tmp_path, gen5):
         out = tmp_path / tag
         run_compare(ExperimentConfig(
             instances=(str(p),), algorithms=("exact", "nsga2"), seeds=(0,),
-            out_dir=str(out), params=SMALL, grid_z2=3, grid_z3=3,
+            out_dir=str(out), params=SMALL, grid=EpsilonGrid(3, 3),
             workers=workers))
         outs.append(out)
     for name in ("inst_exact_seed0.csv", "inst_nsga2_seed0.csv"):
@@ -169,3 +169,26 @@ def test_run_compare_rejects_duplicate_stems(tmp_path, gen5):
             algorithms=("nsga2",), seeds=(0,), out_dir=str(tmp_path / "out2"),
             params=SMALL))
     assert not (tmp_path / "out2").exists()
+
+
+def test_one_failing_cell_leaves_the_campaign_standing(tmp_path, gen5, monkeypatch):
+    """A solver fault outside the expected kinds costs only its own cell:
+    the other cells finish and every table is written."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver fell over")
+
+    monkeypatch.setitem(ALGORITHMS, "mopso", broken)
+    p = tmp_path / "inst.json"
+    save_instance(gen5, p)
+    out = tmp_path / "out"
+    results = run_compare(ExperimentConfig(
+        instances=(str(p),), algorithms=("nsga2", "mopso", "mowoa"), seeds=(0,),
+        out_dir=str(out), params=SMALL, workers=1))
+    assert [r.error for r in results] == [None, "RuntimeError: solver fell over", None]
+    cells = _read(out / "cells.csv")
+    assert cells[2] == ["inst", "mopso", "0", "", "", "", ""]
+    assert all(row[3] for row in (cells[1], cells[3]))
+    assert [row[0] for row in _read(out / "averages.csv")[1:]] == ["nsga2", "mowoa"]
+    assert {row[1] for row in _read(out / "ranking.csv")[1:]} == {"nsga2", "mowoa"}
+    assert sorted(f.name for f in (out / "fronts").iterdir()) == [
+        "inst_mowoa_seed0.csv", "inst_nsga2_seed0.csv"]
