@@ -8,9 +8,11 @@ Layout for an n-node instance, every gene in [0, 1):
     [1+2n : 1+2n+n*n]   route keys row-major: >= 0.5 prefers the hub route
 
 The population solvers decode a whole population at once with
-:func:`_decode_arrays` and then fix capacity genome by genome with
-:func:`_repair_mask`; both work on the array form of
-:mod:`hubnet.evaluation` (assignment vector, hub-route mask).
+:func:`_decode_arrays`, compute every row's hub loads in one batched
+:func:`~hubnet.evaluation.loads_from_mask` call, and fix capacity genome
+by genome with :func:`_repair_mask`, which returns a row that fits at
+once; both work on the array form of :mod:`hubnet.evaluation`
+(assignment vector, hub-route mask).
 Decoding never consumes randomness, so evaluation order cannot change
 results.  A genome with an uncoverable spoke or an untimeable pair fails
 to decode.  Repair takes the most overloaded hub (lowest index on ties)
@@ -27,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluation import EvalContext, hub_tables, loads_from_mask
+from .evaluation import EvalContext, hub_tables
 from .model import FEAS_TOL
 
 __all__ = ["genome_length"]
@@ -76,11 +78,14 @@ def _decode_arrays(ctx: EvalContext, X: np.ndarray
     return assignment, is_hub, mask, tables, bad
 
 
-def _repair_mask(ctx: EvalContext, assignment: np.ndarray,
-                 mask: np.ndarray) -> Optional[np.ndarray]:
-    """Flip hub-routed pairs to direct until every hub load fits, or None."""
+def _repair_mask(ctx: EvalContext, assignment: np.ndarray, mask: np.ndarray,
+                 loads: np.ndarray) -> Optional[np.ndarray]:
+    """Flip hub-routed pairs to direct until every hub load fits, or None.
+
+    ``loads`` is :func:`~hubnet.evaluation.loads_from_mask` of the plan;
+    neither it nor ``mask`` is modified.
+    """
     mask = mask.copy()
-    loads = loads_from_mask(ctx, assignment, mask)
     if (loads - ctx.inst.capacity).max() <= FEAS_TOL:
         return mask
     n = ctx.inst.n

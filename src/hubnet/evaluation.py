@@ -245,13 +245,21 @@ def evaluate_mask(ctx: EvalContext, tables: np.ndarray, hubs: list[np.ndarray],
 
 
 def loads_from_mask(ctx: EvalContext, assignment: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-node hub throughput of a masked plan (TwoHub loads both hubs)."""
+    """Per-node hub throughput of a masked plan (TwoHub loads both hubs).
+
+    Takes one plan, ``(n,)`` and ``(n, n)``, or a batch, ``(N, n)`` and
+    ``(N, n, n)``; row r of a batch equals the one-plan call on row r.
+    """
     a = assignment
+    n = ctx.inst.n
     qm = np.where(mask & ctx.offdiag, ctx.q, 0.0)
-    loads = np.zeros(ctx.inst.n)
-    np.add.at(loads, a, qm.sum(axis=1))                                   # origin-side hub
-    np.add.at(loads, a, np.where(a[:, None] != a[None, :], qm, 0.0).sum(axis=0))  # destination
-    return loads
+    rows = a.reshape(-1, n)
+    slot = (np.arange(len(rows))[:, None] * n + rows).ravel()              # r*n + hub
+    loads = np.zeros(rows.size)
+    np.add.at(loads, slot, qm.sum(axis=-1).ravel())                          # origin-side hub
+    np.add.at(loads, slot, np.where(a[..., :, None] != a[..., None, :], qm, 0.0)
+              .sum(axis=-2).ravel())                                         # destination
+    return loads.reshape(a.shape)
 
 
 def plan_from_mask(design: NetworkDesign, mask: np.ndarray) -> RoutePlan:

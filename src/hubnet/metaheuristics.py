@@ -22,7 +22,7 @@ import numpy as np
 
 from .archive import GridArchive
 from .encoding import _decode_arrays, _repair_mask, genome_length
-from .evaluation import EvalContext, evaluate_mask, make_context, plan_from_mask
+from .evaluation import EvalContext, evaluate_mask, loads_from_mask, make_context, plan_from_mask
 from .fronts import ParetoFront, crowding_distance, nondominated_sort
 from .model import EvaluatedSolution, NetworkDesign, ObjectiveVector, ProblemInstance
 
@@ -71,32 +71,50 @@ class AlgorithmParams:
             raise ValueError("grid_divisions must be >= 1")
 
 
-def _evaluate_population(ctx: EvalContext, X: np.ndarray
-                         ) -> tuple[np.ndarray, list]:
-    """Objective rows (+inf rows for failures) and decoded payloads.
+def _evaluate_population(ctx: EvalContext, X: np.ndarray, memo: Optional[dict] = None
+                         ) -> tuple[np.ndarray, list, list]:
+    """Objective rows (+inf rows for failures), decoded payloads and repair keys.
 
-    Decoding and pricing run on row chunks of at most ``_CHUNK_CELLS``
-    pair cells, which bounds the (rows, n, n) tables on large instances;
-    repair runs genome by genome on its chunk's tables.
+    Decoding, hub loads and pricing run on row chunks of at most
+    ``_CHUNK_CELLS`` pair cells, which bounds the (rows, n, n) tables on
+    large instances; repair runs genome by genome on its chunk's loads.
+    Given a ``memo``, a decoded row is repaired only if its key, the bytes
+    of its assignment and packed pre-repair mask, is not there yet, and
+    its repair (a mask, or None) is stored under the key.  Keys come back
+    per row, None for undecodable rows or without a memo.  NSGA-II prunes
+    its memo to its survivors' keys after each selection, so it holds at
+    most twice the population.  Repair draws no randomness, so the memo
+    changes no result.
     """
     step = max(1, _CHUNK_CELLS // ctx.inst.n ** 2)
     objs = np.empty((len(X), 3))
     payloads: list = []
+    keys: list = []
     for start in range(0, len(X), step):
         assignment, is_hub, masks, tables, bad = _decode_arrays(ctx, X[start:start + step])
+        loads = loads_from_mask(ctx, assignment, masks)
         hubs = [np.flatnonzero(row) for row in is_hub]
         for r in range(len(bad)):
-            mask = None if bad[r] else _repair_mask(ctx, assignment[r], masks[r])
+            key = mask = None
+            if not bad[r]:
+                if memo is None:
+                    mask = _repair_mask(ctx, assignment[r], masks[r], loads[r])
+                else:
+                    key = assignment[r].tobytes() + np.packbits(masks[r]).tobytes()
+                    if key not in memo:
+                        memo[key] = _repair_mask(ctx, assignment[r], masks[r], loads[r])
+                    mask = memo[key]
+            keys.append(key)
             if mask is None:
                 bad[r] = True
                 payloads.append(None)
             else:
                 masks[r] = mask
-                payloads.append((assignment[r].copy(), hubs[r], mask))
+                payloads.append((assignment[r].copy(), hubs[r], masks[r].copy()))
         chunk = objs[start:start + len(bad)]
         chunk[:] = evaluate_mask(ctx, tables, hubs, masks)
         chunk[bad] = _PENALTY
-    return objs, payloads
+    return objs, payloads, keys
 
 
 def _payload_solution(ctx: EvalContext, objectives, payload) -> EvaluatedSolution:
@@ -172,15 +190,17 @@ def run_nsga2(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     N = params.population_size
     L = genome_length(inst.n)
     X = rng.random((N, L))
-    objs, data = _evaluate_population(ctx, X)
+    memo: dict = {}
+    objs, data, keys = _evaluate_population(ctx, X, memo)
     for _ in range(params.max_iterations):
         rank, crowd = _rank_and_crowding(objs)
         parents = X[_tournament(rng, rank, crowd, N)]
         Y = _variation(rng, parents, params.crossover_prob, params.mutation_prob)
-        objs_y, data_y = _evaluate_population(ctx, Y)
+        objs_y, data_y, keys_y = _evaluate_population(ctx, Y, memo)
         merged = np.vstack([X, Y])
         merged_objs = np.vstack([objs, objs_y])
         merged_data = data + data_y
+        merged_keys = keys + keys_y
         keep: list[int] = []
         for front in nondominated_sort(merged_objs):
             if len(keep) + len(front) <= N:
@@ -194,6 +214,8 @@ def run_nsga2(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
         X = merged[keep]
         objs = merged_objs[keep]
         data = [merged_data[k] for k in keep]
+        keys = [merged_keys[k] for k in keep]
+        memo = {key: memo[key] for key in keys if key is not None}
     first = nondominated_sort(objs)[0]
     sols = [_payload_solution(ctx, objs[k], data[k]) for k in first if data[k] is not None]
     return ParetoFront.from_candidates(sols)
@@ -229,7 +251,7 @@ def run_mopso(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     L = genome_length(inst.n)
     X = rng.random((N, L))
     V = np.zeros((N, L))
-    objs, data = _evaluate_population(ctx, X)
+    objs, data, _ = _evaluate_population(ctx, X)
     pbest_x = X.copy()
     pbest = objs.copy()
     archive = GridArchive(capacity=params.archive_capacity or N,
@@ -252,7 +274,7 @@ def run_mopso(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
             X[i] = np.clip(X[i] + V[i], 0.0, _UPPER)
             if rng.random() < p_turb:
                 X[i][int(rng.integers(L))] = rng.random()
-        objs, data = _evaluate_population(ctx, X)
+        objs, data, _ = _evaluate_population(ctx, X)
         new_wins = _dominates_rows(objs, pbest)
         better = new_wins.copy()
         for i in np.flatnonzero(~new_wins & ~_dominates_rows(pbest, objs)):
@@ -275,7 +297,7 @@ def run_mowoa(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     L = genome_length(inst.n)
     T = params.max_iterations
     X = rng.random((N, L))
-    objs, data = _evaluate_population(ctx, X)
+    objs, data, _ = _evaluate_population(ctx, X)
     archive = GridArchive(capacity=params.archive_capacity or N,
                           divisions=params.grid_divisions)
     _feed(archive, objs, X, data, rng)
@@ -300,7 +322,7 @@ def run_mowoa(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
                 gain = math.exp(params.spiral_b * spiral) * math.cos(2.0 * math.pi * spiral)
                 X[i] = np.abs(lvec - X[i]) * gain + lvec
             X[i] = np.clip(X[i], 0.0, _UPPER)
-        objs, data = _evaluate_population(ctx, X)
+        objs, data, _ = _evaluate_population(ctx, X)
         _feed(archive, objs, X, data, rng)
     return _archive_front(ctx, archive)
 

@@ -30,8 +30,8 @@ def _check_population(inst, seed, count):
     # the population pipeline the metaheuristics run: decode, repair, price
     ctx = make_context(inst, 0.5)
     X = np.random.default_rng(seed).random((count, genome_length(inst.n)))
-    objs, payloads = _evaluate_population(ctx, X)
-    again, payloads_again = _evaluate_population(ctx, X)
+    objs, payloads, _ = _evaluate_population(ctx, X)
+    again, payloads_again, _ = _evaluate_population(ctx, X)
     assert np.array_equal(objs, again)
     feasible_seen = 0
     for row, payload, other in zip(objs, payloads, payloads_again):
@@ -90,7 +90,8 @@ def test_repair_flips_heaviest_pairs(tiny):
     squeezed = dataclasses.replace(tiny, capacity=np.array([1e9, 150.0, 1e9]))
     ctx = make_context(squeezed, 0.5)
     a = np.array([1, 1, 1])
-    repaired = _repair_mask(ctx, a, ctx.offdiag.copy())
+    mask = ctx.offdiag.copy()
+    repaired = _repair_mask(ctx, a, mask, loads_from_mask(ctx, a, mask))
     assert repaired is not None
     direct_pairs = {(int(i), int(j)) for i, j in np.argwhere(ctx.offdiag & ~repaired)}
     assert direct_pairs == {(1, 2), (2, 0), (0, 2)}
@@ -109,7 +110,8 @@ def test_repair_returns_none_when_stuck(tiny):
         travel_time=tt,
     )
     ctx = make_context(no_direct, 0.5)
-    assert _repair_mask(ctx, np.array([1, 1, 1]), ctx.offdiag.copy()) is None
+    a = np.array([1, 1, 1])
+    assert _repair_mask(ctx, a, ctx.offdiag, loads_from_mask(ctx, a, ctx.offdiag)) is None
 
 
 def _reference_repair(ctx, a, mask):
@@ -172,7 +174,7 @@ def test_repair_matches_the_rescanning_loop():
         for r in np.flatnonzero(~bad):
             mask, a = masks[r], assignment[r]
             before = mask.copy()
-            got = _repair_mask(thinned, a, mask)
+            got = _repair_mask(thinned, a, mask, loads_from_mask(thinned, a, mask))
             want = _reference_repair(thinned, a, mask)
             assert np.array_equal(mask, before)
             assert (got is None) == (want is None)
@@ -236,7 +238,8 @@ def _reference_population(ctx, X):
     payloads = []
     for r, vec in enumerate(X):
         dec = _reference_decode(ctx, vec)
-        mask = None if dec is None else _repair_mask(ctx, dec[0], dec[2])
+        mask = None if dec is None else _repair_mask(
+            ctx, dec[0], dec[2], loads_from_mask(ctx, dec[0], dec[2]))
         if mask is None:
             payloads.append(None)
             continue
@@ -253,7 +256,7 @@ def _hub_heavy(inst, rows, seed):
     return X
 
 
-@pytest.mark.parametrize("name", ["c7", "preset1", "gen6", "p11", "short-range"])
+@pytest.mark.parametrize("name", ["c7", "preset1", "gen6", "p11", "short-range", "squeezed"])
 def test_population_path_matches_the_genome_by_genome_reference(name, gen6, monkeypatch):
     c7 = generate(GeneratorSpec(n=10, p=3, seed=7))
     inst = {
@@ -263,26 +266,79 @@ def test_population_path_matches_the_genome_by_genome_reference(name, gen6, monk
         "p11": generate(GeneratorSpec(n=14, p=11, seed=5)),   # up to 11 open hubs
         # spokes out of every hub's range: undecodable genomes
         "short-range": dataclasses.replace(c7, omega=float(np.percentile(c7.distance, 25))),
+        # with a fifth of the pairs unable to fly direct, some rows cannot be repaired
+        "squeezed": dataclasses.replace(c7, capacity=c7.capacity * 0.3),
     }[name]
     X = _hub_heavy(inst, 60, 11)
+    repair = metaheuristics._repair_mask
+    calls = []
+
+    def recorded(ctx, assignment, mask, loads):
+        # the chunk's batched loads, row by row
+        assert loads.tobytes() == loads_from_mask(ctx, assignment, mask).tobytes()
+        calls.append(mask.tobytes())
+        return repair(ctx, assignment, mask, loads)
+
+    monkeypatch.setattr(metaheuristics, "_repair_mask", recorded)
     for rate in (0.0, 0.5, 1.0):
         ctx = make_context(inst, rate)
+        if name == "squeezed":
+            keep = np.random.default_rng(3).random(ctx.q.shape) >= 0.2
+            ctx = dataclasses.replace(ctx, direct=np.where(keep[..., None], ctx.direct, np.inf))
         want, want_payloads = _reference_population(ctx, X)
+        decoded = [dec is not None for dec in (_reference_decode(ctx, vec) for vec in X)]
+        memo = {}
+        _evaluate_population(ctx, X[::2], memo)      # a memo an earlier call filled
         # one chunk, then chunks of seven rows with a short last one
         for cells in (metaheuristics._CHUNK_CELLS, 7 * inst.n ** 2):
             monkeypatch.setattr(metaheuristics, "_CHUNK_CELLS", cells)
-            got, got_payloads = _evaluate_population(ctx, X)
-            assert got.tobytes() == want.tobytes()
-            assert len(got_payloads) == len(want_payloads)
-            for g, w in zip(got_payloads, want_payloads):
-                assert (g is None) == (w is None)
-                if w is not None:
-                    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                               for a, b in zip(g, w))
+            for m in (None, memo):
+                calls.clear()
+                entries = None if m is None else len(m)
+                got, got_payloads, keys = _evaluate_population(ctx, X, m)
+                assert got.tobytes() == want.tobytes()
+                assert len(got_payloads) == len(want_payloads)
+                for g, w in zip(got_payloads, want_payloads):
+                    assert (g is None) == (w is None)
+                    if w is not None:
+                        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                                   for a, b in zip(g, w))
+                # every decoded row is repaired, but with a memo only on the
+                # first row of each key the memo does not hold yet
+                if m is None:
+                    assert len(calls) == sum(decoded) and keys == [None] * len(X)
+                else:
+                    assert len(calls) == len(m) - entries
+                    assert [k is not None for k in keys] == decoded
+                    assert set(m) == {k for k in keys if k is not None}
+                # payloads own their masks: scribbling on them leaves the memo intact
+                for payload in got_payloads:
+                    if payload is not None:
+                        payload[2][...] = ~payload[2]
+        if name == "squeezed":
+            repairs = [v is None for v in memo.values()]
+            assert any(repairs) and not all(repairs)
     if name == "short-range":
-        assert any(_reference_decode(ctx, vec) is None for vec in X)
+        assert not all(decoded)
     if name == "p11":
         assert max(len(p[1]) for p in want_payloads if p is not None) >= 8
+
+
+def test_nsga2_memo_stays_within_twice_the_population(monkeypatch):
+    # the memo is pruned to the survivors' keys after every selection
+    inst = generate(preset(1))
+    evaluate = metaheuristics._evaluate_population
+    sizes = []
+
+    def recorded(ctx, X, memo=None):
+        out = evaluate(ctx, X, memo)
+        sizes.append(len(memo))
+        return out
+
+    monkeypatch.setattr(metaheuristics, "_evaluate_population", recorded)
+    params = metaheuristics.AlgorithmParams(max_iterations=15, population_size=20)
+    metaheuristics.run_nsga2(inst, params)
+    assert len(sizes) == 16 and 0 < max(sizes) <= 2 * params.population_size
 
 
 def test_population_memory_stays_bounded():
@@ -294,7 +350,7 @@ def test_population_memory_stays_bounded():
     X = np.random.default_rng(0).random((100, genome_length(inst.n)))
     tracemalloc.start()
     try:
-        objs, payloads = _evaluate_population(ctx, X)
+        objs, payloads, _ = _evaluate_population(ctx, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

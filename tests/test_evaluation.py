@@ -29,7 +29,7 @@ from hubnet.evaluation import (
     plan_from_mask,
     solution_from_plan,
 )
-from hubnet.generator import GeneratorSpec, generate
+from hubnet.generator import GeneratorSpec, generate, preset
 from hubnet.model import (
     FEAS_TOL,
     Direct,
@@ -148,6 +148,37 @@ def test_mask_path_matches_typed_path():
         np.testing.assert_allclose(loads_from_mask(ctx, assignment, mask),
                                    hub_loads(inst, plan, rate), atol=1e-9)
         assert np.array_equal(_direct_pairs(plan), ctx.offdiag & ~mask)
+
+
+@pytest.mark.parametrize("name", ["gen6", "preset1", "preset4", "squeezed"])
+def test_batched_loads_equal_the_one_plan_loads(name, gen6):
+    # row r of the (N, n) form is the one-plan call on row r, byte for byte,
+    # over designs with one-hub, two-hub and (masked-out) diagonal cells
+    inst = {
+        "gen6": gen6,
+        "preset1": generate(preset(1)),
+        "preset4": generate(preset(4)),
+        "squeezed": dataclasses.replace(gen6, capacity=gen6.capacity * 0.1),
+    }[name]
+    n = inst.n
+    ctx = make_context(inst, 0.5)
+    rng = np.random.default_rng(n)
+    rows = []
+    for h in [1] + [inst.p] * 3 + list(rng.integers(1, inst.p + 1, size=8)):
+        hubs = np.sort(rng.choice(n, size=int(h), replace=False))
+        a = hubs[rng.integers(0, len(hubs), size=n)]
+        a[hubs] = hubs
+        rows.append(a)
+    assignment = np.array(rows)
+    masks = rng.random((len(rows), n, n)) < 0.7
+    masks[:, np.arange(n), np.arange(n)] = True
+    batch = loads_from_mask(ctx, assignment, masks)
+    assert batch.shape == (len(rows), n)
+    for a, mask, got in zip(assignment, masks, batch):
+        assert got.tobytes() == loads_from_mask(ctx, a, mask).tobytes()
+    same_hub = assignment[:, :, None] == assignment[:, None, :]
+    assert (masks & same_hub & ctx.offdiag).any() and (masks & ~same_hub).any()
+    assert (batch > 0).any()
 
 
 def test_time_cap_sets_inf_exactly_where_the_typed_route_time_breaks_it():

@@ -22,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from hubnet import exact
+from hubnet import exact, metaheuristics
 from hubnet.evaluation import compute_objectives, hub_tables, plan_from_mask
 from hubnet.exact import (
     DEFAULT_BUDGET,
@@ -33,6 +33,7 @@ from hubnet.exact import (
 )
 from hubnet.fronts import dominates
 from hubnet.generator import GeneratorSpec, generate
+from hubnet.metaheuristics import ALGORITHMS, AlgorithmParams
 from hubnet.model import (
     check_feasibility,
     feasibility_violations,
@@ -44,6 +45,7 @@ from hubnet.model import (
     route_time,
 )
 
+import oracle
 from conftest import make_instance
 from oracle import config_states, naive_designs, oracle_front
 
@@ -443,3 +445,53 @@ def test_routing_search_cost_is_the_oracle_cheapest_fitting_routing(name, reques
             assert (res is None) == (len(fit) == 0), (g, eps2, eps3)
             if res is not None:
                 assert abs(res[0][0] - fit.min()) <= 1e-6, (g, eps2, eps3)
+
+
+def test_solvers_match_the_oracle_where_hub_capacity_binds(monkeypatch):
+    """At half capacity, unlike C1's instances, hub loads bind: the oracle
+    prunes on load columns, every 6 x 6 cell's cost optimum equals the
+    oracle's, and the population solvers repair pairs yet emit feasible
+    fronts that never beat the oracle's."""
+    widths = []
+    nondominated = oracle.nondominated_mask
+
+    def measured(rows):
+        widths.append(rows.shape[1])
+        return nondominated(rows)
+
+    monkeypatch.setattr(oracle, "nondominated_mask", measured)
+    flips = []
+    repair = metaheuristics._repair_mask
+
+    def counted(ctx, assignment, mask, loads):
+        out = repair(ctx, assignment, mask, loads)
+        flips.append(0 if out is None else int(mask.sum() - out.sum()))
+        return out
+
+    monkeypatch.setattr(metaheuristics, "_repair_mask", counted)
+    grid = EpsilonGrid(6, 6)
+    params = AlgorithmParams(max_iterations=30)
+    for seed in range(100, 104):
+        base = generate(GeneratorSpec(n=5, p=2, seed=seed))
+        inst = dataclasses.replace(base, capacity=base.capacity * 0.5)
+        widths.clear()
+        orows = oracle_front(inst).objective_rows()
+        assert max(widths) > 3, seed              # objectives plus hub loads
+        index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+        payoff = np.array([exact._solve_min(index, m, math.inf, math.inf).objectives.as_tuple()
+                           for m in range(3)])
+        for eps2, eps3 in grid.cells((payoff[:, 1].min(), payoff[:, 1].max()),
+                                     (payoff[:, 2].min(), payoff[:, 2].max())):
+            res = exact._solve_min(index, 0, eps2, eps3)
+            sel = (orows[:, 1] <= eps2 + 1e-9) & (orows[:, 2] <= eps3 + 1e-9)
+            assert (res is None) == (not sel.any()), (seed, eps2, eps3)
+            if res is not None:
+                assert res.objectives.z1 == orows[sel, 0].min(), (seed, eps2, eps3)
+        for name in sorted(ALGORITHMS):
+            front = ALGORITHMS[name](inst, params, seed=seed)
+            assert front.solutions, (seed, name)
+            for sol in front.solutions:
+                assert check_feasibility(inst, sol, 0.5) == [], (seed, name)
+                z = sol.objectives.as_tuple()
+                assert not any(dominates(z, tuple(o)) for o in orows), (seed, name, z)
+    assert sum(flips) > 0
