@@ -104,20 +104,25 @@ def _load_valid(path: str):
     return inst
 
 
+# (flag, AlgorithmParams field, type, help); defaults come from AlgorithmParams()
+_PARAM_FLAGS = (
+    ("--max-it", "max_iterations", int, None),
+    ("--pop", "population_size", int, None),
+    ("--pc", "crossover_prob", float, "crossover probability"),
+    ("--pm", "mutation_prob", float, "per-offspring mutation probability"),
+    ("--w", "inertia", float, "swarm inertia weight"),
+    ("--c1", "cognitive", float, "cognitive coefficient"),
+    ("--c2", "social", float, "social coefficient"),
+    ("--a-max", "whale_a_max", float, "whale amplitude start"),
+    ("--c-range", "whale_c_range", float, "whale wobble bound"),
+    ("--archive-cap", "archive_capacity", int, None),
+    ("--grid-divisions", "grid_divisions", int, "archive grid slices"),
+)
+
+
 def _params_from(args: argparse.Namespace) -> AlgorithmParams:
-    return AlgorithmParams(
-        max_iterations=args.max_it,
-        population_size=args.pop,
-        crossover_prob=args.pc,
-        mutation_prob=args.pm,
-        inertia=args.w,
-        cognitive=args.c1,
-        social=args.c2,
-        whale_a_max=args.a_max,
-        whale_c_range=args.c_range,
-        archive_capacity=args.archive_cap,
-        grid_divisions=args.grid_divisions,
-    )
+    return AlgorithmParams(**{field: getattr(args, flag[2:].replace("-", "_"))
+                              for flag, field, _, _ in _PARAM_FLAGS})
 
 
 def _add_solver_options(sub: argparse.ArgumentParser) -> None:
@@ -125,22 +130,8 @@ def _add_solver_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--alpha-prime", type=_rate, default=0.5,
                      help="demand defuzzification rate in [0, 1]")
-    sub.add_argument("--max-it", type=int, default=params.max_iterations)
-    sub.add_argument("--pop", type=int, default=params.population_size)
-    sub.add_argument("--pc", type=float, default=params.crossover_prob,
-                     help="crossover probability")
-    sub.add_argument("--pm", type=float, default=params.mutation_prob,
-                     help="per-offspring mutation probability")
-    sub.add_argument("--w", type=float, default=params.inertia, help="swarm inertia weight")
-    sub.add_argument("--c1", type=float, default=params.cognitive, help="cognitive coefficient")
-    sub.add_argument("--c2", type=float, default=params.social, help="social coefficient")
-    sub.add_argument("--a-max", type=float, default=params.whale_a_max,
-                     help="whale amplitude start")
-    sub.add_argument("--c-range", type=float, default=params.whale_c_range,
-                     help="whale wobble bound")
-    sub.add_argument("--archive-cap", type=int, default=params.archive_capacity)
-    sub.add_argument("--grid-divisions", type=int, default=params.grid_divisions,
-                     help="archive grid slices")
+    for flag, field, kind, text in _PARAM_FLAGS:
+        sub.add_argument(flag, type=kind, default=getattr(params, field), help=text)
     _add_exact_options(sub)
 
 

@@ -12,7 +12,8 @@ The population solvers decode a whole population at once with
 :func:`~hubnet.evaluation.loads_from_mask` call, and fix capacity genome
 by genome with :func:`_repair_mask`, which returns a row that fits at
 once; both work on the array form of :mod:`hubnet.evaluation`
-(assignment vector, hub-route mask).
+(assignment vector, hub-route mask).  The assignment alone fixes the open
+hubs: exactly the nodes assigned to themselves.
 Decoding never consumes randomness, so evaluation order cannot change
 results.  A genome with an uncoverable spoke or an untimeable pair fails
 to decode.  Repair takes the most overloaded hub (lowest index on ties)
@@ -40,10 +41,12 @@ def genome_length(n: int) -> int:
 
 
 def _decode_arrays(ctx: EvalContext, X: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Population (N, L) -> (assignment, is_hub, mask, tables, bad), a row per genome.
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Population (N, L) -> (assignment, mask, tables, bad), a row per genome.
 
-    ``bad`` flags the genomes that fail to decode; their other rows are meaningless.
+    Hubs serve themselves and spokes never do, so a row's open hubs are
+    where ``assignment == arange(n)``.  ``bad`` flags the genomes that fail
+    to decode; their other rows are meaningless.
     """
     inst = ctx.inst
     n = inst.n
@@ -75,7 +78,7 @@ def _decode_arrays(ctx: EvalContext, X: np.ndarray
     prefer_hub = route_keys >= 0.5
     mask = np.where(prefer_hub, fh, fh & ~fd)
     mask &= ctx.offdiag
-    return assignment, is_hub, mask, tables, bad
+    return assignment, mask, tables, bad
 
 
 def _repair_mask(ctx: EvalContext, assignment: np.ndarray, mask: np.ndarray,

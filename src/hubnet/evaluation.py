@@ -225,13 +225,14 @@ def hub_tables(ctx: EvalContext, assignment: np.ndarray) -> np.ndarray:
                       np.s_[:, :])
 
 
-def evaluate_mask(ctx: EvalContext, tables: np.ndarray, hubs: list[np.ndarray],
+def evaluate_mask(ctx: EvalContext, tables: np.ndarray, assignment: np.ndarray,
                   mask: np.ndarray) -> np.ndarray:
     """Objective rows (N, 3) of the plans encoded by (N, n, n) hub-route masks.
 
-    ``tables`` are the population's :func:`hub_tables` and ``hubs`` holds
-    each genome's open hubs as an index array.  Every plan is summed as a
-    flat row of its own, the order in which one (n, n) masked sum runs.
+    ``tables`` are the :func:`hub_tables` of the (N, n) ``assignment``.  A
+    row's open hubs, whose fixed costs open its cost, are the nodes
+    assigned to themselves.  Every plan is summed as a flat row of its own,
+    the order in which one (n, n) masked sum runs.
     """
     N = len(mask)
     use_hub = (mask & ctx.offdiag).reshape(N, -1)
@@ -239,7 +240,8 @@ def evaluate_mask(ctx: EvalContext, tables: np.ndarray, hubs: list[np.ndarray],
     direct = [np.sum(np.broadcast_to(ctx.direct[..., c].ravel(), use_dir.shape), axis=1,
                      where=use_dir) for c in range(3)]
     hub = [np.sum(tables[..., c].reshape(N, -1), axis=1, where=use_hub) for c in range(3)]
-    fixed = np.array([ctx.inst.fixed_cost[h].sum() for h in hubs], dtype=float)
+    is_hub = assignment == np.arange(ctx.inst.n)
+    fixed = np.array([ctx.inst.fixed_cost[row].sum() for row in is_hub], dtype=float)
     objs = np.column_stack([fixed + direct[0] + hub[0], direct[1] + hub[1], direct[2] + hub[2]])
     return np.round(objs, 6)
 

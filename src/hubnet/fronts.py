@@ -28,19 +28,17 @@ __all__ = [
 ]
 
 
-def _triple(obj) -> tuple[float, float, float]:
-    if hasattr(obj, "as_tuple"):
-        return obj.as_tuple()
-    t = tuple(float(v) for v in obj)
-    if len(t) != 3:
-        raise ValueError(f"expected a 3-component objective, got {obj!r}")
-    return t
+def dominates(a, b) -> np.ndarray:
+    """Pareto dominance of minimisation vectors along the last axis.
 
-
-def dominates(a, b) -> bool:
-    """True if ``a`` is no worse than ``b`` everywhere and better somewhere."""
-    ta, tb = _triple(a), _triple(b)
-    return all(x <= y for x, y in zip(ta, tb)) and any(x < y for x, y in zip(ta, tb))
+    True where ``a`` is no worse than ``b`` in every component and better
+    in one.  ``a`` and ``b`` are array-likes that broadcast against each
+    other: two vectors give one boolean, two (N, m) arrays a row-wise test,
+    and ``rows[:, None]`` against ``rows[None]`` the (S, S) matrix whose
+    entry (i, j) says row i dominates row j.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return (a <= b).all(axis=-1) & (a < b).any(axis=-1)
 
 
 def _staircase_filter_3d(rows: np.ndarray) -> np.ndarray:
@@ -86,9 +84,8 @@ def _pairwise_filter(rows: np.ndarray) -> np.ndarray:
         later = rows[i + 1:]
         if len(later) == 0:
             break
-        dominated = np.all(later >= r, axis=1) & np.any(later > r, axis=1)
         duplicate = np.all(later == r, axis=1)
-        keep_sorted[i + 1:] &= ~(dominated | duplicate)
+        keep_sorted[i + 1:] &= ~(dominates(r, later) | duplicate)
     keep = np.zeros(s, dtype=bool)
     keep[order] = keep_sorted
     return keep
@@ -127,18 +124,14 @@ def nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
     s = len(rows)
     if s == 0:
         return []
-    a = rows[:, None, :]
-    b = rows[None, :, :]
     with np.errstate(invalid="ignore"):
-        dom = np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+        dom = dominates(rows[:, None, :], rows[None, :, :])
     n_dominators = dom.sum(axis=0)
     fronts: list[list[int]] = []
     remaining = n_dominators.copy()
     assigned = np.zeros(s, dtype=bool)
     while not assigned.all():
         current = np.where(~assigned & (remaining == 0))[0]
-        if len(current) == 0:  # defensive: cannot happen with a strict partial order
-            current = np.where(~assigned)[0]
         fronts.append([int(i) for i in current])
         assigned[current] = True
         remaining = remaining - dom[current].sum(axis=0)

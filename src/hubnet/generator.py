@@ -14,6 +14,13 @@ One recipe with documented draw order so a seed pins the instance bytes:
 Travel times are distance/10 rounded up; the delivery window per pair is
 [floor(0.8 t), ceil(1.2 t)] around that nominal time, so direct routes sit
 inside their window and hub detours pay lateness.
+
+The scalars are constants of the recipe: coverage radius omega 250,
+discounts alpha 0.6 (hub-hub) and beta 0.8 (spoke-hub), earliness and
+lateness penalties 1.2 and 1.3 per time unit on every pair, 50 cargo units
+per aircraft, landing/take-off doses 1 and 3 and climb/cruise/descent
+rates 2 and 0.5 per distance unit for the two pollutants.  A spec names
+only the size (``n`` nodes, at most ``p`` hubs) and the ``seed``.
 """
 
 from __future__ import annotations
@@ -35,21 +42,11 @@ PRESET_SIZES = [
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Size, seed and the scalar knobs of the benchmark recipe."""
+    """Size and seed of one draw from the benchmark recipe."""
 
     n: int
     p: int
     seed: int = 0
-    omega: float = 250.0
-    alpha_discount: float = 0.6
-    beta_discount: float = 0.8
-    early_penalty: float = 1.2
-    late_penalty: float = 1.3
-    aircraft_capacity: float = 50.0
-    lto_p1: float = 1.0
-    lto_p2: float = 3.0
-    ccd_rate_p1: float = 2.0
-    ccd_rate_p2: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -88,7 +85,7 @@ def generate(spec: GeneratorSpec) -> ProblemInstance:
     return ProblemInstance(
         n=n,
         p=spec.p,
-        omega=spec.omega,
+        omega=250.0,
         fixed_cost=fixed_cost,
         capacity=capacity,
         handling_cost=handling_cost,
@@ -97,17 +94,17 @@ def generate(spec: GeneratorSpec) -> ProblemInstance:
         max_transfer_time=sigma,
         unit_transport_cost=transport,
         demand=demand,
-        alpha_discount=spec.alpha_discount,
-        beta_discount=spec.beta_discount,
-        early_penalty=np.full((n, n), spec.early_penalty),
-        late_penalty=np.full((n, n), spec.late_penalty),
+        alpha_discount=0.6,
+        beta_discount=0.8,
+        early_penalty=np.full((n, n), 1.2),
+        late_penalty=np.full((n, n), 1.3),
         window_lower=window_lower,
         window_upper=window_upper,
-        aircraft_capacity=spec.aircraft_capacity,
-        lto_p1=spec.lto_p1,
-        lto_p2=spec.lto_p2,
-        ccd_rate_p1=spec.ccd_rate_p1,
-        ccd_rate_p2=spec.ccd_rate_p2,
+        aircraft_capacity=50.0,
+        lto_p1=1.0,
+        lto_p2=3.0,
+        ccd_rate_p1=2.0,
+        ccd_rate_p2=0.5,
     )
 
 

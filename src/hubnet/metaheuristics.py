@@ -23,7 +23,7 @@ import numpy as np
 from .archive import GridArchive
 from .encoding import _decode_arrays, _repair_mask, genome_length
 from .evaluation import EvalContext, evaluate_mask, loads_from_mask, make_context, plan_from_mask
-from .fronts import ParetoFront, crowding_distance, nondominated_sort
+from .fronts import ParetoFront, crowding_distance, dominates, nondominated_sort
 from .model import EvaluatedSolution, NetworkDesign, ObjectiveVector, ProblemInstance
 
 __all__ = ["AlgorithmParams", "run_nsga2", "run_mopso", "run_mowoa", "ALGORITHMS"]
@@ -32,6 +32,7 @@ _UPPER = np.nextafter(1.0, 0.0)
 _PENALTY = (math.inf, math.inf, math.inf)
 _SBX_ETA = 15.0
 _V_MAX = 0.2    # swarm speed cap, fraction of the unit box per step
+_SPIRAL_B = 1.0   # whale: logarithmic spiral pitch
 _CHUNK_CELLS = 2 ** 20   # pair cells per decode-and-price chunk of a population
 
 
@@ -48,7 +49,6 @@ class AlgorithmParams:
     social: float = 1.0               # swarm: pull toward archive leader
     whale_a_max: float = 2.0          # whale: initial encircling amplitude
     whale_c_range: float = 3.0        # whale: wobble coefficient upper bound
-    spiral_b: float = 1.0             # whale: logarithmic spiral pitch
     archive_capacity: Optional[int] = None   # None: population size
     grid_divisions: int = 7
 
@@ -61,8 +61,7 @@ class AlgorithmParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("inertia", "cognitive", "social", "whale_a_max",
-                     "whale_c_range", "spiral_b"):
+        for name in ("inertia", "cognitive", "social", "whale_a_max", "whale_c_range"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         if self.archive_capacity is not None and self.archive_capacity < 1:
@@ -73,7 +72,7 @@ class AlgorithmParams:
 
 def _evaluate_population(ctx: EvalContext, X: np.ndarray, memo: Optional[dict] = None
                          ) -> tuple[np.ndarray, list, list]:
-    """Objective rows (+inf rows for failures), decoded payloads and repair keys.
+    """Objective rows (+inf rows for failures), (assignment, mask) payloads and repair keys.
 
     Decoding, hub loads and pricing run on row chunks of at most
     ``_CHUNK_CELLS`` pair cells, which bounds the (rows, n, n) tables on
@@ -91,9 +90,8 @@ def _evaluate_population(ctx: EvalContext, X: np.ndarray, memo: Optional[dict] =
     payloads: list = []
     keys: list = []
     for start in range(0, len(X), step):
-        assignment, is_hub, masks, tables, bad = _decode_arrays(ctx, X[start:start + step])
+        assignment, masks, tables, bad = _decode_arrays(ctx, X[start:start + step])
         loads = loads_from_mask(ctx, assignment, masks)
-        hubs = [np.flatnonzero(row) for row in is_hub]
         for r in range(len(bad)):
             key = mask = None
             if not bad[r]:
@@ -110,16 +108,17 @@ def _evaluate_population(ctx: EvalContext, X: np.ndarray, memo: Optional[dict] =
                 payloads.append(None)
             else:
                 masks[r] = mask
-                payloads.append((assignment[r].copy(), hubs[r], masks[r].copy()))
+                payloads.append((assignment[r].copy(), masks[r].copy()))
         chunk = objs[start:start + len(bad)]
-        chunk[:] = evaluate_mask(ctx, tables, hubs, masks)
+        chunk[:] = evaluate_mask(ctx, tables, assignment, masks)
         chunk[bad] = _PENALTY
     return objs, payloads, keys
 
 
 def _payload_solution(ctx: EvalContext, objectives, payload) -> EvaluatedSolution:
-    assignment, hubs, mask = payload
-    design = NetworkDesign.from_hubs(ctx.inst.n, hubs, assignment)
+    assignment, mask = payload
+    design = NetworkDesign.from_hubs(ctx.inst.n, assignment[assignment == np.arange(ctx.inst.n)],
+                                     assignment)
     return EvaluatedSolution(
         design=design,
         plan=plan_from_mask(design, mask),
@@ -224,11 +223,6 @@ def run_nsga2(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
 # --- particle swarm ----------------------------------------------------------
 
 
-def _dominates_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`dominates` of two (N, 3) objective arrays."""
-    return (a <= b).all(axis=1) & (a < b).any(axis=1)
-
-
 def _feed(archive: GridArchive, objs: np.ndarray, X: np.ndarray, data: list,
           rng: np.random.Generator) -> None:
     """Offer every decodable member of the population to the archive, in order."""
@@ -275,9 +269,9 @@ def run_mopso(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
             if rng.random() < p_turb:
                 X[i][int(rng.integers(L))] = rng.random()
         objs, data, _ = _evaluate_population(ctx, X)
-        new_wins = _dominates_rows(objs, pbest)
+        new_wins = dominates(objs, pbest)
         better = new_wins.copy()
-        for i in np.flatnonzero(~new_wins & ~_dominates_rows(pbest, objs)):
+        for i in np.flatnonzero(~new_wins & ~dominates(pbest, objs)):
             better[i] = rng.random() < 0.5   # incomparable: coin flip
         pbest[better] = objs[better]
         pbest_x[better] = X[better]
@@ -319,7 +313,7 @@ def run_mowoa(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
                 X[i] = target - A * np.abs(C * target - X[i])
             else:
                 spiral = rng.uniform(-1.0, 1.0)
-                gain = math.exp(params.spiral_b * spiral) * math.cos(2.0 * math.pi * spiral)
+                gain = math.exp(_SPIRAL_B * spiral) * math.cos(2.0 * math.pi * spiral)
                 X[i] = np.abs(lvec - X[i]) * gain + lvec
             X[i] = np.clip(X[i], 0.0, _UPPER)
         objs, data, _ = _evaluate_population(ctx, X)

@@ -59,20 +59,19 @@ def round6(x: float) -> float:
     return float(np.round(x, 6))
 
 
-def _as_vector(value, n: int, name: str) -> np.ndarray:
+def _as_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A read-only float copy of ``value``; any other shape is an error."""
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     arr.flags.writeable = False
     return arr
 
 
-def _as_matrix(value, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (n, n):
-        raise ValueError(f"{name} must have shape ({n}, {n}), got {arr.shape}")
-    arr.flags.writeable = False
-    return arr
+# the per-node and per-pair array fields of ProblemInstance
+_VECTORS = ("fixed_cost", "capacity", "handling_cost")
+_MATRICES = ("distance", "travel_time", "max_transfer_time", "unit_transport_cost",
+             "early_penalty", "late_penalty", "window_lower", "window_upper")
 
 
 @dataclass(frozen=True)
@@ -109,17 +108,9 @@ class ProblemInstance:
 
     def __post_init__(self) -> None:
         n = self.n
-        object.__setattr__(self, "fixed_cost", _as_vector(self.fixed_cost, n, "fixed_cost"))
-        object.__setattr__(self, "capacity", _as_vector(self.capacity, n, "capacity"))
-        object.__setattr__(self, "handling_cost", _as_vector(self.handling_cost, n, "handling_cost"))
-        for name in ("distance", "travel_time", "max_transfer_time", "unit_transport_cost",
-                     "early_penalty", "late_penalty", "window_lower", "window_upper"):
-            object.__setattr__(self, name, _as_matrix(getattr(self, name), n, name))
-        dem = np.asarray(self.demand, dtype=float)
-        if dem.shape != (n, n, 4):
-            raise ValueError(f"demand must have shape ({n}, {n}, 4), got {dem.shape}")
-        dem.flags.writeable = False
-        object.__setattr__(self, "demand", dem)
+        for names, shape in ((_VECTORS, (n,)), (_MATRICES, (n, n)), (("demand",), (n, n, 4))):
+            for name in names:
+                object.__setattr__(self, name, _as_array(getattr(self, name), shape, name))
 
     def demand_matrix(self, alpha_prime: float) -> np.ndarray:
         """Crisp demand for every ordered pair at the given uncertainty rate."""
@@ -265,14 +256,8 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
         out.append("distance diagonal must be zero")
     if inst.omega < 0:
         out.append(f"coverage radius omega must be >= 0, got {inst.omega}")
-    for name in ("fixed_cost", "capacity", "handling_cost"):
-        arr = getattr(inst, name)
-        if np.any(arr < 0):
-            out.append(f"{name} has negative entries")
-    for name in ("distance", "travel_time", "max_transfer_time", "unit_transport_cost",
-                 "early_penalty", "late_penalty", "window_lower", "window_upper"):
-        arr = getattr(inst, name)
-        if np.any(arr < 0):
+    for name in _VECTORS + _MATRICES:
+        if np.any(getattr(inst, name) < 0):
             out.append(f"{name} has negative entries")
     bad_windows = np.argwhere(inst.window_lower > inst.window_upper)
     for i, j in bad_windows:

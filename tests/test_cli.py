@@ -6,6 +6,7 @@ or budget overrun, 3 I/O problems.
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from conftest import make_instance
 from hubnet.cli import _params_from, build_parser, main
 from hubnet.exact import EpsilonGrid
 from hubnet.fileio import load_instance, read_front_csv, save_instance
+from hubnet.generator import generate, preset
 from hubnet.metaheuristics import AlgorithmParams
 
 
@@ -379,3 +381,47 @@ def test_sweep_refuses_a_bad_value_before_solving(tmp_path, capsys, monkeypatch)
     assert "cannot sweep alpha to -3.0" in capsys.readouterr().err
     assert solves == []
     assert not out.exists()
+
+
+def test_sweep_without_front_solves_exactly_first(tmp_path):
+    inst = _gen(tmp_path)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--instance", str(inst), "--param", "phi", "--values", "30,60",
+                 "--out", str(out), "--grid-z2", "2", "--grid-z3", "2"]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["value", "z1", "z2", "z3"]
+    assert [float(r[0]) for r in rows[1:]] == [30.0, 60.0]
+
+
+def test_generate_preset_writes_the_library_instance(tmp_path):
+    out = tmp_path / "preset1.json"
+    assert main(["generate", "--out", str(out), "--preset", "1"]) == 0
+    ref = tmp_path / "ref.json"
+    save_instance(generate(preset(1)), ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_validate_flags_a_front_over_a_squeezed_capacity(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    front = tmp_path / "front.csv"
+    assert main(["solve", "--instance", str(inst), "--solver", "exact",
+                 "--out", str(front), "--grid-z2", "3", "--grid-z3", "3"]) == 0
+    data = json.loads(inst.read_text())
+    data["capacity"] = [0.01 * c for c in data["capacity"]]
+    inst.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst), "--front", str(front)]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^front row \d+: hub \d+ throughput \S+ exceeds capacity \S+$", out, re.M)
+    assert "instance:" not in out
+
+
+def test_compare_where_every_cell_fails(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["compare", "--instances", str(inst), "--algorithms", "exact",
+                 "--seeds", "0,1", "--out-dir", str(tmp_path / "exp"), "--budget", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("exceeds enumeration budget 1") == 2
+    assert "every cell failed; no tables to rank" in err

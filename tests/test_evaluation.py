@@ -142,7 +142,8 @@ def test_mask_path_matches_typed_path():
         design = NetworkDesign.from_hubs(n, hubs, assignment)
         plan = plan_from_mask(design, mask)
         typed = compute_objectives(inst, design, plan, rate)
-        arrayed = evaluate_mask(ctx, hub_tables(ctx, assignment[None]), [hubs], mask[None])
+        a = assignment[None]
+        arrayed = evaluate_mask(ctx, hub_tables(ctx, a), a, mask[None])
         assert typed == tuple(arrayed[0])
 
         np.testing.assert_allclose(loads_from_mask(ctx, assignment, mask),

@@ -495,3 +495,57 @@ def test_solvers_match_the_oracle_where_hub_capacity_binds(monkeypatch):
                 z = sol.objectives.as_tuple()
                 assert not any(dominates(z, tuple(o)) for o in orows), (seed, name, z)
     assert sum(flips) > 0
+
+
+def _time_capped(inst, caps):
+    """``inst`` with route time caps that bind: ``x1.05`` and ``x1.3`` scale
+    each pair's direct flight time, ``one-stop`` takes the fastest one-stop
+    time where that beats the direct flight, which then breaks the cap, and
+    1.05 times the direct time elsewhere."""
+    t = inst.travel_time
+    if caps == "one-stop":
+        fastest = (t[:, :, None] + t[None, :, :]).min(axis=1)   # via k = i or j: direct
+        cap = np.where(fastest < t, fastest, 1.05 * t)
+    else:
+        cap = float(caps[1:]) * t
+    return dataclasses.replace(inst, max_transfer_time=cap)
+
+
+@pytest.mark.parametrize("caps", ["x1.05", "x1.3", "one-stop"])
+def test_solvers_match_the_oracle_where_time_caps_bind(caps, monkeypatch):
+    """The generated caps (200-300) never bind on 5-30 unit flights; capped
+    near the direct time, some route options break them.  Every 6 x 6
+    cell's cost optimum still equals the oracle's, the routing search meets
+    options over the cap, and the population solvers emit feasible fronts
+    that never beat the oracle's."""
+    over_cap = []
+    bb_routing = exact._bb_routing
+
+    def counted(pd, *args):
+        over_cap.append(bool(np.isinf(pd.contrib[..., 0]).any()))
+        return bb_routing(pd, *args)
+
+    monkeypatch.setattr(exact, "_bb_routing", counted)
+    grid = EpsilonGrid(6, 6)
+    params = AlgorithmParams(max_iterations=30)
+    for seed in range(100, 108):
+        inst = _time_capped(generate(GeneratorSpec(n=5, p=2, seed=seed)), caps)
+        orows = oracle_front(inst).objective_rows()
+        index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+        payoff = np.array([exact._solve_min(index, m, math.inf, math.inf).objectives.as_tuple()
+                           for m in range(3)])
+        for eps2, eps3 in grid.cells((payoff[:, 1].min(), payoff[:, 1].max()),
+                                     (payoff[:, 2].min(), payoff[:, 2].max())):
+            res = exact._solve_min(index, 0, eps2, eps3)
+            sel = (orows[:, 1] <= eps2 + 1e-9) & (orows[:, 2] <= eps3 + 1e-9)
+            assert (res is None) == (not sel.any()), (seed, eps2, eps3)
+            if res is not None:
+                assert res.objectives.z1 == orows[sel, 0].min(), (seed, eps2, eps3)
+        for name in sorted(ALGORITHMS):
+            front = ALGORITHMS[name](inst, params, seed=seed)
+            assert front.solutions, (seed, name)
+            for sol in front.solutions:
+                assert check_feasibility(inst, sol, 0.5) == [], (seed, name)
+                z = sol.objectives.as_tuple()
+                assert not dominates(z, orows).any(), (seed, name, z)
+    assert any(over_cap)

@@ -34,7 +34,7 @@ def test_dominates_basics():
     assert dominates((0, 0, 0), (1, 1, 1))
     assert not dominates((1, 2, 3), (1, 2, 3))
     assert not dominates((0, 5, 0), (1, 1, 1))
-    assert dominates(ObjectiveVector(1, 1, 1), (2, 1, 1))
+    assert dominates(ObjectiveVector(1, 1, 1).as_tuple(), (2, 1, 1))
 
 
 def brute_mask(rows):
