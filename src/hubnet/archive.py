@@ -27,7 +27,7 @@ __all__ = ["ArchiveEntry", "GridArchive"]
 class ArchiveEntry:
     objectives: tuple[float, float, float]
     vector: np.ndarray          # genome that produced the point
-    payload: object             # decoded (assignment, hubs, mask)
+    payload: object             # decoded (assignment, mask)
 
 
 @dataclass

@@ -8,13 +8,12 @@ enumeration budget overrun, 3 I/O trouble (missing or unreadable files).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
 from .analysis import compute_metrics
 from .evaluation import evaluate
-from .exact import DEFAULT_BUDGET, EnumerationBudgetError, EpsilonGrid
+from .exact import DEFAULT_BUDGET, EnumerationBudgetError, EpsilonGrid, epsilon_constraint_front
 from .fileio import (
     load_instance,
     read_front_csv,
@@ -77,27 +76,19 @@ def _rate(text: str) -> float:
     return value
 
 
-def _load(path: str):
+def _read(reader, noun: str, path: str):
+    """``reader(path)``; a missing or unreadable file is an I/O error."""
     try:
-        return load_instance(path)
+        return reader(path)
     except FileNotFoundError:
-        raise _CliError(EXIT_IO, f"instance file not found: {path}")
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise _CliError(EXIT_IO, f"cannot read instance {path}: {exc}")
-
-
-def _read_front(path: str):
-    try:
-        return read_front_csv(path)
-    except FileNotFoundError:
-        raise _CliError(EXIT_IO, f"front file not found: {path}")
-    except (OSError, ValueError) as exc:
-        raise _CliError(EXIT_IO, f"cannot read front {path}: {exc}")
+        raise _CliError(EXIT_IO, f"{noun} file not found: {path}")
+    except (OSError, ValueError, KeyError) as exc:
+        raise _CliError(EXIT_IO, f"cannot read {noun} {path}: {exc}")
 
 
 def _load_valid(path: str):
     """The instance at ``path``; every broken invariant is a usage error."""
-    inst = _load(path)
+    inst = _read(load_instance, "instance", path)
     problems = validate_instance(inst)
     if problems:
         raise _CliError(EXIT_USAGE, "\n".join(f"invalid instance: {line}" for line in problems))
@@ -240,10 +231,8 @@ def _cmd_solve(args) -> int:
 
 
 def _pick_plan(args, inst):
-    from .exact import epsilon_constraint_front
-
     if args.front:
-        rows = _read_front(args.front)
+        rows = _read(read_front_csv, "front", args.front)
         if not rows:
             raise _CliError(EXIT_INFEASIBLE, f"front {args.front} is empty")
         best = min(rows, key=lambda r: (r.z1, r.z2, r.z3))
@@ -271,9 +260,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
     try:
-        write_csv(args.out, ("value", "z1", "z2", "z3"),
-                  [[repr(float(v)), repr(z1), repr(z2), repr(z3)]
-                   for v, z1, z2, z3 in rows])
+        write_csv(args.out, ("value", "z1", "z2", "z3"), rows)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
     print(f"swept {args.param} over {len(rows)} values -> {args.out}")
@@ -311,32 +298,33 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    inst = _load(args.instance)
-    problems = validate_instance(inst)
-    for line in problems:
-        print(f"instance: {line}")
-    if args.front:
-        rows = _read_front(args.front)
-        for r, row in enumerate(rows):
-            try:
-                sol = solution_from_row(inst, row)
-            except (ValueError, TypeError) as exc:
-                problems.append(f"row {r}: {exc}")
-                print(f"front row {r}: {exc}")
-                continue
-            report = check_feasibility(inst, sol, sol.alpha_prime)
-            for line in report:
-                problems.append(f"row {r}: {line}")
-                print(f"front row {r}: {line}")
-            if not report:
-                z = evaluate(inst, sol.design, sol.plan, sol.alpha_prime)
-                if z.as_tuple() != sol.objectives.as_tuple():
-                    problems.append(f"row {r}: stored objectives differ")
-                    print(f"front row {r}: stored objectives {sol.objectives.as_tuple()} "
+def _row_findings(inst, row) -> list[str]:
+    """What is wrong with one front row against the instance."""
+    try:
+        sol = solution_from_row(inst, row)
+    except (ValueError, TypeError) as exc:
+        return [str(exc)]
+    report = check_feasibility(inst, sol, sol.alpha_prime)
+    if not report:
+        z = evaluate(inst, sol.design, sol.plan, sol.alpha_prime)
+        if z.as_tuple() != sol.objectives.as_tuple():
+            report.append(f"stored objectives {sol.objectives.as_tuple()} "
                           f"differ from recomputed {z.as_tuple()}")
-    if problems:
-        print(f"validation failed with {len(problems)} finding(s)")
+    return report
+
+
+def _cmd_validate(args) -> int:
+    inst = _read(load_instance, "instance", args.instance)
+    findings = [f"instance: {line}" for line in validate_instance(inst)]
+    for line in findings:
+        print(line)
+    if args.front:
+        for r, row in enumerate(_read(read_front_csv, "front", args.front)):
+            for line in _row_findings(inst, row):
+                findings.append(f"front row {r}: {line}")
+                print(findings[-1])
+    if findings:
+        print(f"validation failed with {len(findings)} finding(s)")
         return EXIT_USAGE
     print("valid")
     return EXIT_OK

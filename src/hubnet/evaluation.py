@@ -53,7 +53,6 @@ __all__ = [
     "evaluate",
     "compute_objectives",
     "solution_from_plan",
-    "route_time",
     "EvalContext",
     "make_context",
     "hub_tables",

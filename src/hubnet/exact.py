@@ -170,7 +170,7 @@ class _ExactIndex:
         b = int(np.searchsorted(self.offsets, g, side="right")) - 1
         return self.blocks[b], g - int(self.offsets[b])
 
-    def pair_data(self, g: int) -> tuple[_Block, np.ndarray, Optional[_PairData]]:
+    def pair_data(self, g: int) -> tuple[_Block, np.ndarray, _PairData]:
         """Config id -> (block, hub positions, routing search data), memoised."""
         cached = self.pd_cache.get(g)
         if cached is None:
@@ -445,14 +445,11 @@ def _pair_order(contrib: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(score)), -score))
 
 
-def _pair_data(index: _ExactIndex, g: int) -> tuple[_Block, np.ndarray, Optional[_PairData]]:
-    """Config id -> (block, hub positions, routing search data), the search
-    data None when some pair has no option within its time cap."""
+def _pair_data(index: _ExactIndex, g: int) -> tuple[_Block, np.ndarray, _PairData]:
+    """Config id -> (block, hub positions, routing search data)."""
     block, _ = index.locate(g)
     opts, positions = _options(index, np.array([g]))
     a_idx = positions[0]
-    if np.isinf(opts[0, :, :, 0]).all(axis=1).any():
-        return block, a_idx, None
     order = _pair_order(opts[0])
     contrib = opts[0, order]
     assignment = np.asarray(block.hubs, dtype=np.intp)[a_idx]
@@ -657,8 +654,6 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
                 if examined > 64:
                     break
             block, a_idx, pd = index.pair_data(g)
-            if pd is None:
-                continue
             prime = best_key[:4] if best_key is not None else (
                 (incumbent_value, math.inf, math.inf, math.inf)
                 if math.isfinite(incumbent_value) else None)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .analysis import FrontMetrics
 from .fronts import ParetoFront
 from .model import (
     Direct,
@@ -44,15 +45,11 @@ __all__ = [
 
 INSTANCE_SCHEMA = "hubnet-instance/1"
 
-_SCALAR_FIELDS = (
-    "n", "p", "omega", "alpha_discount", "beta_discount", "aircraft_capacity",
-    "lto_p1", "lto_p2", "ccd_rate_p1", "ccd_rate_p2",
-)
-_ARRAY_FIELDS = (
-    "fixed_cost", "capacity", "handling_cost", "distance", "travel_time",
-    "max_transfer_time", "unit_transport_cost", "demand",
-    "early_penalty", "late_penalty", "window_lower", "window_upper",
-)
+# ProblemInstance field -> annotation ("int", "float" or "np.ndarray"),
+# in declaration order; files hold its numbers first, then its arrays
+_FIELD_TYPES = {f.name: f.type for f in fields(ProblemInstance)}
+_SCALAR_FIELDS = tuple(k for k, t in _FIELD_TYPES.items() if t != "np.ndarray")
+_ARRAY_FIELDS = tuple(k for k, t in _FIELD_TYPES.items() if t == "np.ndarray")
 
 
 def _reject_constant(name: str):
@@ -69,7 +66,7 @@ def _numbers(doc: dict, name: str) -> np.ndarray:
         raise ValueError(f"instance field {name} must hold numbers only")
     if name in _SCALAR_FIELDS and arr.ndim:
         raise ValueError(f"instance field {name} must be a single number")
-    if name in ("n", "p") and arr.dtype.kind == "f":
+    if _FIELD_TYPES[name] == "int" and arr.dtype.kind == "f":
         raise ValueError(f"instance field {name} must be an integer")
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise ValueError(f"instance field {name} has non-finite values; every number must be finite")
@@ -80,7 +77,7 @@ def save_instance(inst: ProblemInstance, path: Union[str, Path]) -> None:
     doc = {"schema": INSTANCE_SCHEMA}
     for name in _SCALAR_FIELDS:
         value = getattr(inst, name)
-        doc[name] = int(value) if name in ("n", "p") else float(value)
+        doc[name] = int(value) if _FIELD_TYPES[name] == "int" else float(value)
     for name in _ARRAY_FIELDS:
         doc[name] = getattr(inst, name).tolist()
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
@@ -138,15 +135,13 @@ class FrontRow:
     routes: tuple[str, ...]
 
 
-def _solution_row(sol: EvaluatedSolution) -> list[str]:
+def _solution_row(sol: EvaluatedSolution) -> list:
     n = sol.design.n
     tokens = [render_route(sol.plan.route(i, j))
               for i in range(n) for j in range(n) if i != j]
     return [
-        repr(sol.objectives.z1),
-        repr(sol.objectives.z2),
-        repr(sol.objectives.z3),
-        repr(float(sol.alpha_prime)),
+        *sol.objectives.as_tuple(),
+        float(sol.alpha_prime),
         " ".join(str(k) for k in sol.design.hubs),
         " ".join(str(a) for a in sol.design.assignment),
         " ".join(tokens),
@@ -216,15 +211,16 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
 
 def write_csv(path: Union[str, Path], header: Sequence[str],
               rows: Iterable[Sequence]) -> None:
+    """A header and rows; a Python or numpy float as its shortest repr,
+    any other cell as ``str``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for row in rows:
-            writer.writerow([c if isinstance(c, str) else repr(c) if isinstance(c, float) else str(c)
+            writer.writerow([repr(float(c)) if isinstance(c, (float, np.floating)) else str(c)
                              for c in row])
 
 
-def write_metrics_csv(metrics, path: Union[str, Path]) -> None:
-    """One-row table npf,msi,sm,cpt for a single front."""
-    write_csv(path, ("npf", "msi", "sm", "cpt"),
-              [[metrics.npf, metrics.msi, metrics.sm, metrics.cpt]])
+def write_metrics_csv(metrics: FrontMetrics, path: Union[str, Path]) -> None:
+    """One-row table of a single front's indicators, one column per field."""
+    write_csv(path, [f.name for f in fields(FrontMetrics)], [astuple(metrics)])

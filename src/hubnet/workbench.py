@@ -9,7 +9,8 @@ The comparison experiment runs a (instance, algorithm, seed) grid of
 cells, each cell fully self-contained, and aggregates per-algorithm
 averages plus a closeness ranking.  Cells can run in a process pool; all
 output bytes except the timing column are independent of the worker
-count because cell results are collected and written in grid order.
+count because each cell writes only its own front file and the tables
+are written from the results in grid order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .exact import (
     EpsilonGrid,
     epsilon_constraint_front,
 )
-from .fileio import load_instance, write_csv, _solution_row, FRONT_COLUMNS
+from .fileio import load_instance, write_csv, write_front_csv
 from .fronts import ParetoFront
 from .metaheuristics import ALGORITHMS, AlgorithmParams
 from .model import EvaluatedSolution, ProblemInstance, validate_instance
@@ -48,7 +49,10 @@ __all__ = [
     "run_solver",
 ]
 
-SWEEP_PARAMETERS = ("alpha", "beta", "phi", "alpha_prime")
+# sweep knob -> the ProblemInstance field it sets; alpha_prime sets the rate
+_SWEEP_FIELDS = {"alpha": "alpha_discount", "beta": "beta_discount",
+                 "phi": "aircraft_capacity", "alpha_prime": None}
+SWEEP_PARAMETERS = tuple(_SWEEP_FIELDS)
 
 
 def swept_instance(inst: ProblemInstance, param: str, value: float,
@@ -68,14 +72,10 @@ def swept_instance(inst: ProblemInstance, param: str, value: float,
         raise ValueError(f"unknown sweep parameter {param!r}, expected one of {SWEEP_PARAMETERS}")
     v = float(value)
     swept = inst
-    if param == "alpha":
-        swept = dataclasses.replace(inst, alpha_discount=v)
-    elif param == "beta":
-        swept = dataclasses.replace(inst, beta_discount=v)
-    elif param == "phi":
-        swept = dataclasses.replace(inst, aircraft_capacity=v)
-    else:
+    if _SWEEP_FIELDS[param] is None:
         rate = v
+    else:
+        swept = dataclasses.replace(inst, **{_SWEEP_FIELDS[param]: v})
     problems = validate_instance(swept)
     if not 0.0 <= rate <= 1.0:
         problems.append(f"uncertainty rate must lie in [0, 1], got {rate!r}")
@@ -133,8 +133,7 @@ class CellResult:
     instance: str
     algorithm: str
     seed: int
-    metrics: Optional[FrontMetrics]           # None when the cell failed
-    front_rows: tuple[tuple[str, ...], ...]   # rendered front CSV records
+    metrics: Optional[FrontMetrics]     # None when the cell failed
     error: Optional[str] = None
 
 
@@ -150,7 +149,14 @@ def run_solver(inst: ProblemInstance, algorithm: str, seed: int, alpha_prime: fl
     return front, time.perf_counter() - start
 
 
+def _failed_cell(name: str, algorithm: str, seed: int, exc: Exception) -> CellResult:
+    known = isinstance(exc, (EnumerationBudgetError, ValueError))
+    error = str(exc) if known else f"{type(exc).__name__}: {exc}"
+    return CellResult(instance=name, algorithm=algorithm, seed=seed, metrics=None, error=error)
+
+
 def _run_cell(config: ExperimentConfig, path: str, algorithm: str, seed: int) -> CellResult:
+    """Solve and score one cell, then write its front under ``fronts/``."""
     name = Path(path).stem
     try:
         inst = load_instance(path)
@@ -165,32 +171,31 @@ def _run_cell(config: ExperimentConfig, path: str, algorithm: str, seed: int) ->
     except Exception as exc:
         # an unreadable or invalid instance, a failed solve (budget blown,
         # empty front) or any other fault aborts this cell only
-        known = isinstance(exc, (EnumerationBudgetError, ValueError))
-        error = str(exc) if known else f"{type(exc).__name__}: {exc}"
-        return CellResult(instance=name, algorithm=algorithm, seed=seed,
-                          metrics=None, front_rows=(), error=error)
-    rows = tuple(tuple(_solution_row(s)) for s in front.solutions)
-    return CellResult(instance=name, algorithm=algorithm, seed=seed,
-                      metrics=metrics, front_rows=rows)
+        return _failed_cell(name, algorithm, seed, exc)
+    try:
+        write_front_csv(front, Path(config.out_dir, "fronts", f"{name}_{algorithm}_seed{seed}.csv"))
+    except Exception as exc:
+        return _failed_cell(name, algorithm, seed, exc)
+    return CellResult(instance=name, algorithm=algorithm, seed=seed, metrics=metrics)
 
 
 def run_compare(config: ExperimentConfig) -> list[CellResult]:
-    """Run the cell grid, write cells/averages/ranking tables and all fronts.
+    """Run the cell grid, each cell writing its own front, then the
+    cells/averages/ranking tables.
 
     A cell whose instance file cannot be read or fails
-    ``validate_instance``, or whose solve fails (enumeration budget, empty
-    front, or any other exception, recorded with its type), is recorded as
-    missing: its row keeps blank indicator fields, no front file is
-    written, and the averages and ranking cover only algorithms with at
-    least one completed cell.  A missing instance file
+    ``validate_instance``, whose solve fails (enumeration budget, empty
+    front, or any other exception, recorded with its type), or whose front
+    cannot be written is recorded as missing: its row keeps blank
+    indicator fields, and the averages and ranking cover only algorithms
+    with at least one completed cell.  A missing instance file
     raises ``FileNotFoundError`` and ends the campaign.  When TOPSIS cannot
     rank the averages (a criterion is zero for every algorithm, as msi and
     sm are when every front has one point), ``ranking.csv`` keeps only its
     header and the reason goes to stderr.
     """
     out = Path(config.out_dir)
-    fronts_dir = out / "fronts"
-    fronts_dir.mkdir(parents=True, exist_ok=True)
+    (out / "fronts").mkdir(parents=True, exist_ok=True)
 
     keys = list(itertools.product(config.instances, config.algorithms, config.seeds))
     if config.workers == 1:
@@ -199,41 +204,29 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_run_cell, itertools.repeat(config), *zip(*keys)))
 
-    cell_rows = []
-    for r in results:
-        if r.metrics is None:
-            cell_rows.append([r.instance, r.algorithm, str(r.seed), "", "", "", ""])
-            continue
-        cell_rows.append([r.instance, r.algorithm, str(r.seed),
-                          str(r.metrics.npf), repr(r.metrics.msi),
-                          repr(r.metrics.sm), repr(r.metrics.cpt)])
-        front_path = fronts_dir / f"{r.instance}_{r.algorithm}_seed{r.seed}.csv"
-        write_csv(front_path, FRONT_COLUMNS, [list(row) for row in r.front_rows])
-    write_csv(out / "cells.csv",
-              ("instance", "algorithm", "seed", "npf", "msi", "sm", "cpt"), cell_rows)
+    indicators = tuple(f.name for f in dataclasses.fields(FrontMetrics))
+    blank = ("",) * len(indicators)
+    write_csv(out / "cells.csv", ("instance", "algorithm", "seed") + indicators,
+              [(r.instance, r.algorithm, r.seed)
+               + (blank if r.metrics is None else dataclasses.astuple(r.metrics))
+               for r in results])
 
     ranked = []
     averages = []
     for algorithm in config.algorithms:
-        cells = [r.metrics for r in results
+        cells = [dataclasses.astuple(r.metrics) for r in results
                  if r.algorithm == algorithm and r.metrics is not None]
-        if not cells:
-            continue
-        ranked.append(algorithm)
-        averages.append([
-            float(np.mean([m.npf for m in cells])),
-            float(np.mean([m.msi for m in cells])),
-            float(np.mean([m.sm for m in cells])),
-            float(np.mean([m.cpt for m in cells])),
-        ])
-    write_csv(out / "averages.csv", ("algorithm", "npf", "msi", "sm", "cpt"),
-              [[a] + [repr(v) for v in row] for a, row in zip(ranked, averages)])
+        if cells:
+            ranked.append(algorithm)
+            averages.append([float(np.mean(column)) for column in zip(*cells)])
+    write_csv(out / "averages.csv", ("algorithm",) + indicators,
+              [[a] + row for a, row in zip(ranked, averages)])
 
     ranking = []
     if ranked:
         matrix = DecisionMatrix(
             alternatives=tuple(ranked),
-            criteria=("npf", "msi", "sm", "cpt"),
+            criteria=indicators,
             values=np.asarray(averages),
             directions=("benefit", "benefit", "cost", "cost"),
             weights=(0.25, 0.25, 0.25, 0.25),
@@ -244,7 +237,6 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
             # e.g. every front has one point, so msi and sm are all zero
             print(f"ranking skipped: {exc}", file=sys.stderr)
         else:
-            ranking = [[str(pos + 1), ranked[a], repr(float(ci[a]))]
-                       for pos, a in enumerate(order)]
+            ranking = [[pos + 1, ranked[a], ci[a]] for pos, a in enumerate(order)]
     write_csv(out / "ranking.csv", ("rank", "algorithm", "closeness"), ranking)
     return results

@@ -6,13 +6,18 @@ or budget overrun, 3 I/O problems.
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
 from conftest import make_instance
+import hubnet
 from hubnet.cli import _params_from, build_parser, main
 from hubnet.exact import EpsilonGrid
 from hubnet.fileio import load_instance, read_front_csv, save_instance
@@ -425,3 +430,62 @@ def test_compare_where_every_cell_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("exceeds enumeration budget 1") == 2
     assert "every cell failed; no tables to rank" in err
+
+
+def test_a_rate_that_is_not_a_number_is_a_usage_error(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(inst), "--solver", "nsga2",
+                 "--out", str(tmp_path / "f.csv"), "--alpha-prime", "abc"]) == 1
+    assert "expected a number, got 'abc'" in capsys.readouterr().err
+
+
+def test_validate_refuses_a_front_it_cannot_read(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    data = json.loads(inst.read_text())
+    data["distance"][0][1] += 5.0   # asymmetry, reported before the front is read
+    inst.write_text(json.dumps(data))
+    missing = tmp_path / "absent.csv"
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst), "--front", str(missing)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "instance: distance matrix is not symmetric\n"
+    assert f"front file not found: {missing}" in captured.err
+
+    other = tmp_path / "other.csv"
+    other.write_text("a,b\n1,2\n")
+    assert main(["validate", "--instance", str(inst), "--front", str(other)]) == 3
+    assert f"cannot read front {other}: front CSV missing columns" in capsys.readouterr().err
+
+
+def test_sweep_refuses_an_empty_front_and_an_empty_value_list(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    front = tmp_path / "front.csv"
+    front.write_text("z1,z2,z3,alpha_prime,hubs,assignment,routes\n")
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["sweep", "--instance", str(inst), "--param", "phi", "--values", "30",
+                 "--front", str(front), "--out", str(out)]) == 2
+    assert f"front {front} is empty" in capsys.readouterr().err
+    assert main(["sweep", "--instance", str(inst), "--param", "phi", "--values", ",",
+                 "--front", str(front), "--out", str(out)]) == 1
+    assert "--values must name at least one number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_without_front_reports_a_blown_budget(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["sweep", "--instance", str(inst), "--param", "phi", "--values", "30",
+                 "--out", str(out), "--budget", "1"]) == 2
+    assert "budget exceeded: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_module_runs_as_a_script(tmp_path):
+    inst = _gen(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(hubnet.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "hubnet.cli", "validate", "--instance", str(inst)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "valid\n")

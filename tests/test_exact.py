@@ -100,8 +100,7 @@ def indexed_routings(inst, eps2=math.inf, eps3=math.inf):
     for g in range(index.total):
         block, a_idx, pd = index.pair_data(g)
         design = exact._design_of(index, block, a_idx)
-        res = None if pd is None else exact._bb_routing(
-            pd, inst.capacity, block.fixed_total, 0, eps2, eps3, None)
+        res = exact._bb_routing(pd, inst.capacity, block.fixed_total, 0, eps2, eps3, None)
         if res is None:
             yield design, None
             continue
@@ -286,6 +285,38 @@ def test_infeasible_instance_gives_empty_front(tiny):
     assert len(front) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_config_with_a_stranded_pair_is_never_visited_and_routes_nothing(tiny):
+    """A config in which some pair has no route within its time cap has an
+    infinite bound in all three lb rows, so no visiting order yields it.
+    Searched anyway, the routing search finds nothing, with or without
+    budgets or an incumbent, and without a float warning."""
+    slow = np.array(tiny.travel_time)
+    slow[0, 2] = slow[2, 0] = 30.0        # the detour via node 1 takes 25
+    cap = np.array(tiny.max_transfer_time)
+    cap[0, 2] = 26.0
+    inst = dataclasses.replace(tiny, travel_time=slow, max_transfer_time=cap)
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    stranded = []
+    for g in range(index.total):
+        block, _, pd = index.pair_data(g)
+        if not np.isinf(pd.contrib[:, :, 0]).all(axis=1).any():
+            continue
+        stranded.append(g)
+        assert np.isinf(index.lb[:, g]).all()
+        for main in range(3):
+            for eps2, eps3, incumbent in ((math.inf, math.inf, None),
+                                          (1e6, 1e6, None),
+                                          (math.inf, 1e6, None),
+                                          (math.inf, math.inf, (1e9, math.inf, math.inf, math.inf))):
+                assert exact._bb_routing(pd, inst.capacity, block.fixed_total, main,
+                                         eps2, eps3, incumbent) is None
+    assert 0 < len(stranded) < index.total
+    for main in range(3):
+        visited = [g for _, g in exact._visiting_order(index, main, math.inf, math.inf)]
+        assert visited and not set(visited) & set(stranded)
+
+
 def test_default_budget_is_large():
     assert DEFAULT_BUDGET == 10 ** 8
 
@@ -439,8 +470,7 @@ def test_routing_search_cost_is_the_oracle_cheapest_fitting_routing(name, reques
     for eps2, eps3 in cells:
         for g, objs in enumerate(states):
             block, _, pd = index.pair_data(g)
-            res = None if pd is None else exact._bb_routing(
-                pd, inst.capacity, block.fixed_total, 0, eps2, eps3, None)
+            res = exact._bb_routing(pd, inst.capacity, block.fixed_total, 0, eps2, eps3, None)
             fit = _fitting_costs(objs, eps2, eps3)
             assert (res is None) == (len(fit) == 0), (g, eps2, eps3)
             if res is not None:

@@ -173,6 +173,12 @@ def test_write_csv_float_repr(tmp_path):
     assert path.read_text() == "a,b\n0.1,x\n2,1.25\n"
 
 
+def test_write_csv_writes_numpy_numbers_plainly(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("a", "b", "c"), [[np.float64(1.5), np.int64(3), np.float32(0.25)]])
+    assert path.read_text() == "a,b,c\n1.5,3,0.25\n"
+
+
 def test_write_metrics_csv(tmp_path):
     from hubnet.analysis import FrontMetrics
     path = tmp_path / "m.csv"

@@ -80,6 +80,9 @@ def test_validate_instance_reports_each_break(tiny):
                validate_instance(dataclasses.replace(tiny, p=4)))
     assert any("alpha_discount" in v for v in
                validate_instance(dataclasses.replace(tiny, alpha_discount=1.5)))
+    assert "beta_discount must lie in (0, 1], got 0.0" in validate_instance(
+        dataclasses.replace(tiny, beta_discount=0.0))
+    assert "lto_p1 must be >= 0" in validate_instance(dataclasses.replace(tiny, lto_p1=-1.0))
     assert any("aircraft_capacity" in v for v in
                validate_instance(dataclasses.replace(tiny, aircraft_capacity=0.0)))
 
@@ -145,6 +148,12 @@ def test_design_violations(tiny):
     far = NetworkDesign.from_hubs(3, [1], [1, 1, 1])   # spoke 2 at distance 150
     assert any("omega" in v for v in design_violations(short_reach, far))
 
+    four = NetworkDesign.from_hubs(4, [1], [1, 1, 1, 1])
+    assert design_violations(tiny, four) == ["design sized for 4 nodes, instance has 3"]
+
+    stray = NetworkDesign.from_hubs(3, [1], [1, 1, 5])
+    assert "assignment[2]=5 is not a node" in design_violations(tiny, stray)
+
 
 def test_plan_violations(tiny):
     design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
@@ -181,6 +190,9 @@ def test_plan_violations(tiny):
     design3 = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
     msgs = plan_violations(slow, design3, late_plan)
     assert any("exceeds cap" in v for v in msgs)
+
+    wide = RoutePlan.from_dict(4, {(0, 3): Direct()})
+    assert plan_violations(tiny, design, wide) == ["plan sized for 4 nodes, instance has 3"]
 
 
 def test_route_time_and_feasible_routes(tiny):

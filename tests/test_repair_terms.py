@@ -132,16 +132,11 @@ def test_config_tables_and_conditioned_bounds_keep_their_bits(index, monkeypatch
 
 
 def test_suffix_tables_keep_their_bits(index):
-    searched = 0
     for g in _sample(index, 48).tolist():
         _, _, pd = index.pair_data(g)
-        if pd is None:
-            continue
-        searched += 1
         tables = exact._budget_tables(pd.contrib)
         for got, (v, b) in zip(tables, PAIRS):
             _same_bits(got, ref_repair_tables(pd.contrib, v, b))
-    assert searched
 
 
 def test_an_overflowing_ratio_keeps_its_place(monkeypatch):

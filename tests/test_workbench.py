@@ -192,3 +192,23 @@ def test_one_failing_cell_leaves_the_campaign_standing(tmp_path, gen5, monkeypat
     assert {row[1] for row in _read(out / "ranking.csv")[1:]} == {"nsga2", "mowoa"}
     assert sorted(f.name for f in (out / "fronts").iterdir()) == [
         "inst_mowoa_seed0.csv", "inst_nsga2_seed0.csv"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_front_that_cannot_be_written_fails_only_its_cell(tmp_path, gen5, workers):
+    p = tmp_path / "inst.json"
+    save_instance(gen5, p)
+    out = tmp_path / "out"
+    (out / "fronts" / "inst_nsga2_seed0.csv").mkdir(parents=True)
+    results = run_compare(ExperimentConfig(
+        instances=(str(p),), algorithms=("nsga2", "mopso"), seeds=(0, 1),
+        out_dir=str(out), params=SMALL, workers=workers))
+    failed = [r for r in results if r.error is not None]
+    assert [(r.algorithm, r.seed) for r in failed] == [("nsga2", 0)]
+    assert failed[0].error.startswith("IsADirectoryError")
+    assert all(r.metrics is not None for r in results if r is not failed[0])
+    assert _read(out / "cells.csv")[1] == ["inst", "nsga2", "0", "", "", "", ""]
+    assert [row[0] for row in _read(out / "averages.csv")[1:]] == ["nsga2", "mopso"]
+    assert {row[1] for row in _read(out / "ranking.csv")[1:]} == {"nsga2", "mopso"}
+    assert sorted(f.name for f in (out / "fronts").iterdir() if f.is_file()) == [
+        "inst_mopso_seed0.csv", "inst_mopso_seed1.csv", "inst_nsga2_seed1.csv"]
