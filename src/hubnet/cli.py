@@ -82,7 +82,7 @@ def _read(reader, noun: str, path: str):
         return reader(path)
     except FileNotFoundError:
         raise _CliError(EXIT_IO, f"{noun} file not found: {path}")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise _CliError(EXIT_IO, f"cannot read {noun} {path}: {exc}")
 
 
@@ -302,7 +302,7 @@ def _row_findings(inst, row) -> list[str]:
     """What is wrong with one front row against the instance."""
     try:
         sol = solution_from_row(inst, row)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         return [str(exc)]
     report = check_feasibility(inst, sol, sol.alpha_prime)
     if not report:

@@ -264,15 +264,8 @@ def loads_from_mask(ctx: EvalContext, assignment: np.ndarray, mask: np.ndarray) 
 
 
 def plan_from_mask(design: NetworkDesign, mask: np.ndarray) -> RoutePlan:
-    n = design.n
-    a = design.assignment
-    grid: list[list[Route | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if mask[i, j]:
-                grid[i][j] = OneHub(a[i]) if a[i] == a[j] else TwoHub(a[i], a[j])
-            else:
-                grid[i][j] = Direct()
-    return RoutePlan(routes=tuple(tuple(row) for row in grid))
+    """Direct where ``mask`` is False, else the hub route of the pair's hubs."""
+    a, n = design.assignment, design.n
+    return RoutePlan.from_dict(n, {
+        (i, j): (OneHub(a[i]) if a[i] == a[j] else TwoHub(a[i], a[j])) if mask[i, j] else Direct()
+        for i in range(n) for j in range(n) if i != j})

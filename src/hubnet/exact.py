@@ -166,12 +166,8 @@ class _ExactIndex:
     def total(self) -> int:
         return int(self.offsets[-1])
 
-    def locate(self, g: int) -> tuple[_Block, int]:
-        b = int(np.searchsorted(self.offsets, g, side="right")) - 1
-        return self.blocks[b], g - int(self.offsets[b])
-
-    def pair_data(self, g: int) -> tuple[_Block, np.ndarray, _PairData]:
-        """Config id -> (block, hub positions, routing search data), memoised."""
+    def pair_data(self, g: int) -> _PairData:
+        """Config id -> its design and routing search data, memoised."""
         cached = self.pd_cache.get(g)
         if cached is None:
             cached = _pair_data(self, g)
@@ -387,8 +383,11 @@ def _visiting_order(index: _ExactIndex, main: int, eps2: float,
 
 @dataclass
 class _PairData:
-    """Per-pair route options in search order, plus bounding suffixes."""
+    """One config's design and fixed cost, its per-pair route options in
+    search order, and the bounding suffixes."""
 
+    design: NetworkDesign
+    fixed: float              # fixed cost of the open hubs
     contrib: np.ndarray       # (P, 2, 3) option contributions, inf = infeasible
     suffix_min: np.ndarray    # (P+1, 3) sum of per-pair best contributions below t
     load_nodes: np.ndarray    # (P, 2) nodes loaded by the hub option (-1 = none)
@@ -445,30 +444,31 @@ def _pair_order(contrib: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(score)), -score))
 
 
-def _pair_data(index: _ExactIndex, g: int) -> tuple[_Block, np.ndarray, _PairData]:
-    """Config id -> (block, hub positions, routing search data)."""
-    block, _ = index.locate(g)
+def _pair_data(index: _ExactIndex, g: int) -> _PairData:
+    """Config id -> its design, fixed cost and routing search data."""
+    block = index.blocks[int(np.searchsorted(index.offsets, g, side="right")) - 1]
     opts, positions = _options(index, np.array([g]))
-    a_idx = positions[0]
     order = _pair_order(opts[0])
     contrib = opts[0, order]
-    assignment = np.asarray(block.hubs, dtype=np.intp)[a_idx]
+    assignment = np.asarray(block.hubs, dtype=np.intp)[positions[0]]
     first = assignment[index.i_arr[order]]
     second = assignment[index.j_arr[order]]
     best = np.minimum(contrib[:, 0, :], contrib[:, 1, :])
     suffix = np.zeros((len(contrib) + 1, 3))
     suffix[:-1] = best[::-1].cumsum(axis=0)[::-1]
-    return block, a_idx, _PairData(
-        contrib=contrib, suffix_min=suffix,
+    return _PairData(
+        design=NetworkDesign.from_hubs(index.ctx.inst.n, block.hubs, assignment),
+        fixed=block.fixed_total, contrib=contrib, suffix_min=suffix,
         load_nodes=np.stack([first, np.where(first == second, -1, second)], axis=1),
         load_q=index.ctx.q[index.i_arr[order], index.j_arr[order]], canon_pos=order)
 
 
-def _bb_routing(pd: _PairData, caps: np.ndarray, fixed: float, main: int,
+def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
                 eps2: float, eps3: float, incumbent: Optional[tuple],
                 node_limit: Optional[int] = None) -> Optional[tuple[tuple, np.ndarray]]:
     """Exact DFS over per-pair options minimising objective ``main``.
 
+    The cost sum starts from the config's fixed cost ``pd.fixed``.
     Emission/penalty bounds are inclusive on 1e-6-rounded values.  Returns
     the best ``((z_main, z1, z2, z3, encoding), choices)`` or None.
     ``incumbent`` primes the bound with a 4-component key prefix from a
@@ -601,7 +601,7 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, fixed: float, main: int,
                 choices[t] = 0
                 rec(t + 1, s0 + c0, s1 + opts[0, 1], s2 + opts[0, 2])
 
-    rec(0, fixed, 0.0, 0.0)
+    rec(0, pd.fixed, 0.0, 0.0)
     return best
 
 
@@ -613,12 +613,6 @@ def _mask_from_choices(ctx: EvalContext, canon_pos: np.ndarray,
     mask = np.zeros_like(ctx.offdiag)
     mask[ctx.offdiag] = flat
     return mask
-
-
-def _design_of(index: _ExactIndex, block: _Block, a_idx: np.ndarray) -> NetworkDesign:
-    hub_arr = np.asarray(block.hubs, dtype=np.intp)
-    assignment = hub_arr[a_idx]
-    return NetworkDesign.from_hubs(index.ctx.inst.n, block.hubs, assignment)
 
 
 def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
@@ -653,18 +647,17 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
                 examined += 1
                 if examined > 64:
                     break
-            block, a_idx, pd = index.pair_data(g)
+            pd = index.pair_data(g)
             prime = best_key[:4] if best_key is not None else (
                 (incumbent_value, math.inf, math.inf, math.inf)
                 if math.isfinite(incumbent_value) else None)
-            res = _bb_routing(pd, index.ctx.inst.capacity, block.fixed_total, main,
-                              eps2, eps3, prime, node_limit)
+            res = _bb_routing(pd, index.ctx.inst.capacity, main, eps2, eps3, prime, node_limit)
             if res is None:
                 continue
             key, choices = res
             if best_key is None or key < best_key:
                 best_key = key
-                best_payload = (block, a_idx, pd, choices)
+                best_payload = (pd, choices)
 
     order = _visiting_order(index, main, eps2, eps3)
     if math.isfinite(eps2) or math.isfinite(eps3):
@@ -674,11 +667,9 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
     scan(order, node_limit=None)
     if best_payload is None:
         return None
-    block, a_idx, pd, choices = best_payload
-    design = _design_of(index, block, a_idx)
-    mask = _mask_from_choices(index.ctx, pd.canon_pos, choices)
-    plan = plan_from_mask(design, mask)
-    return solution_from_plan(index.ctx.inst, design, plan, index.ctx.alpha_prime)
+    pd, choices = best_payload
+    plan = plan_from_mask(pd.design, _mask_from_choices(index.ctx, pd.canon_pos, choices))
+    return solution_from_plan(index.ctx.inst, pd.design, plan, index.ctx.alpha_prime)
 
 
 def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonGrid(),

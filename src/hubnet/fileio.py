@@ -58,6 +58,8 @@ def _reject_constant(name: str):
 
 def _numbers(doc: dict, name: str) -> np.ndarray:
     """Field ``name`` as a finite int or float array, else ValueError."""
+    if name not in doc:
+        raise ValueError(f"instance field {name} is missing")
     try:
         arr = np.asarray(doc[name])
     except ValueError:
@@ -85,6 +87,9 @@ def save_instance(inst: ProblemInstance, path: Union[str, Path]) -> None:
 
 def load_instance(path: Union[str, Path]) -> ProblemInstance:
     doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    if not isinstance(doc, dict):
+        kind = {list: "array", str: "string", bool: "boolean", type(None): "null"}
+        raise ValueError(f"instance file holds a JSON {kind.get(type(doc), 'number')}, not an object")
     schema = doc.get("schema")
     if schema != INSTANCE_SCHEMA:
         raise ValueError(f"unsupported instance schema {schema!r}, expected {INSTANCE_SCHEMA!r}")
@@ -155,13 +160,20 @@ def write_front_csv(front: Union[ParetoFront, Sequence[EvaluatedSolution]],
 
 
 def read_front_csv(path: Union[str, Path]) -> list[FrontRow]:
+    """The file's records; blank lines are skipped, and a line whose field
+    count differs from the header's is a ValueError."""
     rows: list[FrontRow] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(FRONT_COLUMNS) - set(reader.fieldnames or ())
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = set(FRONT_COLUMNS) - set(header)
         if missing:
             raise ValueError(f"front CSV missing columns: {sorted(missing)}")
-        for rec in reader:
+        for values in filter(None, reader):
+            if len(values) != len(header):
+                raise ValueError(f"front CSV line {reader.line_num} has {len(values)} fields, "
+                                 f"its header {len(header)}")
+            rec = dict(zip(header, values))
             rows.append(FrontRow(
                 z1=float(rec["z1"]),
                 z2=float(rec["z2"]),

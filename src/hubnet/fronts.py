@@ -9,7 +9,6 @@ and filtering.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -41,56 +40,6 @@ def dominates(a, b) -> np.ndarray:
     return (a <= b).all(axis=-1) & (a < b).any(axis=-1)
 
 
-def _staircase_filter_3d(rows: np.ndarray) -> np.ndarray:
-    """Boolean keep-mask of nondominated rows among (S, 3) minimisation rows.
-
-    Duplicates of a kept row are dropped.  Sweep in (z1, z2, z3) order;
-    a sorted staircase over (z2, z3) answers the dominance query in
-    O(log S) per row.
-    """
-    order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
-    keep = np.zeros(len(rows), dtype=bool)
-    stair_z2: list[float] = []   # ascending
-    stair_z3: list[float] = []   # strictly descending alongside
-    prev = None
-    for idx in order:
-        z1, z2, z3 = rows[idx]
-        if prev is not None and prev == (z1, z2, z3):
-            continue
-        prev = (z1, z2, z3)
-        pos = bisect.bisect_right(stair_z2, z2)
-        if pos > 0 and stair_z3[pos - 1] <= z3:
-            continue  # dominated (weakly, and not identical because of dedupe)
-        keep[idx] = True
-        # insert (z2, z3); drop staircase entries it renders redundant
-        while pos < len(stair_z2) and stair_z3[pos] >= z3:
-            del stair_z2[pos]
-            del stair_z3[pos]
-        stair_z2.insert(pos, z2)
-        stair_z3.insert(pos, z3)
-    return keep
-
-
-def _pairwise_filter(rows: np.ndarray) -> np.ndarray:
-    """General-dimension nondominated keep-mask (duplicates collapse to one)."""
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    s = len(rows)
-    keep_sorted = np.ones(s, dtype=bool)
-    for i in range(s):
-        if not keep_sorted[i]:
-            continue
-        r = rows[i]
-        later = rows[i + 1:]
-        if len(later) == 0:
-            break
-        duplicate = np.all(later == r, axis=1)
-        keep_sorted[i + 1:] &= ~(dominates(r, later) | duplicate)
-    keep = np.zeros(s, dtype=bool)
-    keep[order] = keep_sorted
-    return keep
-
-
 def nondominated_mask(rows: np.ndarray) -> np.ndarray:
     """Keep-mask of nondominated minimisation rows; one survivor per duplicate set.
 
@@ -100,11 +49,16 @@ def nondominated_mask(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D row array, got shape {rows.shape}")
-    if len(rows) <= 1:
-        return np.ones(len(rows), dtype=bool)
-    if rows.shape[1] == 3:
-        return _staircase_filter_3d(rows)
-    return _pairwise_filter(rows)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    keep_sorted = np.ones(len(rows), dtype=bool)
+    for i in range(len(rows) - 1):
+        if keep_sorted[i]:
+            later = rows[i + 1:]
+            keep_sorted[i + 1:] &= ~(dominates(rows[i], later) | np.all(later == rows[i], axis=1))
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[order] = keep_sorted
+    return keep
 
 
 def _objective_rows(objectives: np.ndarray) -> np.ndarray:

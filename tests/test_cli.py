@@ -335,20 +335,23 @@ def test_compare_contains_bad_instances(tmp_path, capsys):
     data["distance"][0][1] = -data["distance"][0][1]
     invalid = tmp_path / "negated.json"
     invalid.write_text(json.dumps(data))
+    listed = tmp_path / "listed.json"
+    listed.write_text("[]")
     out = tmp_path / "exp"
     capsys.readouterr()
-    code = main(["compare", "--instances", str(good), str(unreadable), str(invalid),
+    code = main(["compare", "--instances", str(good), str(unreadable), str(invalid), str(listed),
                  "--algorithms", "nsga2", "--seeds", "0", "--out-dir", str(out),
                  "--max-it", "5", "--pop", "12"])
     err = capsys.readouterr().err
     assert code == 0
     with open(out / "cells.csv", newline="") as fh:
         rows = {row[0]: row[3:] for row in list(csv.reader(fh))[1:]}
-    assert all(rows["good"]) and len(rows) == 3
-    assert rows["quoted"] == rows["negated"] == ["", "", "", ""]
+    assert all(rows["good"]) and len(rows) == 4
+    assert rows["quoted"] == rows["negated"] == rows["listed"] == ["", "", "", ""]
     assert [p.name for p in (out / "fronts").iterdir()] == ["good_nsga2_seed0.csv"]
     assert "cell quoted/nsga2/seed0 failed: instance field omega" in err
     assert "cell negated/nsga2/seed0 failed: invalid instance" in err
+    assert "cell listed/nsga2/seed0 failed: instance file holds a JSON array, not an object" in err
     assert "symmetric" in err
     # a missing file is still an I/O error for the whole campaign
     assert main(["compare", "--instances", str(good), str(tmp_path / "nope.json"),
@@ -456,6 +459,47 @@ def test_validate_refuses_a_front_it_cannot_read(tmp_path, capsys):
     other.write_text("a,b\n1,2\n")
     assert main(["validate", "--instance", str(inst), "--front", str(other)]) == 3
     assert f"cannot read front {other}: front CSV missing columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_front_rows_of_the_wrong_width_are_refused(tmp_path, capsys, command):
+    """A row shorter or longer than the header is an unreadable front, not
+    a crash on a missing field or a silently dropped extra one."""
+    inst = _gen(tmp_path)
+    header = "z1,z2,z3,alpha_prime,hubs,assignment,routes\n"
+    out = tmp_path / "s.csv"
+    extra = ["--param", "phi", "--values", "30", "--out", str(out)] if command == "sweep" else []
+    for row, width in (("1,2", 2), ("1,2,3,0.5,0,0 0 0 0 0,Direct,x", 8)):
+        front = tmp_path / "front.csv"
+        front.write_text(header + row + "\n")
+        capsys.readouterr()
+        assert main([command, "--instance", str(inst), "--front", str(front)] + extra) == 3
+        captured = capsys.readouterr()
+        assert (f"cannot read front {front}: front CSV line 2 has {width} fields, its header 7"
+                in captured.err)
+        assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "instance file holds a JSON array, not an object"),
+    ('"x"', "instance file holds a JSON string, not an object"),
+    ("3", "instance file holds a JSON number, not an object"),
+    ("null", "instance file holds a JSON null, not an object"),
+    (None, "instance field omega is missing"),
+], ids=["array", "string", "number", "null", "no-omega"])
+def test_validate_refuses_a_file_that_holds_no_instance(tmp_path, capsys, text, message):
+    path = tmp_path / "odd.json"
+    if text is None:
+        data = json.loads(_gen(tmp_path).read_text())
+        del data["omega"]
+        text = json.dumps(data)
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert f"cannot read instance {path}: {message}" in captured.err
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_sweep_refuses_an_empty_front_and_an_empty_value_list(tmp_path, capsys):

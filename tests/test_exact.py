@@ -9,8 +9,8 @@ loads from ``model.hub_loads`` and objectives from the typed evaluation
 path.  The exhaustive oracle of ``tests/oracle.py`` prices on that typed
 path too and covers the generated 5- and 6-node instances.  The solver
 side is what ``epsilon_constraint_front`` runs: the configuration index
-(``_build_index``), its per-config option tables (``pair_data``) and the
-routing search (``_bb_routing``).  The lazy visiting order is checked
+(``_build_index``), each config's design and search data (``pair_data``)
+and the routing search (``_bb_routing``).  The lazy visiting order is checked
 against a stable sort of the conditioned cost bound over every config, and
 that bound against the oracle's per-design routings.
 """
@@ -90,7 +90,7 @@ def naive_best_z1(solutions, eps2=math.inf, eps3=math.inf):
 def index_designs(inst):
     """The exact index's designs in config-id order."""
     index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
-    return [exact._design_of(index, *index.pair_data(g)[:2]) for g in range(index.total)]
+    return [index.pair_data(g).design for g in range(index.total)]
 
 
 def indexed_routings(inst, eps2=math.inf, eps3=math.inf):
@@ -98,13 +98,13 @@ def indexed_routings(inst, eps2=math.inf, eps3=math.inf):
     the bounds, hub capacities and time caps; plan None when nothing fits."""
     index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
     for g in range(index.total):
-        block, a_idx, pd = index.pair_data(g)
-        design = exact._design_of(index, block, a_idx)
-        res = exact._bb_routing(pd, inst.capacity, block.fixed_total, 0, eps2, eps3, None)
+        pd = index.pair_data(g)
+        res = exact._bb_routing(pd, inst.capacity, 0, eps2, eps3, None)
         if res is None:
-            yield design, None
+            yield pd.design, None
             continue
-        yield design, plan_from_mask(design, exact._mask_from_choices(index.ctx, pd.canon_pos, res[1]))
+        yield pd.design, plan_from_mask(pd.design,
+                                        exact._mask_from_choices(index.ctx, pd.canon_pos, res[1]))
 
 
 def test_configuration_count_hand_values():
@@ -299,7 +299,7 @@ def test_a_config_with_a_stranded_pair_is_never_visited_and_routes_nothing(tiny)
     index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
     stranded = []
     for g in range(index.total):
-        block, _, pd = index.pair_data(g)
+        pd = index.pair_data(g)
         if not np.isinf(pd.contrib[:, :, 0]).all(axis=1).any():
             continue
         stranded.append(g)
@@ -309,8 +309,7 @@ def test_a_config_with_a_stranded_pair_is_never_visited_and_routes_nothing(tiny)
                                           (1e6, 1e6, None),
                                           (math.inf, 1e6, None),
                                           (math.inf, math.inf, (1e9, math.inf, math.inf, math.inf))):
-                assert exact._bb_routing(pd, inst.capacity, block.fixed_total, main,
-                                         eps2, eps3, incumbent) is None
+                assert exact._bb_routing(pd, inst.capacity, main, eps2, eps3, incumbent) is None
     assert 0 < len(stranded) < index.total
     for main in range(3):
         visited = [g for _, g in exact._visiting_order(index, main, math.inf, math.inf)]
@@ -340,9 +339,9 @@ def test_heuristic_and_exact_paths_price_routes_alike(n, cap):
     ii, jj = np.indices((n, n))
     rng = np.random.default_rng(n)
     for g in rng.choice(index.total, size=min(16, index.total), replace=False):
-        block, a_idx, _ = index.pair_data(int(g))
-        design = exact._design_of(index, block, a_idx)
-        tables = hub_tables(index.ctx, np.asarray(design.assignment))
+        block = index.blocks[np.searchsorted(index.offsets, g, side="right") - 1]
+        a_idx = exact._options(index, np.array([g]))[1][0]
+        tables = hub_tables(index.ctx, np.asarray(index.pair_data(int(g)).design.assignment))
         opts = block.hub_opts[ii, jj, a_idx[ii], a_idx[jj]]
         assert tables.tobytes() == opts.tobytes()
 
@@ -427,7 +426,7 @@ def _oracle_states(inst):
     index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
     states = []
     for g in range(index.total):
-        found = config_states(inst, exact._design_of(index, *index.pair_data(g)[:2]))
+        found = config_states(inst, index.pair_data(g).design)
         states.append(None if found is None else np.round(found[0], 6))
     rows = np.concatenate([s for s in states if s is not None])
     cells = EpsilonGrid(5, 5).cells((rows[:, 1].min(), rows[:, 1].max()),
@@ -469,8 +468,7 @@ def test_routing_search_cost_is_the_oracle_cheapest_fitting_routing(name, reques
     index, states, cells = _oracle_states(inst)
     for eps2, eps3 in cells:
         for g, objs in enumerate(states):
-            block, _, pd = index.pair_data(g)
-            res = exact._bb_routing(pd, inst.capacity, block.fixed_total, 0, eps2, eps3, None)
+            res = exact._bb_routing(index.pair_data(g), inst.capacity, 0, eps2, eps3, None)
             fit = _fitting_costs(objs, eps2, eps3)
             assert (res is None) == (len(fit) == 0), (g, eps2, eps3)
             if res is not None:

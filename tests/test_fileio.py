@@ -107,6 +107,27 @@ def test_instance_files_refuse_what_is_not_a_finite_number(tmp_path, gen5, field
         load_instance(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "a JSON array"), ('"x"', "a JSON string"), ("3", "a JSON number"),
+    ("null", "a JSON null"), ("true", "a JSON boolean"),
+])
+def test_instance_files_refuse_what_is_not_an_instance_object(tmp_path, text, message):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"instance file holds {message}, not an object"):
+        load_instance(path)
+
+
+def test_instance_files_refuse_a_missing_field(tmp_path, gen5):
+    path = tmp_path / "inst.json"
+    save_instance(gen5, path)
+    doc = json.loads(path.read_text())
+    del doc["travel_time"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="instance field travel_time is missing"):
+        load_instance(path)
+
+
 def test_instance_files_refuse_ragged_arrays(tmp_path, gen5):
     path = tmp_path / "inst.json"
     save_instance(gen5, path)
@@ -154,6 +175,18 @@ def test_front_csv_missing_column(tmp_path):
     path.write_text("z1,z2,z3\n1.0,2.0,3.0\n")
     with pytest.raises(ValueError, match="missing columns"):
         read_front_csv(path)
+
+
+def test_front_csv_skips_blank_lines_and_refuses_rows_of_the_wrong_width(tmp_path):
+    path = tmp_path / "front.csv"
+    header = "z1,z2,z3,alpha_prime,hubs,assignment,routes\n"
+    path.write_text(header + "\n1.0,2.0,3.0,0.5,0,0 0,Direct Direct\n\n")
+    assert [(r.z1, r.hubs, r.routes) for r in read_front_csv(path)] == [
+        (1.0, (0,), ("Direct", "Direct"))]
+    for row, width in (("1.0,2.0", 2), ("1.0,2.0,3.0,0.5,0,0 0,Direct Direct,x", 8)):
+        path.write_text(header + "\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"front CSV line 3 has {width} fields, its header 7"):
+            read_front_csv(path)
 
 
 def test_solution_from_row_checks_token_count(tmp_path, tiny):

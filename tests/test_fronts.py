@@ -70,9 +70,16 @@ def seen_first_duplicate(rows, keep):
 
 def test_nondominated_mask_matches_brute_force():
     rng = np.random.default_rng(3)
-    for cols in (2, 3, 4):
-        for _ in range(10):
-            rows = rng.integers(0, 5, size=(40, cols)).astype(float)
+    neg_zero = np.round(-1e-9, 6)     # a tiny negative sum rounds to -0.0
+    assert np.signbit(neg_zero)
+    for cols in (1, 2, 3, 4, 5):
+        cases = [rng.integers(0, 5, size=(40, cols)).astype(float) for _ in range(10)]
+        # one duplicate group, 0.0 and -0.0 mixed, that dominates every other row
+        zeros = np.where(rng.random((4, cols)) < 0.5, neg_zero, 0.0)
+        zeros[0], zeros[1] = neg_zero, 0.0
+        cases.append(np.vstack([rng.integers(1, 5, size=(6, cols)), zeros[:2],
+                                rng.integers(1, 5, size=(6, cols)), zeros[2:]]).astype(float))
+        for rows in cases:
             got = nondominated_mask(rows)
             want = brute_mask(rows)
             # same objective set survives; duplicates keep exactly one copy
@@ -80,6 +87,7 @@ def test_nondominated_mask_matches_brute_force():
             surv_want = sorted(map(tuple, rows[want]))
             assert surv_got == surv_want
             seen_first_duplicate(rows, got)
+        assert np.flatnonzero(got).tolist() == [6]     # the group's first row
 
 
 def test_nondominated_mask_edge_shapes():

@@ -133,7 +133,7 @@ def test_config_tables_and_conditioned_bounds_keep_their_bits(index, monkeypatch
 
 def test_suffix_tables_keep_their_bits(index):
     for g in _sample(index, 48).tolist():
-        _, _, pd = index.pair_data(g)
+        pd = index.pair_data(g)
         tables = exact._budget_tables(pd.contrib)
         for got, (v, b) in zip(tables, PAIRS):
             _same_bits(got, ref_repair_tables(pd.contrib, v, b))
