@@ -10,10 +10,11 @@ so most are pruned without search.
 
 Determinism: ties between equal-objective routings break on the route
 encoding (Direct=0, hub route=1, canonical pair order).  Configurations
-are visited in ascending (bound, canonical config id) order; the winner
-is the first one in that order to reach the best key, and the scan stops
-at the first bound that reaches the incumbent, so a configuration whose
-bound equals it is never searched.
+are visited once, in ascending (bound, canonical config id) order, and
+the scan stops at the first bound at or above the incumbent's value, so
+a configuration whose bound equals it is never searched.  The winner is
+the least full key (objectives, then encoding) among the configurations
+searched; on a full tie the first in visiting order is kept.
 """
 
 from __future__ import annotations
@@ -464,15 +465,19 @@ def _pair_data(index: _ExactIndex, g: int) -> _PairData:
 
 
 def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
-                eps2: float, eps3: float, incumbent: Optional[tuple],
-                node_limit: Optional[int] = None) -> Optional[tuple[tuple, np.ndarray]]:
+                eps2: float, eps3: float,
+                incumbent: Optional[tuple]) -> Optional[tuple[tuple, np.ndarray]]:
     """Exact DFS over per-pair options minimising objective ``main``.
 
     The cost sum starts from the config's fixed cost ``pd.fixed``.
     Emission/penalty bounds are inclusive on 1e-6-rounded values.  Returns
     the best ``((z_main, z1, z2, z3, encoding), choices)`` or None.
     ``incumbent`` primes the bound with a 4-component key prefix from a
-    competitor found elsewhere; only strictly better keys are returned.
+    competitor found elsewhere; no key whose prefix exceeds it is returned.
+    A search on emissions or penalty returns only main values strictly
+    below the prime's; a cost search prunes with ``>`` on the 4-tuple, so
+    a routing whose prefix ties the prime can come back, and the caller
+    settles that tie on the encoding.
 
     A cost search (``main == 0``) prunes by comparing the componentwise
     lower-bound tuple with the best key in tuple order: since every
@@ -485,10 +490,6 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
     value alone and settles ties by first discovery: those solves only
     span the bound grid, and hunting, say, the cheapest among all
     zero-penalty routings is a hard subproblem the grid never uses.
-
-    ``node_limit`` caps the number of search nodes; the result is then the
-    best leaf found so far (a valid upper bound, not necessarily optimal),
-    which scouting passes use to seed incumbents cheaply.
     """
     P = len(pd.contrib)
     contrib = pd.contrib
@@ -532,13 +533,9 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
 
     pos2 = budget[0][4] if budget else None
     pos3 = budget[1][4] if budget else None
-    nodes_left = node_limit if node_limit is not None else (1 << 62)
 
     def rec(t: int, s0: float, s1: float, s2: float) -> None:
-        nonlocal best, best_prefix, nodes_left
-        if nodes_left <= 0:
-            return
-        nodes_left -= 1
+        nonlocal best, best_prefix
         pen = 0.0
         k2 = k3 = -1
         if constrained:
@@ -622,49 +619,20 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
     ``incumbent_value`` is an upper bound (a 1e-6 multiple from an already
     known feasible solution); returns None when nothing at least ties it,
     in which case the caller's incumbent solution is already optimal.
-    Configs are visited in _visiting_order, so a cost solve orders and
-    cuts off on the budget-conditioned bound.
-
-    Budget-constrained solves run two passes: a scouting pass of
-    node-limited searches whose best leaf seeds the incumbent, then the
-    full proofs, which close quickly once primed.  Without the scout a
-    single config with a weak bound can burn minutes proving optimality
-    from nothing.
+    Configs are visited once, in _visiting_order, so a cost solve orders
+    and cuts off on the budget-conditioned bound.
     """
-    best_key: Optional[tuple] = None
+    best: tuple = (incumbent_value, math.inf, math.inf, math.inf)
     best_payload = None
-
-    def scan(order, node_limit: Optional[int]) -> None:
-        nonlocal best_key, best_payload
-        examined = 0
-        for lbm, g in order:
-            # a config whose bound already matches the best value can only
-            # tie; the first achiever in bound order is the winner
-            cap = incumbent_value if best_key is None else min(incumbent_value, best_key[0])
-            if lbm >= cap:
-                break
-            if node_limit is not None:
-                examined += 1
-                if examined > 64:
-                    break
-            pd = index.pair_data(g)
-            prime = best_key[:4] if best_key is not None else (
-                (incumbent_value, math.inf, math.inf, math.inf)
-                if math.isfinite(incumbent_value) else None)
-            res = _bb_routing(pd, index.ctx.inst.capacity, main, eps2, eps3, prime, node_limit)
-            if res is None:
-                continue
-            key, choices = res
-            if best_key is None or key < best_key:
-                best_key = key
-                best_payload = (pd, choices)
-
-    order = _visiting_order(index, main, eps2, eps3)
-    if math.isfinite(eps2) or math.isfinite(eps3):
-        # the proof pass replays the configs the scout already drew
-        scout, order = itertools.tee(order)
-        scan(scout, node_limit=4000)
-    scan(order, node_limit=None)
+    for lbm, g in _visiting_order(index, main, eps2, eps3):
+        # a config whose bound reaches the best value could only tie it;
+        # the scan stops rather than hunt a smaller key among the ties
+        if lbm >= best[0]:
+            break
+        pd = index.pair_data(g)
+        res = _bb_routing(pd, index.ctx.inst.capacity, main, eps2, eps3, best[:4])
+        if res is not None and res[0] < best:
+            best, best_payload = res[0], (pd, res[1])
     if best_payload is None:
         return None
     pd, choices = best_payload
@@ -688,8 +656,9 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
 
     payoff: list[EvaluatedSolution] = []
     for main in range(3):
-        # secondary objectives only need their optimum VALUE here (the
-        # ranges), so their solves skip the secondary-key tie-break hunt
+        # rows 1 and 2 settle ties in their main objective by first
+        # discovery (see _bb_routing), so the range maxima taken from
+        # them can depend on the visiting order
         res = _solve_min(index, main, math.inf, math.inf)
         if res is None:
             return ParetoFront(solutions=())

@@ -19,7 +19,8 @@ import dataclasses
 import itertools
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -179,6 +180,14 @@ def _run_cell(config: ExperimentConfig, path: str, algorithm: str, seed: int) ->
     return CellResult(instance=name, algorithm=algorithm, seed=seed, metrics=metrics)
 
 
+def _collect(future: Future, path: str, algorithm: str, seed: int) -> CellResult:
+    """The cell's result, or a failed cell when its worker process died."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return _failed_cell(Path(path).stem, algorithm, seed, exc)
+
+
 def run_compare(config: ExperimentConfig) -> list[CellResult]:
     """Run the cell grid, each cell writing its own front, then the
     cells/averages/ranking tables.
@@ -188,11 +197,14 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
     front, or any other exception, recorded with its type), or whose front
     cannot be written is recorded as missing: its row keeps blank
     indicator fields, and the averages and ranking cover only algorithms
-    with at least one completed cell.  A missing instance file
-    raises ``FileNotFoundError`` and ends the campaign.  When TOPSIS cannot
-    rank the averages (a criterion is zero for every algorithm, as msi and
-    sm are when every front has one point), ``ranking.csv`` keeps only its
-    header and the reason goes to stderr.
+    with at least one completed cell.  A worker process that dies breaks
+    the pool: every cell not yet finished is recorded as missing with a
+    ``BrokenProcessPool`` error, and finished cells keep their rows and
+    fronts.  A missing instance file raises ``FileNotFoundError`` and
+    ends the campaign.  When TOPSIS cannot rank the averages (a criterion
+    is zero for every algorithm, as msi and sm are when every front has
+    one point), ``ranking.csv`` keeps only its header and the reason goes
+    to stderr.
     """
     out = Path(config.out_dir)
     (out / "fronts").mkdir(parents=True, exist_ok=True)
@@ -201,8 +213,13 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
     if config.workers == 1:
         results = [_run_cell(config, *key) for key in keys]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_cell, itertools.repeat(config), *zip(*keys)))
+        pool = ProcessPoolExecutor(max_workers=config.workers)
+        try:
+            futures = [pool.submit(_run_cell, config, *key) for key in keys]
+            results = [_collect(f, *key) for f, key in zip(futures, keys)]
+        finally:
+            # a missing instance file ends the campaign without running the rest
+            pool.shutdown(cancel_futures=True)
 
     indicators = tuple(f.name for f in dataclasses.fields(FrontMetrics))
     blank = ("",) * len(indicators)

@@ -24,7 +24,7 @@ from hubnet.exact import (
 )
 from hubnet.fileio import save_instance, write_front_csv
 from hubnet.fronts import dominates
-from hubnet.fuzzy import TrapezoidalFuzzyNumber, defuzzify
+from hubnet.fuzzy import defuzzify_components
 from hubnet.generator import GeneratorSpec, generate, preset
 from hubnet.metaheuristics import ALGORITHMS, AlgorithmParams, run_nsga2
 from hubnet.model import check_feasibility
@@ -142,8 +142,8 @@ def test_c03_defuzzification_affine_and_monotone_in_rate():
     worst_dev = 0.0
     monotone = True
     for _ in range(1000):
-        q = TrapezoidalFuzzyNumber(*np.sort(rng.uniform(0.0, 1000.0, size=4)))
-        vals = [defuzzify(q, a) for a in grid]
+        q = np.sort(rng.uniform(0.0, 1000.0, size=4))
+        vals = [float(defuzzify_components(q, a)) for a in grid]
         monotone &= _nondecreasing(vals)
         affine = vals[0] + grid * (vals[-1] - vals[0])
         worst_dev = max(worst_dev, float(np.max(np.abs(np.asarray(vals) - affine))))

@@ -16,6 +16,7 @@ that bound against the oracle's per-design routings.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -24,6 +25,7 @@ import pytest
 
 from hubnet import exact, metaheuristics
 from hubnet.evaluation import compute_objectives, hub_tables, plan_from_mask
+from hubnet.fileio import write_front_csv
 from hubnet.exact import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
@@ -473,6 +475,59 @@ def test_routing_search_cost_is_the_oracle_cheapest_fitting_routing(name, reques
             assert (res is None) == (len(fit) == 0), (g, eps2, eps3)
             if res is not None:
                 assert abs(res[0][0] - fit.min()) <= 1e-6, (g, eps2, eps3)
+
+
+def test_a_primed_routing_search_returns_no_key_above_its_prime():
+    """Primed with a key prefix, the routing search returns only keys whose
+    prefix is at most the prime.  An emissions or penalty search primed
+    with its own optimum finds nothing; a cost search prunes with ``>`` on
+    the prefix, so it may return that optimum's tie.  Primed above the
+    optimum, every search returns the unprimed key."""
+    inst = generate(GeneratorSpec(n=6, p=2, seed=3))
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    rows = np.array([exact._solve_min(index, m, math.inf, math.inf).objectives.as_tuple()
+                     for m in range(3)])
+    cells = [(math.inf, math.inf)] + EpsilonGrid(2, 2).cells(
+        (rows[:, 1].min(), rows[:, 1].max()), (rows[:, 2].min(), rows[:, 2].max()))
+    ties = 0
+    for eps2, eps3 in cells:
+        for g in range(index.total):
+            pd = index.pair_data(g)
+            for main in range(3):
+                res = exact._bb_routing(pd, inst.capacity, main, eps2, eps3, None)
+                if res is None:
+                    continue
+                key = res[0]
+                own = exact._bb_routing(pd, inst.capacity, main, eps2, eps3, key[:4])
+                if own is not None:
+                    assert main == 0 and own[0][:4] == key[:4], (g, main, eps2, eps3)
+                    ties += 1
+                loose = (key[0] + 1.0, math.inf, math.inf, math.inf)
+                assert exact._bb_routing(pd, inst.capacity, main, eps2, eps3, loose)[0] == key
+    assert ties > 0
+
+
+# sha256 of the written front CSV; a search change that moves a byte of
+# these fronts fails here, and its author re-records the digest
+_PINNED_FRONTS = {
+    (7, 6): "8c4748bc7c3196af3e148c69ce61db519a3d93f139e2b2e2944ceb3a480f5f82",
+    (1, 3): "85b484611b8774daab45371a910437bcb2497faa7ce612682cee9f9340a6ff76",
+    (5, 3): "2fd52bad5f5c8f2239eae5183879a111a5d49bf077b3853f16df8b1b0ac513e5",
+    (16, 3): "cfe0c686cb77fa05061a7f255d8000ba04ea9514f06880615eecc577faceeb0f",
+    (17, 3): "463a85660c8d58f1684ef5857d71b481b64c758dd09fbba78ae43f6d23ccc151",
+}
+
+
+@pytest.mark.parametrize("seed, segments", sorted(_PINNED_FRONTS),
+                         ids=[f"n10-seed{s}-{k}x{k}" for s, k in sorted(_PINNED_FRONTS)])
+def test_exact_front_bytes_are_pinned(seed, segments, tmp_path):
+    """Ten-node fronts the bench does not cover: C7 (seed 7) at 6 x 6 and
+    four seeds at 3 x 3 keep the bytes of their written front CSV."""
+    front = epsilon_constraint_front(generate(GeneratorSpec(n=10, p=3, seed=seed)),
+                                     EpsilonGrid(segments, segments))
+    write_front_csv(front, tmp_path / "front.csv")
+    digest = hashlib.sha256((tmp_path / "front.csv").read_bytes()).hexdigest()
+    assert digest == _PINNED_FRONTS[seed, segments]
 
 
 def test_solvers_match_the_oracle_where_hub_capacity_binds(monkeypatch):

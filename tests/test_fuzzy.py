@@ -1,12 +1,38 @@
+"""Defuzzification checks against a scalar reference that shares no code
+with ``hubnet.fuzzy``: one trapezoidal fuzzy number at a time, where the
+package collapses a whole ``(..., 4)`` component array in one pass."""
+
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from hubnet.fuzzy import (
-    TrapezoidalFuzzyNumber,
-    defuzzify,
-    defuzzify_components,
-    expected_interval,
-)
+from hubnet.fuzzy import defuzzify_components
+
+
+@dataclass(frozen=True)
+class TrapezoidalFuzzyNumber:
+    """Fuzzy quantity described by four ascending support points."""
+
+    q1: float
+    q2: float
+    q3: float
+    q4: float
+
+
+def expected_interval(q: TrapezoidalFuzzyNumber) -> tuple[float, float]:
+    """Expected interval endpoints ``((q1+q2)/2, (q3+q4)/2)``."""
+    return ((q.q1 + q.q2) / 2.0, (q.q3 + q.q4) / 2.0)
+
+
+def defuzzify(q: TrapezoidalFuzzyNumber, alpha_prime: float) -> float:
+    """``(1 - alpha_prime) * lower + alpha_prime * upper`` over the
+    expected interval; a ValueError for a rate outside ``[0, 1]``."""
+    if not 0.0 <= alpha_prime <= 1.0:
+        raise ValueError(f"uncertainty rate must lie in [0, 1], got {alpha_prime!r}")
+    lo, hi = expected_interval(q)
+    return (1.0 - alpha_prime) * lo + alpha_prime * hi
+
 
 Q = TrapezoidalFuzzyNumber(60.0, 62.0, 64.0, 66.0)
 

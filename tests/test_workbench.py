@@ -1,9 +1,12 @@
 import csv
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hubnet import workbench
 from hubnet.exact import EpsilonGrid, epsilon_constraint_front
 from hubnet.fileio import read_front_csv, save_instance
 from hubnet.metaheuristics import ALGORITHMS, AlgorithmParams
@@ -212,3 +215,35 @@ def test_a_front_that_cannot_be_written_fails_only_its_cell(tmp_path, gen5, work
     assert {row[1] for row in _read(out / "ranking.csv")[1:]} == {"nsga2", "mopso"}
     assert sorted(f.name for f in (out / "fronts").iterdir() if f.is_file()) == [
         "inst_mopso_seed0.csv", "inst_mopso_seed1.csv", "inst_nsga2_seed1.csv"]
+
+
+def test_a_dead_worker_fails_only_the_unfinished_cells(tmp_path, gen5, monkeypatch):
+    """A worker process that dies mid-cell breaks the pool; the campaign
+    still writes every table, one row per cell, and each cell either
+    finished or names the broken pool."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched solver reaches the workers only when they fork")
+    solve = workbench.run_solver
+
+    def dying(inst, algorithm, *args):
+        if algorithm == "mowoa":
+            os._exit(1)
+        return solve(inst, algorithm, *args)
+
+    monkeypatch.setattr(workbench, "run_solver", dying)
+    p = tmp_path / "inst.json"
+    save_instance(gen5, p)
+    out = tmp_path / "out"
+    results = run_compare(ExperimentConfig(
+        instances=(str(p),), algorithms=("nsga2", "mowoa", "mopso"), seeds=(0, 1),
+        out_dir=str(out), params=SMALL, workers=2))
+    assert [(r.algorithm, r.seed) for r in results] == [
+        (a, s) for a in ("nsga2", "mowoa", "mopso") for s in (0, 1)]
+    cells = _read(out / "cells.csv")
+    assert [row[1:3] for row in cells[1:]] == [[r.algorithm, str(r.seed)] for r in results]
+    for r, row in zip(results, cells[1:]):
+        broken = r.error is not None and r.error.startswith("BrokenProcessPool")
+        assert broken or r.algorithm != "mowoa"
+        assert (r.metrics is not None) != broken, r
+        assert bool(row[3]) == (r.metrics is not None)
+    assert (out / "averages.csv").exists() and (out / "ranking.csv").exists()
