@@ -2,7 +2,8 @@
 
 Subcommands: generate, solve, sweep, compare, validate.  Exit codes:
 0 success, 1 bad usage or failed validation, 2 model infeasibility or an
-enumeration budget overrun, 3 I/O trouble (missing or unreadable files).
+enumeration budget overrun, 3 I/O trouble (a file that cannot be read or
+written).
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from .fileio import (
     write_metrics_csv,
 )
 from .generator import PRESET_SIZES, GeneratorSpec, generate, preset
-from .metaheuristics import ALGORITHMS, AlgorithmParams
+from .metaheuristics import AlgorithmParams
 from .model import check_feasibility, validate_instance
 from .workbench import (
+    SOLVERS,
     SWEEP_PARAMETERS,
     ExperimentConfig,
     run_compare,
@@ -39,8 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
-
-SOLVER_NAMES = ("exact",) + tuple(sorted(ALGORITHMS))
 
 
 class _CliError(Exception):
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run one solver, write the front CSV")
     s.add_argument("--instance", required=True)
-    s.add_argument("--solver", required=True, choices=SOLVER_NAMES)
+    s.add_argument("--solver", required=True, choices=SOLVERS)
     s.add_argument("--out", required=True, help="front CSV path")
     s.add_argument("--metrics-out", help="optional metrics CSV path")
     _add_solver_options(s)
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="instances x algorithms x seeds experiment")
     c.add_argument("--instances", required=True, nargs="+")
-    c.add_argument("--algorithms", required=True, nargs="+", choices=SOLVER_NAMES)
+    c.add_argument("--algorithms", required=True, nargs="+", choices=SOLVERS)
     c.add_argument("--seeds", required=True, help="comma-separated seeds")
     c.add_argument("--out-dir", required=True)
     c.add_argument("--workers", type=int, default=1,
@@ -190,40 +190,23 @@ def _cmd_generate(args) -> int:
     else:
         if args.nodes is None or args.hubs is None:
             raise _CliError(EXIT_USAGE, "need --preset or both --nodes and --hubs")
-        try:
-            spec = GeneratorSpec(n=args.nodes, p=args.hubs, seed=args.seed)
-        except ValueError as exc:
-            raise _CliError(EXIT_USAGE, str(exc))
+        spec = GeneratorSpec(n=args.nodes, p=args.hubs, seed=args.seed)
     inst = generate(spec)
-    try:
-        save_instance(inst, args.out)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+    save_instance(inst, args.out)
     print(f"wrote {args.out} (n={inst.n}, p={inst.p}, seed={spec.seed})")
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
     inst = _load_valid(args.instance)
-    try:
-        params = _params_from(args)
-        front, elapsed = run_solver(inst, args.solver, args.seed, args.alpha_prime,
-                                    params, EpsilonGrid(args.grid_z2, args.grid_z3),
-                                    args.budget)
-    except EnumerationBudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
+    front, elapsed = run_solver(inst, args.solver, args.seed, args.alpha_prime,
+                                _params_from(args), EpsilonGrid(args.grid_z2, args.grid_z3),
+                                args.budget)
     if len(front) == 0:
-        print("no feasible solution exists for this instance", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    try:
-        write_front_csv(front, args.out)
-        if args.metrics_out:
-            write_metrics_csv(compute_metrics(front, elapsed), args.metrics_out)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write results: {exc}")
+        raise _CliError(EXIT_INFEASIBLE, "no feasible solution exists for this instance")
+    write_front_csv(front, args.out)
+    if args.metrics_out:
+        write_metrics_csv(compute_metrics(front, elapsed), args.metrics_out)
     rows = front.objective_rows()
     print(f"{args.solver}: {len(front)} front members in {elapsed:.2f}s, "
           f"cost {rows[:, 0].min():.6f}..{rows[:, 0].max():.6f}")
@@ -249,50 +232,32 @@ def _cmd_sweep(args) -> int:
     values = _numbers(args.values, float)
     if not values:
         raise _CliError(EXIT_USAGE, "--values must name at least one number")
-    try:
-        for v in values:     # refuse a bad value before solving for the plan
-            swept_instance(inst, args.param, v, args.alpha_prime)
-        plan = _pick_plan(args, inst)
-        rows = sweep_rows(inst, plan, args.param, values)
-    except EnumerationBudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
-    try:
-        write_csv(args.out, ("value", "z1", "z2", "z3"), rows)
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+    for v in values:     # refuse a bad value before solving for the plan
+        swept_instance(inst, args.param, v, args.alpha_prime)
+    rows = sweep_rows(inst, _pick_plan(args, inst), args.param, values)
+    write_csv(args.out, ("value", "z1", "z2", "z3"), rows)
     print(f"swept {args.param} over {len(rows)} values -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    try:
-        config = ExperimentConfig(
-            instances=tuple(args.instances),
-            algorithms=tuple(args.algorithms),
-            seeds=tuple(_numbers(args.seeds, int)),
-            out_dir=args.out_dir,
-            alpha_prime=args.alpha_prime,
-            params=_params_from(args),
-            grid=EpsilonGrid(args.grid_z2, args.grid_z3),
-            budget=args.budget,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
-    try:
-        results = run_compare(config)
-    except FileNotFoundError as exc:
-        raise _CliError(EXIT_IO, str(exc))
+    results = run_compare(ExperimentConfig(
+        instances=tuple(args.instances),
+        algorithms=tuple(args.algorithms),
+        seeds=tuple(_numbers(args.seeds, int)),
+        out_dir=args.out_dir,
+        alpha_prime=args.alpha_prime,
+        params=_params_from(args),
+        grid=EpsilonGrid(args.grid_z2, args.grid_z3),
+        budget=args.budget,
+        workers=args.workers,
+    ))
     missing = [r for r in results if r.metrics is None]
     for r in missing:
         print(f"cell {r.instance}/{r.algorithm}/seed{r.seed} failed: {r.error}",
               file=sys.stderr)
     if missing and len(missing) == len(results):
-        print("every cell failed; no tables to rank", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise _CliError(EXIT_INFEASIBLE, "every cell failed; no tables to rank")
     note = f" ({len(missing)} missing)" if missing else ""
     print(f"compared {len(results) - len(missing)} cells -> {args.out_dir}{note}")
     return EXIT_OK
@@ -340,13 +305,22 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; every failure ends in a stderr line and its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+        message, code = str(exc), exc.code
+    except EnumerationBudgetError as exc:
+        message, code = f"budget exceeded: {exc}", EXIT_INFEASIBLE
+    except ValueError as exc:
+        message, code = str(exc), EXIT_USAGE
+    except OSError as exc:
+        # a failed write or a missing compare instance; the error names the path
+        message, code = str(exc), EXIT_IO
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -466,25 +466,30 @@ def _pair_data(index: _ExactIndex, g: int) -> _PairData:
 
 def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
                 eps2: float, eps3: float,
-                incumbent: Optional[tuple]) -> Optional[tuple[tuple, np.ndarray]]:
+                incumbent: tuple) -> Optional[tuple]:
     """Exact DFS over per-pair options minimising objective ``main``.
 
     The cost sum starts from the config's fixed cost ``pd.fixed``.
     Emission/penalty bounds are inclusive on 1e-6-rounded values.  Returns
-    the best ``((z_main, z1, z2, z3, encoding), choices)`` or None.
+    the best key ``(z_main, z1, z2, z3, encoding)`` or None; ``key[4]`` is
+    the route encoding, one 0/1 per pair in canonical order.
     ``incumbent`` primes the bound with a 4-component key prefix from a
-    competitor found elsewhere; no key whose prefix exceeds it is returned.
-    A search on emissions or penalty returns only main values strictly
-    below the prime's; a cost search prunes with ``>`` on the 4-tuple, so
-    a routing whose prefix ties the prime can come back, and the caller
-    settles that tie on the encoding.
+    competitor found elsewhere (``(inf,) * 4`` for none); no key whose
+    prefix exceeds it is returned.  A search on emissions or penalty
+    returns only main values strictly below the prime's; a cost search
+    prunes with ``>`` on the 4-tuple, so a routing whose prefix ties the
+    prime can come back, and the caller settles that tie on the encoding.
 
     A cost search (``main == 0``) prunes by comparing the componentwise
     lower-bound tuple with the best key in tuple order: since every
     leaf key is >= that tuple in that order, a bound tuple already > the
-    best key cannot contain an improvement.  This also collapses tie
-    plateaus (many routings sharing the same main value) that a plain
-    value bound would fully enumerate.
+    best key cannot contain an improvement.  A bound tuple equal to the
+    best key's prefix can only win on the encoding, so once the search
+    holds a leaf of its own it also prunes a node whose least encoding
+    (the choices made so far, every undecided pair Direct) is not below
+    the best one.  Together these collapse tie plateaus (many routings
+    sharing the same objectives, as with zero demand) that a plain value
+    bound would fully enumerate.
 
     A search on emissions or penalty (``main != 0``) prunes on the main
     value alone and settles ties by first discovery: those solves only
@@ -496,8 +501,8 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
     suffix = pd.suffix_min
     loads = np.zeros(len(caps))
     choices = np.zeros(P, dtype=np.int8)
-    best: Optional[tuple[tuple, np.ndarray]] = None
-    best_prefix: Optional[tuple] = incumbent
+    best: Optional[tuple] = None
+    best_prefix = incumbent
     canon = pd.canon_pos
 
     constrained = math.isfinite(eps2) or math.isfinite(eps3)
@@ -511,10 +516,11 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
         (contrib[:, 1, main] == contrib[:, 0, main]) & (contrib[:, 1, 0] < contrib[:, 0, 0]))
     opt_order = [(1, 0) if flag else (0, 1) for flag in hub_first]
 
-    def leaf_key(sums: tuple[float, float, float]) -> tuple:
-        enc = np.empty(P, dtype=np.int8)
-        enc[canon] = choices
-        return (sums[main], sums[0], sums[1], sums[2], tuple(int(b) for b in enc))
+    def encoding(t: int) -> tuple:
+        """The least encoding below a node at depth t: undecided pairs Direct."""
+        enc = np.zeros(P, dtype=np.int8)
+        enc[canon[:t]] = choices[:t]
+        return tuple(enc.tolist())
 
     def pen_for(tab: tuple, t: int, used_b: float, eps_b: float) -> tuple[float, int]:
         """Fractional repair price for the suffix at t plus the marginal
@@ -553,22 +559,23 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
             if pen == math.inf:
                 return
         sums = (s0, s1, s2)
-        if best_prefix is not None:
-            if main:
-                if sums[main] + suffix[t, main] >= best_prefix[0]:
-                    return
-            else:
-                b1 = s0 + suffix[t, 0] + pen
-                if (b1, b1, s1 + suffix[t, 1], s2 + suffix[t, 2]) > best_prefix:
-                    return
+        if main:
+            if sums[main] + suffix[t, main] >= best_prefix[0]:
+                return
+        else:
+            b1 = s0 + suffix[t, 0] + pen
+            bound = (b1, b1, s1 + suffix[t, 1], s2 + suffix[t, 2])
+            if bound > best_prefix or (bound == best_prefix and best is not None
+                                       and encoding(t) >= best[4]):
+                return
         if t == P:
             # bounds are inclusive on the rounded objective values
             if round6(s1) > eps2 or round6(s2) > eps3:
                 return
-            key = leaf_key(sums)
-            if best is None or key < best[0]:
-                best = (key, choices.copy())
-                best_prefix = key[:4]
+            # at a leaf the bound is the key's prefix, so a leaf that got
+            # past the prune beats every key found so far
+            best = (sums[main], s0, s1, s2, encoding(P))
+            best_prefix = best[:4]
             return
         opts = contrib[t]
         order_t = opt_order[t]
@@ -602,16 +609,6 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
     return best
 
 
-def _mask_from_choices(ctx: EvalContext, canon_pos: np.ndarray,
-                       choices: Sequence[int]) -> np.ndarray:
-    """Hub-route mask of per-pair choices; choice t is canonical pair ``canon_pos[t]``."""
-    flat = np.zeros(len(choices), dtype=bool)
-    flat[canon_pos] = choices
-    mask = np.zeros_like(ctx.offdiag)
-    mask[ctx.offdiag] = flat
-    return mask
-
-
 def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
                incumbent_value: float = math.inf) -> Optional[EvaluatedSolution]:
     """Global minimum of objective ``main`` under the bounds.
@@ -623,21 +620,22 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
     and cuts off on the budget-conditioned bound.
     """
     best: tuple = (incumbent_value, math.inf, math.inf, math.inf)
-    best_payload = None
+    design = None
     for lbm, g in _visiting_order(index, main, eps2, eps3):
         # a config whose bound reaches the best value could only tie it;
         # the scan stops rather than hunt a smaller key among the ties
         if lbm >= best[0]:
             break
         pd = index.pair_data(g)
-        res = _bb_routing(pd, index.ctx.inst.capacity, main, eps2, eps3, best[:4])
-        if res is not None and res[0] < best:
-            best, best_payload = res[0], (pd, res[1])
-    if best_payload is None:
+        key = _bb_routing(pd, index.ctx.inst.capacity, main, eps2, eps3, best[:4])
+        if key is not None and key < best:
+            best, design = key, pd.design
+    if design is None:
         return None
-    pd, choices = best_payload
-    plan = plan_from_mask(pd.design, _mask_from_choices(index.ctx, pd.canon_pos, choices))
-    return solution_from_plan(index.ctx.inst, pd.design, plan, index.ctx.alpha_prime)
+    mask = np.zeros_like(index.ctx.offdiag)
+    mask[index.ctx.offdiag] = best[4]
+    plan = plan_from_mask(design, mask)
+    return solution_from_plan(index.ctx.inst, design, plan, index.ctx.alpha_prime)
 
 
 def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonGrid(),
@@ -651,7 +649,7 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
     duplicate cell optima.
     """
     index = _build_index(inst, alpha_prime, budget)
-    if not index.blocks or index.total == 0:
+    if not index.blocks:
         return ParetoFront(solutions=())
 
     payoff: list[EvaluatedSolution] = []
@@ -672,13 +670,9 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
     pool: list[EvaluatedSolution] = list(payoff)
     candidates: list[EvaluatedSolution] = []
     for eps2, eps3 in grid.cells(range2, range3):
-        inc_val = math.inf
-        inc_sol: Optional[EvaluatedSolution] = None
-        for s in pool:
-            z = s.objectives
-            if z.z2 <= eps2 and z.z3 <= eps3 and z.z1 < inc_val:
-                inc_val = z.z1
-                inc_sol = s
+        inc_sol = min((s for s in pool if s.objectives.z2 <= eps2 and s.objectives.z3 <= eps3),
+                      key=lambda s: s.objectives.z1, default=None)
+        inc_val = inc_sol.objectives.z1 if inc_sol is not None else math.inf
         res = _solve_min(index, 0, eps2, eps3, incumbent_value=inc_val)
         winner = res if res is not None else inc_sol
         if winner is not None:

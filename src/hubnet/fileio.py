@@ -153,10 +153,8 @@ def _solution_row(sol: EvaluatedSolution) -> list:
     ]
 
 
-def write_front_csv(front: Union[ParetoFront, Sequence[EvaluatedSolution]],
-                    path: Union[str, Path]) -> None:
-    solutions = list(front.solutions) if isinstance(front, ParetoFront) else list(front)
-    write_csv(path, FRONT_COLUMNS, [_solution_row(s) for s in solutions])
+def write_front_csv(front: ParetoFront, path: Union[str, Path]) -> None:
+    write_csv(path, FRONT_COLUMNS, [_solution_row(s) for s in front.solutions])
 
 
 def read_front_csv(path: Union[str, Path]) -> list[FrontRow]:

@@ -41,6 +41,7 @@ from .metaheuristics import ALGORITHMS, AlgorithmParams
 from .model import EvaluatedSolution, ProblemInstance, validate_instance
 
 __all__ = [
+    "SOLVERS",
     "SWEEP_PARAMETERS",
     "swept_instance",
     "sweep_rows",
@@ -49,6 +50,9 @@ __all__ = [
     "run_compare",
     "run_solver",
 ]
+
+# every solver a run may name: the exact front, then the metaheuristics
+SOLVERS = ("exact",) + tuple(sorted(ALGORITHMS))
 
 # sweep knob -> the ProblemInstance field it sets; alpha_prime sets the rate
 _SWEEP_FIELDS = {"alpha": "alpha_discount", "beta": "beta_discount",
@@ -123,10 +127,9 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             # the stem names each cell's front file and table rows
             raise ValueError(f"instance file stems must be unique, got {names}")
-        known = set(ALGORITHMS) | {"exact"}
-        bad = [a for a in self.algorithms if a not in known]
+        bad = [a for a in self.algorithms if a not in SOLVERS]
         if bad:
-            raise ValueError(f"unknown algorithms {bad}, expected subset of {sorted(known)}")
+            raise ValueError(f"unknown algorithms {bad}, expected subset of {list(SOLVERS)}")
 
 
 @dataclass(frozen=True)

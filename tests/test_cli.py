@@ -66,6 +66,22 @@ def test_generate_unwritable_path(tmp_path):
     assert main(["generate", "--out", out, "--nodes", "4", "--hubs", "2"]) == 3
 
 
+@pytest.mark.parametrize("command, args", [
+    ("generate", ["--nodes", "4", "--hubs", "2"]),
+    ("solve", ["--solver", "exact", "--grid-z2", "1", "--grid-z3", "1"]),
+    ("sweep", ["--param", "phi", "--values", "30", "--grid-z2", "1", "--grid-z3", "1"]),
+])
+def test_a_failed_write_names_its_path(tmp_path, capsys, command, args):
+    out = tmp_path / "no" / "such" / "dir" / "out.csv"
+    if command != "generate":
+        args = args + ["--instance", str(_gen(tmp_path))]
+    capsys.readouterr()
+    assert main([command, "--out", str(out)] + args) == 3
+    captured = capsys.readouterr()
+    assert str(out) in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_solve_exact_then_validate(tmp_path, capsys):
     inst = _gen(tmp_path)
     front = tmp_path / "front.csv"

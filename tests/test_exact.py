@@ -51,6 +51,9 @@ import oracle
 from conftest import make_instance
 from oracle import config_states, naive_designs, oracle_front
 
+# the routing search's prime when no competitor is known
+UNPRIMED = (math.inf,) * 4
+
 
 def naive_routes(inst, design, i, j):
     """Direct plus the one hub route the assignments allow, each kept only
@@ -101,12 +104,13 @@ def indexed_routings(inst, eps2=math.inf, eps3=math.inf):
     index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
     for g in range(index.total):
         pd = index.pair_data(g)
-        res = exact._bb_routing(pd, inst.capacity, 0, eps2, eps3, None)
-        if res is None:
+        key = exact._bb_routing(pd, inst.capacity, 0, eps2, eps3, UNPRIMED)
+        if key is None:
             yield pd.design, None
             continue
-        yield pd.design, plan_from_mask(pd.design,
-                                        exact._mask_from_choices(index.ctx, pd.canon_pos, res[1]))
+        mask = np.zeros_like(index.ctx.offdiag)
+        mask[index.ctx.offdiag] = key[4]
+        yield pd.design, plan_from_mask(pd.design, mask)
 
 
 def test_configuration_count_hand_values():
@@ -255,6 +259,21 @@ def test_front_members_lie_on_oracle_front(tiny, gen5):
             assert check_feasibility(inst, s, 0.5) == []
 
 
+@pytest.mark.parametrize("n, seed", [(3, 5), (4, 0), (5, 1), (5, 3), (6, 2), (6, 3)])
+def test_zero_demand_fronts_equal_the_oracle_front(n, seed):
+    """With nothing to ship every routing of a design ties, so the routing
+    search crosses a plateau of 2^P equal keys that only the encoding
+    separates; every node may open a hub (p = n).  The front is still the
+    oracle's, and each winner flies the least encoding: Direct everywhere."""
+    inst = generate(GeneratorSpec(n=n, p=n, seed=seed))
+    inst = dataclasses.replace(inst, demand=np.zeros_like(inst.demand))
+    front = epsilon_constraint_front(inst, EpsilonGrid(2, 2))
+    assert (sorted(s.objectives.as_tuple() for s in front)
+            == sorted(s.objectives.as_tuple() for s in oracle_front(inst)))
+    for s in front:
+        assert all(isinstance(r, Direct) for _, _, r in s.plan.items())
+
+
 def test_single_cell_grid_returns_cost_optimum(tiny):
     sols = naive_solutions(tiny)
     want = naive_best_z1(sols)
@@ -307,9 +326,9 @@ def test_a_config_with_a_stranded_pair_is_never_visited_and_routes_nothing(tiny)
         stranded.append(g)
         assert np.isinf(index.lb[:, g]).all()
         for main in range(3):
-            for eps2, eps3, incumbent in ((math.inf, math.inf, None),
-                                          (1e6, 1e6, None),
-                                          (math.inf, 1e6, None),
+            for eps2, eps3, incumbent in ((math.inf, math.inf, UNPRIMED),
+                                          (1e6, 1e6, UNPRIMED),
+                                          (math.inf, 1e6, UNPRIMED),
                                           (math.inf, math.inf, (1e9, math.inf, math.inf, math.inf))):
                 assert exact._bb_routing(pd, inst.capacity, main, eps2, eps3, incumbent) is None
     assert 0 < len(stranded) < index.total
@@ -470,11 +489,29 @@ def test_routing_search_cost_is_the_oracle_cheapest_fitting_routing(name, reques
     index, states, cells = _oracle_states(inst)
     for eps2, eps3 in cells:
         for g, objs in enumerate(states):
-            res = exact._bb_routing(index.pair_data(g), inst.capacity, 0, eps2, eps3, None)
+            key = exact._bb_routing(index.pair_data(g), inst.capacity, 0, eps2, eps3, UNPRIMED)
             fit = _fitting_costs(objs, eps2, eps3)
-            assert (res is None) == (len(fit) == 0), (g, eps2, eps3)
-            if res is not None:
-                assert abs(res[0][0] - fit.min()) <= 1e-6, (g, eps2, eps3)
+            assert (key is None) == (len(fit) == 0), (g, eps2, eps3)
+            if key is not None:
+                assert abs(key[0] - fit.min()) <= 1e-6, (g, eps2, eps3)
+
+
+def test_a_cost_search_crosses_a_tie_plateau_to_the_least_encoding():
+    """Two pairs, each hub route cheaper (1 vs 2) and loading the same hub,
+    whose capacity takes one of them.  The dive flies pair 0 via the hub
+    and lands on encoding (1, 0); (0, 1) ties it at cost 3 and is smaller,
+    so the search must cross the plateau to reach it.  Primed with that
+    cost from elsewhere, the search still returns the tie."""
+    option = [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]      # direct, hub
+    pd = exact._PairData(
+        design=None, fixed=0.0, contrib=np.array([option, option]),
+        suffix_min=np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        load_nodes=np.array([[0, -1], [0, -1]]), load_q=np.array([1.0, 1.0]),
+        canon_pos=np.array([0, 1]))
+    caps = np.array([1.0])
+    want = (3.0, 3.0, 0.0, 0.0, (0, 1))
+    assert exact._bb_routing(pd, caps, 0, math.inf, math.inf, UNPRIMED) == want
+    assert exact._bb_routing(pd, caps, 0, math.inf, math.inf, want[:4]) == want
 
 
 def test_a_primed_routing_search_returns_no_key_above_its_prime():
@@ -494,16 +531,15 @@ def test_a_primed_routing_search_returns_no_key_above_its_prime():
         for g in range(index.total):
             pd = index.pair_data(g)
             for main in range(3):
-                res = exact._bb_routing(pd, inst.capacity, main, eps2, eps3, None)
-                if res is None:
+                key = exact._bb_routing(pd, inst.capacity, main, eps2, eps3, UNPRIMED)
+                if key is None:
                     continue
-                key = res[0]
                 own = exact._bb_routing(pd, inst.capacity, main, eps2, eps3, key[:4])
                 if own is not None:
-                    assert main == 0 and own[0][:4] == key[:4], (g, main, eps2, eps3)
+                    assert main == 0 and own[:4] == key[:4], (g, main, eps2, eps3)
                     ties += 1
                 loose = (key[0] + 1.0, math.inf, math.inf, math.inf)
-                assert exact._bb_routing(pd, inst.capacity, main, eps2, eps3, loose)[0] == key
+                assert exact._bb_routing(pd, inst.capacity, main, eps2, eps3, loose) == key
     assert ties > 0
 
 

@@ -20,6 +20,7 @@ from hubnet.fileio import (
     write_front_csv,
     write_metrics_csv,
 )
+from hubnet.fronts import ParetoFront
 from hubnet.generator import GeneratorSpec, generate
 from hubnet.model import Direct, NetworkDesign, OneHub, RoutePlan, TwoHub
 
@@ -193,7 +194,7 @@ def test_solution_from_row_checks_token_count(tmp_path, tiny):
     design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
     sol = solution_from_plan(tiny, design, all_hub_plan(tiny, design), 0.5)
     path = tmp_path / "front.csv"
-    write_front_csv([sol], path)
+    write_front_csv(ParetoFront(solutions=(sol,)), path)
     row = read_front_csv(path)[0]
     truncated = row.__class__(**{**row.__dict__, "routes": row.routes[:-1]})
     with pytest.raises(ValueError, match="route tokens"):
