@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import compute_metrics
-from .evaluation import evaluate
+from .evaluation import compute_objectives
 from .exact import DEFAULT_BUDGET, EnumerationBudgetError, EpsilonGrid, epsilon_constraint_front
 from .fileio import (
     load_instance,
@@ -271,10 +271,10 @@ def _row_findings(inst, row) -> list[str]:
         return [str(exc)]
     report = check_feasibility(inst, sol, sol.alpha_prime)
     if not report:
-        z = evaluate(inst, sol.design, sol.plan, sol.alpha_prime)
-        if z.as_tuple() != sol.objectives.as_tuple():
+        z = compute_objectives(inst, sol.design, sol.plan, sol.alpha_prime)
+        if z != sol.objectives.as_tuple():
             report.append(f"stored objectives {sol.objectives.as_tuple()} "
-                          f"differ from recomputed {z.as_tuple()}")
+                          f"differ from recomputed {z}")
     return report
 
 

@@ -1,9 +1,9 @@
 """Objective evaluation: cost, emissions and time-window penalty.
 
 Two equivalent code paths are kept on purpose.  The typed path
-(:func:`compute_objectives`, :func:`evaluate`) walks ``RoutePlan`` objects
-with plain scalar arithmetic and serves as the readable reference; it
-prices a route in one place, :func:`_route_objectives`.  The array path
+(:func:`compute_objectives`, :func:`evaluate`) walks a ``RoutePlan`` of hub
+tuples with plain scalar arithmetic and serves as the readable reference;
+it prices every route with one formula, :func:`_route_objectives`.  The array path
 (:class:`EvalContext`, :func:`hub_tables`, :func:`evaluate_mask`) expresses
 a plan as a boolean hub-route mask over the pair grid, prices a whole
 population of masks at once, and is what the solvers use; a property test
@@ -34,16 +34,14 @@ import numpy as np
 
 from .model import (
     FEAS_TOL,
-    Direct,
     EvaluatedSolution,
     NetworkDesign,
     ObjectiveVector,
-    OneHub,
     ProblemInstance,
     Route,
     RoutePlan,
-    TwoHub,
     feasibility_violations,
+    implied_route,
     round6,
     route_time,
 )
@@ -81,21 +79,20 @@ def _route_objectives(inst: ProblemInstance, q: np.ndarray, cd: np.ndarray, i: i
     """Unrounded (cost, emissions, penalty) of pair (i, j) flown on ``route``.
 
     ``q`` is the crisp demand matrix and ``cd`` the unit transport cost
-    times distance.  The penalty depends only on the route's time, never
-    on demand, so it is constant in the uncertainty rate.
+    times distance; ``cd[k, k]`` is 0, so one formula prices both hub
+    routes.  The penalty depends only on the route's time, never on
+    demand, so it is constant in the uncertainty rate.
     """
     d, u = inst.distance, inst.handling_cost
-    if isinstance(route, Direct):
-        unit, dist, legs = cd[i, j], d[i, j], 1
-    elif isinstance(route, OneHub):
-        k = route.hub
-        unit = inst.beta_discount * (cd[i, k] + cd[k, j]) + u[k]
-        dist, legs = d[i, k] + d[k, j], 2
-    else:
-        k, l = route.first, route.second
-        unit = (inst.beta_discount * (cd[i, k] + cd[l, j]) + inst.alpha_discount * cd[k, l]
-                + u[k] + u[l])
-        dist, legs = d[i, k] + d[k, l] + d[l, j], 3
+    stops = (i, *route, j)
+    dist = sum(d[a, b] for a, b in zip(stops, stops[1:]))
+    unit = cd[i, j]
+    if route:
+        k, l = route[0], route[-1]
+        unit = inst.beta_discount * (cd[i, k] + cd[l, j]) + inst.alpha_discount * cd[k, l]
+        for h in route:
+            unit += u[h]
+    legs = len(route) + 1
     m = aircraft_count(q[i, j], inst.aircraft_capacity)
     emissions = ((legs * inst.lto_p1 + inst.ccd_rate_p1 * dist) * m
                  + (legs * inst.lto_p2 + inst.ccd_rate_p2 * dist) * m)
@@ -144,7 +141,7 @@ def solution_from_plan(inst: ProblemInstance, design: NetworkDesign, plan: Route
 # --- array path -----------------------------------------------------------
 #
 # A plan under a fixed design is fully described by one boolean per ordered
-# pair: False = Direct, True = the unique hub route implied by the endpoint
+# pair: False = direct, True = the unique hub route implied by the endpoint
 # assignments.  Everything below works on that mask representation.
 
 
@@ -246,7 +243,7 @@ def evaluate_mask(ctx: EvalContext, tables: np.ndarray, assignment: np.ndarray,
 
 
 def loads_from_mask(ctx: EvalContext, assignment: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-node hub throughput of a masked plan (TwoHub loads both hubs).
+    """Per-node hub throughput of a masked plan (a two-hub route loads both).
 
     Takes one plan, ``(n,)`` and ``(n, n)``, or a batch, ``(N, n)`` and
     ``(N, n, n)``; row r of a batch equals the one-plan call on row r.
@@ -267,5 +264,5 @@ def plan_from_mask(design: NetworkDesign, mask: np.ndarray) -> RoutePlan:
     """Direct where ``mask`` is False, else the hub route of the pair's hubs."""
     a, n = design.assignment, design.n
     return RoutePlan.from_dict(n, {
-        (i, j): (OneHub(a[i]) if a[i] == a[j] else TwoHub(a[i], a[j])) if mask[i, j] else Direct()
+        (i, j): implied_route(a[i], a[j]) if mask[i, j] else ()
         for i in range(n) for j in range(n) if i != j})

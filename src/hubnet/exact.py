@@ -9,7 +9,7 @@ conditioned on the cell's budgets, built only for those the scan reaches,
 so most are pruned without search.
 
 Determinism: ties between equal-objective routings break on the route
-encoding (Direct=0, hub route=1, canonical pair order).  Configurations
+encoding (direct=0, hub route=1, canonical pair order).  Configurations
 are visited once, in ascending (bound, canonical config id) order, and
 the scan stops at the first bound at or above the incumbent's value, so
 a configuration whose bound equals it is never searched.  The winner is
@@ -486,7 +486,7 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
     best key cannot contain an improvement.  A bound tuple equal to the
     best key's prefix can only win on the encoding, so once the search
     holds a leaf of its own it also prunes a node whose least encoding
-    (the choices made so far, every undecided pair Direct) is not below
+    (the choices made so far, every undecided pair direct) is not below
     the best one.  Together these collapse tie plateaus (many routings
     sharing the same objectives, as with zero demand) that a plain value
     bound would fully enumerate.
@@ -517,7 +517,7 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
     opt_order = [(1, 0) if flag else (0, 1) for flag in hub_first]
 
     def encoding(t: int) -> tuple:
-        """The least encoding below a node at depth t: undecided pairs Direct."""
+        """The least encoding below a node at depth t: undecided pairs direct."""
         enc = np.zeros(P, dtype=np.int8)
         enc[canon[:t]] = choices[:t]
         return tuple(enc.tolist())

@@ -2,13 +2,14 @@
 
 All writers are deterministic: sorted JSON keys, fixed indentation, "\n"
 line endings, shortest-roundtrip float repr.  Identical inputs give
-byte-identical files.
+byte-identical files.  A route token lists the hubs visited: ``k1->k5``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -18,15 +19,12 @@ import numpy as np
 from .analysis import FrontMetrics
 from .fronts import ParetoFront
 from .model import (
-    Direct,
     EvaluatedSolution,
     NetworkDesign,
     ObjectiveVector,
-    OneHub,
     ProblemInstance,
     Route,
     RoutePlan,
-    TwoHub,
 )
 
 __all__ = [
@@ -103,25 +101,20 @@ def load_instance(path: Union[str, Path]) -> ProblemInstance:
 
 def render_route(route: Route) -> str:
     """Token form: ``Direct``, ``k5`` (one hub), ``k1->k5`` (two hubs)."""
-    if isinstance(route, Direct):
-        return "Direct"
-    if isinstance(route, OneHub):
-        return f"k{route.hub}"
-    if isinstance(route, TwoHub):
-        return f"k{route.first}->k{route.second}"
-    raise TypeError(f"not a route: {route!r}")
+    return "->".join(f"k{k}" for k in route) or "Direct"
+
+
+# one or two hub stops; negative ids parse so the range check can name them
+_ROUTE_TOKEN = re.compile(r"k(-?[0-9]+)(?:->k(-?[0-9]+))?")
 
 
 def parse_route(token: str) -> Route:
     if token == "Direct":
-        return Direct()
-    if "->" in token:
-        left, right = token.split("->", 1)
-        if left.startswith("k") and right.startswith("k"):
-            return TwoHub(first=int(left[1:]), second=int(right[1:]))
-    elif token.startswith("k"):
-        return OneHub(hub=int(token[1:]))
-    raise ValueError(f"unparseable route token {token!r}")
+        return ()
+    match = _ROUTE_TOKEN.fullmatch(token)
+    if match is None:
+        raise ValueError(f"unparseable route token {token!r}")
+    return tuple(int(k) for k in match.groups() if k is not None)
 
 
 FRONT_COLUMNS = ("z1", "z2", "z3", "alpha_prime", "hubs", "assignment", "routes")
@@ -189,8 +182,9 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
 
     Raises:
         ValueError: naming the field when a hub, an assignment entry or a
-            route token's node lies outside ``0..n-1``, or when the
-            assignment or route token count is wrong.
+            route token's node lies outside ``0..n-1``, when the
+            assignment or route token count is wrong, or when
+            ``alpha_prime`` lies outside [0, 1].
     """
     n = inst.n
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -198,12 +192,13 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
         raise ValueError(f"expected {len(pairs)} route tokens, got {len(row.routes)}")
     if len(row.assignment) != n:
         raise ValueError(f"assignment: expected {n} entries, got {len(row.assignment)}")
+    if not 0.0 <= row.alpha_prime <= 1.0:
+        raise ValueError(f"alpha_prime: rate {row.alpha_prime!r} outside [0, 1]")
     routes = [parse_route(tok) for tok in row.routes]
     nodes = {
         "hubs": row.hubs,
         "assignment": row.assignment,
-        "routes": [k for r in routes if not isinstance(r, Direct)
-                   for k in ((r.hub,) if isinstance(r, OneHub) else (r.first, r.second))],
+        "routes": [k for route in routes for k in route],
     }
     for field, ids in nodes.items():
         bad = sorted({k for k in ids if not 0 <= k < n})

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .model import Direct, EvaluatedSolution, OneHub, Route, TwoHub
+from .model import EvaluatedSolution
 
 __all__ = [
     "dominates",
@@ -22,7 +22,6 @@ __all__ = [
     "nondominated_sort",
     "crowding_distance",
     "ParetoFront",
-    "route_code",
     "solution_sort_key",
 ]
 
@@ -120,13 +119,9 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     return dist
 
 
-def route_code(route: Route) -> int:
-    """Canonical per-pair route code used in tie-breaking: Direct first."""
-    return 0 if isinstance(route, Direct) else 1
-
-
 def solution_sort_key(sol: EvaluatedSolution):
-    codes = tuple(route_code(r) for _, _, r in sol.plan.items())
+    """Objectives, hubs, assignment, then each pair's route: 0 direct, 1 hub."""
+    codes = tuple(1 if route else 0 for _, _, route in sol.plan.items())
     return (sol.objectives.as_tuple(), sol.design.hubs, sol.design.assignment, codes)
 
 

@@ -2,13 +2,13 @@
 
 Nodes exchange directional cargo flows.  A network design opens at most
 ``p`` hubs, assigns every node to exactly one open hub (hubs serve
-themselves), and a route plan moves each origin-destination flow one of
-three ways:
+themselves), and a route plan moves each origin-destination flow along a
+route: the tuple of hubs it visits, in flight order.
 
-* ``Direct`` -- a point-to-point flight, bypassing hub processing;
-* ``OneHub(k)`` -- through the shared hub ``k`` when both endpoints are
+* ``()`` -- a point-to-point flight, bypassing hub processing;
+* ``(k,)`` -- through the shared hub ``k`` when both endpoints are
   assigned to ``k``;
-* ``TwoHub(k, l)`` -- through the origin's hub ``k`` and the destination's
+* ``(k, l)`` -- through the origin's hub ``k`` and the destination's
   hub ``l`` when the endpoints are assigned to different hubs.
 
 Feasibility covers four groups of constraints: assignment legality (open
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -34,10 +34,8 @@ __all__ = [
     "round6",
     "ProblemInstance",
     "NetworkDesign",
-    "Direct",
-    "OneHub",
-    "TwoHub",
     "Route",
+    "implied_route",
     "RoutePlan",
     "ObjectiveVector",
     "EvaluatedSolution",
@@ -148,27 +146,13 @@ class NetworkDesign:
         return len(self.hub_open)
 
 
-@dataclass(frozen=True)
-class Direct:
-    """Point-to-point route, no hub processing."""
+# the hubs a flow visits, in flight order: () direct, (k,) or (k, l)
+Route = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OneHub:
-    """Route through the single hub shared by origin and destination."""
-
-    hub: int
-
-
-@dataclass(frozen=True)
-class TwoHub:
-    """Route through the origin's hub then the destination's hub."""
-
-    first: int
-    second: int
-
-
-Route = Union[Direct, OneHub, TwoHub]
+def implied_route(k: int, l: int) -> Route:
+    """The hub route of a pair whose endpoints are assigned to ``k`` and ``l``."""
+    return (k,) if k == l else (k, l)
 
 
 @dataclass(frozen=True)
@@ -308,28 +292,14 @@ def design_violations(inst: ProblemInstance, design: NetworkDesign) -> list[str]
 
 def route_time(inst: ProblemInstance, route: Route, i: int, j: int) -> float:
     """Total flight time of a route between origin i and destination j."""
-    t = inst.travel_time
-    if isinstance(route, Direct):
-        return float(t[i, j])
-    if isinstance(route, OneHub):
-        return float(t[i, route.hub] + t[route.hub, j])
-    return float(t[i, route.first] + t[route.first, route.second] + t[route.second, j])
+    stops = (i, *route, j)
+    return float(sum(inst.travel_time[a, b] for a, b in zip(stops, stops[1:])))
 
 
 def _legal_route(design: NetworkDesign, i: int, j: int, route: Route) -> Optional[str]:
     k, l = design.assignment[i], design.assignment[j]
-    if isinstance(route, Direct):
-        return None
-    if isinstance(route, OneHub):
-        if k != l or route.hub != k:
-            return (f"pair ({i}, {j}) uses OneHub({route.hub}) but assignments are "
-                    f"({k}, {l})")
-        return None
-    if route.first == route.second:
-        return f"pair ({i}, {j}) uses TwoHub with identical hubs {route.first}"
-    if route.first != k or route.second != l:
-        return (f"pair ({i}, {j}) uses TwoHub({route.first}, {route.second}) but "
-                f"assignments are ({k}, {l})")
+    if route and route != implied_route(k, l):
+        return f"pair ({i}, {j}) flies hubs {route} but its endpoints' hubs are ({k}, {l})"
     return None
 
 
@@ -358,17 +328,14 @@ def plan_violations(inst: ProblemInstance, design: NetworkDesign, plan: RoutePla
 def hub_loads(inst: ProblemInstance, plan: RoutePlan, alpha_prime: float) -> np.ndarray:
     """Crisp throughput processed at each node under the plan.
 
-    A OneHub route loads its hub once; a TwoHub route loads both hubs with
-    the pair's full demand.  Direct routes load nothing.
+    Every hub on a route carries the pair's full demand; a direct route
+    loads nothing.
     """
     q = inst.demand_matrix(alpha_prime)
     loads = np.zeros(inst.n)
     for i, j, route in plan.items():
-        if isinstance(route, OneHub):
-            loads[route.hub] += q[i, j]
-        elif isinstance(route, TwoHub):
-            loads[route.first] += q[i, j]
-            loads[route.second] += q[i, j]
+        for k in route:
+            loads[k] += q[i, j]
     return loads
 
 

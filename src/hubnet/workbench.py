@@ -23,7 +23,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -123,10 +123,13 @@ class ExperimentConfig:
             raise ValueError("need at least one instance, algorithm and seed")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        names = [Path(p).stem for p in self.instances]
-        if len(set(names)) != len(names):
-            # the stem names each cell's front file and table rows
-            raise ValueError(f"instance file stems must be unique, got {names}")
+        # a stem names its cells' front files and table rows; a repeated
+        # stem, algorithm or seed would run, average and rank cells twice
+        stems = [Path(p).stem for p in self.instances]
+        for what, values in (("instance file stems", stems), ("algorithms", self.algorithms),
+                             ("seeds", self.seeds)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{what} must be unique, got {list(values)}")
         bad = [a for a in self.algorithms if a not in SOLVERS]
         if bad:
             raise ValueError(f"unknown algorithms {bad}, expected subset of {list(SOLVERS)}")

@@ -24,12 +24,10 @@ from hubnet.evaluation import _route_objectives, solution_from_plan
 from hubnet.fronts import ParetoFront, nondominated_mask
 from hubnet.model import (
     FEAS_TOL,
-    Direct,
     NetworkDesign,
-    OneHub,
     ProblemInstance,
     RoutePlan,
-    TwoHub,
+    implied_route,
     route_time,
 )
 
@@ -52,8 +50,7 @@ def naive_designs(inst: ProblemInstance):
 
 
 def _hub_route(design: NetworkDesign, i: int, j: int):
-    k, l = design.assignment[i], design.assignment[j]
-    return OneHub(k) if k == l else TwoHub(k, l)
+    return implied_route(design.assignment[i], design.assignment[j])
 
 
 def config_states(inst: ProblemInstance, design: NetworkDesign,
@@ -72,7 +69,7 @@ def config_states(inst: ProblemInstance, design: NetworkDesign,
     options = []             # per pair: [(objectives or None) for direct, hub]
     for i, j in pairs:
         row = []
-        for route in (Direct(), _hub_route(design, i, j)):
+        for route in ((), _hub_route(design, i, j)):
             fits = route_time(inst, route, i, j) <= inst.max_transfer_time[i, j] + FEAS_TOL
             row.append(np.array(_route_objectives(inst, q, cd, i, j, route)) if fits else None)
         if row[0] is None and row[1] is None:
@@ -123,7 +120,7 @@ def config_states(inst: ProblemInstance, design: NetworkDesign,
 def _plan_of(inst: ProblemInstance, design: NetworkDesign, mask: int) -> RoutePlan:
     """The plan whose canonical pair t flies its hub route where bit t is set."""
     return RoutePlan.from_dict(inst.n, {
-        (i, j): _hub_route(design, i, j) if mask >> t & 1 else Direct()
+        (i, j): _hub_route(design, i, j) if mask >> t & 1 else ()
         for t, (i, j) in enumerate(inst.pairs())})
 
 

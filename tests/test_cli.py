@@ -185,7 +185,11 @@ def test_validate_flags_doctored_front(tmp_path, capsys):
     ("assignment", lambda v: v.rsplit(" ", 1)[0], "assignment: expected 5 entries, got 4"),
     ("routes", lambda v: "k99 " + v.split(" ", 1)[1], "routes: node(s) [99] outside 0..4"),
     ("routes", lambda v: "k0->k-3 " + v.split(" ", 1)[1], "routes: node(s) [-3] outside 0..4"),
-], ids=["hub", "assignment", "short-assignment", "one-hub-route", "two-hub-route"])
+    ("routes", lambda v: "kx " + v.split(" ", 1)[1], "unparseable route token 'kx'"),
+    ("alpha_prime", lambda v: "1.5", "alpha_prime: rate 1.5 outside [0, 1]"),
+    ("alpha_prime", lambda v: "nan", "alpha_prime: rate nan outside [0, 1]"),
+], ids=["hub", "assignment", "short-assignment", "one-hub-route", "two-hub-route",
+        "route-token", "rate", "nan-rate"])
 def test_front_rows_that_do_not_fit_the_instance_are_refused(tmp_path, capsys,
                                                             column, edit, message):
     inst = _gen(tmp_path)
@@ -203,7 +207,9 @@ def test_front_rows_that_do_not_fit_the_instance_are_refused(tmp_path, capsys,
     capsys.readouterr()
     assert main(["validate", "--instance", str(inst), "--front", str(front)]) == 1
     captured = capsys.readouterr()
-    assert f"front row 0: {message}" in captured.out
+    # every row is checked, not only the first
+    for r in range(len(rows)):
+        assert f"front row {r}: {message}" in captured.out
     assert "Traceback" not in captured.err + captured.out
 
     out = tmp_path / "sweep.csv"
@@ -300,6 +306,14 @@ def test_compare_usage_errors_write_nothing(tmp_path, capsys):
     assert code == 1
     assert "workers must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+    for flags, message in ((["--algorithms", "nsga2", "nsga2", "--seeds", "0"],
+                            "algorithms must be unique, got ['nsga2', 'nsga2']"),
+                           (["--algorithms", "nsga2", "--seeds", "0,0,1"],
+                            "seeds must be unique, got [0, 0, 1]")):
+        code = main(["compare", "--instances", str(first), "--out-dir", str(out), *flags])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--grid-z2", "--grid-z3"])
@@ -439,6 +453,22 @@ def test_validate_flags_a_front_over_a_squeezed_capacity(tmp_path, capsys):
     out = capsys.readouterr().out
     assert re.search(r"^front row \d+: hub \d+ throughput \S+ exceeds capacity \S+$", out, re.M)
     assert "instance:" not in out
+
+
+def test_validate_runs_the_feasibility_report_once_per_row(tmp_path, capsys, monkeypatch):
+    inst = _gen(tmp_path)
+    front = tmp_path / "front.csv"
+    assert main(["solve", "--instance", str(inst), "--solver", "exact",
+                 "--out", str(front), "--grid-z2", "3", "--grid-z3", "3"]) == 0
+    reports = []
+    for module in (hubnet.model, hubnet.evaluation):
+        def counted(*args, real=module.feasibility_violations):
+            reports.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, "feasibility_violations", counted)
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst), "--front", str(front)]) == 0
+    assert len(reports) == len(read_front_csv(front)) > 0
 
 
 def test_compare_where_every_cell_fails(tmp_path, capsys):

@@ -32,12 +32,10 @@ from hubnet.evaluation import (
 from hubnet.generator import GeneratorSpec, generate, preset
 from hubnet.model import (
     FEAS_TOL,
-    Direct,
     NetworkDesign,
-    OneHub,
     RoutePlan,
-    TwoHub,
     hub_loads,
+    implied_route,
     route_time,
 )
 from test_model import all_hub_plan
@@ -71,25 +69,25 @@ def test_mixed_plan_totals(tiny):
     # z2 swaps 633-per-aircraft for 504, z3 drops both 3.9 penalties
     design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
     plan = RoutePlan.from_dict(3, {
-        (0, 1): OneHub(1), (1, 0): OneHub(1),
-        (1, 2): OneHub(1), (2, 1): OneHub(1),
-        (0, 2): Direct(), (2, 0): Direct(),
+        (0, 1): (1,), (1, 0): (1,),
+        (1, 2): (1,), (2, 1): (1,),
+        (0, 2): (), (2, 0): (),
     })
     assert compute_objectives(tiny, design, plan, 0.5) == (40148.0, 3177.0, 4.8)
 
 
 def test_two_hub_route_totals(tiny):
-    # all pairs direct except (1,2) via TwoHub(0,2):
+    # all pairs direct except (1,2) via hubs (0, 2):
     #   direct baseline: z1 44350+800, z2 3157, z3 4.8
     #   swap for (1,2): unit cost 182.5 (80+100+2.5), dist 300 legs 3 m=2,
     #   time 30 -> lateness 8*1.3
     design = NetworkDesign.from_hubs(3, [0, 2], [0, 0, 2])
-    base = RoutePlan.from_dict(3, {(i, j): Direct() for i, j in tiny.pairs()})
+    base = RoutePlan.from_dict(3, {(i, j): () for i, j in tiny.pairs()})
     assert compute_objectives(tiny, design, base, 0.5) == (45150.0, 3157.0, 4.8)
 
     swapped = RoutePlan.from_dict(3, {
-        **{(i, j): Direct() for i, j in tiny.pairs()},
-        (1, 2): TwoHub(0, 2),
+        **{(i, j): () for i, j in tiny.pairs()},
+        (1, 2): (0, 2),
     })
     assert compute_objectives(tiny, design, swapped, 0.5) == (46937.5, 3923.0, 15.2)
 
@@ -107,7 +105,7 @@ def test_defuzzified_demand_scales_cost():
     inst = make_instance(3, 2, distance=np.where(np.eye(3), 0.0, 100.0),
                          demand=fuzzy, fixed=0.0, handling=0.0)
     design = NetworkDesign.from_hubs(3, [0], [0, 0, 0])
-    plan = RoutePlan.from_dict(3, {(i, j): Direct() for i, j in inst.pairs()})
+    plan = RoutePlan.from_dict(3, {(i, j): () for i, j in inst.pairs()})
     assert compute_objectives(inst, design, plan, 0.0)[0] == 100.0 * 35.0
     assert compute_objectives(inst, design, plan, 1.0)[0] == 100.0 * 55.0
     assert compute_objectives(inst, design, plan, 0.5)[0] == 100.0 * 45.0
@@ -191,7 +189,7 @@ def test_time_cap_sets_inf_exactly_where_the_typed_route_time_breaks_it():
     inst = dataclasses.replace(inst, max_transfer_time=np.where(offdiag, limit, 0.0))
     ctx = make_context(inst, 0.5)
     cap = inst.max_transfer_time + FEAS_TOL
-    late_direct = np.array([[route_time(inst, Direct(), i, j) > cap[i, j] for j in range(7)]
+    late_direct = np.array([[route_time(inst, (), i, j) > cap[i, j] for j in range(7)]
                             for i in range(7)])
     assert np.array_equal(np.isinf(ctx.direct), np.repeat(late_direct[..., None], 3, axis=-1))
     rng = np.random.default_rng(3)
@@ -200,8 +198,7 @@ def test_time_cap_sets_inf_exactly_where_the_typed_route_time_breaks_it():
         hubs = np.sort(rng.choice(7, size=3, replace=False))
         a = hubs[rng.integers(0, 3, size=7)]
         a[hubs] = hubs
-        routes = [[OneHub(a[i]) if a[i] == a[j] else TwoHub(a[i], a[j]) for j in range(7)]
-                  for i in range(7)]
+        routes = [[implied_route(a[i], a[j]) for j in range(7)] for i in range(7)]
         late_hub = np.array([[route_time(inst, routes[i][j], i, j) > cap[i, j] for j in range(7)]
                              for i in range(7)])
         tables = hub_tables(ctx, a)
@@ -212,7 +209,7 @@ def test_time_cap_sets_inf_exactly_where_the_typed_route_time_breaks_it():
 
 def _direct_pairs(plan):
     n = plan.n
-    return np.array([[i != j and plan.route(i, j) == Direct() for j in range(n)]
+    return np.array([[i != j and plan.route(i, j) == () for j in range(n)]
                      for i in range(n)])
 
 
@@ -222,5 +219,5 @@ def test_plan_mask_roundtrip(tiny):
         mask = np.zeros((3, 3), dtype=bool)
         mask[~np.eye(3, dtype=bool)] = bits
         plan = plan_from_mask(design, mask)
-        # Direct exactly where the mask is False, off the diagonal
+        # direct exactly where the mask is False, off the diagonal
         assert np.array_equal(_direct_pairs(plan), ~mask & ~np.eye(3, dtype=bool))

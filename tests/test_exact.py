@@ -40,10 +40,8 @@ from hubnet.model import (
     check_feasibility,
     feasibility_violations,
     hub_loads,
-    Direct,
-    OneHub,
+    implied_route,
     RoutePlan,
-    TwoHub,
     route_time,
 )
 
@@ -56,10 +54,9 @@ UNPRIMED = (math.inf,) * 4
 
 
 def naive_routes(inst, design, i, j):
-    """Direct plus the one hub route the assignments allow, each kept only
-    within the pair's time cap."""
-    k, l = design.assignment[i], design.assignment[j]
-    routes = [Direct(), OneHub(k) if k == l else TwoHub(k, l)]
+    """The direct route plus the one hub route the assignments allow, each
+    kept only within the pair's time cap."""
+    routes = [(), implied_route(design.assignment[i], design.assignment[j])]
     return [r for r in routes if route_time(inst, r, i, j) <= inst.max_transfer_time[i, j] + 1e-9]
 
 
@@ -264,14 +261,14 @@ def test_zero_demand_fronts_equal_the_oracle_front(n, seed):
     """With nothing to ship every routing of a design ties, so the routing
     search crosses a plateau of 2^P equal keys that only the encoding
     separates; every node may open a hub (p = n).  The front is still the
-    oracle's, and each winner flies the least encoding: Direct everywhere."""
+    oracle's, and each winner flies the least encoding: direct everywhere."""
     inst = generate(GeneratorSpec(n=n, p=n, seed=seed))
     inst = dataclasses.replace(inst, demand=np.zeros_like(inst.demand))
     front = epsilon_constraint_front(inst, EpsilonGrid(2, 2))
     assert (sorted(s.objectives.as_tuple() for s in front)
             == sorted(s.objectives.as_tuple() for s in oracle_front(inst)))
     for s in front:
-        assert all(isinstance(r, Direct) for _, _, r in s.plan.items())
+        assert all(r == () for _, _, r in s.plan.items())
 
 
 def test_single_cell_grid_returns_cost_optimum(tiny):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,12 @@ from hubnet.fronts import (
     dominates,
     nondominated_mask,
     nondominated_sort,
-    route_code,
     solution_sort_key,
 )
 from hubnet.model import (
-    Direct,
     EvaluatedSolution,
     NetworkDesign,
     ObjectiveVector,
-    OneHub,
     RoutePlan,
 )
 
@@ -23,7 +22,7 @@ from hubnet.model import (
 def sol(z1, z2, z3, hub=0):
     """Dummy solution carrying the given objective triple."""
     design = NetworkDesign.from_hubs(2, [hub], [hub, hub])
-    plan = RoutePlan.from_dict(2, {(0, 1): OneHub(hub), (1, 0): OneHub(hub)})
+    plan = RoutePlan.from_dict(2, {(0, 1): (hub,), (1, 0): (hub,)})
     return EvaluatedSolution(design=design, plan=plan,
                              objectives=ObjectiveVector(z1, z2, z3),
                              alpha_prime=0.5)
@@ -124,9 +123,12 @@ def test_crowding_distance():
     assert d[2] == pytest.approx(4.0 / 3.0)
 
 
-def test_route_code_orders_direct_first():
-    assert route_code(Direct()) == 0
-    assert route_code(OneHub(2)) == 1
+def test_solution_sort_key_codes_routes_direct_first():
+    hub = sol(1.0, 1.0, 1.0)
+    direct = dataclasses.replace(hub, plan=RoutePlan.from_dict(2, {(0, 1): (), (1, 0): (0,)}))
+    assert solution_sort_key(hub)[-1] == (1, 1)
+    assert solution_sort_key(direct)[-1] == (0, 1)
+    assert solution_sort_key(direct) < solution_sort_key(hub)
 
 
 def test_front_from_candidates_order_independent():

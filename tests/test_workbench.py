@@ -1,7 +1,6 @@
 import csv
 import multiprocessing
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +79,13 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(instances=("x.json",), algorithms=("simplex",),
                          seeds=(0,), out_dir=str(tmp_path))
+    # a repeated algorithm or seed would run, average and rank its cells twice
+    with pytest.raises(ValueError, match="algorithms must be unique"):
+        ExperimentConfig(instances=("x.json",), algorithms=("nsga2", "nsga2", "mopso"),
+                         seeds=(0,), out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="seeds must be unique"):
+        ExperimentConfig(instances=("x.json",), algorithms=("nsga2",),
+                         seeds=(0, 0, 1), out_dir=str(tmp_path))
 
 
 def test_config_refuses_fewer_than_one_worker(tmp_path):
