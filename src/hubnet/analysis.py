@@ -13,24 +13,21 @@ Indicators over one front:
 ``hypervolume`` is the exact dominated volume against a reference point,
 computed by sweeping the first objective and accumulating 2D staircase
 areas, so no Monte Carlo noise enters quality gates.
+
+``topsis_rank`` holds the one ranking policy (TOPSIS, Hwang & Yoon 1981):
+NPF and MSI are benefits, SM and CPT costs, all four weighted equally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
 
 from .fronts import ParetoFront, nondominated_mask
 
-__all__ = [
-    "FrontMetrics",
-    "compute_metrics",
-    "hypervolume",
-    "DecisionMatrix",
-    "topsis_rank",
-]
+__all__ = ["FrontMetrics", "compute_metrics", "hypervolume", "topsis_rank"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +36,11 @@ class FrontMetrics:
     msi: float
     sm: float
     cpt: float
+
+
+_INDICATORS = tuple(f.name for f in fields(FrontMetrics))
+_BENEFIT = np.array([True, True, False, False])    # larger npf, msi better
+_WEIGHTS = np.full(len(_INDICATORS), 0.25)
 
 
 def _rows(front: Union[ParetoFront, Sequence]) -> np.ndarray:
@@ -104,51 +106,30 @@ def hypervolume(front: Union[ParetoFront, Sequence], reference: Sequence[float])
     return float(volume)
 
 
-@dataclass(frozen=True)
-class DecisionMatrix:
-    """Alternatives x criteria table with per-criterion directions and weights."""
+def topsis_rank(values: Union[np.ndarray, Sequence]) -> tuple[np.ndarray, list[int]]:
+    """TOPSIS closeness of each alternative, plus the descending ranking.
 
-    alternatives: tuple[str, ...]
-    criteria: tuple[str, ...]
-    values: np.ndarray
-    directions: tuple[str, ...]   # "benefit" (larger better) or "cost"
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        a, c = len(self.alternatives), len(self.criteria)
-        if values.shape != (a, c):
-            raise ValueError(f"values shaped {values.shape}, expected {(a, c)}")
-        if len(self.directions) != c or len(self.weights) != c:
-            raise ValueError("directions and weights must match the criteria count")
-        bad = [d for d in self.directions if d not in ("benefit", "cost")]
-        if bad:
-            raise ValueError(f"directions must be 'benefit' or 'cost', got {bad}")
-        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-            raise ValueError("weights must be nonnegative and not all zero")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("criteria values must be finite")
-
-
-def topsis_rank(matrix: DecisionMatrix) -> tuple[np.ndarray, list[int]]:
-    """Closeness to the ideal alternative, plus the descending ranking.
-
-    Vector (root-sum-square) normalization per criterion; the ideal takes
-    the best value under each criterion's direction, the anti-ideal the
-    worst.  Closeness is d-/(d+ + d-); an alternative at zero distance
-    from both extremes scores 0.5.  Ties rank by alternative index.
+    ``values`` holds one row of averaged indicators per alternative, in
+    ``FrontMetrics`` field order; rows that are not finite or not that
+    wide, or an indicator that is zero in every row, raise ValueError.
+    Vector (root-sum-square) normalization per indicator, weighted by
+    ``_WEIGHTS``; the ideal takes the best value under each indicator's
+    direction (``_BENEFIT``), the anti-ideal the worst.  Closeness is
+    d-/(d+ + d-); an alternative at zero distance from both extremes
+    scores 0.5.  Ties rank by row index.
     """
-    V = matrix.values
+    V = np.asarray(values, dtype=float)
+    if V.ndim != 2 or V.shape[1] != len(_INDICATORS):
+        raise ValueError(f"values shaped {V.shape}, expected (alternatives, {len(_INDICATORS)})")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("criteria values must be finite")
     norms = np.sqrt((V ** 2).sum(axis=0))
     if np.any(norms == 0.0):
-        dead = [matrix.criteria[int(c)] for c in np.where(norms == 0.0)[0]]
+        dead = [_INDICATORS[int(c)] for c in np.where(norms == 0.0)[0]]
         raise ValueError(f"criteria with all-zero columns cannot be normalized: {dead}")
-    R = V / norms[None, :]
-    W = R * np.asarray(matrix.weights)[None, :]
-    benefit = np.array([d == "benefit" for d in matrix.directions])
-    ideal = np.where(benefit, W.max(axis=0), W.min(axis=0))
-    anti = np.where(benefit, W.min(axis=0), W.max(axis=0))
+    W = V / norms[None, :] * _WEIGHTS[None, :]
+    ideal = np.where(_BENEFIT, W.max(axis=0), W.min(axis=0))
+    anti = np.where(_BENEFIT, W.min(axis=0), W.max(axis=0))
     d_plus = np.sqrt(((W - ideal[None, :]) ** 2).sum(axis=1))
     d_minus = np.sqrt(((W - anti[None, :]) ** 2).sum(axis=1))
     both = d_plus + d_minus

@@ -76,6 +76,17 @@ def _rate(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a nonnegative integer, as the seeded generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _read(reader, noun: str, path: str):
     """``reader(path)``; a missing or unreadable file is an I/O error."""
     try:
@@ -118,7 +129,7 @@ def _params_from(args: argparse.Namespace) -> AlgorithmParams:
 
 def _add_solver_options(sub: argparse.ArgumentParser) -> None:
     params = AlgorithmParams()
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--alpha-prime", type=_rate, default=0.5,
                      help="demand defuzzification rate in [0, 1]")
     for flag, field, kind, text in _PARAM_FLAGS:
@@ -147,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="benchmark ladder index (sets n, p and seed)")
     g.add_argument("--nodes", type=int)
     g.add_argument("--hubs", type=int)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, help="instance seed (default: 0; a preset sets its own)")
 
     s = sub.add_parser("solve", help="run one solver, write the front CSV")
     s.add_argument("--instance", required=True)
@@ -184,13 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     if args.preset is not None:
-        if args.nodes is not None or args.hubs is not None:
-            raise _CliError(EXIT_USAGE, "--preset excludes --nodes/--hubs")
+        if args.nodes is not None or args.hubs is not None or args.seed is not None:
+            raise _CliError(EXIT_USAGE, "--preset excludes --nodes/--hubs/--seed")
         spec = preset(args.preset)
     else:
         if args.nodes is None or args.hubs is None:
             raise _CliError(EXIT_USAGE, "need --preset or both --nodes and --hubs")
-        spec = GeneratorSpec(n=args.nodes, p=args.hubs, seed=args.seed)
+        spec = GeneratorSpec(n=args.nodes, p=args.hubs, seed=args.seed or 0)
     inst = generate(spec)
     save_instance(inst, args.out)
     print(f"wrote {args.out} (n={inst.n}, p={inst.p}, seed={spec.seed})")

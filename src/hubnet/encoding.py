@@ -15,10 +15,11 @@ once; both work on the array form of :mod:`hubnet.evaluation`
 (assignment vector, hub-route mask).  The assignment alone fixes the open
 hubs: exactly the nodes assigned to themselves.
 Decoding never consumes randomness, so evaluation order cannot change
-results.  A genome with an uncoverable spoke or an untimeable pair fails
-to decode.  Repair takes the most overloaded hub (lowest index on ties)
-and sends its heaviest hub-routed pair that may fly direct (lowest flat
-pair index on ties) direct, until every hub fits or no pair can move.
+results.  A genome with a non-finite gene (an overflowing swarm or whale
+move), an uncoverable spoke or an untimeable pair fails to decode.
+Repair takes the most overloaded hub (lowest index on ties) and sends
+its heaviest hub-routed pair that may fly direct (lowest flat pair index
+on ties) direct, until every hub fits or no pair can move.
 Since flips only remove candidates, repair sorts the movable pairs once
 by (-demand, flat index) and walks each hub's share of that list with a
 cursor, instead of rescanning the n x n grid after every flip.
@@ -51,6 +52,10 @@ def _decode_arrays(ctx: EvalContext, X: np.ndarray
     inst = ctx.inst
     n = inst.n
     N = len(X)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        # a NaN key would index out of range; such rows decode as zeros, then fail
+        X = np.where(finite[:, None], X, 0.0)
     h = np.minimum(1 + (X[:, 0] * inst.p).astype(np.intp), inst.p)
     # the h largest hub keys open, lower node first on ties
     ranked = np.argsort(-X[:, 1:1 + n], axis=1, kind="stable")
@@ -60,7 +65,7 @@ def _decode_arrays(ctx: EvalContext, X: np.ndarray
 
     feasible = is_hub[:, None, :] & (inst.distance <= inst.omega + FEAS_TOL)
     counts = feasible.sum(axis=2)
-    bad = (counts == 0).any(axis=1)
+    bad = (counts == 0).any(axis=1) | ~finite
     # the key picks a feasible hub by distance rank, lower hub on ties; the
     # sixth power keeps most draws on the nearest hub while every coverable
     # assignment stays reachable

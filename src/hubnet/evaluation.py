@@ -43,7 +43,6 @@ from .model import (
     feasibility_violations,
     implied_route,
     round6,
-    route_time,
 )
 
 __all__ = [
@@ -83,9 +82,12 @@ def _route_objectives(inst: ProblemInstance, q: np.ndarray, cd: np.ndarray, i: i
     routes.  The penalty depends only on the route's time, never on
     demand, so it is constant in the uncertainty rate.
     """
-    d, u = inst.distance, inst.handling_cost
+    d, tt, u = inst.distance, inst.travel_time, inst.handling_cost
     stops = (i, *route, j)
-    dist = sum(d[a, b] for a, b in zip(stops, stops[1:]))
+    dist = t = 0.0
+    for a, b in zip(stops, stops[1:]):
+        dist += d[a, b]
+        t += tt[a, b]
     unit = cd[i, j]
     if route:
         k, l = route[0], route[-1]
@@ -96,7 +98,6 @@ def _route_objectives(inst: ProblemInstance, q: np.ndarray, cd: np.ndarray, i: i
     m = aircraft_count(q[i, j], inst.aircraft_capacity)
     emissions = ((legs * inst.lto_p1 + inst.ccd_rate_p1 * dist) * m
                  + (legs * inst.lto_p2 + inst.ccd_rate_p2 * dist) * m)
-    t = route_time(inst, route, i, j)
     penalty = (inst.early_penalty[i, j] * max(0.0, inst.window_lower[i, j] - t)
                + inst.late_penalty[i, j] * max(0.0, t - inst.window_upper[i, j]))
     return unit * q[i, j], emissions, penalty

@@ -331,23 +331,23 @@ def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float)
         if not math.isfinite(eps):
             continue
         need = used - (eps + _ROUND_SLACK)
-        rows = np.where((need > 0) & np.isfinite(need))[0]
-        if not len(rows):
-            continue
-        nv, cs, cc, rr = need[rows], cum_save[rows], cum_cost[rows], ratio[rows]
-        p = np.full(len(rows), np.inf)
-        ok = nv <= cs[:, -1]
-        if ok.any():
-            k = (cs[ok] < nv[ok, None]).sum(axis=1)
-            ar = np.arange(len(k))
-            prev_save = np.where(k > 0, cs[ok][ar, np.maximum(k - 1, 0)], 0.0)
-            prev_cost = np.where(k > 0, cc[ok][ar, np.maximum(k - 1, 0)], 0.0)
-            marg = rr[ok][ar, k]
-            p[ok] = prev_cost + (nv[ok] - prev_save) * marg
-        # cumsum drift must never push the bound past the true cost
-        p = np.where(p > 1e-9, p - 1e-9, 0.0)
-        pen[rows] = np.maximum(pen[rows], p)
+        for r in np.flatnonzero((need > 0) & np.isfinite(need)):
+            pen[r] = max(pen[r], _repair_price(need[r], cum_save[r], cum_cost[r], ratio[r])[0])
     return index.lb[0, g] + pen
+
+
+def _repair_price(need: float, save: np.ndarray, cost: np.ndarray,
+                  ratio: np.ndarray) -> tuple[float, int]:
+    """Price of the cheapest fractional repair covering an overuse ``need`` > 0,
+    and its marginal switch k: the first k switches whole plus a share of
+    switch k, along the cumulative ``save``/``cost`` of the switches in
+    ratio order; (inf, k) when all of them together save too little."""
+    k = int(np.searchsorted(save, need))
+    if k >= len(ratio):
+        return math.inf, k
+    p = cost[k - 1] + (need - save[k - 1]) * ratio[k] if k else need * ratio[k]
+    # cumsum drift must never push the bound past the true cost
+    return (p - 1e-9 if p > 1e-9 else 0.0), k
 
 
 def _visiting_order(index: _ExactIndex, main: int, eps2: float,
@@ -529,13 +529,7 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
         need = used_b + used[t] - eps_b - _ROUND_SLACK
         if need <= 0.0:
             return 0.0, -1
-        row = cum_save[t]
-        k = int(np.searchsorted(row, need))
-        if k >= len(ratio):
-            return math.inf, k
-        p = cum_cost[t, k - 1] + (need - row[k - 1]) * ratio[k] if k else need * ratio[k]
-        # cumsum drift must never push the bound past the true cost
-        return (p - 1e-9 if p > 1e-9 else 0.0), k
+        return _repair_price(need, cum_save[t], cum_cost[t], ratio)
 
     pos2 = budget[0][4] if budget else None
     pos3 = budget[1][4] if budget else None

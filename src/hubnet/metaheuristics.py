@@ -62,8 +62,9 @@ class AlgorithmParams:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         for name in ("inertia", "cognitive", "social", "whale_a_max", "whale_c_range"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {v}")
         if self.archive_capacity is not None and self.archive_capacity < 1:
             raise ValueError("archive_capacity must be >= 1")
         if self.grid_divisions < 1:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import DecisionMatrix, FrontMetrics, compute_metrics, topsis_rank
+from .analysis import FrontMetrics, compute_metrics, topsis_rank
 from .evaluation import compute_objectives
 from .exact import (
     DEFAULT_BUDGET,
@@ -130,6 +130,8 @@ class ExperimentConfig:
                              ("seeds", self.seeds)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{what} must be unique, got {list(values)}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
         bad = [a for a in self.algorithms if a not in SOLVERS]
         if bad:
             raise ValueError(f"unknown algorithms {bad}, expected subset of {list(SOLVERS)}")
@@ -219,7 +221,8 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
     if config.workers == 1:
         results = [_run_cell(config, *key) for key in keys]
     else:
-        pool = ProcessPoolExecutor(max_workers=config.workers)
+        # the fork start method forks every worker at the first submit
+        pool = ProcessPoolExecutor(max_workers=min(config.workers, len(keys)))
         try:
             futures = [pool.submit(_run_cell, config, *key) for key in keys]
             results = [_collect(f, *key) for f, key in zip(futures, keys)]
@@ -228,10 +231,9 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
             pool.shutdown(cancel_futures=True)
 
     indicators = tuple(f.name for f in dataclasses.fields(FrontMetrics))
-    blank = ("",) * len(indicators)
     write_csv(out / "cells.csv", ("instance", "algorithm", "seed") + indicators,
               [(r.instance, r.algorithm, r.seed)
-               + (blank if r.metrics is None else dataclasses.astuple(r.metrics))
+               + (("",) * len(indicators) if r.metrics is None else dataclasses.astuple(r.metrics))
                for r in results])
 
     ranked = []
@@ -247,17 +249,9 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
 
     ranking = []
     if ranked:
-        matrix = DecisionMatrix(
-            alternatives=tuple(ranked),
-            criteria=indicators,
-            values=np.asarray(averages),
-            directions=("benefit", "benefit", "cost", "cost"),
-            weights=(0.25, 0.25, 0.25, 0.25),
-        )
         try:
-            ci, order = topsis_rank(matrix)
+            ci, order = topsis_rank(averages)
         except ValueError as exc:
-            # e.g. every front has one point, so msi and sm are all zero
             print(f"ranking skipped: {exc}", file=sys.stderr)
         else:
             ranking = [[pos + 1, ranked[a], ci[a]] for pos, a in enumerate(order)]

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from hubnet.analysis import DecisionMatrix, compute_metrics, hypervolume, topsis_rank
+from hubnet.analysis import compute_metrics, hypervolume, topsis_rank
 from hubnet.exact import (
     DEFAULT_BUDGET,
     EpsilonGrid,
@@ -248,8 +248,9 @@ def test_c08_metaheuristics_never_beat_the_oracle():
 def test_c09_frozen_indicator_matrix_ranking():
     """Frozen four-indicator averages rank mowoa > nsga2 > mopso by TOPSIS.
 
-    The matrix, directions and equal weights are the ones ``run_compare``
-    ranks with; closeness is checked against the hand derivation below.
+    The rows go through the ``topsis_rank`` that ``run_compare`` calls, so
+    the directions and equal weights checked here are the campaign's own;
+    closeness is checked against the hand derivation below.
     """
     # Hand derivation (vector normalization, weights 0.25, npf/msi benefit,
     # sm/cpt cost), rows nsga2 / mopso / mowoa:
@@ -281,20 +282,15 @@ def test_c09_frozen_indicator_matrix_ranking():
         "mowoa": 0.621958926690219,
     }
     tol = 1e-12
-    matrix = DecisionMatrix(
-        alternatives=("nsga2", "mopso", "mowoa"),
-        criteria=("npf", "msi", "sm", "cpt"),
-        values=np.array([
-            [37.4, 3420.0, 0.373, 98.6],
-            [28.8, 3393.0, 0.283, 169.7],
-            [41.6, 3289.0, 0.255, 145.3],
-        ]),
-        directions=("benefit", "benefit", "cost", "cost"),
-        weights=(0.25, 0.25, 0.25, 0.25),
-    )
-    ci, order = topsis_rank(matrix)
-    got = [matrix.alternatives[i] for i in order]
-    gaps = [abs(ci[i] - expected[a]) for i, a in enumerate(matrix.alternatives)]
+    alternatives = ("nsga2", "mopso", "mowoa")
+    # rows in FrontMetrics field order: npf, msi, sm, cpt
+    ci, order = topsis_rank([
+        [37.4, 3420.0, 0.373, 98.6],
+        [28.8, 3393.0, 0.283, 169.7],
+        [41.6, 3289.0, 0.255, 145.3],
+    ])
+    got = [alternatives[i] for i in order]
+    gaps = [abs(ci[i] - expected[a]) for i, a in enumerate(alternatives)]
     gap = max(gaps)
     ok = all(g <= tol for g in gaps) and got == ["mowoa", "nsga2", "mopso"]
     line = _record(ok, "C9 frozen indicator matrix ranking",

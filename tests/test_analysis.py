@@ -3,13 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hubnet.analysis import (
-    DecisionMatrix,
-    FrontMetrics,
-    compute_metrics,
-    hypervolume,
-    topsis_rank,
-)
+from hubnet.analysis import FrontMetrics, compute_metrics, hypervolume, topsis_rank
 
 
 def test_metrics_two_point_diagonal():
@@ -92,57 +86,32 @@ def test_hypervolume_edge_cases():
 
 
 def test_decision_matrix_validation():
-    good = dict(alternatives=("a", "b"), criteria=("x", "y"),
-                values=[[1.0, 2.0], [3.0, 4.0]],
-                directions=("benefit", "cost"), weights=(0.5, 0.5))
-    DecisionMatrix(**good)
-    with pytest.raises(ValueError):
-        DecisionMatrix(**{**good, "values": [[1.0, 2.0]]})
-    with pytest.raises(ValueError):
-        DecisionMatrix(**{**good, "directions": ("benefit", "sideways")})
-    with pytest.raises(ValueError):
-        DecisionMatrix(**{**good, "weights": (0.0, 0.0)})
-    with pytest.raises(ValueError):
-        DecisionMatrix(**{**good, "values": [[1.0, np.inf], [3.0, 4.0]]})
+    topsis_rank([[1.0, 2.0, 3.0, 4.0], [3.0, 4.0, 5.0, 6.0]])
+    for values in ([[1.0, 2.0], [3.0, 4.0]],          # not one column per indicator
+                   [1.0, 2.0, 3.0, 4.0],              # not a table
+                   [[1.0, np.inf, 3.0, 4.0], [3.0, 4.0, 5.0, 6.0]],
+                   [[1.0, 2.0, np.nan, 4.0], [3.0, 4.0, 5.0, 6.0]]):
+        with pytest.raises(ValueError):
+            topsis_rank(values)
 
 
 def test_topsis_clear_winner():
-    m = DecisionMatrix(
-        alternatives=("good", "bad"),
-        criteria=("gain", "price"),
-        values=[[2.0, 1.0], [1.0, 2.0]],
-        directions=("benefit", "cost"),
-        weights=(0.5, 0.5),
-    )
-    ci, order = topsis_rank(m)
+    # npf and msi are benefits, sm and cpt costs: row 0 is best on all four
+    ci, order = topsis_rank([[2.0, 2.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0]])
     assert order == [0, 1]
     assert ci[0] == pytest.approx(1.0)
     assert ci[1] == pytest.approx(0.0)
 
 
 def test_topsis_tied_alternatives_rank_by_index():
-    m = DecisionMatrix(
-        alternatives=("a", "b"),
-        criteria=("x", "y"),
-        values=[[1.0, 1.0], [1.0, 1.0]],
-        directions=("benefit", "benefit"),
-        weights=(0.5, 0.5),
-    )
-    ci, order = topsis_rank(m)
+    ci, order = topsis_rank([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
     assert ci[0] == ci[1] == pytest.approx(0.5)
     assert order == [0, 1]
 
 
 def test_topsis_rejects_all_zero_column():
-    m = DecisionMatrix(
-        alternatives=("a", "b"),
-        criteria=("x", "y"),
-        values=[[0.0, 1.0], [0.0, 2.0]],
-        directions=("benefit", "benefit"),
-        weights=(0.5, 0.5),
-    )
-    with pytest.raises(ValueError, match="normalized"):
-        topsis_rank(m)
+    with pytest.raises(ValueError, match=r"cannot be normalized: \['npf', 'sm'\]"):
+        topsis_rank([[0.0, 1.0, 0.0, 1.0], [0.0, 2.0, 0.0, 2.0]])
 
 
 def test_metrics_container_is_plain():

@@ -61,6 +61,47 @@ def test_generate_preset_conflicts_with_explicit_size(tmp_path):
     assert main(["generate", "--out", out, "--nodes", "5"]) == 1  # missing --hubs
 
 
+def test_generate_preset_conflicts_with_a_seed(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["generate", "--out", str(out), "--preset", "2", "--seed", "9"]) == 1
+    assert "--preset excludes --nodes/--hubs/--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seeds_are_refused_by_name(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(inst), "--solver", "nsga2", "--seed", "-1",
+                 "--out", str(tmp_path / "f.csv")]) == 1
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    out = tmp_path / "exp"
+    assert main(["compare", "--instances", str(inst), "--algorithms", "nsga2",
+                 "--seeds", "0,-1", "--out-dir", str(out)]) == 1
+    assert "seeds must be >= 0, got [0, -1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--solver", "mopso", "--w", "nan"],
+                                   ["--solver", "mopso", "--w", "inf"],
+                                   ["--solver", "mowoa", "--a-max", "inf"]])
+def test_solve_refuses_non_finite_coefficients(tmp_path, capsys, flags):
+    inst = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(inst), "--out", str(tmp_path / "f.csv"),
+                 *flags]) == 1
+    err = capsys.readouterr().err
+    assert "must be a finite number >= 0" in err and "Traceback" not in err
+
+
+def test_solve_survives_an_overflowing_whale_coefficient(tmp_path):
+    inst = _gen(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", "--instance", str(inst), "--out", str(tmp_path / "f.csv"),
+                     "--solver", "mowoa", "--c-range", "1e308", "--max-it", "5",
+                     "--pop", "10"]) == 0
+    assert read_front_csv(tmp_path / "f.csv")
+
+
 def test_generate_unwritable_path(tmp_path):
     out = str(tmp_path / "no" / "such" / "dir" / "x.json")
     assert main(["generate", "--out", out, "--nodes", "4", "--hubs", "2"]) == 3

@@ -85,6 +85,24 @@ def test_decode_none_when_uncoverable(tiny):
     assert _decode_arrays(make_context(isolated, 0.5), vec[None])[3][0]
 
 
+def test_a_non_finite_gene_fails_to_decode_and_leaves_other_rows_alone(gen6):
+    ctx = make_context(gen6, 0.5)
+    n = gen6.n
+    X = np.random.default_rng(3).random((6, genome_length(n)))
+    want = _decode_arrays(ctx, X)
+    flagged = want[3].copy()
+    flagged[2] = True
+    keep = np.arange(6) != 2
+    # count gene, hub key, assignment key, route key
+    for col, value in ((0, np.nan), (1, np.inf), (1 + n, np.nan), (1 + 2 * n + 1, -np.inf)):
+        Y = X.copy()
+        Y[2, col] = value
+        got = _decode_arrays(ctx, Y)
+        assert (got[3] == flagged).all()
+        for a, b in zip(got[:3], want[:3]):
+            assert a[keep].tobytes() == b[keep].tobytes()
+
+
 def test_repair_flips_heaviest_pairs(tiny):
     # hub 1 sees load 290 when everything routes through it; with capacity
     # 150 the three heaviest pairs (55, 52, 50) must fall back to direct

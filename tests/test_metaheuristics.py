@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,23 @@ def test_params_validation():
         AlgorithmParams(archive_capacity=0)
     with pytest.raises(ValueError):
         AlgorithmParams(grid_divisions=0)
+
+
+@pytest.mark.parametrize("field", ["inertia", "cognitive", "social", "whale_a_max",
+                                   "whale_c_range"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_refuse_non_finite_coefficients(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        AlgorithmParams(**{field: value})
+
+
+def test_an_overflowing_whale_move_scores_its_row_instead_of_crashing(gen6):
+    # 4 * c_range overflows to inf, so some moves produce NaN genes
+    params = AlgorithmParams(max_iterations=5, population_size=10, whale_c_range=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        front = run_mowoa(gen6, params, seed=0)
+    assert len(front) > 0
+    assert np.isfinite(front.objective_rows()).all()
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))

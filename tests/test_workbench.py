@@ -1,6 +1,7 @@
 import csv
 import multiprocessing
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -253,3 +254,36 @@ def test_a_dead_worker_fails_only_the_unfinished_cells(tmp_path, gen5, monkeypat
         assert (r.metrics is not None) != broken, r
         assert bool(row[3]) == (r.metrics is not None)
     assert (out / "averages.csv").exists() and (out / "ranking.csv").exists()
+
+
+def test_the_pool_has_at_most_one_worker_per_cell(tmp_path, gen5, monkeypatch):
+    """A stand-in executor records the pool size and runs the cells inline,
+    so no process starts however many workers the campaign asks for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(workbench, "ProcessPoolExecutor", InlinePool)
+    p = tmp_path / "inst.json"
+    save_instance(gen5, p)
+    results = run_compare(ExperimentConfig(
+        instances=(str(p),), algorithms=("nsga2", "mopso"), seeds=(0,),
+        out_dir=str(tmp_path / "out"), params=SMALL, workers=64))
+    assert sizes == [2]
+    assert all(r.metrics is not None for r in results)
+
+
+def test_config_refuses_negative_seeds(tmp_path):
+    with pytest.raises(ValueError, match=r"seeds must be >= 0, got \[0, -1\]"):
+        ExperimentConfig(instances=("x.json",), algorithms=("nsga2",), seeds=(0, -1),
+                         out_dir=str(tmp_path))
