@@ -1,9 +1,11 @@
 """Objective evaluation: cost, emissions and time-window penalty.
 
 Two equivalent code paths are kept on purpose.  The typed path
-(:func:`compute_objectives`, :func:`evaluate`) walks a ``RoutePlan`` of hub
-tuples with plain scalar arithmetic and serves as the readable reference;
-it prices every route with one formula, :func:`_route_objectives`.  The array path
+(:func:`compute_objectives`, :func:`evaluate`) walks ``model.plan_routes``
+with plain scalar arithmetic and serves as the readable reference; it
+prices every route with one formula, :func:`_route_objectives`.  A plan
+holds no illegal route, so :func:`evaluate` checks the assignment, time
+caps and capacity; route legality is a front CSV parse check.  The array path
 (:class:`EvalContext`, :func:`hub_tables`, :func:`evaluate_mask`) expresses
 a plan as a boolean hub-route mask over the pair grid, prices a whole
 population of masks at once, and is what the solvers use; a property test
@@ -41,7 +43,7 @@ from .model import (
     Route,
     RoutePlan,
     feasibility_violations,
-    implied_route,
+    plan_routes,
     round6,
 )
 
@@ -114,7 +116,7 @@ def compute_objectives(inst: ProblemInstance, design: NetworkDesign, plan: Route
     cd = inst.unit_transport_cost * inst.distance
     z1 = float(inst.fixed_cost[list(design.hubs)].sum())
     z2 = z3 = 0.0
-    for i, j, route in plan.items():
+    for i, j, route in plan_routes(design, plan):
         c, e, p = _route_objectives(inst, q, cd, i, j, route)
         z1 += c
         z2 += e
@@ -141,9 +143,9 @@ def solution_from_plan(inst: ProblemInstance, design: NetworkDesign, plan: Route
 
 # --- array path -----------------------------------------------------------
 #
-# A plan under a fixed design is fully described by one boolean per ordered
-# pair: False = direct, True = the unique hub route implied by the endpoint
-# assignments.  Everything below works on that mask representation.
+# A plan is one boolean per ordered pair: False = direct, True = the hub
+# route implied by the endpoint assignments (``RoutePlan.hub``).  Everything
+# below works on that mask as an array.
 
 
 @dataclass(frozen=True)
@@ -261,9 +263,8 @@ def loads_from_mask(ctx: EvalContext, assignment: np.ndarray, mask: np.ndarray) 
     return loads.reshape(a.shape)
 
 
-def plan_from_mask(design: NetworkDesign, mask: np.ndarray) -> RoutePlan:
-    """Direct where ``mask`` is False, else the hub route of the pair's hubs."""
-    a, n = design.assignment, design.n
-    return RoutePlan.from_dict(n, {
-        (i, j): implied_route(a[i], a[j]) if mask[i, j] else ()
-        for i in range(n) for j in range(n) if i != j})
+def plan_from_mask(mask: np.ndarray) -> RoutePlan:
+    """The plan of an (n, n) hub-route mask; its diagonal is ignored."""
+    hub = np.array(mask, dtype=bool)
+    np.fill_diagonal(hub, False)
+    return RoutePlan(hub=tuple(map(tuple, hub.tolist())))

@@ -458,7 +458,7 @@ def _pair_data(index: _ExactIndex, g: int) -> _PairData:
     suffix = np.zeros((len(contrib) + 1, 3))
     suffix[:-1] = best[::-1].cumsum(axis=0)[::-1]
     return _PairData(
-        design=NetworkDesign.from_hubs(index.ctx.inst.n, block.hubs, assignment),
+        design=NetworkDesign(tuple(assignment.tolist())),
         fixed=block.fixed_total, contrib=contrib, suffix_min=suffix,
         load_nodes=np.stack([first, np.where(first == second, -1, second)], axis=1),
         load_q=index.ctx.q[index.i_arr[order], index.j_arr[order]], canon_pos=order)
@@ -628,8 +628,7 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
         return None
     mask = np.zeros_like(index.ctx.offdiag)
     mask[index.ctx.offdiag] = best[4]
-    plan = plan_from_mask(design, mask)
-    return solution_from_plan(index.ctx.inst, design, plan, index.ctx.alpha_prime)
+    return solution_from_plan(index.ctx.inst, design, plan_from_mask(mask), index.ctx.alpha_prime)
 
 
 def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonGrid(),

@@ -3,6 +3,8 @@
 All writers are deterministic: sorted JSON keys, fixed indentation, "\n"
 line endings, shortest-roundtrip float repr.  Identical inputs give
 byte-identical files.  A route token lists the hubs visited: ``k1->k5``.
+A row whose hubs or route tokens disagree with its assignment is refused
+here: the model stores only the assignment and one hub bit per pair.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .analysis import FrontMetrics
+from .evaluation import plan_from_mask
 from .fronts import ParetoFront
 from .model import (
     EvaluatedSolution,
@@ -24,7 +27,8 @@ from .model import (
     ObjectiveVector,
     ProblemInstance,
     Route,
-    RoutePlan,
+    implied_route,
+    plan_routes,
 )
 
 __all__ = [
@@ -134,9 +138,7 @@ class FrontRow:
 
 
 def _solution_row(sol: EvaluatedSolution) -> list:
-    n = sol.design.n
-    tokens = [render_route(sol.plan.route(i, j))
-              for i in range(n) for j in range(n) if i != j]
+    tokens = [render_route(route) for _, _, route in plan_routes(sol.design, sol.plan)]
     return [
         *sol.objectives.as_tuple(),
         float(sol.alpha_prime),
@@ -150,9 +152,18 @@ def write_front_csv(front: ParetoFront, path: Union[str, Path]) -> None:
     write_csv(path, FRONT_COLUMNS, [_solution_row(s) for s in front.solutions])
 
 
+def _parse(token: str, kind: type, line: int, field: str):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValueError(f"front CSV line {line}, field {field}: expected "
+                         f"{'a number' if kind is float else 'a node id'}, got {token!r}") from None
+
+
 def read_front_csv(path: Union[str, Path]) -> list[FrontRow]:
     """The file's records; blank lines are skipped, and a line whose field
-    count differs from the header's is a ValueError."""
+    count differs from the header's, or a number or node id that does not
+    parse, is a ValueError naming the line."""
     rows: list[FrontRow] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -161,17 +172,15 @@ def read_front_csv(path: Union[str, Path]) -> list[FrontRow]:
         if missing:
             raise ValueError(f"front CSV missing columns: {sorted(missing)}")
         for values in filter(None, reader):
+            line = reader.line_num
             if len(values) != len(header):
-                raise ValueError(f"front CSV line {reader.line_num} has {len(values)} fields, "
+                raise ValueError(f"front CSV line {line} has {len(values)} fields, "
                                  f"its header {len(header)}")
             rec = dict(zip(header, values))
             rows.append(FrontRow(
-                z1=float(rec["z1"]),
-                z2=float(rec["z2"]),
-                z3=float(rec["z3"]),
-                alpha_prime=float(rec["alpha_prime"]),
-                hubs=tuple(int(t) for t in rec["hubs"].split()),
-                assignment=tuple(int(t) for t in rec["assignment"].split()),
+                **{f: _parse(rec[f], float, line, f) for f in ("z1", "z2", "z3", "alpha_prime")},
+                **{f: tuple(_parse(t, int, line, f) for t in rec[f].split())
+                   for f in ("hubs", "assignment")},
                 routes=tuple(rec["routes"].split()),
             ))
     return rows
@@ -184,7 +193,9 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
         ValueError: naming the field when a hub, an assignment entry or a
             route token's node lies outside ``0..n-1``, when the
             assignment or route token count is wrong, or when
-            ``alpha_prime`` lies outside [0, 1].
+            ``alpha_prime`` lies outside [0, 1]; then when the hubs are
+            not the nodes assigned to themselves, or naming the pair when
+            a route token is neither ``Direct`` nor its endpoints' hubs.
     """
     n = inst.n
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -195,20 +206,24 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
     if not 0.0 <= row.alpha_prime <= 1.0:
         raise ValueError(f"alpha_prime: rate {row.alpha_prime!r} outside [0, 1]")
     routes = [parse_route(tok) for tok in row.routes]
-    nodes = {
-        "hubs": row.hubs,
-        "assignment": row.assignment,
-        "routes": [k for route in routes for k in route],
-    }
-    for field, ids in nodes.items():
+    hops = [k for route in routes for k in route]
+    for field, ids in (("hubs", row.hubs), ("assignment", row.assignment), ("routes", hops)):
         bad = sorted({k for k in ids if not 0 <= k < n})
         if bad:
             raise ValueError(f"{field}: node(s) {bad} outside 0..{n - 1}")
-    design = NetworkDesign.from_hubs(n, row.hubs, row.assignment)
-    mapping = dict(zip(pairs, routes))
-    plan = RoutePlan.from_dict(inst.n, mapping)
+    design = NetworkDesign(row.assignment)
+    if sorted(row.hubs) != list(design.hubs):
+        raise ValueError(f"hubs: {list(row.hubs)} but the nodes assigned to themselves "
+                         f"are {list(design.hubs)}")
+    a = design.assignment
+    for (i, j), route in zip(pairs, routes):
+        if route and route != implied_route(a[i], a[j]):
+            raise ValueError(f"pair ({i}, {j}) flies hubs {route} but its endpoints' hubs "
+                             f"are ({a[i]}, {a[j]})")
+    mask = np.zeros((n, n), dtype=bool)
+    mask[~np.eye(n, dtype=bool)] = [bool(route) for route in routes]
     return EvaluatedSolution(
-        design=design, plan=plan,
+        design=design, plan=plan_from_mask(mask),
         objectives=ObjectiveVector(row.z1, row.z2, row.z3),
         alpha_prime=row.alpha_prime,
     )

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .model import EvaluatedSolution
+from .model import EvaluatedSolution, plan_routes
 
 __all__ = [
     "dominates",
@@ -121,7 +121,7 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
 
 def solution_sort_key(sol: EvaluatedSolution):
     """Objectives, hubs, assignment, then each pair's route: 0 direct, 1 hub."""
-    codes = tuple(1 if route else 0 for _, _, route in sol.plan.items())
+    codes = tuple(1 if route else 0 for _, _, route in plan_routes(sol.design, sol.plan))
     return (sol.objectives.as_tuple(), sol.design.hubs, sol.design.assignment, codes)
 
 

@@ -118,11 +118,9 @@ def _evaluate_population(ctx: EvalContext, X: np.ndarray, memo: Optional[dict] =
 
 def _payload_solution(ctx: EvalContext, objectives, payload) -> EvaluatedSolution:
     assignment, mask = payload
-    design = NetworkDesign.from_hubs(ctx.inst.n, assignment[assignment == np.arange(ctx.inst.n)],
-                                     assignment)
     return EvaluatedSolution(
-        design=design,
-        plan=plan_from_mask(design, mask),
+        design=NetworkDesign(tuple(assignment.tolist())),
+        plan=plan_from_mask(mask),
         objectives=ObjectiveVector(*objectives),
         alpha_prime=ctx.alpha_prime,
     )
@@ -309,7 +307,7 @@ def run_mowoa(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
                 # so most genes sit still and a few move decisively, which
                 # suits a thresholded decode far better than uniform noise.
                 A = a * (2.0 * rng.random(L) - 1.0) ** 3
-                C = 1.0 + 4.0 * params.whale_c_range * (rng.random(L) - 0.5) ** 3
+                C = 1.0 + params.whale_c_range * (4.0 * (rng.random(L) - 0.5) ** 3)
                 target = np.where(np.abs(A) < 1.0, lvec, X[int(rng.integers(N))])
                 X[i] = target - A * np.abs(C * target - X[i])
             else:

@@ -1,9 +1,10 @@
 """Domain model for capacitated single-allocation air-cargo hub networks.
 
-Nodes exchange directional cargo flows.  A network design opens at most
-``p`` hubs, assigns every node to exactly one open hub (hubs serve
-themselves), and a route plan moves each origin-destination flow along a
-route: the tuple of hubs it visits, in flight order.
+Nodes exchange directional cargo flows.  A network design assigns every
+node to one hub; the hubs, at most ``p``, are the nodes assigned to
+themselves.  A route plan holds one bit per ordered pair: the flow flies
+direct, or through its endpoints' hubs.  A route is the tuple of hubs
+visited, in flight order:
 
 * ``()`` -- a point-to-point flight, bypassing hub processing;
 * ``(k,)`` -- through the shared hub ``k`` when both endpoints are
@@ -11,19 +12,20 @@ route: the tuple of hubs it visits, in flight order.
 * ``(k, l)`` -- through the origin's hub ``k`` and the destination's
   hub ``l`` when the endpoints are assigned to different hubs.
 
-Feasibility covers four groups of constraints: assignment legality (open
-hubs, single allocation, spoke links within the coverage radius ``omega``),
-route legality (the route must match the assignment pattern), hub
-throughput capacity against crisp demand, and a hard per-pair cap on route
-time.  Violations are reported as data (lists of strings), not exceptions,
-so invalid inputs can be inspected.
+No plan can name any other route, so route legality is a parse check on
+front CSV rows (``fileio.solution_from_row``), not a constraint here.
+Feasibility covers assignment legality (the hub budget, allocation to
+hubs, spoke links within the coverage radius ``omega``), hub throughput
+capacity against crisp demand, and a hard per-pair cap on route time.
+Violations are reported as data (lists of strings), not exceptions, so
+invalid inputs can be inspected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Mapping, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "Route",
     "implied_route",
     "RoutePlan",
+    "plan_routes",
     "ObjectiveVector",
     "EvaluatedSolution",
     "validate_instance",
@@ -124,26 +127,18 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class NetworkDesign:
-    """Open-hub choice plus single allocation of every node to an open hub."""
+    """Single allocation: node i is served by hub ``assignment[i]``, and the
+    hubs are the nodes assigned to themselves (no hub set is stored)."""
 
-    hub_open: tuple[bool, ...]
     assignment: tuple[int, ...]
-
-    @classmethod
-    def from_hubs(cls, n: int, hubs, assignment) -> "NetworkDesign":
-        hub_set = set(int(k) for k in hubs)
-        return cls(
-            hub_open=tuple(i in hub_set for i in range(n)),
-            assignment=tuple(int(a) for a in assignment),
-        )
 
     @property
     def hubs(self) -> tuple[int, ...]:
-        return tuple(k for k, open_ in enumerate(self.hub_open) if open_)
+        return tuple(k for k, a in enumerate(self.assignment) if a == k)
 
     @property
     def n(self) -> int:
-        return len(self.hub_open)
+        return len(self.assignment)
 
 
 # the hubs a flow visits, in flight order: () direct, (k,) or (k, l)
@@ -157,34 +152,19 @@ def implied_route(k: int, l: int) -> Route:
 
 @dataclass(frozen=True)
 class RoutePlan:
-    """One route per ordered pair, stored as an n x n grid (diagonal None)."""
+    """``hub[i][j]`` is True when pair (i, j) flies its endpoints' hubs and
+    False when it flies direct; an n x n grid with a False diagonal."""
 
-    routes: tuple[tuple[Optional[Route], ...], ...]
+    hub: tuple[tuple[bool, ...], ...]
 
-    @classmethod
-    def from_dict(cls, n: int, mapping: Mapping[tuple[int, int], Route]) -> "RoutePlan":
-        grid = [[None] * n for _ in range(n)]
-        for (i, j), route in mapping.items():
-            if i == j:
-                raise ValueError(f"route given for degenerate pair ({i}, {j})")
-            grid[i][j] = route
-        return cls(routes=tuple(tuple(row) for row in grid))
 
-    def route(self, i: int, j: int) -> Route:
-        r = self.routes[i][j]
-        if r is None:
-            raise KeyError(f"no route stored for pair ({i}, {j})")
-        return r
-
-    def items(self) -> Iterator[tuple[int, int, Route]]:
-        for i, row in enumerate(self.routes):
-            for j, r in enumerate(row):
-                if r is not None:
-                    yield (i, j, r)
-
-    @property
-    def n(self) -> int:
-        return len(self.routes)
+def plan_routes(design: NetworkDesign, plan: RoutePlan) -> Iterator[tuple[int, int, Route]]:
+    """``(i, j, route)`` of every ordered pair, i != j, in row-major order."""
+    a = design.assignment
+    for i, row in enumerate(plan.hub):
+        for j, hub in enumerate(row):
+            if i != j:
+                yield i, j, implied_route(a[i], a[j]) if hub else ()
 
 
 @dataclass(frozen=True)
@@ -268,12 +248,11 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
 
 
 def design_violations(inst: ProblemInstance, design: NetworkDesign) -> list[str]:
-    """Assignment-legality report: open hubs, self-assignment, hub budget, coverage."""
-    out: list[str] = []
+    """Assignment-legality report: hub budget, allocation to hubs, coverage."""
     n = inst.n
-    if len(design.hub_open) != n or len(design.assignment) != n:
-        out.append(f"design sized for {len(design.hub_open)} nodes, instance has {n}")
-        return out
+    if design.n != n:
+        return [f"design sized for {design.n} nodes, instance has {n}"]
+    out: list[str] = []
     hubs = design.hubs
     if not 1 <= len(hubs) <= inst.p:
         out.append(f"open hub count {len(hubs)} outside [1, p={inst.p}]")
@@ -281,11 +260,9 @@ def design_violations(inst: ProblemInstance, design: NetworkDesign) -> list[str]
         if not 0 <= a < n:
             out.append(f"assignment[{i}]={a} is not a node")
             continue
-        if not design.hub_open[a]:
-            out.append(f"node {i} assigned to closed node {a}")
-        if design.hub_open[i] and a != i:
-            out.append(f"hub {i} must be self-assigned, got {a}")
-        if not design.hub_open[i] and inst.distance[i, a] > inst.omega + FEAS_TOL:
+        if design.assignment[a] != a:
+            out.append(f"node {i} assigned to non-hub {a}")
+        if a != i and inst.distance[i, a] > inst.omega + FEAS_TOL:
             out.append(f"spoke link {i}->{a} length {inst.distance[i, a]} exceeds omega={inst.omega}")
     return out
 
@@ -296,36 +273,22 @@ def route_time(inst: ProblemInstance, route: Route, i: int, j: int) -> float:
     return float(sum(inst.travel_time[a, b] for a, b in zip(stops, stops[1:])))
 
 
-def _legal_route(design: NetworkDesign, i: int, j: int, route: Route) -> Optional[str]:
-    k, l = design.assignment[i], design.assignment[j]
-    if route and route != implied_route(k, l):
-        return f"pair ({i}, {j}) flies hubs {route} but its endpoints' hubs are ({k}, {l})"
-    return None
-
-
 def plan_violations(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan) -> list[str]:
-    """Route-legality and time-cap report for a plan (capacity checked separately)."""
-    out: list[str] = []
+    """Time-cap report for a plan under a legal design (capacity checked separately)."""
     n = inst.n
-    if plan.n != n:
-        out.append(f"plan sized for {plan.n} nodes, instance has {n}")
-        return out
-    seen = set()
-    for i, j, route in plan.items():
-        seen.add((i, j))
-        msg = _legal_route(design, i, j, route)
-        if msg:
-            out.append(msg)
+    rows = [len(row) for row in plan.hub]
+    if rows != [n] * n:
+        return [f"plan rows have lengths {rows}, instance has {n} nodes"]
+    out: list[str] = []
+    for i, j, route in plan_routes(design, plan):
         t = route_time(inst, route, i, j)
         if t > inst.max_transfer_time[i, j] + FEAS_TOL:
             out.append(f"pair ({i}, {j}) route time {t} exceeds cap {inst.max_transfer_time[i, j]}")
-    for i, j in inst.pairs():
-        if (i, j) not in seen:
-            out.append(f"pair ({i}, {j}) has no route")
     return out
 
 
-def hub_loads(inst: ProblemInstance, plan: RoutePlan, alpha_prime: float) -> np.ndarray:
+def hub_loads(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
+              alpha_prime: float) -> np.ndarray:
     """Crisp throughput processed at each node under the plan.
 
     Every hub on a route carries the pair's full demand; a direct route
@@ -333,7 +296,7 @@ def hub_loads(inst: ProblemInstance, plan: RoutePlan, alpha_prime: float) -> np.
     """
     q = inst.demand_matrix(alpha_prime)
     loads = np.zeros(inst.n)
-    for i, j, route in plan.items():
+    for i, j, route in plan_routes(design, plan):
         for k in route:
             loads[k] += q[i, j]
     return loads
@@ -341,11 +304,14 @@ def hub_loads(inst: ProblemInstance, plan: RoutePlan, alpha_prime: float) -> np.
 
 def feasibility_violations(inst: ProblemInstance, design: NetworkDesign,
                            plan: RoutePlan, alpha_prime: float) -> list[str]:
-    """Full constraint report: assignment, route legality, time caps, capacity."""
+    """Full constraint report: assignment, then time caps and capacity; a
+    design finding comes alone, as an illegal assignment implies no routes."""
     out = design_violations(inst, design)
-    out.extend(plan_violations(inst, design, plan))
+    if out:
+        return out
+    out = plan_violations(inst, design, plan)
     if not out:
-        loads = hub_loads(inst, plan, alpha_prime)
+        loads = hub_loads(inst, design, plan, alpha_prime)
         for k in design.hubs:
             if loads[k] > inst.capacity[k] + FEAS_TOL:
                 out.append(f"hub {k} throughput {loads[k]} exceeds capacity {inst.capacity[k]}")

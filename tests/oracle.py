@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from hubnet.evaluation import _route_objectives, solution_from_plan
+from hubnet.evaluation import _route_objectives, plan_from_mask, solution_from_plan
 from hubnet.fronts import ParetoFront, nondominated_mask
 from hubnet.model import (
     FEAS_TOL,
@@ -46,7 +46,7 @@ def naive_designs(inst: ProblemInstance):
             options = [[i] if i in hubs else [k for k in hubs if inst.distance[i, k] <= inst.omega]
                        for i in range(n)]
             for assignment in itertools.product(*options):
-                yield NetworkDesign.from_hubs(n, hubs, assignment)
+                yield NetworkDesign(assignment)
 
 
 def _hub_route(design: NetworkDesign, i: int, j: int):
@@ -117,11 +117,12 @@ def config_states(inst: ProblemInstance, design: NetworkDesign,
     return objs, masks
 
 
-def _plan_of(inst: ProblemInstance, design: NetworkDesign, mask: int) -> RoutePlan:
+def _plan_of(inst: ProblemInstance, mask: int) -> RoutePlan:
     """The plan whose canonical pair t flies its hub route where bit t is set."""
-    return RoutePlan.from_dict(inst.n, {
-        (i, j): _hub_route(design, i, j) if mask >> t & 1 else ()
-        for t, (i, j) in enumerate(inst.pairs())})
+    grid = np.zeros((inst.n, inst.n), dtype=bool)
+    for t, (i, j) in enumerate(inst.pairs()):
+        grid[i, j] = bool(mask >> t & 1)
+    return plan_from_mask(grid)
 
 
 def oracle_front(inst: ProblemInstance, alpha_prime: float = 0.5) -> ParetoFront:
@@ -143,5 +144,5 @@ def oracle_front(inst: ProblemInstance, alpha_prime: float = 0.5) -> ParetoFront
         return ParetoFront(solutions=())
     keep = nondominated_mask(np.round(np.concatenate(rows), 6))
     return ParetoFront.from_candidates([
-        solution_from_plan(inst, design, _plan_of(inst, design, mk), alpha_prime)
+        solution_from_plan(inst, design, _plan_of(inst, mk), alpha_prime)
         for flag, (design, mk) in zip(keep, refs) if flag])

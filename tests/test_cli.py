@@ -95,10 +95,9 @@ def test_solve_refuses_non_finite_coefficients(tmp_path, capsys, flags):
 
 def test_solve_survives_an_overflowing_whale_coefficient(tmp_path):
     inst = _gen(tmp_path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["solve", "--instance", str(inst), "--out", str(tmp_path / "f.csv"),
-                     "--solver", "mowoa", "--c-range", "1e308", "--max-it", "5",
-                     "--pop", "10"]) == 0
+    assert main(["solve", "--instance", str(inst), "--out", str(tmp_path / "f.csv"),
+                 "--solver", "mowoa", "--c-range", "1e308", "--max-it", "5",
+                 "--pop", "10"]) == 0
     assert read_front_csv(tmp_path / "f.csv")
 
 
@@ -260,6 +259,69 @@ def test_front_rows_that_do_not_fit_the_instance_are_refused(tmp_path, capsys,
     assert message in captured.err
     assert "Traceback" not in captured.err + captured.out
     assert not out.exists()
+
+
+def _tamper_first_pair(tokens):
+    # pair (0, 2) is the second token; reverse its two hubs
+    parts = tokens.split()
+    parts[1] = "->".join(reversed(parts[1].split("->")))
+    return " ".join(parts)
+
+
+@pytest.mark.parametrize("column, edit, message", [
+    ("hubs", lambda v: "0 " + v,
+     "hubs: [0, 2, 3] but the nodes assigned to themselves are [2, 3]"),
+    ("routes", _tamper_first_pair,
+     "pair (0, 2) flies hubs (2, 3) but its endpoints' hubs are (3, 2)"),
+], ids=["spoke-as-hub", "reversed-route"])
+def test_sweep_and_validate_refuse_a_row_its_assignment_contradicts(tmp_path, capsys,
+                                                                    column, edit, message):
+    # the minimum-cost row is the one sweep prices; it used to price the
+    # tampered row as if it were legal and exit 0
+    inst = _gen(tmp_path)
+    front = tmp_path / "front.csv"
+    assert main(["solve", "--instance", str(inst), "--solver", "exact",
+                 "--out", str(front), "--grid-z2", "2", "--grid-z3", "2"]) == 0
+    with open(front, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert (rows[0]["hubs"], rows[0]["assignment"]) == ("2 3", "3 2 2 3 2")
+    rows[0][column] = edit(rows[0][column])
+    with open(front, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst), "--front", str(front)]) == 1
+    captured = capsys.readouterr()
+    assert f"front row 0: {message}" in captured.out
+    assert "front row 1" not in captured.out
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--instance", str(inst), "--param", "phi", "--values", "30",
+                 "--front", str(front), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, value, kind", [("z1", "x", "a number"),
+                                                 ("hubs", "3.5", "a node id")])
+def test_validate_names_the_line_and_field_of_an_unreadable_value(tmp_path, capsys,
+                                                                  column, value, kind):
+    inst = _gen(tmp_path)
+    front = tmp_path / "bad.csv"
+    assert main(["solve", "--instance", str(inst), "--solver", "exact",
+                 "--out", str(front), "--grid-z2", "2", "--grid-z3", "2"]) == 0
+    with open(front, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[1][column] = value
+    with open(front, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst), "--front", str(front)]) == 3
+    assert capsys.readouterr().err == (f"cannot read front {front}: front CSV line 3, "
+                                       f"field {column}: expected {kind}, got '{value}'\n")
 
 
 def test_sweep_from_front(tmp_path):

@@ -114,8 +114,8 @@ def test_repair_flips_heaviest_pairs(tiny):
     assert repaired is not None
     direct_pairs = {(int(i), int(j)) for i, j in np.argwhere(ctx.offdiag & ~repaired)}
     assert direct_pairs == {(1, 2), (2, 0), (0, 2)}
-    design = NetworkDesign.from_hubs(3, [1], a)
-    assert feasibility_violations(squeezed, design, plan_from_mask(design, repaired), 0.5) == []
+    design = NetworkDesign(tuple(a.tolist()))
+    assert feasibility_violations(squeezed, design, plan_from_mask(repaired), 0.5) == []
 
 
 def test_repair_returns_none_when_stuck(tiny):

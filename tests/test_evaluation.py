@@ -33,12 +33,12 @@ from hubnet.generator import GeneratorSpec, generate, preset
 from hubnet.model import (
     FEAS_TOL,
     NetworkDesign,
-    RoutePlan,
     hub_loads,
     implied_route,
+    plan_routes,
     route_time,
 )
-from test_model import all_hub_plan
+from test_model import all_hub_plan, direct_plan
 
 
 def test_aircraft_count_boundaries():
@@ -56,8 +56,8 @@ def test_aircraft_count_boundaries():
 
 
 def test_all_hub_plan_totals(tiny):
-    design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
-    plan = all_hub_plan(tiny, design)
+    design = NetworkDesign((1, 1, 1))
+    plan = all_hub_plan(3)
     z = compute_objectives(tiny, design, plan, 0.5)
     assert z[0] == 40250.0
     assert z[1] == 3564.0
@@ -67,12 +67,8 @@ def test_all_hub_plan_totals(tiny):
 def test_mixed_plan_totals(tiny):
     # (0,2)/(2,0) go direct: d=200 so z1 swaps 201*q for 200*q,
     # z2 swaps 633-per-aircraft for 504, z3 drops both 3.9 penalties
-    design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
-    plan = RoutePlan.from_dict(3, {
-        (0, 1): (1,), (1, 0): (1,),
-        (1, 2): (1,), (2, 1): (1,),
-        (0, 2): (), (2, 0): (),
-    })
+    design = NetworkDesign((1, 1, 1))
+    plan = direct_plan(3, (0, 1), (1, 0), (1, 2), (2, 1))
     assert compute_objectives(tiny, design, plan, 0.5) == (40148.0, 3177.0, 4.8)
 
 
@@ -81,20 +77,17 @@ def test_two_hub_route_totals(tiny):
     #   direct baseline: z1 44350+800, z2 3157, z3 4.8
     #   swap for (1,2): unit cost 182.5 (80+100+2.5), dist 300 legs 3 m=2,
     #   time 30 -> lateness 8*1.3
-    design = NetworkDesign.from_hubs(3, [0, 2], [0, 0, 2])
-    base = RoutePlan.from_dict(3, {(i, j): () for i, j in tiny.pairs()})
+    design = NetworkDesign((0, 0, 2))
+    base = direct_plan(3)
     assert compute_objectives(tiny, design, base, 0.5) == (45150.0, 3157.0, 4.8)
 
-    swapped = RoutePlan.from_dict(3, {
-        **{(i, j): () for i, j in tiny.pairs()},
-        (1, 2): (0, 2),
-    })
+    swapped = direct_plan(3, (1, 2))
     assert compute_objectives(tiny, design, swapped, 0.5) == (46937.5, 3923.0, 15.2)
 
 
 def test_penalty_ignores_demand_rate(tiny):
-    design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
-    plan = all_hub_plan(tiny, design)
+    design = NetworkDesign((1, 1, 1))
+    plan = all_hub_plan(3)
     vals = {compute_objectives(tiny, design, plan, r)[2] for r in (0.0, 0.3, 1.0)}
     assert vals == {12.6}
 
@@ -104,8 +97,8 @@ def test_defuzzified_demand_scales_cost():
     fuzzy[0, 1] = [30.0, 40.0, 50.0, 60.0]   # interval [35, 55]
     inst = make_instance(3, 2, distance=np.where(np.eye(3), 0.0, 100.0),
                          demand=fuzzy, fixed=0.0, handling=0.0)
-    design = NetworkDesign.from_hubs(3, [0], [0, 0, 0])
-    plan = RoutePlan.from_dict(3, {(i, j): () for i, j in inst.pairs()})
+    design = NetworkDesign((0, 0, 0))
+    plan = direct_plan(3)
     assert compute_objectives(inst, design, plan, 0.0)[0] == 100.0 * 35.0
     assert compute_objectives(inst, design, plan, 1.0)[0] == 100.0 * 55.0
     assert compute_objectives(inst, design, plan, 0.5)[0] == 100.0 * 45.0
@@ -113,8 +106,8 @@ def test_defuzzified_demand_scales_cost():
 
 def test_evaluate_rejects_infeasible(tiny):
     starved = dataclasses.replace(tiny, capacity=np.array([0.0, 10.0, 0.0]))
-    design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
-    plan = all_hub_plan(tiny, design)
+    design = NetworkDesign((1, 1, 1))
+    plan = all_hub_plan(3)
     with pytest.raises(ValueError, match="exceeds capacity"):
         evaluate(starved, design, plan, 0.5)
     sol = solution_from_plan(tiny, design, plan, 0.5)
@@ -124,7 +117,7 @@ def test_evaluate_rejects_infeasible(tiny):
 
 def test_mask_path_matches_typed_path():
     # every (instance, assignment, mask) drawn here must price identically
-    # through evaluate_mask and through the RoutePlan walk
+    # through evaluate_mask and through the typed walk of plan_routes
     rng = np.random.default_rng(7)
     for trial in range(20):
         n = int(rng.integers(3, 7))
@@ -137,16 +130,17 @@ def test_mask_path_matches_typed_path():
         mask = rng.random((n, n)) < 0.5
         mask &= ctx.offdiag
 
-        design = NetworkDesign.from_hubs(n, hubs, assignment)
-        plan = plan_from_mask(design, mask)
+        design = NetworkDesign(tuple(assignment.tolist()))
+        assert design.hubs == tuple(hubs.tolist())
+        plan = plan_from_mask(mask)
         typed = compute_objectives(inst, design, plan, rate)
         a = assignment[None]
         arrayed = evaluate_mask(ctx, hub_tables(ctx, a), a, mask[None])
         assert typed == tuple(arrayed[0])
 
         np.testing.assert_allclose(loads_from_mask(ctx, assignment, mask),
-                                   hub_loads(inst, plan, rate), atol=1e-9)
-        assert np.array_equal(_direct_pairs(plan), ctx.offdiag & ~mask)
+                                   hub_loads(inst, design, plan, rate), atol=1e-9)
+        assert np.array_equal(_direct_pairs(design, plan), ctx.offdiag & ~mask)
 
 
 @pytest.mark.parametrize("name", ["gen6", "preset1", "preset4", "squeezed"])
@@ -207,17 +201,19 @@ def test_time_cap_sets_inf_exactly_where_the_typed_route_time_breaks_it():
     assert late_direct.any() and (~late_direct & offdiag).any() and cut > 0
 
 
-def _direct_pairs(plan):
-    n = plan.n
-    return np.array([[i != j and plan.route(i, j) == () for j in range(n)]
-                     for i in range(n)])
+def _direct_pairs(design, plan):
+    out = np.zeros((design.n, design.n), dtype=bool)
+    for i, j, route in plan_routes(design, plan):
+        out[i, j] = route == ()
+    return out
 
 
 def test_plan_mask_roundtrip(tiny):
-    design = NetworkDesign.from_hubs(3, [0, 2], [0, 0, 2])
+    design = NetworkDesign((0, 0, 2))
     for bits in itertools.product([False, True], repeat=6):
         mask = np.zeros((3, 3), dtype=bool)
         mask[~np.eye(3, dtype=bool)] = bits
-        plan = plan_from_mask(design, mask)
+        plan = plan_from_mask(mask)
         # direct exactly where the mask is False, off the diagonal
-        assert np.array_equal(_direct_pairs(plan), ~mask & ~np.eye(3, dtype=bool))
+        assert np.array_equal(_direct_pairs(design, plan), ~mask & ~np.eye(3, dtype=bool))
+        assert np.array_equal(plan.hub, mask)

@@ -8,6 +8,7 @@ import pytest
 from hubnet.evaluation import evaluate, solution_from_plan
 from hubnet.exact import EpsilonGrid, epsilon_constraint_front
 from hubnet.fileio import (
+    FrontRow,
     load_instance,
     parse_route,
     read_front_csv,
@@ -21,7 +22,7 @@ from hubnet.fileio import (
 from hubnet.fronts import ParetoFront
 from hubnet.model import NetworkDesign
 
-from test_model import all_hub_plan
+from test_model import all_hub_plan, direct_plan
 
 
 def test_instance_roundtrip(tmp_path, gen5):
@@ -191,14 +192,64 @@ def test_front_csv_skips_blank_lines_and_refuses_rows_of_the_wrong_width(tmp_pat
 
 
 def test_solution_from_row_checks_token_count(tmp_path, tiny):
-    design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
-    sol = solution_from_plan(tiny, design, all_hub_plan(tiny, design), 0.5)
+    design = NetworkDesign((1, 1, 1))
+    sol = solution_from_plan(tiny, design, all_hub_plan(3), 0.5)
     path = tmp_path / "front.csv"
     write_front_csv(ParetoFront(solutions=(sol,)), path)
     row = read_front_csv(path)[0]
     truncated = row.__class__(**{**row.__dict__, "routes": row.routes[:-1]})
     with pytest.raises(ValueError, match="route tokens"):
         solution_from_row(tiny, truncated)
+
+
+def _row(assignment, hubs, routes):
+    return FrontRow(z1=1.0, z2=1.0, z3=1.0, alpha_prime=0.5, hubs=hubs,
+                    assignment=assignment, routes=routes)
+
+
+# pair order: (0, 1) (0, 2) (1, 0) (1, 2) (2, 0) (2, 1)
+@pytest.mark.parametrize("assignment, hubs, routes, message", [
+    ((1, 1, 1), (1,), ("k0", "k1", "k1", "k1", "k1", "k1"),
+     "pair (0, 1) flies hubs (0,) but its endpoints' hubs are (1, 1)"),
+    ((0, 0, 2), (0, 2), ("Direct",) * 3 + ("k2->k0",) + ("Direct",) * 2,
+     "pair (1, 2) flies hubs (2, 0) but its endpoints' hubs are (0, 2)"),
+    ((0, 0, 2), (0, 2), ("Direct",) * 3 + ("k0->k0",) + ("Direct",) * 2,
+     "pair (1, 2) flies hubs (0, 0) but its endpoints' hubs are (0, 2)"),
+    ((0, 0, 2), (0, 1, 2), ("Direct",) * 6,
+     "hubs: [0, 1, 2] but the nodes assigned to themselves are [0, 2]"),
+    ((0, 0, 2), (0,), ("Direct",) * 6,
+     "hubs: [0] but the nodes assigned to themselves are [0, 2]"),
+])
+def test_solution_from_row_refuses_what_its_assignment_contradicts(tiny, assignment, hubs,
+                                                                   routes, message):
+    # the model stores neither the hub set nor the routes, so the parser checks them
+    with pytest.raises(ValueError) as info:
+        solution_from_row(tiny, _row(assignment, hubs, routes))
+    assert str(info.value) == message
+
+
+def test_solution_from_row_rebuilds_the_bits_of_legal_tokens(tiny):
+    routes = ("Direct",) * 3 + ("k0->k2",) + ("Direct", "k2->k0")
+    sol = solution_from_row(tiny, _row((0, 0, 2), (0, 2), routes))
+    assert sol.design == NetworkDesign((0, 0, 2))
+    assert sol.plan == direct_plan(3, (1, 2), (2, 1))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("z1", "x", "front CSV line 2, field z1: expected a number, got 'x'"),
+    ("alpha_prime", "", "front CSV line 2, field alpha_prime: expected a number, got ''"),
+    ("hubs", "3.5", "front CSV line 2, field hubs: expected a node id, got '3.5'"),
+    ("assignment", "0 x", "front CSV line 2, field assignment: expected a node id, got 'x'"),
+])
+def test_front_csv_names_the_line_and_field_of_a_value_it_cannot_parse(tmp_path, field, value,
+                                                                      message):
+    good = {"z1": "1.0", "z2": "2.0", "z3": "3.0", "alpha_prime": "0.5", "hubs": "0",
+            "assignment": "0 0", "routes": "Direct Direct"}
+    path = tmp_path / "front.csv"
+    path.write_text(",".join(good) + "\n" + ",".join({**good, field: value}.values()) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_front_csv(path)
+    assert str(info.value) == message
 
 
 def test_write_csv_float_repr(tmp_path):

@@ -47,10 +47,10 @@ def test_params_refuse_non_finite_coefficients(field, value):
 
 
 def test_an_overflowing_whale_move_scores_its_row_instead_of_crashing(gen6):
-    # 4 * c_range overflows to inf, so some moves produce NaN genes
+    # the wobble coefficient nears the float limit but stays finite, so no
+    # move overflows or makes a NaN gene (pytest turns a RuntimeWarning into an error)
     params = AlgorithmParams(max_iterations=5, population_size=10, whale_c_range=1e308)
-    with np.errstate(over="ignore", invalid="ignore"):
-        front = run_mowoa(gen6, params, seed=0)
+    front = run_mowoa(gen6, params, seed=0)
     assert len(front) > 0
     assert np.isfinite(front.objective_rows()).all()
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_DISTANCE, TINY_DEMAND, make_instance
+from hubnet.evaluation import plan_from_mask
 from hubnet.model import (
     NetworkDesign,
     ObjectiveVector,
@@ -12,7 +13,7 @@ from hubnet.model import (
     design_violations,
     feasibility_violations,
     hub_loads,
-    implied_route,
+    plan_routes,
     plan_violations,
     round6,
     route_time,
@@ -20,11 +21,17 @@ from hubnet.model import (
 )
 
 
-def all_hub_plan(inst, design):
-    a = design.assignment
-    return RoutePlan.from_dict(inst.n, {
-        (i, j): implied_route(a[i], a[j]) for i, j in inst.pairs()
-    })
+def all_hub_plan(n):
+    """Every pair flies its endpoints' hubs."""
+    return plan_from_mask(np.ones((n, n), dtype=bool))
+
+
+def direct_plan(n, *hub_pairs):
+    """Every pair flies direct but ``hub_pairs``, which fly their hubs."""
+    mask = np.zeros((n, n), dtype=bool)
+    for i, j in hub_pairs:
+        mask[i, j] = True
+    return plan_from_mask(mask)
 
 
 def test_round6():
@@ -40,22 +47,22 @@ def test_objective_vector_rounds_and_rejects():
             ObjectiveVector(*bad)
 
 
-def test_network_design_from_hubs():
-    d = NetworkDesign.from_hubs(4, [2, 0], [0, 0, 2, 2])
+def test_network_design_hubs_are_the_self_assigned_nodes():
+    d = NetworkDesign((0, 0, 2, 2))
     assert d.hubs == (0, 2)
     assert d.n == 4
-    assert d.hub_open == (True, False, True, False)
+    assert NetworkDesign((1, 1, 1)).hubs == (1,)
 
 
 def test_route_plan_accessors():
-    plan = RoutePlan.from_dict(3, {(0, 1): (), (1, 0): (1,)})
-    assert plan.route(0, 1) == ()
-    assert plan.route(1, 0) == (1,)
-    with pytest.raises(KeyError):
-        plan.route(0, 2)
-    assert sorted((i, j) for i, j, _ in plan.items()) == [(0, 1), (1, 0)]
-    with pytest.raises(ValueError):
-        RoutePlan.from_dict(3, {(1, 1): ()})
+    # a set bit flies the hubs the endpoints are assigned to, in row-major order
+    design = NetworkDesign((0, 0, 2))
+    plan = RoutePlan(hub=((False, True, True), (False, False, True), (True, False, False)))
+    assert list(plan_routes(design, plan)) == [
+        (0, 1, (0,)), (0, 2, (0, 2)), (1, 0, ()), (1, 2, (0, 2)), (2, 0, (2, 0)), (2, 1, ())]
+    # the diagonal is never a pair, whatever its bit
+    assert plan_from_mask(np.eye(3, dtype=bool)) == direct_plan(3)
+    assert [r for _, _, r in plan_routes(design, direct_plan(3))] == [()] * 6
 
 
 def test_validate_instance_accepts_tiny(tiny):
@@ -129,81 +136,53 @@ def test_instance_shape_checks():
 
 
 def test_design_violations(tiny):
-    ok = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
+    ok = NetworkDesign((1, 1, 1))
     assert design_violations(tiny, ok) == []
 
-    closed = NetworkDesign.from_hubs(3, [1], [0, 1, 1])
-    assert any("closed" in v for v in design_violations(tiny, closed))
+    # node 0 is assigned to hub 1, so node 2 is assigned to a spoke
+    closed = NetworkDesign((1, 1, 0))
+    assert design_violations(tiny, closed) == ["node 2 assigned to non-hub 0"]
 
-    not_self = NetworkDesign(hub_open=(True, True, False), assignment=(1, 1, 1))
-    assert any("self-assigned" in v for v in design_violations(tiny, not_self))
-
-    too_many = NetworkDesign.from_hubs(3, [0, 1, 2], [0, 1, 2])
+    too_many = NetworkDesign((0, 1, 2))
     assert any("outside" in v for v in design_violations(tiny, too_many))
 
     short_reach = dataclasses.replace(tiny, omega=120.0)
-    far = NetworkDesign.from_hubs(3, [1], [1, 1, 1])   # spoke 2 at distance 150
+    far = NetworkDesign((1, 1, 1))   # spoke 2 at distance 150
     assert any("omega" in v for v in design_violations(short_reach, far))
 
-    four = NetworkDesign.from_hubs(4, [1], [1, 1, 1, 1])
+    four = NetworkDesign((1, 1, 1, 1))
     assert design_violations(tiny, four) == ["design sized for 4 nodes, instance has 3"]
 
-    stray = NetworkDesign.from_hubs(3, [1], [1, 1, 5])
+    stray = NetworkDesign((1, 1, 5))
     assert "assignment[2]=5 is not a node" in design_violations(tiny, stray)
 
 
 def test_plan_violations(tiny):
-    design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
-    good = all_hub_plan(tiny, design)
-    assert plan_violations(tiny, design, good) == []
-
-    wrong_hub = RoutePlan.from_dict(3, {
-        **{(i, j): (1,) for i, j in tiny.pairs()},
-        (0, 1): (0,),
-    })
-    assert plan_violations(tiny, design, wrong_hub) == [
-        "pair (0, 1) flies hubs (0,) but its endpoints' hubs are (1, 1)"]
-
-    missing = RoutePlan.from_dict(3, {(0, 1): (1,)})
-    assert any("no route" in v for v in plan_violations(tiny, design, missing))
-
-    design2 = NetworkDesign.from_hubs(3, [0, 2], [0, 0, 2])
-    stray = RoutePlan.from_dict(3, {
-        **{(i, j): () for i, j in tiny.pairs()},
-        (1, 2): (2, 0),
-    })
-    assert plan_violations(tiny, design2, stray) == [
-        "pair (1, 2) flies hubs (2, 0) but its endpoints' hubs are (0, 2)"]
-
-    twin = RoutePlan.from_dict(3, {
-        **{(i, j): () for i, j in tiny.pairs()},
-        (1, 2): (0, 0),
-    })
-    assert plan_violations(tiny, design2, twin) == [
-        "pair (1, 2) flies hubs (0, 0) but its endpoints' hubs are (0, 2)"]
+    design = NetworkDesign((1, 1, 1))
+    assert plan_violations(tiny, design, all_hub_plan(3)) == []
 
     slow = dataclasses.replace(tiny, max_transfer_time=np.full((3, 3), 21.0))
-    late_plan = RoutePlan.from_dict(3, {
-        **{(i, j): () for i, j in tiny.pairs()},
-        (0, 2): (1,),   # needs a matching design; legality reported separately
-    })
-    design3 = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
-    msgs = plan_violations(slow, design3, late_plan)
-    assert any("exceeds cap" in v for v in msgs)
+    msgs = plan_violations(slow, design, direct_plan(3, (0, 2)))
+    assert msgs == ["pair (0, 2) route time 25.0 exceeds cap 21.0"]
 
-    wide = RoutePlan.from_dict(4, {(0, 3): ()})
-    assert plan_violations(tiny, design, wide) == ["plan sized for 4 nodes, instance has 3"]
+    wide = direct_plan(4)
+    assert plan_violations(tiny, design, wide) == [
+        "plan rows have lengths [4, 4, 4, 4], instance has 3 nodes"]
+    # a short row would leave its pairs unpriced
+    ragged = RoutePlan(hub=((False, True), (True, False, True), (True, True, False)))
+    assert plan_violations(tiny, design, ragged) == [
+        "plan rows have lengths [2, 3, 3], instance has 3 nodes"]
 
 
 def test_route_time_and_feasible_routes(tiny):
-    design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
+    design = NetworkDesign((1, 1, 1))
     assert route_time(tiny, (), 0, 2) == 20.0
     assert route_time(tiny, (1,), 0, 2) == 25.0
     assert route_time(tiny, (0, 2), 1, 2) == 30.0
 
     # pairs originating or ending at the hub still have a legal one-hub route
-    direct = RoutePlan.from_dict(3, {pair: () for pair in tiny.pairs()})
-    hub = all_hub_plan(tiny, design)
+    direct = direct_plan(3)
+    hub = all_hub_plan(3)
     assert plan_violations(tiny, design, direct) == []
     assert plan_violations(tiny, design, hub) == []
 
@@ -214,16 +193,14 @@ def test_route_time_and_feasible_routes(tiny):
 
 
 def test_hub_loads(tiny):
-    design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
-    plan = all_hub_plan(tiny, design)
-    loads = hub_loads(tiny, plan, 0.5)
+    design = NetworkDesign((1, 1, 1))
+    loads = hub_loads(tiny, design, all_hub_plan(3), 0.5)
     # every pair's demand lands on hub 1 exactly once
     assert loads[1] == TINY_DEMAND.sum()
     assert loads[0] == 0.0 and loads[2] == 0.0
 
-    design2 = NetworkDesign.from_hubs(3, [0, 2], [0, 0, 2])
-    plan2 = all_hub_plan(tiny, design2)
-    loads2 = hub_loads(tiny, plan2, 0.5)
+    design2 = NetworkDesign((0, 0, 2))
+    loads2 = hub_loads(tiny, design2, all_hub_plan(3), 0.5)
     # (0,1)/(1,0) stay on hub 0; every pair touching node 2 loads both hubs
     assert loads2[0] == TINY_DEMAND.sum()
     assert loads2[2] == 50.0 + 55.0 + 52.0 + 48.0
@@ -231,8 +208,12 @@ def test_hub_loads(tiny):
 
 def test_feasibility_violations_capacity(tiny):
     small = dataclasses.replace(tiny, capacity=np.array([0.0, 100.0, 0.0]))
-    design = NetworkDesign.from_hubs(3, [1], [1, 1, 1])
-    plan = all_hub_plan(tiny, design)
+    design = NetworkDesign((1, 1, 1))
+    plan = all_hub_plan(3)
     msgs = feasibility_violations(small, design, plan, 0.5)
     assert any("exceeds capacity" in v for v in msgs)
     assert feasibility_violations(tiny, design, plan, 0.5) == []
+    # an illegal design is reported alone: its plan implies no routes to check
+    capped = dataclasses.replace(small, max_transfer_time=np.full((3, 3), 21.0))
+    assert feasibility_violations(capped, NetworkDesign((1, 1, 0)), plan, 0.5) == [
+        "node 2 assigned to non-hub 0"]
