@@ -24,6 +24,7 @@ from .fileio import (
     write_front_csv,
     write_metrics_csv,
 )
+from .fuzzy import check_rate
 from .generator import PRESET_SIZES, GeneratorSpec, generate, preset
 from .metaheuristics import AlgorithmParams
 from .model import check_feasibility, validate_instance
@@ -71,8 +72,10 @@ def _rate(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    try:
+        check_rate(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return value
 
 

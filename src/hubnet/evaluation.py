@@ -1,36 +1,39 @@
 """Objective evaluation: cost, emissions and time-window penalty.
 
-Two equivalent code paths are kept on purpose.  The typed path
-(:func:`compute_objectives`, :func:`evaluate`) walks ``model.plan_routes``
-with plain scalar arithmetic and serves as the readable reference; it
-prices every route with one formula, :func:`_route_objectives`.  A plan
-holds no illegal route, so :func:`evaluate` checks the assignment, time
-caps and capacity; route legality is a front CSV parse check.  The array path
-(:class:`EvalContext`, :func:`hub_tables`, :func:`evaluate_mask`) expresses
-a plan as a boolean hub-route mask over the pair grid, prices a whole
-population of masks at once, and is what the solvers use; a property test
-pins the two paths to each other.  The array path prices a route in one
-place: the kernel :func:`_price`, with :func:`_hub_route` for the hub-route
-geometry, returns (..., 3) objective triples with inf over the pair's time
-cap.  The direct table of :func:`make_context`, :func:`hub_tables` and the
-exact solver's per-hub-set option arrays are its output as it is.
+One pricer serves every caller.  A plan is a boolean hub-route mask over
+the pair grid (:class:`EvalContext`, :func:`hub_tables`,
+:func:`evaluate_mask`), and a whole population of masks is priced at
+once.  A route is priced in one place: the kernel :func:`_price`, with
+:func:`_hub_route` for the hub-route geometry, returns (..., 3) objective
+triples with inf over the pair's time cap.  The direct table of
+:func:`make_context`, :func:`hub_tables` and the exact solver's
+per-hub-set option arrays are its output as it is.  The typed calls
+(:func:`evaluate`, :func:`compute_objectives`,
+:func:`feasibility_violations`) price one (design, plan) as a one-row
+batch, and read its time-cap and capacity findings off the same tables:
+a time-cap breach is an inf in the chosen option, and hub loads come from
+:func:`loads_from_mask`.  So ``hubnet validate`` recomputes exactly what
+the solvers store.  The tests keep a scalar pair-by-pair pricer
+(``tests/oracle.py``) as an independent reference for this one.
 
 Objective semantics, per ordered pair with crisp demand ``q``:
 
 * cost -- direct flights pay full transport cost; spoke-hub legs are
   discounted by ``beta``, the hub-hub leg by ``alpha``; every visited hub
   charges its per-unit handling cost; open hubs add fixed costs once.
-* emissions -- the pair needs ``ceil(q / aircraft_capacity)`` aircraft;
-  each aircraft emits one landing/take-off dose per leg plus a
-  per-distance climb/cruise/descent dose, for two pollutant types.
+* emissions -- the pair needs ``ceil(q / aircraft_capacity)`` aircraft,
+  a ratio within ``FEAS_TOL`` above an integer snapping down to it (so
+  zero demand needs none); each aircraft emits one landing/take-off dose
+  per leg plus a per-distance climb/cruise/descent dose, for two
+  pollutant types.
 * time-window penalty -- earliness below the pair's lower window edge and
   lateness above the upper edge are charged per time unit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -40,17 +43,14 @@ from .model import (
     NetworkDesign,
     ObjectiveVector,
     ProblemInstance,
-    Route,
     RoutePlan,
-    feasibility_violations,
-    plan_routes,
-    round6,
+    design_violations,
 )
 
 __all__ = [
-    "aircraft_count",
     "evaluate",
     "compute_objectives",
+    "feasibility_violations",
     "solution_from_plan",
     "EvalContext",
     "make_context",
@@ -61,76 +61,77 @@ __all__ = [
 ]
 
 
-def aircraft_count(q: float, phi: float) -> int:
-    """Aircraft needed to move quantity ``q`` with per-aircraft capacity ``phi``.
+def _one_row(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
+             alpha_prime: float) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """The objective row, time-cap findings and hub loads of one plan.
 
-    Zero demand needs zero aircraft; otherwise the count is the ceiling of
-    ``q / phi``.  Quantities within 1e-9 of an integer multiple snap down
-    so float noise cannot add a phantom aircraft.
+    The (design, plan) is priced as a one-row batch.  A pair whose chosen
+    route breaks its time cap prices at inf in all three objectives (an
+    overflowing product makes only its own one inf) and gets a finding
+    naming the pair and its cap.  The design must name nodes and the
+    plan be n x n.
     """
-    if phi <= 0:
-        raise ValueError(f"aircraft capacity must be > 0, got {phi}")
-    if q < 0:
-        raise ValueError(f"demand must be >= 0, got {q}")
-    return max(0, math.ceil(q / phi - FEAS_TOL))
+    ctx = make_context(inst, alpha_prime)
+    a = np.array([design.assignment], dtype=np.intp)
+    mask = np.array([plan.hub], dtype=bool)
+    tables = hub_tables(ctx, a)
+    chosen = np.where(mask[..., None], tables, ctx.direct)[0]
+    late = np.isinf(chosen).all(axis=-1) & ctx.offdiag
+    breaks = [f"pair ({i}, {j}) route time exceeds cap {inst.max_transfer_time[i, j]}"
+              for i, j in np.argwhere(late)]
+    return evaluate_mask(ctx, tables, a, mask)[0], breaks, loads_from_mask(ctx, a[0], mask[0])
 
 
-def _route_objectives(inst: ProblemInstance, q: np.ndarray, cd: np.ndarray, i: int, j: int,
-                      route: Route) -> tuple[float, float, float]:
-    """Unrounded (cost, emissions, penalty) of pair (i, j) flown on ``route``.
+def _checked(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
+             alpha_prime: float) -> tuple[list[str], Optional[np.ndarray]]:
+    """Constraint report and objective row of one (design, plan).
 
-    ``q`` is the crisp demand matrix and ``cd`` the unit transport cost
-    times distance; ``cd[k, k]`` is 0, so one formula prices both hub
-    routes.  The penalty depends only on the route's time, never on
-    demand, so it is constant in the uncertainty rate.
+    The report lists the assignment findings alone, as an illegal
+    assignment implies no routes, then time caps, then capacity, which is
+    checked only once every route fits its cap.  The row is None where
+    the design or plan shape is illegal.
     """
-    d, tt, u = inst.distance, inst.travel_time, inst.handling_cost
-    stops = (i, *route, j)
-    dist = t = 0.0
-    for a, b in zip(stops, stops[1:]):
-        dist += d[a, b]
-        t += tt[a, b]
-    unit = cd[i, j]
-    if route:
-        k, l = route[0], route[-1]
-        unit = inst.beta_discount * (cd[i, k] + cd[l, j]) + inst.alpha_discount * cd[k, l]
-        for h in route:
-            unit += u[h]
-    legs = len(route) + 1
-    m = aircraft_count(q[i, j], inst.aircraft_capacity)
-    emissions = ((legs * inst.lto_p1 + inst.ccd_rate_p1 * dist) * m
-                 + (legs * inst.lto_p2 + inst.ccd_rate_p2 * dist) * m)
-    penalty = (inst.early_penalty[i, j] * max(0.0, inst.window_lower[i, j] - t)
-               + inst.late_penalty[i, j] * max(0.0, t - inst.window_upper[i, j]))
-    return unit * q[i, j], emissions, penalty
+    n = inst.n
+    out = design_violations(inst, design)
+    rows = [len(row) for row in plan.hub]
+    if not out and rows != [n] * n:
+        out = [f"plan rows have lengths {rows}, instance has {n} nodes"]
+    if out:
+        return out, None
+    z, out, loads = _one_row(inst, design, plan, alpha_prime)
+    if not out:
+        out = [f"hub {k} throughput {loads[k]} exceeds capacity {inst.capacity[k]}"
+               for k in design.hubs if loads[k] > inst.capacity[k] + FEAS_TOL]
+    return out, z
+
+
+def feasibility_violations(inst: ProblemInstance, design: NetworkDesign,
+                           plan: RoutePlan, alpha_prime: float) -> list[str]:
+    """Full constraint report: assignment, then time caps and capacity."""
+    return _checked(inst, design, plan, alpha_prime)[0]
 
 
 def compute_objectives(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
                        alpha_prime: float) -> tuple[float, float, float]:
-    """Objective triple without feasibility enforcement (sweeps use this).
+    """Objective triple without the assignment or capacity checks (sweeps use this).
 
-    Cost opens with the fixed cost of the open hubs; each total sums
-    :func:`_route_objectives` over the plan and is rounded once.
+    Raises:
+        ValueError: naming the first pair whose route breaks its time
+            cap, as such a route has no finite price.
     """
-    q = inst.demand_matrix(alpha_prime)
-    cd = inst.unit_transport_cost * inst.distance
-    z1 = float(inst.fixed_cost[list(design.hubs)].sum())
-    z2 = z3 = 0.0
-    for i, j, route in plan_routes(design, plan):
-        c, e, p = _route_objectives(inst, q, cd, i, j, route)
-        z1 += c
-        z2 += e
-        z3 += p
-    return round6(z1), round6(z2), round6(z3)
+    z, breaks, _ = _one_row(inst, design, plan, alpha_prime)
+    if breaks:
+        raise ValueError(f"plan has no finite price: {breaks[0]}")
+    return tuple(z.tolist())
 
 
 def evaluate(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
              alpha_prime: float) -> ObjectiveVector:
     """Objectives of a feasible (design, plan); raises on any violation."""
-    violations = feasibility_violations(inst, design, plan, alpha_prime)
+    violations, z = _checked(inst, design, plan, alpha_prime)
     if violations:
         raise ValueError("infeasible solution:\n" + "\n".join(violations))
-    return ObjectiveVector(*compute_objectives(inst, design, plan, alpha_prime))
+    return ObjectiveVector(*z)
 
 
 def solution_from_plan(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,

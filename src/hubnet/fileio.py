@@ -21,6 +21,7 @@ import numpy as np
 from .analysis import FrontMetrics
 from .evaluation import plan_from_mask
 from .fronts import ParetoFront
+from .fuzzy import check_rate
 from .model import (
     EvaluatedSolution,
     NetworkDesign,
@@ -193,9 +194,10 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
         ValueError: naming the field when a hub, an assignment entry or a
             route token's node lies outside ``0..n-1``, when the
             assignment or route token count is wrong, or when
-            ``alpha_prime`` lies outside [0, 1]; then when the hubs are
-            not the nodes assigned to themselves, or naming the pair when
-            a route token is neither ``Direct`` nor its endpoints' hubs.
+            ``alpha_prime`` fails ``fuzzy.check_rate``; then when the
+            hubs are not the nodes assigned to themselves, or naming the
+            pair when a route token is neither ``Direct`` nor its
+            endpoints' hubs.
     """
     n = inst.n
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -203,8 +205,10 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
         raise ValueError(f"expected {len(pairs)} route tokens, got {len(row.routes)}")
     if len(row.assignment) != n:
         raise ValueError(f"assignment: expected {n} entries, got {len(row.assignment)}")
-    if not 0.0 <= row.alpha_prime <= 1.0:
-        raise ValueError(f"alpha_prime: rate {row.alpha_prime!r} outside [0, 1]")
+    try:
+        check_rate(row.alpha_prime)
+    except ValueError as exc:
+        raise ValueError(f"alpha_prime: {exc}")
     routes = [parse_route(tok) for tok in row.routes]
     hops = [k for route in routes for k in route]
     for field, ids in (("hubs", row.hubs), ("assignment", row.assignment), ("routes", hops)):

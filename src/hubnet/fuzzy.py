@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["defuzzify_components"]
+__all__ = ["check_rate", "defuzzify_components"]
 
 
-def _check_rate(alpha_prime: float) -> None:
+def check_rate(alpha_prime: float) -> None:
+    """Refuse an uncertainty rate outside [0, 1] (NaN included) with a ValueError."""
     if not 0.0 <= alpha_prime <= 1.0:
         raise ValueError(f"uncertainty rate must lie in [0, 1], got {alpha_prime!r}")
 
@@ -32,7 +33,7 @@ def defuzzify_components(components: np.ndarray, alpha_prime: float) -> np.ndarr
         ValueError: if ``alpha_prime`` is outside ``[0, 1]`` or the
             trailing axis does not hold four components.
     """
-    _check_rate(alpha_prime)
+    check_rate(alpha_prime)
     comp = np.asarray(components, dtype=float)
     if comp.shape[-1] != 4:
         raise ValueError(f"expected trailing axis of 4 components, got shape {comp.shape}")

@@ -65,6 +65,11 @@ class AlgorithmParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {v}")
+        # a whale move scales a gap of at most 1 + whale_c_range / 2 between
+        # genes in [0, 1) by up to whale_a_max; that step must stay finite
+        if not math.isfinite(float(self.whale_a_max) * (1.0 + float(self.whale_c_range) / 2.0)):
+            raise ValueError(f"whale_a_max * (1 + whale_c_range / 2) must be finite, got "
+                             f"whale_a_max={self.whale_a_max}, whale_c_range={self.whale_c_range}")
         if self.archive_capacity is not None and self.archive_capacity < 1:
             raise ValueError("archive_capacity must be >= 1")
         if self.grid_divisions < 1:

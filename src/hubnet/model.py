@@ -15,10 +15,11 @@ visited, in flight order:
 No plan can name any other route, so route legality is a parse check on
 front CSV rows (``fileio.solution_from_row``), not a constraint here.
 Feasibility covers assignment legality (the hub budget, allocation to
-hubs, spoke links within the coverage radius ``omega``), hub throughput
-capacity against crisp demand, and a hard per-pair cap on route time.
-Violations are reported as data (lists of strings), not exceptions, so
-invalid inputs can be inspected.
+hubs, spoke links within the coverage radius ``omega``), checked here, and
+hub throughput capacity against crisp demand and a hard per-pair cap on
+route time, which ``evaluation.feasibility_violations`` reads off the
+tables that price the plan.  Violations are reported as data (lists of
+strings), not exceptions, so invalid inputs can be inspected.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ __all__ = [
     "EvaluatedSolution",
     "validate_instance",
     "design_violations",
-    "route_time",
-    "plan_violations",
-    "feasibility_violations",
     "check_feasibility",
 ]
 
@@ -116,13 +114,6 @@ class ProblemInstance:
     def demand_matrix(self, alpha_prime: float) -> np.ndarray:
         """Crisp demand for every ordered pair at the given uncertainty rate."""
         return defuzzify_components(self.demand, alpha_prime)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Ordered node pairs (i, j), i != j, in row-major order."""
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    yield (i, j)
 
 
 @dataclass(frozen=True)
@@ -267,58 +258,10 @@ def design_violations(inst: ProblemInstance, design: NetworkDesign) -> list[str]
     return out
 
 
-def route_time(inst: ProblemInstance, route: Route, i: int, j: int) -> float:
-    """Total flight time of a route between origin i and destination j."""
-    stops = (i, *route, j)
-    return float(sum(inst.travel_time[a, b] for a, b in zip(stops, stops[1:])))
-
-
-def plan_violations(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan) -> list[str]:
-    """Time-cap report for a plan under a legal design (capacity checked separately)."""
-    n = inst.n
-    rows = [len(row) for row in plan.hub]
-    if rows != [n] * n:
-        return [f"plan rows have lengths {rows}, instance has {n} nodes"]
-    out: list[str] = []
-    for i, j, route in plan_routes(design, plan):
-        t = route_time(inst, route, i, j)
-        if t > inst.max_transfer_time[i, j] + FEAS_TOL:
-            out.append(f"pair ({i}, {j}) route time {t} exceeds cap {inst.max_transfer_time[i, j]}")
-    return out
-
-
-def hub_loads(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
-              alpha_prime: float) -> np.ndarray:
-    """Crisp throughput processed at each node under the plan.
-
-    Every hub on a route carries the pair's full demand; a direct route
-    loads nothing.
-    """
-    q = inst.demand_matrix(alpha_prime)
-    loads = np.zeros(inst.n)
-    for i, j, route in plan_routes(design, plan):
-        for k in route:
-            loads[k] += q[i, j]
-    return loads
-
-
-def feasibility_violations(inst: ProblemInstance, design: NetworkDesign,
-                           plan: RoutePlan, alpha_prime: float) -> list[str]:
-    """Full constraint report: assignment, then time caps and capacity; a
-    design finding comes alone, as an illegal assignment implies no routes."""
-    out = design_violations(inst, design)
-    if out:
-        return out
-    out = plan_violations(inst, design, plan)
-    if not out:
-        loads = hub_loads(inst, design, plan, alpha_prime)
-        for k in design.hubs:
-            if loads[k] > inst.capacity[k] + FEAS_TOL:
-                out.append(f"hub {k} throughput {loads[k]} exceeds capacity {inst.capacity[k]}")
-    return out
-
-
 def check_feasibility(inst: ProblemInstance, sol: EvaluatedSolution,
                       alpha_prime: float) -> list[str]:
     """Constraint report for an evaluated solution at the given rate."""
+    # the report prices the plan, so it lives in evaluation, which imports
+    # this module; bench/run.py imports check_feasibility from here
+    from .evaluation import feasibility_violations
     return feasibility_violations(inst, sol.design, sol.plan, alpha_prime)

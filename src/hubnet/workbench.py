@@ -2,8 +2,10 @@
 
 A sweep re-prices one frozen (design, plan) pair while a single knob
 moves, which isolates the knob's effect from solver noise; objectives are
-recomputed without re-checking feasibility because the plan is kept on
-purpose even where it would no longer be chosen.
+recomputed without re-checking the assignment or hub capacity because the
+plan is kept on purpose even where it would no longer be chosen.  A plan
+with a route over its time cap has no finite price and is refused; no
+knob moves travel times, so no value could price it.
 
 The comparison experiment runs a (instance, algorithm, seed) grid of
 cells, each cell fully self-contained, and aggregates per-algorithm
@@ -37,6 +39,7 @@ from .exact import (
 )
 from .fileio import load_instance, write_csv, write_front_csv
 from .fronts import ParetoFront
+from .fuzzy import check_rate
 from .metaheuristics import ALGORITHMS, AlgorithmParams
 from .model import EvaluatedSolution, ProblemInstance, validate_instance
 
@@ -82,8 +85,10 @@ def swept_instance(inst: ProblemInstance, param: str, value: float,
     else:
         swept = dataclasses.replace(inst, **{_SWEEP_FIELDS[param]: v})
     problems = validate_instance(swept)
-    if not 0.0 <= rate <= 1.0:
-        problems.append(f"uncertainty rate must lie in [0, 1], got {rate!r}")
+    try:
+        check_rate(rate)
+    except ValueError as exc:
+        problems.append(str(exc))
     if problems:
         raise ValueError(f"cannot sweep {param} to {v!r}: " + "; ".join(problems))
     return swept, rate
@@ -94,7 +99,9 @@ def sweep_rows(inst: ProblemInstance, solution: EvaluatedSolution,
     """Objectives of the frozen plan as one knob moves; rows (value, z1, z2, z3).
 
     Each value sets the knob as :func:`swept_instance` does, and raises
-    its ``ValueError`` for a value it refuses.
+    its ``ValueError`` for a value it refuses.  A plan with a route over
+    its time cap raises the ``ValueError`` of
+    ``evaluation.compute_objectives``, which names the pair.
     """
     rows = []
     for v in values:

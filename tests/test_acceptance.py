@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from hubnet.analysis import compute_metrics, hypervolume, topsis_rank
+from hubnet.evaluation import evaluate
 from hubnet.exact import (
     DEFAULT_BUDGET,
     EpsilonGrid,
@@ -109,11 +110,14 @@ def test_c01_exact_solver_matches_exhaustive_oracle():
 
 
 def test_c02_every_emitted_solution_is_feasible():
-    """50 random instances up to 15 nodes: zero constraint violations."""
+    """50 random instances up to 15 nodes: zero constraint violations, and
+    every stored objective triple equal to ``evaluate``'s recomputation,
+    as ``hubnet validate`` requires."""
     start = time.perf_counter()
     params = AlgorithmParams(max_iterations=10, population_size=20)
     checked = 0
     violations = []
+    mismatches = []
     for k in range(50):
         n = 4 + k % 12
         inst = generate(GeneratorSpec(n=n, p=max(2, n // 3), seed=1000 + k))
@@ -127,12 +131,19 @@ def test_c02_every_emitted_solution_is_feasible():
                 report = check_feasibility(inst, sol, sol.alpha_prime)
                 if report:
                     violations.append(f"seed {1000 + k}: {report[0]}")
+                    continue
+                stored = sol.objectives.as_tuple()
+                again = evaluate(inst, sol.design, sol.plan, sol.alpha_prime).as_tuple()
+                if again != stored:
+                    mismatches.append(f"seed {1000 + k}, n {n}: stored {stored}, "
+                                      f"recomputed {again}")
     elapsed = time.perf_counter() - start
-    ok = not violations and checked > 0 and elapsed < 300.0
+    ok = not violations and not mismatches and checked > 0 and elapsed < 300.0
     line = _record(ok, "C2 feasibility of all solver output",
                    f"{checked} solutions across 50 instances (n 4..15), "
-                   f"{len(violations)} violations, {elapsed:.1f}s (cap 300s)")
-    assert ok, line + "".join("\n  " + v for v in violations[:5])
+                   f"{len(violations)} violations, {len(mismatches)} objective mismatches, "
+                   f"{elapsed:.1f}s (cap 300s)")
+    assert ok, line + "".join("\n  " + v for v in (violations + mismatches)[:5])
 
 
 def test_c03_defuzzification_affine_and_monotone_in_rate():

@@ -19,10 +19,13 @@ import numpy as np
 from conftest import make_instance
 import hubnet
 from hubnet.cli import _params_from, build_parser, main
+from hubnet.encoding import genome_length
+from hubnet.evaluation import make_context
 from hubnet.exact import EpsilonGrid
-from hubnet.fileio import load_instance, read_front_csv, save_instance
-from hubnet.generator import generate, preset
-from hubnet.metaheuristics import AlgorithmParams
+from hubnet.fileio import load_instance, read_front_csv, save_instance, write_front_csv
+from hubnet.fronts import ParetoFront
+from hubnet.generator import GeneratorSpec, generate, preset
+from hubnet.metaheuristics import AlgorithmParams, _evaluate_population, _payload_solution
 
 
 def _gen(tmp_path, name="inst.json", nodes=5, hubs=2, seed=100):
@@ -226,8 +229,8 @@ def test_validate_flags_doctored_front(tmp_path, capsys):
     ("routes", lambda v: "k99 " + v.split(" ", 1)[1], "routes: node(s) [99] outside 0..4"),
     ("routes", lambda v: "k0->k-3 " + v.split(" ", 1)[1], "routes: node(s) [-3] outside 0..4"),
     ("routes", lambda v: "kx " + v.split(" ", 1)[1], "unparseable route token 'kx'"),
-    ("alpha_prime", lambda v: "1.5", "alpha_prime: rate 1.5 outside [0, 1]"),
-    ("alpha_prime", lambda v: "nan", "alpha_prime: rate nan outside [0, 1]"),
+    ("alpha_prime", lambda v: "1.5", "alpha_prime: uncertainty rate must lie in [0, 1], got 1.5"),
+    ("alpha_prime", lambda v: "nan", "alpha_prime: uncertainty rate must lie in [0, 1], got nan"),
 ], ids=["hub", "assignment", "short-assignment", "one-hub-route", "two-hub-route",
         "route-token", "rate", "nan-rate"])
 def test_front_rows_that_do_not_fit_the_instance_are_refused(tmp_path, capsys,
@@ -341,6 +344,46 @@ def test_sweep_from_front(tmp_path):
     assert [float(r[0]) for r in rows[1:]] == [30.0, 40.0, 50.0, 60.0, 70.0]
 
 
+def test_sweep_refuses_a_front_row_over_a_time_cap(tmp_path, capsys):
+    # capped at the direct flight time, the minimum-cost row's routes through
+    # a third node break their caps; no sweep knob moves travel times, so
+    # sweep refuses the row, naming the pair validate reports first
+    inst = _gen(tmp_path)
+    front = tmp_path / "front.csv"
+    assert main(["solve", "--instance", str(inst), "--solver", "exact",
+                 "--out", str(front), "--grid-z2", "2", "--grid-z3", "2"]) == 0
+    data = json.loads(inst.read_text())
+    data["max_transfer_time"] = data["travel_time"]
+    inst.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst), "--front", str(front)]) == 1
+    first = re.search(r"^front row 0: (pair \(\d+, \d+\) route time exceeds cap \S+)$",
+                      capsys.readouterr().out, re.M)
+    assert first
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--instance", str(inst), "--param", "phi", "--values", "30",
+                 "--front", str(front), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"plan has no finite price: {first.group(1)}\n"
+    assert not out.exists()
+
+
+def test_validate_accepts_a_row_a_population_solver_priced(tmp_path, capsys):
+    # the population solvers price on the array path; validate recomputes on
+    # the same path, so it accepts the cost 2001270.346123 that a
+    # pair-by-pair sum would put at ...124
+    inst = generate(GeneratorSpec(n=8, p=3, seed=0))
+    ctx = make_context(inst, 1.0)
+    X = np.random.default_rng(0).random((200, genome_length(8)))[181:182]
+    objs, payloads, _ = _evaluate_population(ctx, X)
+    assert objs[0, 0] == 2001270.346123
+    path, front = tmp_path / "inst.json", tmp_path / "front.csv"
+    save_instance(inst, path)
+    write_front_csv(ParetoFront(solutions=(_payload_solution(ctx, objs[0], payloads[0]),)), front)
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(path), "--front", str(front)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
 def test_sweep_missing_instance(tmp_path):
     assert main(["sweep", "--instance", str(tmp_path / "none.json"),
                  "--param", "phi", "--values", "30,50",
@@ -362,7 +405,7 @@ def test_sweep_rejects_garbled_values(tmp_path):
     (["--param", "alpha_prime", "--values", "1.5"],
      "cannot sweep alpha_prime to 1.5: uncertainty rate must lie in [0, 1], got 1.5"),
     (["--param", "phi", "--values", "30", "--alpha-prime", "2"],
-     "argument --alpha-prime: must lie in [0, 1], got 2"),
+     "argument --alpha-prime: uncertainty rate must lie in [0, 1], got 2.0"),
 ], ids=["invalid-instance", "alpha", "phi", "rate", "alpha-prime-flag"])
 def test_sweep_refuses_bad_input(tmp_path, capsys, args, message):
     inst = _gen(tmp_path)
@@ -388,7 +431,8 @@ def test_bad_alpha_prime_stops_compare_before_any_cell(tmp_path, capsys):
     code = main(["compare", "--instances", str(inst), "--algorithms", "nsga2", "--seeds", "0",
                  "--out-dir", str(out), "--alpha-prime", "1.5"])
     assert code == 1
-    assert "argument --alpha-prime: must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert ("argument --alpha-prime: uncertainty rate must lie in [0, 1], got 1.5"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -564,11 +608,11 @@ def test_validate_runs_the_feasibility_report_once_per_row(tmp_path, capsys, mon
     assert main(["solve", "--instance", str(inst), "--solver", "exact",
                  "--out", str(front), "--grid-z2", "3", "--grid-z3", "3"]) == 0
     reports = []
-    for module in (hubnet.model, hubnet.evaluation):
-        def counted(*args, real=module.feasibility_violations):
-            reports.append(args)
-            return real(*args)
-        monkeypatch.setattr(module, "feasibility_violations", counted)
+
+    def counted(*args, real=hubnet.evaluation.feasibility_violations):
+        reports.append(args)
+        return real(*args)
+    monkeypatch.setattr(hubnet.evaluation, "feasibility_violations", counted)
     capsys.readouterr()
     assert main(["validate", "--instance", str(inst), "--front", str(front)]) == 0
     assert len(reports) == len(read_front_csv(front)) > 0

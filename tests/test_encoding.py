@@ -12,13 +12,14 @@ from hubnet.encoding import _decode_arrays, _repair_mask, genome_length
 from hubnet.evaluation import (
     _hub_route,
     compute_objectives,
+    feasibility_violations,
     loads_from_mask,
     make_context,
     plan_from_mask,
 )
 from hubnet.generator import GeneratorSpec, generate, preset
 from hubnet.metaheuristics import _evaluate_population, _payload_solution
-from hubnet.model import FEAS_TOL, NetworkDesign, feasibility_violations, round6
+from hubnet.model import FEAS_TOL, NetworkDesign, round6
 
 
 def test_genome_length():

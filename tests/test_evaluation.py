@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import make_instance
+from hubnet.encoding import genome_length
 from hubnet.evaluation import (
-    aircraft_count,
     compute_objectives,
     evaluate,
     evaluate_mask,
@@ -30,29 +30,35 @@ from hubnet.evaluation import (
     solution_from_plan,
 )
 from hubnet.generator import GeneratorSpec, generate, preset
+from hubnet.metaheuristics import _evaluate_population, _payload_solution
 from hubnet.model import (
     FEAS_TOL,
     NetworkDesign,
-    hub_loads,
     implied_route,
     plan_routes,
-    route_time,
+    validate_instance,
 )
+from oracle import hub_loads, plan_objectives, route_time
 from test_model import all_hub_plan, direct_plan
 
 
 def test_aircraft_count_boundaries():
-    assert aircraft_count(0.0, 50.0) == 0
-    assert aircraft_count(49.9, 50.0) == 1
-    assert aircraft_count(50.0, 50.0) == 1
-    # within snapping tolerance of one aircraft
-    assert aircraft_count(50.0 + 4e-8, 50.0) == 1
-    assert aircraft_count(50.001, 50.0) == 2
-    assert aircraft_count(100.0, 50.0) == 2
-    with pytest.raises(ValueError):
-        aircraft_count(10.0, 0.0)
-    with pytest.raises(ValueError):
-        aircraft_count(-1.0, 50.0)
+    # the context's per-pair aircraft counts at phi = 50: zero demand flies
+    # none, and a demand within snapping tolerance of a multiple of 50
+    # (here 0 and 50) snaps down to it
+    demand = np.array([[0.0, 0.0, 49.9, 50.0],
+                       [50.0 + 4e-8, 0.0, 50.001, 100.0],
+                       [0.001, 150.0, 0.0, 0.0],
+                       [1e-12, 0.0, 0.0, 0.0]])
+    inst = make_instance(4, 2, distance=np.where(np.eye(4), 0.0, 100.0), demand=demand,
+                         phi=50.0)
+    m = make_context(inst, 0.5).m
+    assert m.tolist() == [[0, 0, 1, 1], [1, 0, 2, 2], [1, 3, 0, 0], [0, 0, 0, 0]]
+    # a capacity of zero and negative demand never reach pricing
+    broken = dataclasses.replace(inst, aircraft_capacity=0.0,
+                                 demand=np.where(inst.demand > 100.0, -1.0, inst.demand))
+    assert {"aircraft_capacity must be > 0, got 0.0",
+            "demand has negative components"} <= set(validate_instance(broken))
 
 
 def test_all_hub_plan_totals(tiny):
@@ -115,32 +121,42 @@ def test_evaluate_rejects_infeasible(tiny):
     assert sol.alpha_prime == 0.5
 
 
-def test_mask_path_matches_typed_path():
-    # every (instance, assignment, mask) drawn here must price identically
-    # through evaluate_mask and through the typed walk of plan_routes
-    rng = np.random.default_rng(7)
-    for trial in range(20):
-        n = int(rng.integers(3, 7))
-        inst = generate(GeneratorSpec(n=n, p=min(3, n - 1), seed=int(rng.integers(1000))))
-        rate = float(rng.uniform(0.0, 1.0))
+def test_mask_path_matches_the_oracle_reference():
+    # the array path and the oracle's pair-by-pair scalar sum add in
+    # different orders; both round to 1e-6, so a total may differ by one
+    # step of that rounding (atol 1.5e-6), and rtol 1e-13 covers order
+    # drift in large totals.  Loads are sums of demands, held to 1e-9.
+    # Row 181 of the 8-node draw at rate 1 is a plan whose cost differs
+    # by that one step.
+    draws = [(GeneratorSpec(n=8, p=3, seed=0), 1.0, 0, 200)]
+    draws += [(GeneratorSpec(n=n, p=max(2, n // 3), seed=n), rate, n, 40)
+              for n in range(5, 16) for rate in (0.0, 0.5, 1.0)]
+    checked = last_digit = 0
+    for spec, rate, seed, count in draws:
+        inst = generate(spec)
         ctx = make_context(inst, rate)
-        hubs = np.sort(rng.choice(n, size=int(rng.integers(1, inst.p + 1)), replace=False))
-        assignment = hubs[rng.integers(0, len(hubs), size=n)]
-        assignment[hubs] = hubs
-        mask = rng.random((n, n)) < 0.5
-        mask &= ctx.offdiag
-
-        design = NetworkDesign(tuple(assignment.tolist()))
-        assert design.hubs == tuple(hubs.tolist())
-        plan = plan_from_mask(mask)
-        typed = compute_objectives(inst, design, plan, rate)
-        a = assignment[None]
-        arrayed = evaluate_mask(ctx, hub_tables(ctx, a), a, mask[None])
-        assert typed == tuple(arrayed[0])
-
-        np.testing.assert_allclose(loads_from_mask(ctx, assignment, mask),
-                                   hub_loads(inst, design, plan, rate), atol=1e-9)
-        assert np.array_equal(_direct_pairs(design, plan), ctx.offdiag & ~mask)
+        X = np.random.default_rng(seed).random((count, genome_length(inst.n)))
+        objs, payloads, _ = _evaluate_population(ctx, X)
+        for row, payload in zip(objs, payloads):
+            if payload is None:
+                continue
+            a, mask = payload
+            sol = _payload_solution(ctx, row, payload)
+            ref = plan_objectives(inst, sol.design, sol.plan, rate)
+            alone = evaluate_mask(ctx, hub_tables(ctx, a[None]), a[None], mask[None])[0]
+            assert np.array_equal(alone, row)
+            np.testing.assert_allclose(alone, ref, rtol=1e-13, atol=1.5e-6)
+            np.testing.assert_allclose(loads_from_mask(ctx, a, mask),
+                                       hub_loads(inst, sol.design, sol.plan, rate),
+                                       rtol=1e-12, atol=1e-9)
+            assert compute_objectives(inst, sol.design, sol.plan, rate) == tuple(row)
+            assert np.array_equal(_direct_pairs(sol.design, sol.plan), ctx.offdiag & ~mask)
+            checked += 1
+            last_digit += tuple(row) != ref
+    assert checked > 500 and last_digit >= 1
+    row181 = _evaluate_population(make_context(generate(draws[0][0]), 1.0),
+                                  np.random.default_rng(0).random((200, genome_length(8)))[181:182])
+    assert row181[0][0, 0] == 2001270.346123
 
 
 @pytest.mark.parametrize("name", ["gen6", "preset1", "preset4", "squeezed"])

@@ -4,11 +4,12 @@ The 3-node instance is small enough to enumerate every design and every
 per-pair route combination directly in the test (at most 9 x 64 plans),
 giving a reference that shares no code with the solver under test: designs
 come from ``itertools`` and the omega rule (``oracle.naive_designs``),
-routes from the assignments and ``model.route_time`` (``naive_routes``),
-loads from ``model.hub_loads`` and objectives from the typed evaluation
-path.  The exhaustive oracle of ``tests/oracle.py`` prices on that typed
-path too and covers the generated 5- and 6-node instances.  The solver
-side is what ``epsilon_constraint_front`` runs: the configuration index
+routes from the assignments and ``oracle.route_time`` (``naive_routes``),
+loads from ``oracle.hub_loads`` and objectives from the oracle's scalar
+reference pricer (``oracle.plan_objectives``).  The exhaustive oracle of
+``tests/oracle.py`` prices on that reference too and covers the generated
+5- and 6-node instances.  The solver side is what
+``epsilon_constraint_front`` runs: the configuration index
 (``_build_index``), each config's design and search data (``pair_data``)
 and the routing search (``_bb_routing``).  The lazy visiting order is checked
 against a stable sort of the conditioned cost bound over every config, and
@@ -24,7 +25,12 @@ import numpy as np
 import pytest
 
 from hubnet import exact, metaheuristics
-from hubnet.evaluation import compute_objectives, hub_tables, plan_from_mask
+from hubnet.evaluation import (
+    compute_objectives,
+    feasibility_violations,
+    hub_tables,
+    plan_from_mask,
+)
 from hubnet.fileio import write_front_csv
 from hubnet.exact import (
     DEFAULT_BUDGET,
@@ -36,17 +42,19 @@ from hubnet.exact import (
 from hubnet.fronts import dominates
 from hubnet.generator import GeneratorSpec, generate
 from hubnet.metaheuristics import ALGORITHMS, AlgorithmParams
-from hubnet.model import (
-    check_feasibility,
-    feasibility_violations,
-    hub_loads,
-    implied_route,
-    route_time,
-)
+from hubnet.model import check_feasibility, implied_route
 
 import oracle
 from conftest import make_instance
-from oracle import config_states, naive_designs, oracle_front
+from oracle import (
+    canonical_pairs,
+    config_states,
+    hub_loads,
+    naive_designs,
+    oracle_front,
+    plan_objectives,
+    route_time,
+)
 
 # the routing search's prime when no competitor is known
 UNPRIMED = (math.inf,) * 4
@@ -64,7 +72,7 @@ def naive_solutions(inst, alpha_prime=0.5):
     out = []
     for design in naive_designs(inst):
         options = []
-        pairs = list(inst.pairs())
+        pairs = canonical_pairs(inst.n)
         for i, j in pairs:
             routes = naive_routes(inst, design, i, j)
             if not routes:
@@ -81,7 +89,7 @@ def naive_solutions(inst, alpha_prime=0.5):
             loads = hub_loads(inst, design, plan, alpha_prime)
             if np.any(loads > inst.capacity + 1e-9):
                 continue
-            z = compute_objectives(inst, design, plan, alpha_prime)
+            z = plan_objectives(inst, design, plan, alpha_prime)
             out.append((design, plan, z))
     return out
 

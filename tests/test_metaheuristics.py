@@ -55,6 +55,21 @@ def test_an_overflowing_whale_move_scores_its_row_instead_of_crashing(gen6):
     assert np.isfinite(front.objective_rows()).all()
 
 
+def test_whale_coefficients_whose_move_can_overflow_are_refused(gen6):
+    # a move scales a gap of at most 1 + whale_c_range / 2 by up to
+    # whale_a_max; at the edge that product is the largest float, and the
+    # run makes no overflow (pytest turns a RuntimeWarning into an error)
+    edge = np.finfo(float).max / 2.0
+    params = AlgorithmParams(max_iterations=5, population_size=10,
+                             whale_a_max=edge, whale_c_range=2.0)
+    assert np.isfinite(run_mowoa(gen6, params, seed=0).objective_rows()).all()
+    AlgorithmParams(whale_a_max=2.0 * edge, whale_c_range=0.0)
+    for a_max, c_range in ((math.nextafter(edge, math.inf), 2.0), (1e308, 1e308)):
+        with pytest.raises(ValueError, match=r"whale_a_max \* \(1 \+ whale_c_range / 2\) "
+                                             r"must be finite, got whale_a_max="):
+            AlgorithmParams(whale_a_max=a_max, whale_c_range=c_range)
+
+
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_runs_produce_feasible_nondominated_fronts(name, gen6):
     front = ALGORITHMS[name](gen6, SMALL, seed=3, alpha_prime=0.5)

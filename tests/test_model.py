@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 from conftest import TINY_DISTANCE, TINY_DEMAND, make_instance
-from hubnet.evaluation import plan_from_mask
+from hubnet.evaluation import (
+    feasibility_violations,
+    loads_from_mask,
+    make_context,
+    plan_from_mask,
+)
 from hubnet.model import (
     NetworkDesign,
     ObjectiveVector,
     RoutePlan,
     design_violations,
-    feasibility_violations,
-    hub_loads,
     plan_routes,
-    plan_violations,
     round6,
-    route_time,
     validate_instance,
 )
 
@@ -159,51 +160,65 @@ def test_design_violations(tiny):
 
 def test_plan_violations(tiny):
     design = NetworkDesign((1, 1, 1))
-    assert plan_violations(tiny, design, all_hub_plan(3)) == []
+    assert feasibility_violations(tiny, design, all_hub_plan(3), 0.5) == []
 
     slow = dataclasses.replace(tiny, max_transfer_time=np.full((3, 3), 21.0))
-    msgs = plan_violations(slow, design, direct_plan(3, (0, 2)))
-    assert msgs == ["pair (0, 2) route time 25.0 exceeds cap 21.0"]
+    msgs = feasibility_violations(slow, design, direct_plan(3, (0, 2)), 0.5)
+    assert msgs == ["pair (0, 2) route time exceeds cap 21.0"]
 
     wide = direct_plan(4)
-    assert plan_violations(tiny, design, wide) == [
+    assert feasibility_violations(tiny, design, wide, 0.5) == [
         "plan rows have lengths [4, 4, 4, 4], instance has 3 nodes"]
     # a short row would leave its pairs unpriced
     ragged = RoutePlan(hub=((False, True), (True, False, True), (True, True, False)))
-    assert plan_violations(tiny, design, ragged) == [
+    assert feasibility_violations(tiny, design, ragged, 0.5) == [
         "plan rows have lengths [2, 3, 3], instance has 3 nodes"]
 
 
 def test_route_time_and_feasible_routes(tiny):
-    design = NetworkDesign((1, 1, 1))
-    assert route_time(tiny, (), 0, 2) == 20.0
-    assert route_time(tiny, (1,), 0, 2) == 25.0
-    assert route_time(tiny, (0, 2), 1, 2) == 30.0
+    # a route fits a cap equal to its legs' summed time and breaks one a
+    # hair below it
+    for assignment, (i, j), hub, time in (
+            ((1, 1, 1), (0, 2), False, 20.0),     # direct
+            ((1, 1, 1), (0, 1), True, 10.0),      # via its own hub: 10 + 0
+            ((1, 1, 1), (0, 2), True, 25.0),      # one hub: 10 + 15
+            ((0, 0, 2), (1, 2), True, 30.0)):     # two hubs: 10 + 20 + 0
+        plan = direct_plan(3, (i, j)) if hub else direct_plan(3)
+        for cap, findings in ((time, []),
+                              (time - 1e-6, [f"pair ({i}, {j}) route time exceeds cap {time - 1e-6}"])):
+            capped = np.full((3, 3), 100.0)
+            capped[i, j] = cap
+            inst = dataclasses.replace(tiny, max_transfer_time=capped)
+            assert feasibility_violations(inst, NetworkDesign(assignment), plan, 0.5) == findings
 
+    design = NetworkDesign((1, 1, 1))
     # pairs originating or ending at the hub still have a legal one-hub route
     direct = direct_plan(3)
     hub = all_hub_plan(3)
-    assert plan_violations(tiny, design, direct) == []
-    assert plan_violations(tiny, design, hub) == []
+    assert feasibility_violations(tiny, design, direct, 0.5) == []
+    assert feasibility_violations(tiny, design, hub, 0.5) == []
 
     # a 24 h cap keeps every direct flight but not the 25 h route 0 -> 1 -> 2
     capped = dataclasses.replace(tiny, max_transfer_time=np.full((3, 3), 24.0))
-    assert plan_violations(capped, design, direct) == []
-    assert "pair (0, 2) route time 25.0 exceeds cap 24.0" in plan_violations(capped, design, hub)
+    assert feasibility_violations(capped, design, direct, 0.5) == []
+    assert feasibility_violations(capped, design, hub, 0.5) == [
+        "pair (0, 2) route time exceeds cap 24.0", "pair (2, 0) route time exceeds cap 24.0"]
 
 
 def test_hub_loads(tiny):
-    design = NetworkDesign((1, 1, 1))
-    loads = hub_loads(tiny, design, all_hub_plan(3), 0.5)
+    ctx = make_context(tiny, 0.5)
+    every = np.ones((3, 3), dtype=bool)
+    loads = loads_from_mask(ctx, np.array([1, 1, 1]), every)
     # every pair's demand lands on hub 1 exactly once
     assert loads[1] == TINY_DEMAND.sum()
     assert loads[0] == 0.0 and loads[2] == 0.0
 
-    design2 = NetworkDesign((0, 0, 2))
-    loads2 = hub_loads(tiny, design2, all_hub_plan(3), 0.5)
+    loads2 = loads_from_mask(ctx, np.array([0, 0, 2]), every)
     # (0,1)/(1,0) stay on hub 0; every pair touching node 2 loads both hubs
     assert loads2[0] == TINY_DEMAND.sum()
     assert loads2[2] == 50.0 + 55.0 + 52.0 + 48.0
+    # a direct pair loads nothing
+    assert not loads_from_mask(ctx, np.array([0, 0, 2]), ~every).any()
 
 
 def test_feasibility_violations_capacity(tiny):
