@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import compute_metrics
-from .evaluation import compute_objectives
+from .evaluation import check
 from .exact import DEFAULT_BUDGET, EnumerationBudgetError, EpsilonGrid, epsilon_constraint_front
 from .fileio import (
     load_instance,
@@ -27,7 +27,7 @@ from .fileio import (
 from .fuzzy import check_rate
 from .generator import PRESET_SIZES, GeneratorSpec, generate, preset
 from .metaheuristics import AlgorithmParams
-from .model import check_feasibility, validate_instance
+from .model import validate_instance
 from .workbench import (
     SOLVERS,
     SWEEP_PARAMETERS,
@@ -283,12 +283,10 @@ def _row_findings(inst, row) -> list[str]:
         sol = solution_from_row(inst, row)
     except ValueError as exc:
         return [str(exc)]
-    report = check_feasibility(inst, sol, sol.alpha_prime)
-    if not report:
-        z = compute_objectives(inst, sol.design, sol.plan, sol.alpha_prime)
-        if z != sol.objectives.as_tuple():
-            report.append(f"stored objectives {sol.objectives.as_tuple()} "
-                          f"differ from recomputed {z}")
+    report, z = check(inst, sol.design, sol.plan, sol.alpha_prime)
+    if not report and tuple(z.tolist()) != sol.objectives.as_tuple():
+        report.append(f"stored objectives {sol.objectives.as_tuple()} "
+                      f"differ from recomputed {tuple(z.tolist())}")
     return report
 
 
@@ -297,8 +295,9 @@ def _cmd_validate(args) -> int:
     findings = [f"instance: {line}" for line in validate_instance(inst)]
     for line in findings:
         print(line)
-    if args.front:
-        for r, row in enumerate(_read(read_front_csv, "front", args.front)):
+    rows = _read(read_front_csv, "front", args.front) if args.front else []
+    if not findings:    # an instance that cannot be priced cannot judge a front
+        for r, row in enumerate(rows):
             for line in _row_findings(inst, row):
                 findings.append(f"front row {r}: {line}")
                 print(findings[-1])

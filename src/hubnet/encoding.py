@@ -63,7 +63,7 @@ def _decode_arrays(ctx: EvalContext, X: np.ndarray
     place[np.arange(N)[:, None], ranked] = np.arange(n)
     is_hub = place < h[:, None]
 
-    feasible = is_hub[:, None, :] & (inst.distance <= inst.omega + FEAS_TOL)
+    feasible = is_hub[:, None, :] & inst.coverage()
     counts = feasible.sum(axis=2)
     bad = (counts == 0).any(axis=1) | ~finite
     # the key picks a feasible hub by distance rank, lower hub on ties; the

@@ -7,14 +7,17 @@ once.  A route is priced in one place: the kernel :func:`_price`, with
 :func:`_hub_route` for the hub-route geometry, returns (..., 3) objective
 triples with inf over the pair's time cap.  The direct table of
 :func:`make_context`, :func:`hub_tables` and the exact solver's
-per-hub-set option arrays are its output as it is.  The typed calls
-(:func:`evaluate`, :func:`compute_objectives`,
-:func:`feasibility_violations`) price one (design, plan) as a one-row
-batch, and read its time-cap and capacity findings off the same tables:
-a time-cap breach is an inf in the chosen option, and hub loads come from
-:func:`loads_from_mask`.  So ``hubnet validate`` recomputes exactly what
-the solvers store.  The tests keep a scalar pair-by-pair pricer
-(``tests/oracle.py``) as an independent reference for this one.
+per-hub-set option arrays are its output as it is.  :func:`check` is
+the one judge of a stored (design, plan): it prices the plan as a
+one-row batch and reads its findings off the same tables (a time-cap
+breach is an inf in the chosen option, and hub loads come from
+:func:`loads_from_mask`), so ``hubnet validate`` prices each row once
+and recomputes exactly what the solvers store.  :func:`evaluate` raises
+on its findings; :func:`compute_objectives` prices a frozen plan
+without the assignment and capacity checks.  Every pricing path starts
+at :func:`make_context`, which refuses an instance that
+``validate_instance`` rejects.  The tests keep a scalar pair-by-pair
+pricer (``tests/oracle.py``) as an independent reference for this one.
 
 Objective semantics, per ordered pair with crisp demand ``q``:
 
@@ -39,19 +42,18 @@ import numpy as np
 
 from .model import (
     FEAS_TOL,
-    EvaluatedSolution,
     NetworkDesign,
     ObjectiveVector,
     ProblemInstance,
     RoutePlan,
     design_violations,
+    validate_instance,
 )
 
 __all__ = [
+    "check",
     "evaluate",
     "compute_objectives",
-    "feasibility_violations",
-    "solution_from_plan",
     "EvalContext",
     "make_context",
     "hub_tables",
@@ -66,9 +68,8 @@ def _one_row(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
     """The objective row, time-cap findings and hub loads of one plan.
 
     The (design, plan) is priced as a one-row batch.  A pair whose chosen
-    route breaks its time cap prices at inf in all three objectives (an
-    overflowing product makes only its own one inf) and gets a finding
-    naming the pair and its cap.  The design must name nodes and the
+    route breaks its time cap prices at inf in all three objectives and
+    gets a finding naming the pair and its cap.  The design must name nodes and the
     plan be n x n.
     """
     ctx = make_context(inst, alpha_prime)
@@ -82,14 +83,15 @@ def _one_row(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
     return evaluate_mask(ctx, tables, a, mask)[0], breaks, loads_from_mask(ctx, a[0], mask[0])
 
 
-def _checked(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
-             alpha_prime: float) -> tuple[list[str], Optional[np.ndarray]]:
-    """Constraint report and objective row of one (design, plan).
+def check(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
+          alpha_prime: float) -> tuple[list[str], Optional[np.ndarray]]:
+    """Constraint findings and objective row of one stored (design, plan).
 
-    The report lists the assignment findings alone, as an illegal
+    The findings list the assignment findings alone, as an illegal
     assignment implies no routes, then time caps, then capacity, which is
     checked only once every route fits its cap.  The row is None where
-    the design or plan shape is illegal.
+    the design or plan shape is illegal; otherwise it comes from the one
+    pricing that the findings are read from.
     """
     n = inst.n
     out = design_violations(inst, design)
@@ -103,12 +105,6 @@ def _checked(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
         out = [f"hub {k} throughput {loads[k]} exceeds capacity {inst.capacity[k]}"
                for k in design.hubs if loads[k] > inst.capacity[k] + FEAS_TOL]
     return out, z
-
-
-def feasibility_violations(inst: ProblemInstance, design: NetworkDesign,
-                           plan: RoutePlan, alpha_prime: float) -> list[str]:
-    """Full constraint report: assignment, then time caps and capacity."""
-    return _checked(inst, design, plan, alpha_prime)[0]
 
 
 def compute_objectives(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
@@ -127,19 +123,11 @@ def compute_objectives(inst: ProblemInstance, design: NetworkDesign, plan: Route
 
 def evaluate(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
              alpha_prime: float) -> ObjectiveVector:
-    """Objectives of a feasible (design, plan); raises on any violation."""
-    violations, z = _checked(inst, design, plan, alpha_prime)
+    """Objectives of a feasible (design, plan); raises on any finding of :func:`check`."""
+    violations, z = check(inst, design, plan, alpha_prime)
     if violations:
         raise ValueError("infeasible solution:\n" + "\n".join(violations))
     return ObjectiveVector(*z)
-
-
-def solution_from_plan(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
-                       alpha_prime: float) -> EvaluatedSolution:
-    """Canonical constructor keeping the objectives-match-reevaluation invariant."""
-    return EvaluatedSolution(design=design, plan=plan,
-                             objectives=evaluate(inst, design, plan, alpha_prime),
-                             alpha_prime=alpha_prime)
 
 
 # --- array path -----------------------------------------------------------
@@ -209,6 +197,12 @@ def _hub_route(ctx: EvalContext, i, j, k, l, pair) -> np.ndarray:
 
 
 def make_context(inst: ProblemInstance, alpha_prime: float) -> EvalContext:
+    """Pricing arrays at one rate; every pricing path starts here, so an
+    instance that ``validate_instance`` rejects is refused with a
+    ValueError naming every finding."""
+    problems = validate_instance(inst)
+    if problems:
+        raise ValueError("invalid instance: " + "; ".join(problems))
     q = inst.demand_matrix(alpha_prime)
     m = np.maximum(0, np.ceil(q / inst.aircraft_capacity - FEAS_TOL))
     cd = inst.unit_transport_cost * inst.distance

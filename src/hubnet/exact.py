@@ -30,9 +30,9 @@ import numpy as np
 from .evaluation import (
     EvalContext,
     _hub_route,
+    evaluate,
     make_context,
     plan_from_mask,
-    solution_from_plan,
 )
 from .fronts import ParetoFront
 from .model import (
@@ -139,7 +139,7 @@ def _build_block(ctx: EvalContext, hubs: tuple[int, ...]) -> Optional[_Block]:
     idx = np.arange(inst.n)
     H = np.asarray(hubs, dtype=np.intp)
     spokes = np.setdiff1d(idx, H)
-    reach = inst.distance[spokes[:, None], H] <= inst.omega + FEAS_TOL
+    reach = inst.coverage()[spokes[:, None], H]
     counts = reach.sum(axis=1)
     if not counts.all():
         return None
@@ -225,12 +225,13 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
     order, candidate hubs ascending).
 
     Raises:
+        ValueError: for an instance that ``make_context`` refuses.
         EnumerationBudgetError: when ``configuration_count`` exceeds ``budget``.
     """
+    ctx = make_context(inst, alpha_prime)
     count = configuration_count(inst.n, inst.p)
     if count > budget:
         raise EnumerationBudgetError(count, budget)
-    ctx = make_context(inst, alpha_prime)
     n = inst.n
     blocks: list[_Block] = []
     for h in range(1, inst.p + 1):
@@ -628,7 +629,8 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
         return None
     mask = np.zeros_like(index.ctx.offdiag)
     mask[index.ctx.offdiag] = best[4]
-    return solution_from_plan(index.ctx.inst, design, plan_from_mask(mask), index.ctx.alpha_prime)
+    plan, rate = plan_from_mask(mask), index.ctx.alpha_prime
+    return EvaluatedSolution(design, plan, evaluate(index.ctx.inst, design, plan, rate), rate)
 
 
 def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonGrid(),

@@ -2,9 +2,10 @@
 
 All writers are deterministic: sorted JSON keys, fixed indentation, "\n"
 line endings, shortest-roundtrip float repr.  Identical inputs give
-byte-identical files.  A route token lists the hubs visited: ``k1->k5``.
-A row whose hubs or route tokens disagree with its assignment is refused
-here: the model stores only the assignment and one hub bit per pair.
+byte-identical files.  A route token lists the hubs a pair visits:
+``Direct``, ``k5`` or ``k1->k5``.  Only this format spells routes so;
+the model stores the assignment and one hub bit per pair, and a row
+whose hubs or route tokens disagree with its assignment is refused here.
 """
 
 from __future__ import annotations
@@ -27,17 +28,12 @@ from .model import (
     NetworkDesign,
     ObjectiveVector,
     ProblemInstance,
-    Route,
-    implied_route,
-    plan_routes,
 )
 
 __all__ = [
     "INSTANCE_SCHEMA",
     "save_instance",
     "load_instance",
-    "render_route",
-    "parse_route",
     "write_front_csv",
     "read_front_csv",
     "FrontRow",
@@ -104,7 +100,12 @@ def load_instance(path: Union[str, Path]) -> ProblemInstance:
     return ProblemInstance(**kwargs)
 
 
-def render_route(route: Route) -> str:
+def _visited_hubs(a: Sequence[int], i: int, j: int) -> tuple[int, ...]:
+    """The hubs pair (i, j) visits when it flies its endpoints' hubs ``a[i]``, ``a[j]``."""
+    return (a[i],) if a[i] == a[j] else (a[i], a[j])
+
+
+def _render_route(route: tuple[int, ...]) -> str:
     """Token form: ``Direct``, ``k5`` (one hub), ``k1->k5`` (two hubs)."""
     return "->".join(f"k{k}" for k in route) or "Direct"
 
@@ -113,7 +114,7 @@ def render_route(route: Route) -> str:
 _ROUTE_TOKEN = re.compile(r"k(-?[0-9]+)(?:->k(-?[0-9]+))?")
 
 
-def parse_route(token: str) -> Route:
+def _parse_route(token: str) -> tuple[int, ...]:
     if token == "Direct":
         return ()
     match = _ROUTE_TOKEN.fullmatch(token)
@@ -139,7 +140,9 @@ class FrontRow:
 
 
 def _solution_row(sol: EvaluatedSolution) -> list:
-    tokens = [render_route(route) for _, _, route in plan_routes(sol.design, sol.plan)]
+    a = sol.design.assignment
+    tokens = [_render_route(_visited_hubs(a, i, j) if hub else ())
+              for i, row in enumerate(sol.plan.hub) for j, hub in enumerate(row) if i != j]
     return [
         *sol.objectives.as_tuple(),
         float(sol.alpha_prime),
@@ -209,7 +212,7 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
         check_rate(row.alpha_prime)
     except ValueError as exc:
         raise ValueError(f"alpha_prime: {exc}")
-    routes = [parse_route(tok) for tok in row.routes]
+    routes = [_parse_route(tok) for tok in row.routes]
     hops = [k for route in routes for k in route]
     for field, ids in (("hubs", row.hubs), ("assignment", row.assignment), ("routes", hops)):
         bad = sorted({k for k in ids if not 0 <= k < n})
@@ -221,7 +224,7 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
                          f"are {list(design.hubs)}")
     a = design.assignment
     for (i, j), route in zip(pairs, routes):
-        if route and route != implied_route(a[i], a[j]):
+        if route and route != _visited_hubs(a, i, j):
             raise ValueError(f"pair ({i}, {j}) flies hubs {route} but its endpoints' hubs "
                              f"are ({a[i]}, {a[j]})")
     mask = np.zeros((n, n), dtype=bool)

@@ -3,21 +3,14 @@
 Nodes exchange directional cargo flows.  A network design assigns every
 node to one hub; the hubs, at most ``p``, are the nodes assigned to
 themselves.  A route plan holds one bit per ordered pair: the flow flies
-direct, or through its endpoints' hubs.  A route is the tuple of hubs
-visited, in flight order:
-
-* ``()`` -- a point-to-point flight, bypassing hub processing;
-* ``(k,)`` -- through the shared hub ``k`` when both endpoints are
-  assigned to ``k``;
-* ``(k, l)`` -- through the origin's hub ``k`` and the destination's
-  hub ``l`` when the endpoints are assigned to different hubs.
-
-No plan can name any other route, so route legality is a parse check on
-front CSV rows (``fileio.solution_from_row``), not a constraint here.
-Feasibility covers assignment legality (the hub budget, allocation to
-hubs, spoke links within the coverage radius ``omega``), checked here, and
-hub throughput capacity against crisp demand and a hard per-pair cap on
-route time, which ``evaluation.feasibility_violations`` reads off the
+direct, or through the origin's hub and then, where it differs, the
+destination's.  No plan can name any other route, so route legality is
+a parse check on front CSV rows (``fileio.solution_from_row``), not a
+constraint here.  Feasibility covers assignment legality (the hub
+budget, allocation to hubs, spoke links within the coverage radius
+``omega``, whose rule :meth:`ProblemInstance.coverage` owns), checked
+here, and hub throughput capacity against crisp demand and a hard
+per-pair cap on route time, which ``evaluation.check`` reads off the
 tables that price the plan.  Violations are reported as data (lists of
 strings), not exceptions, so invalid inputs can be inspected.
 """
@@ -26,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
 
 import numpy as np
 
@@ -37,10 +29,7 @@ __all__ = [
     "round6",
     "ProblemInstance",
     "NetworkDesign",
-    "Route",
-    "implied_route",
     "RoutePlan",
-    "plan_routes",
     "ObjectiveVector",
     "EvaluatedSolution",
     "validate_instance",
@@ -115,6 +104,10 @@ class ProblemInstance:
         """Crisp demand for every ordered pair at the given uncertainty rate."""
         return defuzzify_components(self.demand, alpha_prime)
 
+    def coverage(self) -> np.ndarray:
+        """(n, n) bool: node i may be served by hub k, their link within ``omega``."""
+        return self.distance <= self.omega + FEAS_TOL
+
 
 @dataclass(frozen=True)
 class NetworkDesign:
@@ -132,30 +125,12 @@ class NetworkDesign:
         return len(self.assignment)
 
 
-# the hubs a flow visits, in flight order: () direct, (k,) or (k, l)
-Route = tuple[int, ...]
-
-
-def implied_route(k: int, l: int) -> Route:
-    """The hub route of a pair whose endpoints are assigned to ``k`` and ``l``."""
-    return (k,) if k == l else (k, l)
-
-
 @dataclass(frozen=True)
 class RoutePlan:
     """``hub[i][j]`` is True when pair (i, j) flies its endpoints' hubs and
     False when it flies direct; an n x n grid with a False diagonal."""
 
     hub: tuple[tuple[bool, ...], ...]
-
-
-def plan_routes(design: NetworkDesign, plan: RoutePlan) -> Iterator[tuple[int, int, Route]]:
-    """``(i, j, route)`` of every ordered pair, i != j, in row-major order."""
-    a = design.assignment
-    for i, row in enumerate(plan.hub):
-        for j, hub in enumerate(row):
-            if i != j:
-                yield i, j, implied_route(a[i], a[j]) if hub else ()
 
 
 @dataclass(frozen=True)
@@ -235,7 +210,35 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
         out.append(f"demand[{i}][{j}] components not ascending: {tuple(comp[i, j])}")
     if np.any(comp < 0):
         out.append("demand has negative components")
-    return out
+    # the overflow bounds hold only on finite, non-negative data
+    return out or _overflow_findings(inst)
+
+
+def _overflow_findings(inst: ProblemInstance) -> list[str]:
+    """The priced totals that can overflow a float on otherwise valid data.
+
+    Each bound multiplies the data's maxima, so it is at least every value
+    the pricer forms on the way to that total, times the 1e6 by which
+    rounding to 1e-6 scales an objective.  Python floats overflow to inf,
+    or 0 * inf to nan, without a warning.
+    """
+    top = {name: float(getattr(inst, name).max()) for name in _VECTORS + _MATRICES + ("demand",)}
+    pairs = inst.n * (inst.n - 1)
+    q = 2.0 * top["demand"]                 # defuzzification adds two components
+    dist, time = 3.0 * top["distance"], 3.0 * top["travel_time"]    # three legs at most
+    unit_cost = 3.0 * top["unit_transport_cost"] * top["distance"] + 2.0 * top["handling_cost"]
+    aircraft = q / float(inst.aircraft_capacity) + 1.0
+    per_aircraft = (3.0 * (float(inst.lto_p1) + float(inst.lto_p2))
+                    + (float(inst.ccd_rate_p1) + float(inst.ccd_rate_p2)) * dist)
+    penalty = top["early_penalty"] * top["window_lower"] + top["late_penalty"] * time
+    bounds = {
+        "objective z1 (cost)": inst.n * top["fixed_cost"] + pairs * q * unit_cost,
+        "objective z2 (emissions)": pairs * aircraft * per_aircraft,
+        "objective z3 (time-window penalty)": pairs * penalty,
+        "hub throughput": 2.0 * pairs * q,
+    }
+    return [f"{name} can overflow a float on this data"
+            for name, bound in bounds.items() if not math.isfinite(bound * 1e6)]
 
 
 def design_violations(inst: ProblemInstance, design: NetworkDesign) -> list[str]:
@@ -247,13 +250,14 @@ def design_violations(inst: ProblemInstance, design: NetworkDesign) -> list[str]
     hubs = design.hubs
     if not 1 <= len(hubs) <= inst.p:
         out.append(f"open hub count {len(hubs)} outside [1, p={inst.p}]")
+    reach = inst.coverage()
     for i, a in enumerate(design.assignment):
         if not 0 <= a < n:
             out.append(f"assignment[{i}]={a} is not a node")
             continue
         if design.assignment[a] != a:
             out.append(f"node {i} assigned to non-hub {a}")
-        if a != i and inst.distance[i, a] > inst.omega + FEAS_TOL:
+        if a != i and not reach[i, a]:
             out.append(f"spoke link {i}->{a} length {inst.distance[i, a]} exceeds omega={inst.omega}")
     return out
 
@@ -263,5 +267,5 @@ def check_feasibility(inst: ProblemInstance, sol: EvaluatedSolution,
     """Constraint report for an evaluated solution at the given rate."""
     # the report prices the plan, so it lives in evaluation, which imports
     # this module; bench/run.py imports check_feasibility from here
-    from .evaluation import feasibility_violations
-    return feasibility_violations(inst, sol.design, sol.plan, alpha_prime)
+    from .evaluation import check
+    return check(inst, sol.design, sol.plan, alpha_prime)[0]

@@ -176,9 +176,6 @@ def _run_cell(config: ExperimentConfig, path: str, algorithm: str, seed: int) ->
     name = Path(path).stem
     try:
         inst = load_instance(path)
-        problems = validate_instance(inst)
-        if problems:
-            raise ValueError(f"invalid instance {path}: {'; '.join(problems)}")
         front, elapsed = run_solver(inst, algorithm, seed, config.alpha_prime, config.params,
                                     config.grid, config.budget)
         metrics = compute_metrics(front, elapsed)

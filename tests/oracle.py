@@ -1,7 +1,8 @@
 """Exhaustive Pareto oracle for tiny instances, the ground truth of the exact solver.
 
-It shares no search or pricing code with ``hubnet``: designs come from
-``itertools`` and the omega rule (``naive_designs``), and each pair's two
+It shares no search, route or pricing code with ``hubnet``: designs come
+from ``itertools`` and the omega rule (``naive_designs``), a plan's routes
+from this module's own walk (``plan_routes``), and each pair's two
 options, the direct flight and the hub route its endpoints' assignments
 imply, are priced by this module's scalar reference (``route_objectives``)
 and timed by ``route_time`` against the pair's cap.  The package prices on
@@ -25,20 +26,35 @@ from typing import Optional
 
 import numpy as np
 
-from hubnet.evaluation import plan_from_mask, solution_from_plan
+from hubnet.evaluation import evaluate, plan_from_mask
 from hubnet.fronts import ParetoFront, nondominated_mask
 from hubnet.model import (
     FEAS_TOL,
+    EvaluatedSolution,
     NetworkDesign,
     ProblemInstance,
-    Route,
     RoutePlan,
-    implied_route,
-    plan_routes,
     round6,
 )
 
 MAX_NODES = 6
+
+# the hubs a flow visits, in flight order: () direct, (k,) or (k, l)
+Route = tuple[int, ...]
+
+
+def implied_route(k: int, l: int) -> Route:
+    """The hub route of a pair whose endpoints are assigned to ``k`` and ``l``."""
+    return (k,) if k == l else (k, l)
+
+
+def plan_routes(design: NetworkDesign, plan: RoutePlan):
+    """``(i, j, route)`` of every ordered pair, i != j, in row-major order."""
+    a = design.assignment
+    for i, row in enumerate(plan.hub):
+        for j, hub in enumerate(row):
+            if i != j:
+                yield i, j, implied_route(a[i], a[j]) if hub else ()
 
 
 def canonical_pairs(n: int) -> list[tuple[int, int]]:
@@ -240,6 +256,8 @@ def oracle_front(inst: ProblemInstance, alpha_prime: float = 0.5) -> ParetoFront
     if not refs:
         return ParetoFront(solutions=())
     keep = nondominated_mask(np.round(np.concatenate(rows), 6))
+    plans = [(design, _plan_of(inst, mk)) for flag, (design, mk) in zip(keep, refs) if flag]
     return ParetoFront.from_candidates([
-        solution_from_plan(inst, design, _plan_of(inst, mk), alpha_prime)
-        for flag, (design, mk) in zip(keep, refs) if flag])
+        EvaluatedSolution(design=design, plan=plan, alpha_prime=alpha_prime,
+                          objectives=evaluate(inst, design, plan, alpha_prime))
+        for design, plan in plans])

@@ -5,6 +5,7 @@ or budget overrun, 3 I/O problems.
 """
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -602,20 +603,52 @@ def test_validate_flags_a_front_over_a_squeezed_capacity(tmp_path, capsys):
     assert "instance:" not in out
 
 
-def test_validate_runs_the_feasibility_report_once_per_row(tmp_path, capsys, monkeypatch):
+def test_validate_prices_each_front_row_once(tmp_path, capsys, monkeypatch):
+    # one hub_tables call prices a row; the findings and the objective
+    # comparison both read it
     inst = _gen(tmp_path)
     front = tmp_path / "front.csv"
     assert main(["solve", "--instance", str(inst), "--solver", "exact",
                  "--out", str(front), "--grid-z2", "3", "--grid-z3", "3"]) == 0
-    reports = []
+    pricings = []
 
-    def counted(*args, real=hubnet.evaluation.feasibility_violations):
-        reports.append(args)
+    def counted(*args, real=hubnet.evaluation.hub_tables):
+        pricings.append(args)
         return real(*args)
-    monkeypatch.setattr(hubnet.evaluation, "feasibility_violations", counted)
+    monkeypatch.setattr(hubnet.evaluation, "hub_tables", counted)
     capsys.readouterr()
     assert main(["validate", "--instance", str(inst), "--front", str(front)]) == 0
-    assert len(reports) == len(read_front_csv(front)) > 0
+    assert len(pricings) == len(read_front_csv(front)) > 0
+
+
+def test_solve_and_validate_refuse_data_whose_prices_overflow(tmp_path, capsys, tiny):
+    front = tmp_path / "front.csv"
+    good = tmp_path / "good.json"
+    save_instance(tiny, good)
+    assert main(["solve", "--instance", str(good), "--solver", "exact", "--out", str(front)]) == 0
+    gen = generate(GeneratorSpec(n=6, p=2, seed=0))
+    for name, inst in (
+            ("handled", dataclasses.replace(gen, handling_cost=np.full(6, 1e307))),
+            ("tiny", dataclasses.replace(tiny, demand=tiny.demand * 1e300,
+                                         unit_transport_cost=np.full((3, 3), 1e10)))):
+        path = tmp_path / f"{name}.json"
+        save_instance(inst, path)
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(path), "--solver", "nsga2",
+                     "--out", str(tmp_path / "f.csv")]) == 1
+        captured = capsys.readouterr()
+        assert ("invalid instance: objective z1 (cost) can overflow a float on this data"
+                in captured.err)
+        assert "Traceback" not in captured.err + captured.out
+    # an instance that cannot be priced is reported alone: the rows of the
+    # front solved on the tiny instance are not judged against it
+    assert main(["validate", "--instance", str(path), "--front", str(front)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"instance: {what} can overflow a float on this data" for what in (
+            "objective z1 (cost)", "objective z2 (emissions)", "hub throughput")
+    ] + ["validation failed with 3 finding(s)"]
+    assert captured.err == ""
 
 
 def test_compare_where_every_cell_fails(tmp_path, capsys):

@@ -7,6 +7,9 @@ cargo (capacity below the smallest positive demand), and nothing to ship
 (all-zero demand).  Each solver must then return either an empty front or
 finite rows whose members pass ``check_feasibility``; ``hubnet solve``
 must end with a message and exit 0 or 2, never with a traceback.
+
+An instance that ``validate_instance`` rejects is refused by every solver
+through the Python API too, by name, before any pricing can warn.
 """
 
 import contextlib
@@ -16,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +28,8 @@ from hubnet.exact import EpsilonGrid, epsilon_constraint_front
 from hubnet.fileio import save_instance
 from hubnet.generator import GeneratorSpec, generate
 from hubnet.metaheuristics import ALGORITHMS, AlgorithmParams
-from hubnet.model import check_feasibility
+from hubnet.model import check_feasibility, validate_instance
+from hubnet.workbench import SOLVERS, run_solver
 
 RATE = 0.5
 
@@ -71,3 +76,36 @@ def test_degenerate_instances_end_in_an_empty_or_feasible_front(n, p, seed, case
     assert code in (0, 2), text
     assert (out if code == 0 else err).getvalue().strip()
     assert "Traceback" not in text
+
+
+# case -> (its instance, from the tiny one or a 6-node one; the finding)
+INVALID = {
+    "hub-budget": (lambda tiny, gen: dataclasses.replace(gen, p=9),
+                   "hub budget p must satisfy 1 <= p <= n, got p=9"),
+    "nan-distance": (lambda tiny, gen: dataclasses.replace(
+        gen, distance=np.where(np.eye(6), 0.0, np.nan)), "distance has non-finite values"),
+    "negated-demand": (lambda tiny, gen: dataclasses.replace(gen, demand=-gen.demand),
+                       "demand has negative components"),
+    "no-aircraft-capacity": (lambda tiny, gen: dataclasses.replace(gen, aircraft_capacity=0.0),
+                             "aircraft_capacity must be > 0, got 0.0"),
+    "price-overflow": (lambda tiny, gen: dataclasses.replace(
+        tiny, demand=tiny.demand * 1e300, unit_transport_cost=np.full((3, 3), 1e10)),
+        "objective z1 (cost) can overflow a float on this data"),
+    "hub-price-overflow": (lambda tiny, gen: dataclasses.replace(
+        gen, handling_cost=np.full(6, 1e307)),
+        "objective z1 (cost) can overflow a float on this data"),
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("case", list(INVALID))
+def test_solvers_refuse_an_invalid_instance(tiny, case, solver):
+    broken, finding = INVALID[case]
+    inst = broken(tiny, generate(GeneratorSpec(n=6, p=2, seed=0)))
+    assert finding in validate_instance(inst)
+    # pytest turns a RuntimeWarning into an error, so none is raised on the way
+    with pytest.raises(ValueError) as refusal:
+        run_solver(inst, solver, 0, RATE, AlgorithmParams(max_iterations=3, population_size=8),
+                   EpsilonGrid(2, 2))
+    assert str(refusal.value).startswith("invalid instance: ")
+    assert finding in str(refusal.value)

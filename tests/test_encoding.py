@@ -11,8 +11,8 @@ from hubnet import metaheuristics
 from hubnet.encoding import _decode_arrays, _repair_mask, genome_length
 from hubnet.evaluation import (
     _hub_route,
+    check,
     compute_objectives,
-    feasibility_violations,
     loads_from_mask,
     make_context,
     plan_from_mask,
@@ -43,7 +43,7 @@ def _check_population(inst, seed, count):
         feasible_seen += 1
         assert all(np.array_equal(a, b) for a, b in zip(payload, other))
         sol = _payload_solution(ctx, row, payload)
-        assert feasibility_violations(inst, sol.design, sol.plan, 0.5) == []
+        assert check(inst, sol.design, sol.plan, 0.5)[0] == []
         assert compute_objectives(inst, sol.design, sol.plan, 0.5) == tuple(row)
     assert feasible_seen > 0
 
@@ -116,7 +116,7 @@ def test_repair_flips_heaviest_pairs(tiny):
     direct_pairs = {(int(i), int(j)) for i, j in np.argwhere(ctx.offdiag & ~repaired)}
     assert direct_pairs == {(1, 2), (2, 0), (0, 2)}
     design = NetworkDesign(tuple(a.tolist()))
-    assert feasibility_violations(squeezed, design, plan_from_mask(repaired), 0.5) == []
+    assert check(squeezed, design, plan_from_mask(repaired), 0.5)[0] == []
 
 
 def test_repair_returns_none_when_stuck(tiny):

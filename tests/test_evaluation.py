@@ -27,18 +27,15 @@ from hubnet.evaluation import (
     loads_from_mask,
     make_context,
     plan_from_mask,
-    solution_from_plan,
 )
 from hubnet.generator import GeneratorSpec, generate, preset
 from hubnet.metaheuristics import _evaluate_population, _payload_solution
 from hubnet.model import (
     FEAS_TOL,
     NetworkDesign,
-    implied_route,
-    plan_routes,
     validate_instance,
 )
-from oracle import hub_loads, plan_objectives, route_time
+from oracle import hub_loads, implied_route, plan_objectives, plan_routes, route_time
 from test_model import all_hub_plan, direct_plan
 
 
@@ -116,9 +113,7 @@ def test_evaluate_rejects_infeasible(tiny):
     plan = all_hub_plan(3)
     with pytest.raises(ValueError, match="exceeds capacity"):
         evaluate(starved, design, plan, 0.5)
-    sol = solution_from_plan(tiny, design, plan, 0.5)
-    assert sol.objectives.as_tuple() == (40250.0, 3564.0, 12.6)
-    assert sol.alpha_prime == 0.5
+    assert evaluate(tiny, design, plan, 0.5).as_tuple() == (40250.0, 3564.0, 12.6)
 
 
 def test_mask_path_matches_the_oracle_reference():

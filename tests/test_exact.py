@@ -26,8 +26,8 @@ import pytest
 
 from hubnet import exact, metaheuristics
 from hubnet.evaluation import (
+    check,
     compute_objectives,
-    feasibility_violations,
     hub_tables,
     plan_from_mask,
 )
@@ -42,7 +42,7 @@ from hubnet.exact import (
 from hubnet.fronts import dominates
 from hubnet.generator import GeneratorSpec, generate
 from hubnet.metaheuristics import ALGORITHMS, AlgorithmParams
-from hubnet.model import check_feasibility, implied_route
+from hubnet.model import check_feasibility
 
 import oracle
 from conftest import make_instance
@@ -50,6 +50,7 @@ from oracle import (
     canonical_pairs,
     config_states,
     hub_loads,
+    implied_route,
     naive_designs,
     oracle_front,
     plan_objectives,
@@ -186,7 +187,7 @@ def test_solve_routing_matches_naive(tiny):
             z = compute_objectives(tiny, design, plan, 0.5)
             assert z[0] == want
             assert z[1] <= eps2 and z[2] <= eps3
-            assert feasibility_violations(tiny, design, plan, 0.5) == []
+            assert check(tiny, design, plan, 0.5)[0] == []
 
 
 def test_solve_routing_respects_capacity(tiny):

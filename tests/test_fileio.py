@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from hubnet.evaluation import evaluate, solution_from_plan
+from hubnet.evaluation import evaluate
 from hubnet.exact import EpsilonGrid, epsilon_constraint_front
 from hubnet.fileio import (
     FrontRow,
+    _parse_route,
+    _render_route,
     load_instance,
-    parse_route,
     read_front_csv,
-    render_route,
     save_instance,
     solution_from_row,
     write_csv,
@@ -20,7 +20,7 @@ from hubnet.fileio import (
     write_metrics_csv,
 )
 from hubnet.fronts import ParetoFront
-from hubnet.model import NetworkDesign
+from hubnet.model import EvaluatedSolution, NetworkDesign
 
 from test_model import all_hub_plan, direct_plan
 
@@ -139,14 +139,14 @@ def test_instance_files_refuse_ragged_arrays(tmp_path, gen5):
 
 def test_route_tokens_roundtrip():
     for route in ((), (5,), (1, 5)):
-        assert parse_route(render_route(route)) == route
-    assert render_route(()) == "Direct"
-    assert render_route((0, 12)) == "k0->k12"
+        assert _parse_route(_render_route(route)) == route
+    assert _render_route(()) == "Direct"
+    assert _render_route((0, 12)) == "k0->k12"
     # negative ids parse, so the range check can name them
-    assert parse_route("k0->k-3") == (0, -3)
+    assert _parse_route("k0->k-3") == (0, -3)
     for bad in ("x3", "k1->x2", "", "direct", "k", "kx", "k1->k2->k3", "k1->", "k 1"):
         with pytest.raises(ValueError, match=f"^unparseable route token '{bad}'$"):
-            parse_route(bad)
+            _parse_route(bad)
 
 
 def test_front_csv_roundtrip(tmp_path, tiny):
@@ -193,7 +193,9 @@ def test_front_csv_skips_blank_lines_and_refuses_rows_of_the_wrong_width(tmp_pat
 
 def test_solution_from_row_checks_token_count(tmp_path, tiny):
     design = NetworkDesign((1, 1, 1))
-    sol = solution_from_plan(tiny, design, all_hub_plan(3), 0.5)
+    plan = all_hub_plan(3)
+    sol = EvaluatedSolution(design=design, plan=plan, alpha_prime=0.5,
+                            objectives=evaluate(tiny, design, plan, 0.5))
     path = tmp_path / "front.csv"
     write_front_csv(ParetoFront(solutions=(sol,)), path)
     row = read_front_csv(path)[0]

@@ -17,9 +17,13 @@ def test_same_spec_same_instance():
 
 
 def test_generated_instances_validate():
-    for seed in range(5):
-        inst = generate(GeneratorSpec(n=8, p=3, seed=seed))
-        assert validate_instance(inst) == []
+    # the overflow bounds of validate_instance leave the preset ladder and
+    # the benchmark's instances valid as well
+    specs = [GeneratorSpec(n=8, p=3, seed=seed) for seed in range(5)]
+    specs += [preset(k) for k in range(1, len(PRESET_SIZES) + 1)]
+    specs += [GeneratorSpec(n=10, p=3, seed=seed) for seed in (3, 7)]
+    for spec in specs:
+        assert validate_instance(generate(spec)) == [], spec
 
 
 def test_recipe_ranges():

@@ -6,20 +6,21 @@ import pytest
 
 from conftest import TINY_DISTANCE, TINY_DEMAND, make_instance
 from hubnet.evaluation import (
-    feasibility_violations,
+    check,
     loads_from_mask,
     make_context,
     plan_from_mask,
 )
+from hubnet.generator import GeneratorSpec, generate
 from hubnet.model import (
     NetworkDesign,
     ObjectiveVector,
     RoutePlan,
     design_violations,
-    plan_routes,
     round6,
     validate_instance,
 )
+from oracle import plan_routes
 
 
 def all_hub_plan(n):
@@ -131,6 +132,27 @@ def test_validate_instance_reports_each_break(tiny):
         assert f"{name} has non-finite values" in report, report
 
 
+def test_validate_instance_refuses_data_whose_prices_overflow(tiny):
+    # finite data whose products overflow: both prices of the tiny
+    # instance, or only the hub routes of a generated one
+    huge = dataclasses.replace(tiny, demand=tiny.demand * 1e300,
+                               unit_transport_cost=np.full((3, 3), 1e10))
+    assert "objective z1 (cost) can overflow a float on this data" in validate_instance(huge)
+    gen = generate(GeneratorSpec(n=6, p=2, seed=0))
+    handled = dataclasses.replace(gen, handling_cost=np.full(6, 1e307))
+    assert validate_instance(handled) == [
+        "objective z1 (cost) can overflow a float on this data"]
+    # rounding to 1e-6 scales by 1e6, so a cost near 1e303 is refused too
+    assert validate_instance(dataclasses.replace(gen, fixed_cost=np.full(6, 1e303))) == [
+        "objective z1 (cost) can overflow a float on this data"]
+    # a zero rate times an overflowing route length is nan, and refused too
+    long = dataclasses.replace(gen, distance=np.where(np.eye(6), 0.0, 1e308), omega=1e308,
+                               ccd_rate_p1=0.0, ccd_rate_p2=0.0,
+                               unit_transport_cost=np.zeros((6, 6)))
+    assert validate_instance(long) == [
+        "objective z2 (emissions) can overflow a float on this data"]
+
+
 def test_instance_shape_checks():
     with pytest.raises(ValueError):
         make_instance(3, 2, distance=np.zeros((2, 2)), demand=TINY_DEMAND)
@@ -160,18 +182,18 @@ def test_design_violations(tiny):
 
 def test_plan_violations(tiny):
     design = NetworkDesign((1, 1, 1))
-    assert feasibility_violations(tiny, design, all_hub_plan(3), 0.5) == []
+    assert check(tiny, design, all_hub_plan(3), 0.5)[0] == []
 
     slow = dataclasses.replace(tiny, max_transfer_time=np.full((3, 3), 21.0))
-    msgs = feasibility_violations(slow, design, direct_plan(3, (0, 2)), 0.5)
+    msgs = check(slow, design, direct_plan(3, (0, 2)), 0.5)[0]
     assert msgs == ["pair (0, 2) route time exceeds cap 21.0"]
 
     wide = direct_plan(4)
-    assert feasibility_violations(tiny, design, wide, 0.5) == [
+    assert check(tiny, design, wide, 0.5)[0] == [
         "plan rows have lengths [4, 4, 4, 4], instance has 3 nodes"]
     # a short row would leave its pairs unpriced
     ragged = RoutePlan(hub=((False, True), (True, False, True), (True, True, False)))
-    assert feasibility_violations(tiny, design, ragged, 0.5) == [
+    assert check(tiny, design, ragged, 0.5)[0] == [
         "plan rows have lengths [2, 3, 3], instance has 3 nodes"]
 
 
@@ -189,19 +211,19 @@ def test_route_time_and_feasible_routes(tiny):
             capped = np.full((3, 3), 100.0)
             capped[i, j] = cap
             inst = dataclasses.replace(tiny, max_transfer_time=capped)
-            assert feasibility_violations(inst, NetworkDesign(assignment), plan, 0.5) == findings
+            assert check(inst, NetworkDesign(assignment), plan, 0.5)[0] == findings
 
     design = NetworkDesign((1, 1, 1))
     # pairs originating or ending at the hub still have a legal one-hub route
     direct = direct_plan(3)
     hub = all_hub_plan(3)
-    assert feasibility_violations(tiny, design, direct, 0.5) == []
-    assert feasibility_violations(tiny, design, hub, 0.5) == []
+    assert check(tiny, design, direct, 0.5)[0] == []
+    assert check(tiny, design, hub, 0.5)[0] == []
 
     # a 24 h cap keeps every direct flight but not the 25 h route 0 -> 1 -> 2
     capped = dataclasses.replace(tiny, max_transfer_time=np.full((3, 3), 24.0))
-    assert feasibility_violations(capped, design, direct, 0.5) == []
-    assert feasibility_violations(capped, design, hub, 0.5) == [
+    assert check(capped, design, direct, 0.5)[0] == []
+    assert check(capped, design, hub, 0.5)[0] == [
         "pair (0, 2) route time exceeds cap 24.0", "pair (2, 0) route time exceeds cap 24.0"]
 
 
@@ -221,14 +243,14 @@ def test_hub_loads(tiny):
     assert not loads_from_mask(ctx, np.array([0, 0, 2]), ~every).any()
 
 
-def test_feasibility_violations_capacity(tiny):
+def test_check_reports_capacity(tiny):
     small = dataclasses.replace(tiny, capacity=np.array([0.0, 100.0, 0.0]))
     design = NetworkDesign((1, 1, 1))
     plan = all_hub_plan(3)
-    msgs = feasibility_violations(small, design, plan, 0.5)
+    msgs = check(small, design, plan, 0.5)[0]
     assert any("exceeds capacity" in v for v in msgs)
-    assert feasibility_violations(tiny, design, plan, 0.5) == []
+    assert check(tiny, design, plan, 0.5)[0] == []
     # an illegal design is reported alone: its plan implies no routes to check
     capped = dataclasses.replace(small, max_transfer_time=np.full((3, 3), 21.0))
-    assert feasibility_violations(capped, NetworkDesign((1, 1, 0)), plan, 0.5) == [
+    assert check(capped, NetworkDesign((1, 1, 0)), plan, 0.5)[0] == [
         "node 2 assigned to non-hub 0"]
