@@ -21,8 +21,10 @@ Repair takes the most overloaded hub (lowest index on ties) and sends
 its heaviest hub-routed pair that may fly direct (lowest flat pair index
 on ties) direct, until every hub fits or no pair can move.
 Since flips only remove candidates, repair sorts the movable pairs once
-by (-demand, flat index) and walks each hub's share of that list with a
-cursor, instead of rescanning the n x n grid after every flip.
+by (-demand, flat index) instead of rescanning the n x n grid after
+every flip.  Each open hub ("slot") keeps the list of its entries in
+that order and an integer cursor to its first live one, which only moves
+forward.
 """
 
 from __future__ import annotations
@@ -99,8 +101,12 @@ def _repair_mask(ctx: EvalContext, assignment: np.ndarray, mask: np.ndarray,
     n = ctx.inst.n
     # a non-hub carries no load and capacities are non-negative, so only an
     # open hub can be the most overloaded node; loads, capacities and their
-    # excess are kept per open hub ("slot"), in ascending hub order
-    hubs, slot = np.unique(assignment, return_inverse=True)
+    # excess are kept per open hub ("slot"), in ascending hub order.  The
+    # open hubs are the self-assigned nodes.
+    hubs = np.flatnonzero(assignment == np.arange(n))
+    slot_of = np.empty(n, dtype=np.intp)
+    slot_of[hubs] = np.arange(len(hubs))
+    slot = slot_of[assignment]
     loads = loads[hubs].tolist()
     cap = ctx.inst.capacity[hubs].tolist()
     excess = [load - c for load, c in zip(loads, cap)]
@@ -112,22 +118,32 @@ def _repair_mask(ctx: EvalContext, assignment: np.ndarray, mask: np.ndarray,
     src, dst = slot[flat // n], slot[flat % n]
     pairs = list(zip(flat.tolist(), ctx.q.ravel()[flat].tolist(), src.tolist(), dst.tolist()))
     live = [True] * len(pairs)
-    queues = {}                            # slot -> cursor over its pairs
+    # per slot: the indices into ``pairs`` that touch it (built when the
+    # slot first tops the excesses) and a cursor to its first live entry;
+    # entries before the cursor are dead, since flips only clear bits
+    queues: list = [None] * len(hubs)
+    cursors = [0] * len(hubs)
     cells = mask.reshape(-1)               # a view: clearing a cell clears the mask
     while True:
         top = max(excess)
         if top <= FEAS_TOL:
             return mask
         worst = excess.index(top)          # lowest hub index on ties
-        queue = queues.get(worst)
+        queue = queues[worst]
         if queue is None:
-            queue = queues[worst] = iter(np.flatnonzero((src == worst) | (dst == worst)).tolist())
-        k = next((k for k in queue if live[k]), None)
-        if k is None:
+            queue = queues[worst] = np.flatnonzero((src == worst) | (dst == worst)).tolist()
+        c, end = cursors[worst], len(queue)
+        while c < end and not live[queue[c]]:
+            c += 1
+        if c == end:
             return None
+        k = queue[c]
+        cursors[worst] = c + 1
         live[k] = False
         cell, q, hi, hj = pairs[k]
         cells[cell] = False
+        # excess is taken afresh from the load: ``excess -= q`` would round
+        # differently and could move a tie
         loads[hi] -= q
         excess[hi] = loads[hi] - cap[hi]
         if hj != hi:

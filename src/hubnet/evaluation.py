@@ -63,24 +63,41 @@ __all__ = [
 ]
 
 
-def _one_row(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
-             alpha_prime: float) -> tuple[np.ndarray, list[str], np.ndarray]:
+def _one_row(ctx: EvalContext, design: NetworkDesign, plan: RoutePlan
+             ) -> tuple[np.ndarray, list[str], np.ndarray]:
     """The objective row, time-cap findings and hub loads of one plan.
 
-    The (design, plan) is priced as a one-row batch.  A pair whose chosen
-    route breaks its time cap prices at inf in all three objectives and
-    gets a finding naming the pair and its cap.  The design must name nodes and the
-    plan be n x n.
+    The (design, plan) is priced as a one-row batch on ``ctx``.  A pair
+    whose chosen route breaks its time cap prices at inf in all three
+    objectives and gets a finding naming the pair and its cap.  The design
+    must name nodes and the plan be n x n.
     """
-    ctx = make_context(inst, alpha_prime)
     a = np.array([design.assignment], dtype=np.intp)
     mask = np.array([plan.hub], dtype=bool)
     tables = hub_tables(ctx, a)
     chosen = np.where(mask[..., None], tables, ctx.direct)[0]
     late = np.isinf(chosen).all(axis=-1) & ctx.offdiag
-    breaks = [f"pair ({i}, {j}) route time exceeds cap {inst.max_transfer_time[i, j]}"
-              for i, j in np.argwhere(late)]
+    cap = ctx.inst.max_transfer_time
+    breaks = [f"pair ({i}, {j}) route time exceeds cap {cap[i, j]}" for i, j in np.argwhere(late)]
     return evaluate_mask(ctx, tables, a, mask)[0], breaks, loads_from_mask(ctx, a[0], mask[0])
+
+
+def _check(ctx: EvalContext, design: NetworkDesign, plan: RoutePlan
+           ) -> tuple[list[str], Optional[np.ndarray]]:
+    """:func:`check` on a context the caller already holds."""
+    inst = ctx.inst
+    n = inst.n
+    out = design_violations(inst, design)
+    rows = [len(row) for row in plan.hub]
+    if not out and rows != [n] * n:
+        out = [f"plan rows have lengths {rows}, instance has {n} nodes"]
+    if out:
+        return out, None
+    z, out, loads = _one_row(ctx, design, plan)
+    if not out:
+        out = [f"hub {k} throughput {loads[k]} exceeds capacity {inst.capacity[k]}"
+               for k in design.hubs if loads[k] > inst.capacity[k] + FEAS_TOL]
+    return out, z
 
 
 def check(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
@@ -93,18 +110,7 @@ def check(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
     the design or plan shape is illegal; otherwise it comes from the one
     pricing that the findings are read from.
     """
-    n = inst.n
-    out = design_violations(inst, design)
-    rows = [len(row) for row in plan.hub]
-    if not out and rows != [n] * n:
-        out = [f"plan rows have lengths {rows}, instance has {n} nodes"]
-    if out:
-        return out, None
-    z, out, loads = _one_row(inst, design, plan, alpha_prime)
-    if not out:
-        out = [f"hub {k} throughput {loads[k]} exceeds capacity {inst.capacity[k]}"
-               for k in design.hubs if loads[k] > inst.capacity[k] + FEAS_TOL]
-    return out, z
+    return _check(make_context(inst, alpha_prime), design, plan)
 
 
 def compute_objectives(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
@@ -115,19 +121,24 @@ def compute_objectives(inst: ProblemInstance, design: NetworkDesign, plan: Route
         ValueError: naming the first pair whose route breaks its time
             cap, as such a route has no finite price.
     """
-    z, breaks, _ = _one_row(inst, design, plan, alpha_prime)
+    z, breaks, _ = _one_row(make_context(inst, alpha_prime), design, plan)
     if breaks:
         raise ValueError(f"plan has no finite price: {breaks[0]}")
     return tuple(z.tolist())
 
 
-def evaluate(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
-             alpha_prime: float) -> ObjectiveVector:
-    """Objectives of a feasible (design, plan); raises on any finding of :func:`check`."""
-    violations, z = check(inst, design, plan, alpha_prime)
+def _evaluate(ctx: EvalContext, design: NetworkDesign, plan: RoutePlan) -> ObjectiveVector:
+    """:func:`evaluate` on a context the caller already holds."""
+    violations, z = _check(ctx, design, plan)
     if violations:
         raise ValueError("infeasible solution:\n" + "\n".join(violations))
     return ObjectiveVector(*z)
+
+
+def evaluate(inst: ProblemInstance, design: NetworkDesign, plan: RoutePlan,
+             alpha_prime: float) -> ObjectiveVector:
+    """Objectives of a feasible (design, plan); raises on any finding of :func:`check`."""
+    return _evaluate(make_context(inst, alpha_prime), design, plan)
 
 
 # --- array path -----------------------------------------------------------

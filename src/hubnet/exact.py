@@ -29,8 +29,8 @@ import numpy as np
 
 from .evaluation import (
     EvalContext,
+    _evaluate,
     _hub_route,
-    evaluate,
     make_context,
     plan_from_mask,
 )
@@ -629,8 +629,10 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
         return None
     mask = np.zeros_like(index.ctx.offdiag)
     mask[index.ctx.offdiag] = best[4]
-    plan, rate = plan_from_mask(mask), index.ctx.alpha_prime
-    return EvaluatedSolution(design, plan, evaluate(index.ctx.inst, design, plan, rate), rate)
+    plan = plan_from_mask(mask)
+    # checked and priced on the index's own context: an infeasible winner raises
+    return EvaluatedSolution(design, plan, _evaluate(index.ctx, design, plan),
+                             index.ctx.alpha_prime)
 
 
 def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonGrid(),

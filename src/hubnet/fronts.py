@@ -71,14 +71,24 @@ def nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
     """Fast nondominated sorting of (S, 3) rows into fronts of indices (rank 0 first).
 
     Nonfinite components are legal and sink to the worst fronts (any
-    finite vector dominates the all-infinite penalty vector).
+    finite vector dominates the all-infinite penalty vector).  Each front
+    lists its indices in ascending order.  The (S, S) matrix of
+    :func:`dominates` is built one objective column at a time, as two
+    (S, S) boolean folds ("no worse in every column", "better in one"),
+    which numpy runs far faster than a reduction over a length-3 axis.
     """
     rows = _objective_rows(objectives)
     s = len(rows)
     if s == 0:
         return []
     with np.errstate(invalid="ignore"):
-        dom = dominates(rows[:, None, :], rows[None, :, :])
+        col = rows[:, 0]
+        no_worse = col[:, None] <= col[None, :]
+        better = col[:, None] < col[None, :]
+        for col in rows.T[1:]:
+            no_worse &= col[:, None] <= col[None, :]
+            better |= col[:, None] < col[None, :]
+    dom = no_worse & better
     n_dominators = dom.sum(axis=0)
     fronts: list[list[int]] = []
     remaining = n_dominators.copy()

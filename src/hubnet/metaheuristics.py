@@ -134,16 +134,6 @@ def _payload_solution(ctx: EvalContext, objectives, payload) -> EvaluatedSolutio
 # --- genetic algorithm -------------------------------------------------------
 
 
-def _rank_and_crowding(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    fronts = nondominated_sort(objs)
-    rank = np.empty(len(objs), dtype=int)
-    crowd = np.empty(len(objs))
-    for level, front in enumerate(fronts):
-        rank[front] = level
-        crowd[front] = crowding_distance(objs[front])
-    return rank, crowd
-
-
 def _tournament(rng: np.random.Generator, rank: np.ndarray,
                 crowd: np.ndarray, count: int) -> np.ndarray:
     draws = rng.integers(0, len(rank), size=(count, 2))
@@ -185,9 +175,42 @@ def _variation(rng: np.random.Generator, parents: np.ndarray,
     return np.clip(children, 0.0, _UPPER)
 
 
+def _select(objs: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Survivor indices into ``objs`` with their rank and crowding, ``count`` of them.
+
+    Whole fronts are kept in rank order; the first front that does not fit
+    keeps its most crowded-apart members (lower index on ties).  A
+    survivor's level in this sort is also its level among the survivors,
+    since all its dominators sit in earlier fronts, which are kept whole;
+    its crowding is taken within its level's block of survivors, in
+    survivor order, as a fresh sort of the survivors would take it.
+    """
+    keep: list[int] = []
+    rank = np.empty(count, dtype=int)
+    crowd = np.empty(count)
+    for level, front in enumerate(nondominated_sort(objs)):
+        room = count - len(keep)
+        if room == 0:
+            break
+        arr = np.asarray(front)
+        if len(arr) > room:
+            c = crowding_distance(objs[arr])
+            arr = arr[np.lexsort((arr, -c))[:room]]
+        block = slice(len(keep), len(keep) + len(arr))
+        rank[block] = level
+        crowd[block] = crowding_distance(objs[arr])
+        keep.extend(arr.tolist())
+    return np.asarray(keep), rank, crowd
+
+
 def run_nsga2(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams(),
               seed: int = 0, alpha_prime: float = 0.5) -> ParetoFront:
-    """Elitist nondominated-sorting genetic algorithm; returns its final front."""
+    """Elitist nondominated-sorting genetic algorithm; returns its final front.
+
+    Rank and crowding are assigned once per generation, during survivor
+    selection, as Deb, Pratap, Agarwal & Meyarivan (2002, *IEEE TEC* 6)
+    state the algorithm; only the initial population is ranked on its own.
+    """
     ctx = make_context(inst, alpha_prime)
     rng = np.random.default_rng(seed)
     N = params.population_size
@@ -195,32 +218,25 @@ def run_nsga2(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     X = rng.random((N, L))
     memo: dict = {}
     objs, data, keys = _evaluate_population(ctx, X, memo)
+    # the initial population keeps its order: every row survives, and the
+    # ranks and crowding come back to its own indices
+    order, ranked, crowded = _select(objs, N)
+    rank, crowd = np.empty_like(ranked), np.empty_like(crowded)
+    rank[order], crowd[order] = ranked, crowded
     for _ in range(params.max_iterations):
-        rank, crowd = _rank_and_crowding(objs)
         parents = X[_tournament(rng, rank, crowd, N)]
         Y = _variation(rng, parents, params.crossover_prob, params.mutation_prob)
         objs_y, data_y, keys_y = _evaluate_population(ctx, Y, memo)
-        merged = np.vstack([X, Y])
         merged_objs = np.vstack([objs, objs_y])
-        merged_data = data + data_y
-        merged_keys = keys + keys_y
-        keep: list[int] = []
-        for front in nondominated_sort(merged_objs):
-            if len(keep) + len(front) <= N:
-                keep.extend(front)
-            else:
-                arr = np.asarray(front)
-                c = crowding_distance(merged_objs[arr])
-                order = np.lexsort((arr, -c))
-                keep.extend(int(k) for k in arr[order[:N - len(keep)]])
-                break
-        X = merged[keep]
+        keep, rank, crowd = _select(merged_objs, N)
+        X = np.vstack([X, Y])[keep]
         objs = merged_objs[keep]
+        merged_data, merged_keys = data + data_y, keys + keys_y
         data = [merged_data[k] for k in keep]
         keys = [merged_keys[k] for k in keep]
         memo = {key: memo[key] for key in keys if key is not None}
-    first = nondominated_sort(objs)[0]
-    sols = [_payload_solution(ctx, objs[k], data[k]) for k in first if data[k] is not None]
+    sols = [_payload_solution(ctx, objs[k], data[k])
+            for k in np.flatnonzero(rank == 0) if data[k] is not None]
     return ParetoFront.from_candidates(sols)
 
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from hubnet import exact, metaheuristics
+from hubnet import evaluation, exact, metaheuristics
 from hubnet.evaluation import (
     check,
     compute_objectives,
@@ -43,6 +43,7 @@ from hubnet.fronts import dominates
 from hubnet.generator import GeneratorSpec, generate
 from hubnet.metaheuristics import ALGORITHMS, AlgorithmParams
 from hubnet.model import check_feasibility
+from hubnet.workbench import run_solver
 
 import oracle
 from conftest import make_instance
@@ -676,3 +677,33 @@ def test_solvers_match_the_oracle_where_time_caps_bind(caps, monkeypatch):
                 z = sol.objectives.as_tuple()
                 assert not dominates(z, orows).any(), (seed, name, z)
     assert any(over_cap)
+
+
+def test_an_exact_run_builds_one_pricing_context(monkeypatch):
+    # every cell winner is checked and priced on the index's context, so
+    # an 8-node exact run builds one context, not one more per winner
+    rates = []
+    make = evaluation.make_context
+
+    def counted(inst, alpha_prime):
+        rates.append(alpha_prime)
+        return make(inst, alpha_prime)
+
+    monkeypatch.setattr(evaluation, "make_context", counted)
+    monkeypatch.setattr(exact, "make_context", counted)
+    front, _ = run_solver(generate(GeneratorSpec(n=8, p=3, seed=0)), "exact", 0, 0.5,
+                          AlgorithmParams(), EpsilonGrid())
+    assert len(front) > 1
+    assert rates == [0.5]
+
+
+def test_an_infeasible_exact_winner_still_raises(tiny, monkeypatch):
+    # a routing search blind to capacity picks a winner that overloads hub 1
+    squeezed = dataclasses.replace(tiny, capacity=np.array([1e9, 150.0, 1e9]))
+    index = exact._build_index(squeezed, 0.5, DEFAULT_BUDGET)
+    search = exact._bb_routing
+    monkeypatch.setattr(exact, "_bb_routing", lambda pd, capacity, *rest:
+                        search(pd, np.full_like(capacity, np.inf), *rest))
+    with pytest.raises(ValueError, match="infeasible solution:\nhub 1 throughput 290.0 "
+                                         "exceeds capacity 150.0"):
+        exact._solve_min(index, 0, math.inf, math.inf)

@@ -160,3 +160,30 @@ def test_solution_sort_key_tie_breaks_on_design():
     a = sol(1.0, 1.0, 1.0, hub=0)
     b = sol(1.0, 1.0, 1.0, hub=1)
     assert solution_sort_key(a) < solution_sort_key(b)
+
+
+def brute_peel(rows):
+    """Fronts by repeated removal of the rows that no remaining row dominates."""
+    left = list(range(len(rows)))
+    fronts = []
+    while left:
+        front = [i for i in left if not dominates(rows[left], rows[i]).any()]
+        fronts.append(front)
+        taken = set(front)
+        left = [i for i in left if i not in taken]
+    return fronts
+
+
+def test_nondominated_sort_matches_a_brute_force_peel():
+    rng = np.random.default_rng(23)
+    sizes = [0, 1, 2, 250] + rng.integers(3, 251, size=36).tolist()
+    for s in sizes:
+        rows = rng.integers(0, 6, size=(s, 3)).astype(float)
+        rows[(rows == 0) & (rng.random((s, 3)) < 0.5)] = -0.0
+        if s > 1:                                  # duplicate rows
+            dup = rng.random(s) < 0.2
+            rows[dup] = rows[rng.integers(0, s, size=int(dup.sum()))]
+        rows[rng.random(s) < 0.05] = np.inf        # all-inf penalty rows
+        rows[rng.random((s, 3)) < 0.03] = np.inf
+        rows[rng.random((s, 3)) < 0.02] = np.nan
+        assert nondominated_sort(rows) == brute_peel(rows), s

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hubnet.fronts import solution_sort_key
+from hubnet import metaheuristics
+from hubnet.encoding import genome_length
+from hubnet.evaluation import make_context
+from hubnet.fronts import ParetoFront, crowding_distance, nondominated_sort, solution_sort_key
+from hubnet.generator import GeneratorSpec, generate, preset
 from hubnet.metaheuristics import (
     ALGORITHMS,
     AlgorithmParams,
@@ -98,3 +102,97 @@ def test_different_seeds_explore_differently(gen6):
     fronts = [run_nsga2(gen6, SMALL, seed=s).objective_rows().tobytes()
               for s in (0, 1, 2)]
     assert len(set(fronts)) > 1
+
+
+def _reference_rank_and_crowding(objs):
+    rank = np.empty(len(objs), dtype=int)
+    crowd = np.empty(len(objs))
+    for level, front in enumerate(nondominated_sort(objs)):
+        rank[front] = level
+        crowd[front] = crowding_distance(objs[front])
+    return rank, crowd
+
+
+def _reference_keep(objs, count):
+    keep = []
+    for front in nondominated_sort(objs):
+        if len(keep) + len(front) <= count:
+            keep.extend(front)
+        else:
+            arr = np.asarray(front)
+            c = crowding_distance(objs[arr])
+            keep.extend(int(k) for k in arr[np.lexsort((arr, -c))[:count - len(keep)]])
+            break
+    return keep
+
+
+def _reference_nsga2(inst, params, seed, alpha_prime=0.5):
+    # the generation loop before rank and crowding were carried out of
+    # selection: every generation sorts its survivors again, and the final
+    # front is one more sort.  Without a memo every row is repaired, which
+    # changes no result.
+    ctx = make_context(inst, alpha_prime)
+    rng = np.random.default_rng(seed)
+    N = params.population_size
+    X = rng.random((N, genome_length(inst.n)))
+    objs, data, _ = metaheuristics._evaluate_population(ctx, X)
+    for _ in range(params.max_iterations):
+        rank, crowd = _reference_rank_and_crowding(objs)
+        parents = X[metaheuristics._tournament(rng, rank, crowd, N)]
+        Y = metaheuristics._variation(rng, parents, params.crossover_prob, params.mutation_prob)
+        objs_y, data_y, _ = metaheuristics._evaluate_population(ctx, Y)
+        merged_objs = np.vstack([objs, objs_y])
+        merged_data = data + data_y
+        keep = _reference_keep(merged_objs, N)
+        X = np.vstack([X, Y])[keep]
+        objs = merged_objs[keep]
+        data = [merged_data[k] for k in keep]
+    sols = [metaheuristics._payload_solution(ctx, objs[k], data[k])
+            for k in nondominated_sort(objs)[0] if data[k] is not None]
+    return ParetoFront.from_candidates(sols)
+
+
+@pytest.mark.parametrize("spec, params", [
+    (preset(1), AlgorithmParams(max_iterations=15, population_size=100)),
+    (GeneratorSpec(n=10, p=3, seed=7), AlgorithmParams(max_iterations=20, population_size=40)),
+    (GeneratorSpec(n=5, p=2, seed=100), AlgorithmParams(max_iterations=20, population_size=20)),
+], ids=["preset1", "c7", "n5"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nsga2_matches_the_loop_that_sorts_its_survivors_again(spec, params, seed):
+    inst = generate(spec)
+    got = run_nsga2(inst, params, seed=seed)
+    want = _reference_nsga2(inst, params, seed)
+    assert [solution_sort_key(s) for s in got] == [solution_sort_key(s) for s in want]
+    assert got.objective_rows().tobytes() == want.objective_rows().tobytes()
+
+
+def _check_selection(objs, count):
+    keep, rank, crowd = metaheuristics._select(objs, count)
+    assert keep.tolist() == _reference_keep(objs, count)
+    want_rank, want_crowd = _reference_rank_and_crowding(objs[keep])
+    assert rank.tolist() == want_rank.tolist()
+    np.testing.assert_array_equal(crowd, want_crowd)
+    return keep, rank
+
+
+def test_selection_carries_the_survivors_rank_and_crowding():
+    # three staircase fronts of 3, 3 and 2 rows, shuffled; the first two
+    # fill six places exactly, so the third keeps no row
+    fronts = [[(0, 3, 0), (1, 2, 0), (3, 0, 0)],
+              [(1, 4, 0), (2, 3, 0), (4, 1, 0)],
+              [(5, 5, 0), (6, 4, 0)]]
+    order = np.random.default_rng(0).permutation(8)
+    objs = np.array([row for front in fronts for row in front], dtype=float)[order]
+    keep, rank = _check_selection(objs, 6)
+    assert sorted(order[keep].tolist()) == list(range(6))
+    assert rank.tolist() == [0, 0, 0, 1, 1, 1]
+    # one place short: the second front keeps two of its three rows
+    _, rank = _check_selection(objs, 5)
+    assert rank.tolist() == [0, 0, 0, 1, 1]
+    # random populations with duplicate rows, equal crowding and penalty rows
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        size = int(rng.integers(2, 40))
+        objs = rng.integers(0, 4, size=(size, 3)).astype(float)
+        objs[rng.random(size) < 0.1] = np.inf
+        _check_selection(objs, int(rng.integers(1, size + 1)))
