@@ -15,6 +15,12 @@ the scan stops at the first bound at or above the incumbent's value, so
 a configuration whose bound equals it is never searched.  The winner is
 the least full key (objectives, then encoding) among the configurations
 searched; on a full tie the first in visiting order is kept.
+
+The routing search runs on Python floats copied out of each config's
+arrays with ``.tolist()``.  They add, subtract and compare with the same
+IEEE-754 double bits as ``np.float64`` scalars, so every bound, prune and
+key is what a search over numpy scalars would give, at a fraction of the
+cost per access.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -465,12 +471,13 @@ def _pair_data(index: _ExactIndex, g: int) -> _PairData:
         load_q=index.ctx.q[index.i_arr[order], index.j_arr[order]], canon_pos=order)
 
 
-def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
+def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
                 eps2: float, eps3: float,
                 incumbent: tuple) -> Optional[tuple]:
     """Exact DFS over per-pair options minimising objective ``main``.
 
-    The cost sum starts from the config's fixed cost ``pd.fixed``.
+    The cost sum starts from the config's fixed cost ``pd.fixed``; ``caps``
+    holds each node's hub capacity, as any sequence of floats.
     Emission/penalty bounds are inclusive on 1e-6-rounded values.  Returns
     the best key ``(z_main, z1, z2, z3, encoding)`` or None; ``key[4]`` is
     the route encoding, one 0/1 per pair in canonical order.
@@ -496,11 +503,20 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
     value alone and settles ties by first discovery: those solves only
     span the bound grid, and hunting, say, the cheapest among all
     zero-penalty routings is a hard subproblem the grid never uses.
+
+    The search reads ``.tolist()`` copies of ``pd``'s option table, suffix
+    floors and load data, and keeps hub loads as Python floats: the same
+    double bits as the numpy scalars they stand for, so the keys are those
+    of a numpy-scalar search (``tests/test_bb_routing.py`` keeps one as
+    the reference).  The repair tables keep their numpy rows.
     """
     P = len(pd.contrib)
-    contrib = pd.contrib
-    suffix = pd.suffix_min
-    loads = np.zeros(len(caps))
+    contrib = pd.contrib.tolist()
+    suffix = pd.suffix_min.tolist()
+    load_nodes = pd.load_nodes.tolist()
+    load_q = pd.load_q.tolist()
+    caps = [float(c) for c in caps]
+    loads = [0.0] * len(caps)
     choices = np.zeros(P, dtype=np.int8)
     best: Optional[tuple] = None
     best_prefix = incumbent
@@ -513,9 +529,9 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
 
     # greedy option order per pair: main value, cost breaks the frequent
     # main ties (zero-penalty plateaus), so early leaves are near-optimal
-    hub_first = (contrib[:, 1, main] < contrib[:, 0, main]) | (
-        (contrib[:, 1, main] == contrib[:, 0, main]) & (contrib[:, 1, 0] < contrib[:, 0, 0]))
-    opt_order = [(1, 0) if flag else (0, 1) for flag in hub_first]
+    opt_order = [(1, 0) if hub[main] < direct[main] or (hub[main] == direct[main]
+                                                         and hub[0] < direct[0]) else (0, 1)
+                 for direct, hub in contrib]
 
     def encoding(t: int) -> tuple:
         """The least encoding below a node at depth t: undecided pairs direct."""
@@ -537,16 +553,17 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
 
     def rec(t: int, s0: float, s1: float, s2: float) -> None:
         nonlocal best, best_prefix
+        floor = suffix[t]
         pen = 0.0
         k2 = k3 = -1
         if constrained:
             # budget-priced floors: each objective's suffix floor plus the
             # cheapest fractional repair honoring the other budgets
             p23, _ = pen_for(budget[2], t, s2, eps3)
-            if s1 + suffix[t, 1] + p23 > eps2 + _ROUND_SLACK:
+            if s1 + floor[1] + p23 > eps2 + _ROUND_SLACK:
                 return
             p32, _ = pen_for(budget[3], t, s1, eps2)
-            if s2 + suffix[t, 2] + p32 > eps3 + _ROUND_SLACK:
+            if s2 + floor[2] + p32 > eps3 + _ROUND_SLACK:
                 return
             pen2, k2 = pen_for(budget[0], t, s1, eps2)
             pen3, k3 = pen_for(budget[1], t, s2, eps3)
@@ -555,11 +572,11 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
                 return
         sums = (s0, s1, s2)
         if main:
-            if sums[main] + suffix[t, main] >= best_prefix[0]:
+            if sums[main] + floor[main] >= best_prefix[0]:
                 return
         else:
-            b1 = s0 + suffix[t, 0] + pen
-            bound = (b1, b1, s1 + suffix[t, 1], s2 + suffix[t, 2])
+            b1 = s0 + floor[0] + pen
+            bound = (b1, b1, s1 + floor[1], s2 + floor[2])
             if bound > best_prefix or (bound == best_prefix and best is not None
                                        and encoding(t) >= best[4]):
                 return
@@ -579,12 +596,12 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
             # the dive then lands near the relaxation's optimum
             order_t = (order_t[1], order_t[0])
         for opt in order_t:
-            c0 = opts[opt, 0]
+            c0, c1, c2 = opts[opt]
             if not math.isfinite(c0):
                 continue
             if opt == 1:
-                a, b = pd.load_nodes[t]
-                q = pd.load_q[t]
+                a, b = load_nodes[t]
+                q = load_q[t]
                 loads[a] += q
                 ok = loads[a] <= caps[a] + FEAS_TOL
                 if b >= 0:
@@ -592,15 +609,18 @@ def _bb_routing(pd: _PairData, caps: np.ndarray, main: int,
                     ok = ok and loads[b] <= caps[b] + FEAS_TOL
                 if ok:
                     choices[t] = 1
-                    rec(t + 1, s0 + c0, s1 + opts[1, 1], s2 + opts[1, 2])
+                    rec(t + 1, s0 + c0, s1 + c1, s2 + c2)
                 loads[a] -= q
                 if b >= 0:
                     loads[b] -= q
             else:
                 choices[t] = 0
-                rec(t + 1, s0 + c0, s1 + opts[0, 1], s2 + opts[0, 2])
+                rec(t + 1, s0 + c0, s1 + c1, s2 + c2)
 
     rec(0, pd.fixed, 0.0, 0.0)
+    # rec reaches itself through its closure; without this the cycle would
+    # keep the search's lists alive until the cyclic collector runs
+    del rec
     return best
 
 

@@ -200,6 +200,14 @@ def _collect(future: Future, path: str, algorithm: str, seed: int) -> CellResult
         return _failed_cell(Path(path).stem, algorithm, seed, exc)
 
 
+def _run_alone(config: ExperimentConfig, path: str, algorithm: str, seed: int) -> CellResult:
+    """One cell in a fresh one-worker pool of its own, so a cell that kills
+    its worker fails only itself."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(_run_cell, config, path, algorithm, seed)
+        return _collect(future, path, algorithm, seed)
+
+
 def run_compare(config: ExperimentConfig) -> list[CellResult]:
     """Run the cell grid, each cell writing its own front, then the
     cells/averages/ranking tables.
@@ -210,10 +218,11 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
     cannot be written is recorded as missing: its row keeps blank
     indicator fields, and the averages and ranking cover only algorithms
     with at least one completed cell.  A worker process that dies breaks
-    the pool: every cell not yet finished is recorded as missing with a
-    ``BrokenProcessPool`` error, and finished cells keep their rows and
-    fronts.  A missing instance file raises ``FileNotFoundError`` and
-    ends the campaign.  When TOPSIS cannot rank the averages (a criterion
+    the pool: finished cells keep their rows and fronts, and every cell not
+    yet finished runs once more in a one-worker pool of its own, so only a
+    cell whose own worker dies is recorded as missing, with a
+    ``BrokenProcessPool`` error.  A missing instance file raises
+    ``FileNotFoundError`` and ends the campaign.  When TOPSIS cannot rank the averages (a criterion
     is zero for every algorithm, as msi and sm are when every front has
     one point), ``ranking.csv`` keeps only its header and the reason goes
     to stderr.
@@ -233,6 +242,11 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
         finally:
             # a missing instance file ends the campaign without running the rest
             pool.shutdown(cancel_futures=True)
+        # a dead worker breaks the pool and fails every cell still in it;
+        # each of those runs once more, alone and one after another (no
+        # fork while another pool's threads run)
+        results = [_run_alone(config, *key) if isinstance(f.exception(), BrokenProcessPool)
+                   else r for f, r, key in zip(futures, results, keys)]
 
     indicators = tuple(f.name for f in dataclasses.fields(FrontMetrics))
     write_csv(out / "cells.csv", ("instance", "algorithm", "seed") + indicators,

@@ -1,0 +1,201 @@
+"""The routing search against the numpy-scalar search it replaced.
+
+``exact._bb_routing`` runs its depth-first search on Python floats read
+from ``.tolist()`` copies of the config's arrays.  Its earlier form, which
+read every option, suffix floor and hub load as a numpy scalar, is kept
+below as the reference.  Python floats and ``np.float64`` scalars add,
+subtract and compare with the same IEEE-754 double bits, so every key must
+match the reference's: each objective equal by ``float.hex`` and the same
+route encoding, on every config, main objective and grid cell, unprimed
+and primed with the key's own prefix.
+"""
+
+import dataclasses
+import gc
+import math
+from typing import Optional
+
+import numpy as np
+import pytest
+
+from hubnet import exact
+from hubnet.exact import DEFAULT_BUDGET, EpsilonGrid
+from hubnet.generator import GeneratorSpec, generate
+from hubnet.model import FEAS_TOL, round6
+
+UNPRIMED = (math.inf,) * 4
+
+
+def ref_bb_routing(pd, caps, main, eps2, eps3, incumbent) -> Optional[tuple]:
+    P = len(pd.contrib)
+    contrib = pd.contrib
+    suffix = pd.suffix_min
+    loads = np.zeros(len(caps))
+    choices = np.zeros(P, dtype=np.int8)
+    best = None
+    best_prefix = incumbent
+    canon = pd.canon_pos
+
+    constrained = math.isfinite(eps2) or math.isfinite(eps3)
+    if constrained and not pd.budget:
+        pd.budget = exact._budget_tables(pd.contrib)
+    budget = pd.budget
+
+    hub_first = (contrib[:, 1, main] < contrib[:, 0, main]) | (
+        (contrib[:, 1, main] == contrib[:, 0, main]) & (contrib[:, 1, 0] < contrib[:, 0, 0]))
+    opt_order = [(1, 0) if flag else (0, 1) for flag in hub_first]
+
+    def encoding(t):
+        enc = np.zeros(P, dtype=np.int8)
+        enc[canon[:t]] = choices[:t]
+        return tuple(enc.tolist())
+
+    def pen_for(tab, t, used_b, eps_b):
+        used, cum_save, cum_cost, ratio, _ = tab
+        need = used_b + used[t] - eps_b - exact._ROUND_SLACK
+        if need <= 0.0:
+            return 0.0, -1
+        return exact._repair_price(need, cum_save[t], cum_cost[t], ratio)
+
+    pos2 = budget[0][4] if budget else None
+    pos3 = budget[1][4] if budget else None
+
+    def rec(t, s0, s1, s2):
+        nonlocal best, best_prefix
+        pen = 0.0
+        k2 = k3 = -1
+        if constrained:
+            p23, _ = pen_for(budget[2], t, s2, eps3)
+            if s1 + suffix[t, 1] + p23 > eps2 + exact._ROUND_SLACK:
+                return
+            p32, _ = pen_for(budget[3], t, s1, eps2)
+            if s2 + suffix[t, 2] + p32 > eps3 + exact._ROUND_SLACK:
+                return
+            pen2, k2 = pen_for(budget[0], t, s1, eps2)
+            pen3, k3 = pen_for(budget[1], t, s2, eps3)
+            pen = pen2 if pen2 >= pen3 else pen3
+            if pen == math.inf:
+                return
+        sums = (s0, s1, s2)
+        if main:
+            if sums[main] + suffix[t, main] >= best_prefix[0]:
+                return
+        else:
+            b1 = s0 + suffix[t, 0] + pen
+            bound = (b1, b1, s1 + suffix[t, 1], s2 + suffix[t, 2])
+            if bound > best_prefix or (bound == best_prefix and best is not None
+                                       and encoding(t) >= best[4]):
+                return
+        if t == P:
+            if round6(s1) > eps2 or round6(s2) > eps3:
+                return
+            best = (sums[main], s0, s1, s2, encoding(P))
+            best_prefix = best[:4]
+            return
+        opts = contrib[t]
+        order_t = opt_order[t]
+        if (k2 >= 0 and pos2[t] <= k2) or (k3 >= 0 and pos3[t] <= k3):
+            order_t = (order_t[1], order_t[0])
+        for opt in order_t:
+            c0 = opts[opt, 0]
+            if not math.isfinite(c0):
+                continue
+            if opt == 1:
+                a, b = pd.load_nodes[t]
+                q = pd.load_q[t]
+                loads[a] += q
+                ok = loads[a] <= caps[a] + FEAS_TOL
+                if b >= 0:
+                    loads[b] += q
+                    ok = ok and loads[b] <= caps[b] + FEAS_TOL
+                if ok:
+                    choices[t] = 1
+                    rec(t + 1, s0 + c0, s1 + opts[1, 1], s2 + opts[1, 2])
+                loads[a] -= q
+                if b >= 0:
+                    loads[b] -= q
+            else:
+                choices[t] = 0
+                rec(t + 1, s0 + c0, s1 + opts[0, 1], s2 + opts[0, 2])
+
+    rec(0, pd.fixed, 0.0, 0.0)
+    return best
+
+
+def _tight_capacity():
+    """Six nodes at 40% of their hub capacities, where loads bind
+    (``test_hub_loads_bind_on_the_tight_capacity_instance``).  At half
+    capacity a search that checked both ends of a two-hub pair against
+    the first hub's capacity kept every key."""
+    inst = generate(GeneratorSpec(n=6, p=3, seed=11))
+    return dataclasses.replace(inst, capacity=inst.capacity * 0.4)
+
+
+INSTANCES = {
+    "c10": lambda: generate(GeneratorSpec(n=5, p=2, seed=100)),
+    "n6-tight-capacity": _tight_capacity,
+}
+
+
+def _hex_key(key):
+    """A key with each objective spelled by its bits; None stays None."""
+    return None if key is None else tuple(float(z).hex() for z in key[:4]) + (key[4],)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_the_search_keeps_the_numpy_scalar_keys(name):
+    """Every config, main objective 0-2, unconstrained and on every 3 x 3
+    cell, unprimed and primed with the key's own 4-prefix."""
+    inst = INSTANCES[name]()
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    rows = np.array([exact._solve_min(index, m, math.inf, math.inf).objectives.as_tuple()
+                     for m in range(3)])
+    cells = [(math.inf, math.inf)] + EpsilonGrid(3, 3).cells(
+        (rows[:, 1].min(), rows[:, 1].max()), (rows[:, 2].min(), rows[:, 2].max()))
+    caps = inst.capacity
+    found = primed = 0
+    for g in range(index.total):
+        pd = index.pair_data(g)
+        for eps2, eps3 in cells:
+            for main in range(3):
+                want = ref_bb_routing(pd, caps, main, eps2, eps3, UNPRIMED)
+                got = exact._bb_routing(pd, caps, main, eps2, eps3, UNPRIMED)
+                assert _hex_key(got) == _hex_key(want), (g, main, eps2, eps3)
+                if want is None:
+                    continue
+                found += 1
+                want = ref_bb_routing(pd, caps, main, eps2, eps3, want[:4])
+                got = exact._bb_routing(pd, caps, main, eps2, eps3, got[:4])
+                assert _hex_key(got) == _hex_key(want), (g, main, eps2, eps3, "primed")
+                primed += want is not None
+    assert found > 0 and primed > 0
+
+
+def test_hub_loads_bind_on_the_tight_capacity_instance():
+    """Lifting the tight capacities changes some config's cost routing, so
+    the differential above covers the load check where it prunes."""
+    inst = _tight_capacity()
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    lifted = np.full(inst.n, math.inf)
+    assert any(
+        ref_bb_routing(index.pair_data(g), inst.capacity, 0, math.inf, math.inf, UNPRIMED)
+        != ref_bb_routing(index.pair_data(g), lifted, 0, math.inf, math.inf, UNPRIMED)
+        for g in range(index.total))
+
+
+def test_a_search_leaves_no_reference_cycle():
+    """The search's lists die at return.  Kept in a cycle through the
+    recursive closure, they would wait for the cyclic collector, whose
+    runs cost a cell solve's many short searches more than the lists
+    save."""
+    inst = INSTANCES["c10"]()
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    pd = index.pair_data(0)
+    gc.collect()
+    gc.disable()
+    try:
+        for eps2 in (math.inf, 0.0):
+            exact._bb_routing(pd, inst.capacity, 0, eps2, math.inf, UNPRIMED)
+            assert gc.collect() == 0, eps2
+    finally:
+        gc.enable()

@@ -224,10 +224,11 @@ def test_a_front_that_cannot_be_written_fails_only_its_cell(tmp_path, gen5, work
         "inst_mopso_seed0.csv", "inst_mopso_seed1.csv", "inst_nsga2_seed1.csv"]
 
 
-def test_a_dead_worker_fails_only_the_unfinished_cells(tmp_path, gen5, monkeypatch):
-    """A worker process that dies mid-cell breaks the pool; the campaign
-    still writes every table, one row per cell, and each cell either
-    finished or names the broken pool."""
+def test_a_dead_worker_fails_only_its_own_cells(tmp_path, gen5, monkeypatch):
+    """A worker process that dies mid-cell breaks the pool; the cells it
+    left unfinished run again alone, so every nsga2 and mopso cell
+    completes, only the mowoa cells that kill their worker fail, naming the
+    broken pool, and the campaign writes every table, one row per cell."""
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched solver reaches the workers only when they fork")
     solve = workbench.run_solver
@@ -249,11 +250,15 @@ def test_a_dead_worker_fails_only_the_unfinished_cells(tmp_path, gen5, monkeypat
     cells = _read(out / "cells.csv")
     assert [row[1:3] for row in cells[1:]] == [[r.algorithm, str(r.seed)] for r in results]
     for r, row in zip(results, cells[1:]):
-        broken = r.error is not None and r.error.startswith("BrokenProcessPool")
-        assert broken or r.algorithm != "mowoa"
-        assert (r.metrics is not None) != broken, r
+        if r.algorithm == "mowoa":
+            assert r.metrics is None and r.error.startswith("BrokenProcessPool"), r
+        else:
+            assert r.metrics is not None and r.error is None, r
         assert bool(row[3]) == (r.metrics is not None)
-    assert (out / "averages.csv").exists() and (out / "ranking.csv").exists()
+    assert [row[0] for row in _read(out / "averages.csv")[1:]] == ["nsga2", "mopso"]
+    assert sorted(f.name for f in (out / "fronts").iterdir()) == [
+        f"inst_{a}_seed{s}.csv" for a in ("mopso", "nsga2") for s in (0, 1)]
+    assert (out / "ranking.csv").exists()
 
 
 def test_the_pool_has_at_most_one_worker_per_cell(tmp_path, gen5, monkeypatch):
