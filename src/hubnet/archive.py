@@ -8,15 +8,23 @@ so the archive cannot silt up with copies of one solution.
 
 The objectives are also kept as one ``(k, 3)`` array beside the entries,
 so an offer is tested against the whole archive in a few array
-comparisons.  The leader roulette (cells, weights and their running sums)
-is priced once per change of the archive: ``add`` and ``_evict`` are the
-only mutators and both drop it.
+comparisons.  ``feed`` offers a batch in order and first tests the whole
+batch against the entries held when it starts: an offer one of them
+covers (no worse everywhere) is refused without an ``add`` call, until an
+offer goes to ``add`` while the archive is full.  Before that no entry
+has been evicted, and an entry leaves otherwise only for a new one that
+dominates it, so the offer is still covered when its turn comes and
+``add`` would refuse it too.  The leader roulette (cells, total weight and
+running sums as a list, searched with ``bisect``) is priced once per
+change of the archive: ``add`` and ``_evict`` are the only mutators and
+both drop it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +78,22 @@ class GridArchive:
             return any(e is entry for e in self.entries)
         return True
 
+    def feed(self, objectives: np.ndarray, vectors: Sequence[np.ndarray],
+             payloads: Sequence[object], rng: np.random.Generator) -> list[bool]:
+        """Offer each row in order, as one ``add`` per row would; the outcome per row."""
+        rows = np.asarray(objectives, dtype=float).reshape(-1, 3)
+        covered = (self._objs[None, :, :] <= rows[:, None, :]).all(axis=2).any(axis=1).tolist()
+        screening = True
+        outcome = []
+        for i, z in enumerate(rows.tolist()):
+            if screening and covered[i]:
+                outcome.append(False)
+                continue
+            # an add into a full archive may evict a covering entry
+            screening = screening and len(self.entries) < self.capacity
+            outcome.append(self.add(tuple(z), vectors[i], payloads[i], rng))
+        return outcome
+
     def _cell_members(self) -> dict[tuple[int, ...], list[int]]:
         """Entry positions per occupied grid cell under the current adaptive bounds."""
         rows = self._objs
@@ -102,11 +126,11 @@ class GridArchive:
             cells = [counts[k] for k in sorted(counts)]
             weights = np.array([1.0 / len(m) for m in cells])
             # running sums in the order a left-to-right ``acc += w`` walk adds
-            self._roulette = (cells, weights.sum(), np.cumsum(weights))
+            self._roulette = (cells, weights.sum(), np.cumsum(weights).tolist())
         cells, total, acc = self._roulette
         r = rng.random() * total
         # the first cell whose running sum exceeds r; the last when rounding
         # leaves r at or above every running sum
-        pick = min(int(np.searchsorted(acc, r, side="right")), len(cells) - 1)
+        pick = min(bisect_right(acc, r), len(cells) - 1)
         members = cells[pick]
         return self.entries[members[int(rng.integers(len(members)))]]

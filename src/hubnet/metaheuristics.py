@@ -10,6 +10,10 @@ score (+inf, +inf, +inf) and can never enter fronts or archives.
 Everything is single threaded and driven by one seeded generator whose
 draws happen in a fixed order, so a (instance, algorithm, seed) triple
 always reproduces the same front.  Evaluation consumes no randomness.
+The swarms draw agent by agent, in the order an agent-by-agent move
+would, and then move the whole population in one array step per
+iteration; every move is elementwise, so the array step gives the bits
+of the agent-by-agent one.
 """
 
 from __future__ import annotations
@@ -246,14 +250,44 @@ def run_nsga2(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
 def _feed(archive: GridArchive, objs: np.ndarray, X: np.ndarray, data: list,
           rng: np.random.Generator) -> None:
     """Offer every decodable member of the population to the archive, in order."""
-    for i, payload in enumerate(data):
-        if payload is not None:
-            archive.add(tuple(objs[i]), X[i], payload, rng)
+    rows = [i for i, payload in enumerate(data) if payload is not None]
+    archive.feed(objs[rows], X[rows], [data[i] for i in rows], rng)
 
 
 def _archive_front(ctx: EvalContext, archive: GridArchive) -> ParetoFront:
     sols = [_payload_solution(ctx, e.objectives, e.payload) for e in archive.entries]
     return ParetoFront.from_candidates(sols)
+
+
+def _swarm_step(archive: GridArchive, X: np.ndarray, V: np.ndarray, pbest_x: np.ndarray,
+                p_turb: float, params: AlgorithmParams, rng: np.random.Generator
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """New positions and velocities after one swarm iteration.
+
+    Each particle draws its leader, its cognitive and social weights and
+    its turbulence coin; on heads the new gene value is drawn before its
+    position.  No particle reads another's position, so all of them then
+    move in one array step.
+    """
+    N, L = X.shape
+    leaders = []
+    R = np.empty((N, 2, L))
+    turb_rows, turb_genes, turb_values = [], [], []
+    for i in range(N):
+        leader = archive.select_leader(rng)
+        leaders.append(leader.vector if leader is not None else pbest_x[i])
+        rng.random(out=R[i])
+        if rng.random() < p_turb:
+            turb_values.append(rng.random())
+            turb_genes.append(int(rng.integers(L)))
+            turb_rows.append(i)
+    V = (params.inertia * V
+         + params.cognitive * R[:, 0] * (pbest_x - X)
+         + params.social * R[:, 1] * (np.array(leaders) - X))
+    np.clip(V, -_V_MAX, _V_MAX, out=V)
+    X = np.clip(X + V, 0.0, _UPPER)
+    X[turb_rows, turb_genes] = turb_values
+    return X, V
 
 
 def run_mopso(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams(),
@@ -276,23 +310,12 @@ def run_mopso(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
         # turbulence in the style of the classic archive-based swarm:
         # early on every particle gets one gene rerolled, fading to none
         p_turb = 1.0 - t / max(T - 1, 1)
-        for i in range(N):
-            leader = archive.select_leader(rng)
-            lvec = leader.vector if leader is not None else pbest_x[i]
-            r1 = rng.random(L)
-            r2 = rng.random(L)
-            V[i] = (params.inertia * V[i]
-                    + params.cognitive * r1 * (pbest_x[i] - X[i])
-                    + params.social * r2 * (lvec - X[i]))
-            np.clip(V[i], -_V_MAX, _V_MAX, out=V[i])
-            X[i] = np.clip(X[i] + V[i], 0.0, _UPPER)
-            if rng.random() < p_turb:
-                X[i][int(rng.integers(L))] = rng.random()
+        X, V = _swarm_step(archive, X, V, pbest_x, p_turb, params, rng)
         objs, data, _ = _evaluate_population(ctx, X)
         new_wins = dominates(objs, pbest)
         better = new_wins.copy()
-        for i in np.flatnonzero(~new_wins & ~dominates(pbest, objs)):
-            better[i] = rng.random() < 0.5   # incomparable: coin flip
+        tied = np.flatnonzero(~new_wins & ~dominates(pbest, objs))
+        better[tied] = rng.random(len(tied)) < 0.5   # incomparable: coin flip
         pbest[better] = objs[better]
         pbest_x[better] = X[better]
         _feed(archive, objs, X, data, rng)
@@ -300,6 +323,77 @@ def run_mopso(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
 
 
 # --- whale optimization ------------------------------------------------------
+
+
+def _encircle(x: np.ndarray, lead: np.ndarray, other: np.ndarray,
+              A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    # per-gene amplitudes: a gene encircles the leader while its |A| < 1
+    # and explores toward the other whale otherwise
+    target = np.where(np.abs(A) < 1.0, lead, other)
+    return target - A * np.abs(C * target - x)
+
+
+def _spiral(x: np.ndarray, lead: np.ndarray, gain) -> np.ndarray:
+    return np.abs(lead - x) * gain + lead
+
+
+def _whale_step(archive: GridArchive, X: np.ndarray, a: float,
+                params: AlgorithmParams, rng: np.random.Generator) -> np.ndarray:
+    """New positions after one whale iteration.
+
+    Whale by whale, the draws are: the leader (a random whale when the
+    archive is empty), the branch coin, then the two coefficient rows and
+    the whale to explore toward (encircle) or the spiral offset.  Moved
+    one at a time, whale i reads whales j < i at their new positions; here
+    every whale moves from the old positions in one array step, and each
+    whale that read a whale j < i (leaderless, or exploring toward it on
+    some gene) is moved again afterwards, in ascending order, from the new
+    rows.  Every move is elementwise, so both give the same bits.
+    """
+    N, L = X.shape
+    leads, follows = [], []          # follows[i]: the whale leading whale i, or -1
+    encircling, others, spiraling, gains = [], [], [], []
+    U = np.empty((N, 2, L))
+    for i in range(N):
+        leader = archive.select_leader(rng)
+        k = -1 if leader is not None else int(rng.integers(N))
+        leads.append(leader.vector if leader is not None else X[k])
+        follows.append(k)
+        if rng.random() < 0.5:
+            rng.random(out=U[len(encircling)])
+            encircling.append(i)
+            others.append(int(rng.integers(N)))
+        else:
+            spiral = rng.uniform(-1.0, 1.0)
+            spiraling.append(i)
+            gains.append(math.exp(_SPIRAL_B * spiral) * math.cos(2.0 * math.pi * spiral))
+    lead = np.array(leads)
+    # cubed draws concentrate both coefficients near zero wobble, so most
+    # genes sit still and a few move decisively, which suits a
+    # thresholded decode far better than uniform noise
+    U = U[:len(encircling)]
+    A = a * (2.0 * U[:, 0] - 1.0) ** 3
+    C = 1.0 + params.whale_c_range * (4.0 * (U[:, 1] - 0.5) ** 3)
+    new = np.empty_like(X)
+    new[encircling] = _encircle(X[encircling], lead[encircling], X[others], A, C)
+    new[spiraling] = _spiral(X[spiraling], lead[spiraling], np.array(gains).reshape(-1, 1))
+    np.clip(new, 0.0, _UPPER, out=new)
+    explores = (np.abs(A) >= 1.0).any(axis=1).tolist()
+    again = sorted({i for e, i in enumerate(encircling) if others[e] < i and explores[e]}
+                   | {i for i, k in enumerate(follows) if 0 <= k < i})
+    encircle_pos = {i: e for e, i in enumerate(encircling)}
+    spiral_pos = {i: s for s, i in enumerate(spiraling)}
+    for i in again:
+        k = follows[i]
+        lvec = new[k] if 0 <= k < i else lead[i]
+        if i in encircle_pos:
+            e = encircle_pos[i]
+            j = others[e]
+            row = _encircle(X[i], lvec, new[j] if j < i else X[j], A[e], C[e])
+        else:
+            row = _spiral(X[i], lvec, gains[spiral_pos[i]])
+        new[i] = np.clip(row, 0.0, _UPPER)
+    return new
 
 
 def run_mowoa(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams(),
@@ -318,24 +412,7 @@ def run_mowoa(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     for t in range(T):
         # encircling amplitude decays linearly to zero over the run
         a = params.whale_a_max * (1.0 - t / max(T - 1, 1))
-        for i in range(N):
-            leader = archive.select_leader(rng)
-            lvec = leader.vector if leader is not None else X[int(rng.integers(N))]
-            if rng.random() < 0.5:
-                # per-gene amplitudes: a gene encircles the leader while its
-                # |A| < 1 and explores toward the random agent otherwise.
-                # Cubed draws concentrate both coefficients near zero wobble
-                # so most genes sit still and a few move decisively, which
-                # suits a thresholded decode far better than uniform noise.
-                A = a * (2.0 * rng.random(L) - 1.0) ** 3
-                C = 1.0 + params.whale_c_range * (4.0 * (rng.random(L) - 0.5) ** 3)
-                target = np.where(np.abs(A) < 1.0, lvec, X[int(rng.integers(N))])
-                X[i] = target - A * np.abs(C * target - X[i])
-            else:
-                spiral = rng.uniform(-1.0, 1.0)
-                gain = math.exp(_SPIRAL_B * spiral) * math.cos(2.0 * math.pi * spiral)
-                X[i] = np.abs(lvec - X[i]) * gain + lvec
-            X[i] = np.clip(X[i], 0.0, _UPPER)
+        X = _whale_step(archive, X, a, params, rng)
         objs, data, _ = _evaluate_population(ctx, X)
         _feed(archive, objs, X, data, rng)
     return _archive_front(ctx, archive)

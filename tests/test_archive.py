@@ -190,3 +190,70 @@ def test_a_draw_on_a_running_sum_takes_the_next_cell(u):
         archive.add((0.0, 1.0, 0.0), np.zeros(1), "a", Fixed())
         archive.add((1.0, 0.0, 0.0), np.zeros(1), "b", Fixed())
     assert mine.select_leader(Fixed()).payload == ref.select_leader(Fixed()).payload == "b"
+
+
+def _coarse_offers(gen, count):
+    # integer objectives on a tradeoff plane: duplicates, ties on single
+    # objectives and many incomparable offers; now and then an inf row
+    z1, z2 = gen.integers(0, 12, size=(2, count))
+    rows = np.stack([z1, z2, np.maximum(0, 20 - z1 - z2) + gen.integers(0, 3, size=count)],
+                    axis=1).astype(float)
+    rows[gen.random(count) < 0.08, gen.integers(0, 3)] = np.inf
+    return rows
+
+
+def _feed_both(mine, ref, rows, tags, r_mine, r_ref):
+    vectors = np.zeros((len(rows), 1))
+    calls = []
+    add = mine.add
+
+    def counted_add(*args):
+        calls.append(args)
+        return add(*args)
+
+    mine.add = counted_add     # ``feed`` reaches ``add`` through the instance
+    try:
+        got = mine.feed(rows, vectors, tags, r_mine)
+    finally:
+        del mine.add
+    want = [ref.add(tuple(row), v, tag, r_ref) for row, v, tag in zip(rows.tolist(), vectors, tags)]
+    assert got == want
+    assert [(e.objectives, e.payload) for e in mine.entries] == \
+        [(e.objectives, e.payload) for e in ref.entries]
+    return len(calls)
+
+
+@pytest.mark.parametrize("capacity, divisions", [(6, 3), (12, 7), (40, 4)])
+def test_a_feed_matches_one_add_per_offer(capacity, divisions):
+    offers = np.random.default_rng(capacity)
+    mine, ref = GridArchive(capacity, divisions), ListArchive(capacity, divisions)
+    r_mine, r_ref = np.random.default_rng(5), np.random.default_rng(5)
+    skipped = full_starts = evicting_fills = 0
+    for feed in range(80):
+        # every tenth feed the plane moves down past every entry, so that
+        # feed's first finite offer clears the archive and the rest refill it
+        rows = _coarse_offers(offers, int(offers.integers(1, 25))) - 30.0 * (feed // 10)
+        if feed % 5 == 0:
+            rows[1::2] = rows[::2][:len(rows) // 2]     # duplicate offers in one feed
+        start, evictions = len(mine), ref.evictions
+        calls = _feed_both(mine, ref, rows, [(feed, k) for k in range(len(rows))], r_mine, r_ref)
+        skipped += len(rows) - calls
+        full_starts += start == capacity
+        evicting_fills += start < capacity and ref.evictions > evictions
+        for _ in range(feed % 3):
+            assert mine.select_leader(r_mine).payload == ref.select_leader(r_ref).payload
+    assert r_mine.bit_generator.state == r_ref.bit_generator.state
+    assert skipped > 0 and full_starts > 10 and evicting_fills > 3
+
+
+def test_a_feed_stops_screening_once_an_offer_may_evict():
+    # the archive is full; the first offer evicts the entry that covered
+    # the second, a copy of it, which must then go through ``add``
+    mine, ref = GridArchive(2), ListArchive(2, 7)
+    r_mine, r_ref = np.random.default_rng(0), np.random.default_rng(0)
+    start = np.array([[0.0, 10.0, 0.0], [10.0, 0.0, 0.0]])
+    _feed_both(mine, ref, start, ["a", "b"], r_mine, r_ref)
+    rows = np.array([[5.0, 5.0, 0.0], [0.0, 10.0, 0.0], [10.0, 0.0, 1.0]])
+    assert _feed_both(mine, ref, rows, ["c", "a2", "b2"], r_mine, r_ref) == 3
+    assert "a" not in {e.payload for e in mine.entries}
+    assert r_mine.bit_generator.state == r_ref.bit_generator.state
