@@ -1,6 +1,8 @@
 """Bounded external archive with adaptive-grid density control.
 
-Keeps only mutually nondominated entries.  Objective space is cut into
+Keeps only mutually nondominated entries, each with its own copy of the
+genome and payload it was offered, so callers may offer views into
+arrays they go on to overwrite.  Objective space is cut into
 ``divisions`` equal slices per objective between the current extremes;
 leaders come from sparsely populated cells (roulette with weight 1/count),
 evictions from the fullest cell.  Duplicate objective vectors are rejected
@@ -22,6 +24,7 @@ both drop it.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -35,7 +38,7 @@ __all__ = ["ArchiveEntry", "GridArchive"]
 class ArchiveEntry:
     objectives: tuple[float, float, float]
     vector: np.ndarray          # genome that produced the point
-    payload: object             # decoded (assignment, mask)
+    payload: object             # decoded (assignment, mask), the archive's own copy
 
 
 @dataclass
@@ -68,7 +71,7 @@ class GridArchive:
             return False
         # no entry equals the offer, so no worse everywhere means dominated
         keep = ~(z <= self._objs).all(axis=1)
-        entry = ArchiveEntry(tuple(z.tolist()), np.array(vector), payload)
+        entry = ArchiveEntry(tuple(z.tolist()), np.array(vector), copy.deepcopy(payload))
         self.entries = [e for e, k in zip(self.entries, keep) if k]
         self.entries.append(entry)
         self._objs = np.vstack([self._objs[keep], z])

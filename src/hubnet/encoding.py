@@ -12,8 +12,10 @@ The population solvers decode a whole population at once with
 :func:`~hubnet.evaluation.loads_from_mask` call, and fix capacity genome
 by genome with :func:`_repair_mask`, which returns a row that fits at
 once; both work on the array form of :mod:`hubnet.evaluation`
-(assignment vector, hub-route mask).  The assignment alone fixes the open
-hubs: exactly the nodes assigned to themselves.
+(assignment vector, hub-route mask), and the solvers keep that form, the
+repaired mask in place of the decoded one, until a row reaches a front.
+The assignment alone fixes the open hubs: exactly the nodes assigned to
+themselves.
 Decoding never consumes randomness, so evaluation order cannot change
 results.  A genome with a non-finite gene (an overflowing swarm or whale
 move), an uncoverable spoke or an untimeable pair fails to decode.

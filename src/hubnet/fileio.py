@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from dataclasses import astuple, dataclass, fields
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -110,19 +110,6 @@ def _render_route(route: tuple[int, ...]) -> str:
     return "->".join(f"k{k}" for k in route) or "Direct"
 
 
-# one or two hub stops; negative ids parse so the range check can name them
-_ROUTE_TOKEN = re.compile(r"k(-?[0-9]+)(?:->k(-?[0-9]+))?")
-
-
-def _parse_route(token: str) -> tuple[int, ...]:
-    if token == "Direct":
-        return ()
-    match = _ROUTE_TOKEN.fullmatch(token)
-    if match is None:
-        raise ValueError(f"unparseable route token {token!r}")
-    return tuple(int(k) for k in match.groups() if k is not None)
-
-
 FRONT_COLUMNS = ("z1", "z2", "z3", "alpha_prime", "hubs", "assignment", "routes")
 
 
@@ -194,13 +181,13 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
     """Rebuild the full solution object encoded by one CSV record.
 
     Raises:
-        ValueError: naming the field when a hub, an assignment entry or a
-            route token's node lies outside ``0..n-1``, when the
-            assignment or route token count is wrong, or when
-            ``alpha_prime`` fails ``fuzzy.check_rate``; then when the
-            hubs are not the nodes assigned to themselves, or naming the
-            pair when a route token is neither ``Direct`` nor its
-            endpoints' hubs.
+        ValueError: naming the field when a hub or an assignment entry
+            lies outside ``0..n-1``, when the assignment or route token
+            count is wrong, or when ``alpha_prime`` fails
+            ``fuzzy.check_rate``; then when the hubs are not the nodes
+            assigned to themselves, or naming the pair when a route token
+            is neither ``Direct`` nor the token the writer renders for
+            the pair's endpoints' hubs.
     """
     n = inst.n
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -212,9 +199,7 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
         check_rate(row.alpha_prime)
     except ValueError as exc:
         raise ValueError(f"alpha_prime: {exc}")
-    routes = [_parse_route(tok) for tok in row.routes]
-    hops = [k for route in routes for k in route]
-    for field, ids in (("hubs", row.hubs), ("assignment", row.assignment), ("routes", hops)):
+    for field, ids in (("hubs", row.hubs), ("assignment", row.assignment)):
         bad = sorted({k for k in ids if not 0 <= k < n})
         if bad:
             raise ValueError(f"{field}: node(s) {bad} outside 0..{n - 1}")
@@ -223,12 +208,14 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
         raise ValueError(f"hubs: {list(row.hubs)} but the nodes assigned to themselves "
                          f"are {list(design.hubs)}")
     a = design.assignment
-    for (i, j), route in zip(pairs, routes):
-        if route and route != _visited_hubs(a, i, j):
-            raise ValueError(f"pair ({i}, {j}) flies hubs {route} but its endpoints' hubs "
-                             f"are ({a[i]}, {a[j]})")
+    hub = [tok != "Direct" for tok in row.routes]
+    for (i, j), tok in compress(zip(pairs, row.routes), hub):
+        want = _render_route(_visited_hubs(a, i, j))      # the token the writer renders
+        if tok != want:
+            raise ValueError(f"pair ({i}, {j}): route token {tok!r} is neither 'Direct' "
+                             f"nor {want!r}")
     mask = np.zeros((n, n), dtype=bool)
-    mask[~np.eye(n, dtype=bool)] = [bool(route) for route in routes]
+    mask[~np.eye(n, dtype=bool)] = hub
     return EvaluatedSolution(
         design=design, plan=plan_from_mask(mask),
         objectives=ObjectiveVector(row.z1, row.z2, row.z3),

@@ -4,8 +4,9 @@ Three algorithms share one evaluation pipeline (decode, capacity repair,
 vectorized objectives): an elitist genetic algorithm with nondominated
 sorting and crowding (NSGA-II style), a particle swarm with a grid
 archive of leaders (MOPSO style), and a whale-optimization variant with
-the same archive (MOWOA style).  Undecodable or unrepairable genomes
-score (+inf, +inf, +inf) and can never enter fronts or archives.
+the same archive (MOWOA style).  A population stays in arrays, a row
+per genome, from decode to front; an undecodable or unrepairable genome
+scores (+inf, +inf, +inf) and can never enter a front or an archive.
 
 Everything is single threaded and driven by one seeded generator whose
 draws happen in a fixed order, so a (instance, algorithm, seed) triple
@@ -81,52 +82,52 @@ class AlgorithmParams:
 
 
 def _evaluate_population(ctx: EvalContext, X: np.ndarray, memo: Optional[dict] = None
-                         ) -> tuple[np.ndarray, list, list]:
-    """Objective rows (+inf rows for failures), (assignment, mask) payloads and repair keys.
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Objective rows, assignments, repaired masks and repair keys, a row per genome.
 
-    Decoding, hub loads and pricing run on row chunks of at most
-    ``_CHUNK_CELLS`` pair cells, which bounds the (rows, n, n) tables on
-    large instances; repair runs genome by genome on its chunk's loads.
-    Given a ``memo``, a decoded row is repaired only if its key, the bytes
-    of its assignment and packed pre-repair mask, is not there yet, and
-    its repair (a mask, or None) is stored under the key.  Keys come back
-    per row, None for undecodable rows or without a memo.  NSGA-II prunes
-    its memo to its survivors' keys after each selection, so it holds at
-    most twice the population.  Repair draws no randomness, so the memo
-    changes no result.
+    A failed genome's objective row is +inf and its other rows are
+    meaningless.  Decoding, hub loads and pricing run on row chunks of at
+    most ``_CHUNK_CELLS`` pair cells, which bounds the (rows, n, n) tables
+    on large instances; repair runs genome by genome.  Given a ``memo``, a
+    decoded row is repaired only if its key, the bytes of its assignment
+    and packed pre-repair mask, is not there yet, and its repair (a mask,
+    or None) is stored under the key.  Keys are None for undecodable rows
+    or without a memo.  NSGA-II prunes its memo to its survivors' keys
+    after each selection, so it holds at most twice the population.
+    Repair draws no randomness, so the memo changes no result.
     """
-    step = max(1, _CHUNK_CELLS // ctx.inst.n ** 2)
+    n = ctx.inst.n
+    step = max(1, _CHUNK_CELLS // n ** 2)
     objs = np.empty((len(X), 3))
-    payloads: list = []
+    assignment = np.empty((len(X), n), dtype=np.intp)
+    masks = np.empty((len(X), n, n), dtype=bool)
     keys: list = []
     for start in range(0, len(X), step):
-        assignment, masks, tables, bad = _decode_arrays(ctx, X[start:start + step])
-        loads = loads_from_mask(ctx, assignment, masks)
+        rows = slice(start, start + step)
+        a, m, tables, bad = _decode_arrays(ctx, X[rows])
+        loads = loads_from_mask(ctx, a, m)
         for r in range(len(bad)):
             key = mask = None
             if not bad[r]:
                 if memo is None:
-                    mask = _repair_mask(ctx, assignment[r], masks[r], loads[r])
+                    mask = _repair_mask(ctx, a[r], m[r], loads[r])
                 else:
-                    key = assignment[r].tobytes() + np.packbits(masks[r]).tobytes()
+                    key = a[r].tobytes() + np.packbits(m[r]).tobytes()
                     if key not in memo:
-                        memo[key] = _repair_mask(ctx, assignment[r], masks[r], loads[r])
+                        memo[key] = _repair_mask(ctx, a[r], m[r], loads[r])
                     mask = memo[key]
             keys.append(key)
             if mask is None:
                 bad[r] = True
-                payloads.append(None)
             else:
-                masks[r] = mask
-                payloads.append((assignment[r].copy(), masks[r].copy()))
-        chunk = objs[start:start + len(bad)]
-        chunk[:] = evaluate_mask(ctx, tables, assignment, masks)
-        chunk[bad] = _PENALTY
-    return objs, payloads, keys
+                m[r] = mask
+        objs[rows] = evaluate_mask(ctx, tables, a, m)
+        objs[rows][bad] = _PENALTY
+        assignment[rows], masks[rows] = a, m
+    return objs, assignment, masks, keys
 
 
-def _payload_solution(ctx: EvalContext, objectives, payload) -> EvaluatedSolution:
-    assignment, mask = payload
+def _solution(ctx: EvalContext, objectives, assignment, mask) -> EvaluatedSolution:
     return EvaluatedSolution(
         design=NetworkDesign(tuple(assignment.tolist())),
         plan=plan_from_mask(mask),
@@ -221,7 +222,7 @@ def run_nsga2(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     L = genome_length(inst.n)
     X = rng.random((N, L))
     memo: dict = {}
-    objs, data, keys = _evaluate_population(ctx, X, memo)
+    objs, A, M, keys = _evaluate_population(ctx, X, memo)
     # the initial population keeps its order: every row survives, and the
     # ranks and crowding come back to its own indices
     order, ranked, crowded = _select(objs, N)
@@ -230,33 +231,31 @@ def run_nsga2(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     for _ in range(params.max_iterations):
         parents = X[_tournament(rng, rank, crowd, N)]
         Y = _variation(rng, parents, params.crossover_prob, params.mutation_prob)
-        objs_y, data_y, keys_y = _evaluate_population(ctx, Y, memo)
-        merged_objs = np.vstack([objs, objs_y])
-        keep, rank, crowd = _select(merged_objs, N)
-        X = np.vstack([X, Y])[keep]
-        objs = merged_objs[keep]
-        merged_data, merged_keys = data + data_y, keys + keys_y
-        data = [merged_data[k] for k in keep]
+        objs_y, A_y, M_y, keys_y = _evaluate_population(ctx, Y, memo)
+        keep, rank, crowd = _select(np.vstack([objs, objs_y]), N)
+        pairs = ((X, Y), (objs, objs_y), (A, A_y), (M, M_y))
+        X, objs, A, M = (np.concatenate(pair)[keep] for pair in pairs)
+        merged_keys = keys + keys_y
         keys = [merged_keys[k] for k in keep]
         memo = {key: memo[key] for key in keys if key is not None}
-    sols = [_payload_solution(ctx, objs[k], data[k])
-            for k in np.flatnonzero(rank == 0) if data[k] is not None]
-    return ParetoFront.from_candidates(sols)
+    front = (rank == 0) & np.isfinite(objs).all(axis=1)
+    return ParetoFront.from_candidates(
+        _solution(ctx, objs[k], A[k], M[k]) for k in np.flatnonzero(front))
 
 
 # --- particle swarm ----------------------------------------------------------
 
 
-def _feed(archive: GridArchive, objs: np.ndarray, X: np.ndarray, data: list,
-          rng: np.random.Generator) -> None:
-    """Offer every decodable member of the population to the archive, in order."""
-    rows = [i for i, payload in enumerate(data) if payload is not None]
-    archive.feed(objs[rows], X[rows], [data[i] for i in rows], rng)
+def _feed(archive: GridArchive, objs: np.ndarray, X: np.ndarray, A: np.ndarray,
+          M: np.ndarray, rng: np.random.Generator) -> None:
+    """Offer the finite rows in order, with views into ``A`` and ``M`` as payloads."""
+    rows = np.flatnonzero(np.isfinite(objs).all(axis=1))
+    archive.feed(objs[rows], X[rows], [(A[r], M[r]) for r in rows], rng)
 
 
 def _archive_front(ctx: EvalContext, archive: GridArchive) -> ParetoFront:
-    sols = [_payload_solution(ctx, e.objectives, e.payload) for e in archive.entries]
-    return ParetoFront.from_candidates(sols)
+    return ParetoFront.from_candidates(
+        _solution(ctx, e.objectives, *e.payload) for e in archive.entries)
 
 
 def _swarm_step(archive: GridArchive, X: np.ndarray, V: np.ndarray, pbest_x: np.ndarray,
@@ -299,26 +298,26 @@ def run_mopso(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     L = genome_length(inst.n)
     X = rng.random((N, L))
     V = np.zeros((N, L))
-    objs, data, _ = _evaluate_population(ctx, X)
+    objs, A, M, _ = _evaluate_population(ctx, X)
     pbest_x = X.copy()
     pbest = objs.copy()
     archive = GridArchive(capacity=params.archive_capacity or N,
                           divisions=params.grid_divisions)
-    _feed(archive, objs, X, data, rng)
+    _feed(archive, objs, X, A, M, rng)
     T = params.max_iterations
     for t in range(T):
         # turbulence in the style of the classic archive-based swarm:
         # early on every particle gets one gene rerolled, fading to none
         p_turb = 1.0 - t / max(T - 1, 1)
         X, V = _swarm_step(archive, X, V, pbest_x, p_turb, params, rng)
-        objs, data, _ = _evaluate_population(ctx, X)
+        objs, A, M, _ = _evaluate_population(ctx, X)
         new_wins = dominates(objs, pbest)
         better = new_wins.copy()
         tied = np.flatnonzero(~new_wins & ~dominates(pbest, objs))
         better[tied] = rng.random(len(tied)) < 0.5   # incomparable: coin flip
         pbest[better] = objs[better]
         pbest_x[better] = X[better]
-        _feed(archive, objs, X, data, rng)
+        _feed(archive, objs, X, A, M, rng)
     return _archive_front(ctx, archive)
 
 
@@ -405,16 +404,16 @@ def run_mowoa(inst: ProblemInstance, params: AlgorithmParams = AlgorithmParams()
     L = genome_length(inst.n)
     T = params.max_iterations
     X = rng.random((N, L))
-    objs, data, _ = _evaluate_population(ctx, X)
+    objs, A, M, _ = _evaluate_population(ctx, X)
     archive = GridArchive(capacity=params.archive_capacity or N,
                           divisions=params.grid_divisions)
-    _feed(archive, objs, X, data, rng)
+    _feed(archive, objs, X, A, M, rng)
     for t in range(T):
         # encircling amplitude decays linearly to zero over the run
         a = params.whale_a_max * (1.0 - t / max(T - 1, 1))
         X = _whale_step(archive, X, a, params, rng)
-        objs, data, _ = _evaluate_population(ctx, X)
-        _feed(archive, objs, X, data, rng)
+        objs, A, M, _ = _evaluate_population(ctx, X)
+        _feed(archive, objs, X, A, M, rng)
     return _archive_front(ctx, archive)
 
 

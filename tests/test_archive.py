@@ -38,6 +38,21 @@ def test_add_evicts_newly_dominated():
     assert [e.objectives for e in a.entries] == [(1.0, 1.0, 1.0)]
 
 
+def test_entries_keep_their_own_copies_of_what_was_offered():
+    # the swarms offer views into population arrays they overwrite next
+    # iteration; an entry must not change with them
+    objs = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0], [3.0, 3.0, 3.0]])
+    X = np.arange(6.0).reshape(3, 2)
+    A = np.arange(9).reshape(3, 3)
+    M = np.eye(3, dtype=bool)[None].repeat(3, axis=0)
+    a = GridArchive(capacity=10)
+    assert a.feed(objs, X, [(A[r], M[r]) for r in range(3)], rng()) == [True, True, False]
+    X[...], A[...], M[...] = -1.0, -1, False
+    assert [e.vector.tolist() for e in a.entries] == [[0.0, 1.0], [2.0, 3.0]]
+    assert [e.payload[0].tolist() for e in a.entries] == [[0, 1, 2], [3, 4, 5]]
+    assert all(np.array_equal(e.payload[1], np.eye(3, dtype=bool)) for e in a.entries)
+
+
 def test_capacity_bound_holds():
     a = GridArchive(capacity=5, divisions=3)
     r = rng()

@@ -26,7 +26,7 @@ from hubnet.exact import EpsilonGrid
 from hubnet.fileio import load_instance, read_front_csv, save_instance, write_front_csv
 from hubnet.fronts import ParetoFront
 from hubnet.generator import GeneratorSpec, generate, preset
-from hubnet.metaheuristics import AlgorithmParams, _evaluate_population, _payload_solution
+from hubnet.metaheuristics import AlgorithmParams, _evaluate_population, _solution
 
 
 def _gen(tmp_path, name="inst.json", nodes=5, hubs=2, seed=100):
@@ -227,9 +227,14 @@ def test_validate_flags_doctored_front(tmp_path, capsys):
     ("hubs", lambda v: v + " 99", "hubs: node(s) [99] outside 0..4"),
     ("assignment", lambda v: "99 " + v.split(" ", 1)[1], "assignment: node(s) [99] outside 0..4"),
     ("assignment", lambda v: v.rsplit(" ", 1)[0], "assignment: expected 5 entries, got 4"),
-    ("routes", lambda v: "k99 " + v.split(" ", 1)[1], "routes: node(s) [99] outside 0..4"),
-    ("routes", lambda v: "k0->k-3 " + v.split(" ", 1)[1], "routes: node(s) [-3] outside 0..4"),
-    ("routes", lambda v: "kx " + v.split(" ", 1)[1], "unparseable route token 'kx'"),
+    # the expected token depends on each row's assignment, so only the
+    # message's first part is the same on every row
+    ("routes", lambda v: "k99 " + v.split(" ", 1)[1],
+     "pair (0, 1): route token 'k99' is neither 'Direct' nor 'k"),
+    ("routes", lambda v: "k0->k-3 " + v.split(" ", 1)[1],
+     "pair (0, 1): route token 'k0->k-3' is neither 'Direct' nor 'k"),
+    ("routes", lambda v: "kx " + v.split(" ", 1)[1],
+     "pair (0, 1): route token 'kx' is neither 'Direct' nor 'k"),
     ("alpha_prime", lambda v: "1.5", "alpha_prime: uncertainty rate must lie in [0, 1], got 1.5"),
     ("alpha_prime", lambda v: "nan", "alpha_prime: uncertainty rate must lie in [0, 1], got nan"),
 ], ids=["hub", "assignment", "short-assignment", "one-hub-route", "two-hub-route",
@@ -276,7 +281,7 @@ def _tamper_first_pair(tokens):
     ("hubs", lambda v: "0 " + v,
      "hubs: [0, 2, 3] but the nodes assigned to themselves are [2, 3]"),
     ("routes", _tamper_first_pair,
-     "pair (0, 2) flies hubs (2, 3) but its endpoints' hubs are (3, 2)"),
+     "pair (0, 2): route token 'k2->k3' is neither 'Direct' nor 'k3->k2'"),
 ], ids=["spoke-as-hub", "reversed-route"])
 def test_sweep_and_validate_refuse_a_row_its_assignment_contradicts(tmp_path, capsys,
                                                                     column, edit, message):
@@ -375,11 +380,11 @@ def test_validate_accepts_a_row_a_population_solver_priced(tmp_path, capsys):
     inst = generate(GeneratorSpec(n=8, p=3, seed=0))
     ctx = make_context(inst, 1.0)
     X = np.random.default_rng(0).random((200, genome_length(8)))[181:182]
-    objs, payloads, _ = _evaluate_population(ctx, X)
+    objs, A, M, _ = _evaluate_population(ctx, X)
     assert objs[0, 0] == 2001270.346123
     path, front = tmp_path / "inst.json", tmp_path / "front.csv"
     save_instance(inst, path)
-    write_front_csv(ParetoFront(solutions=(_payload_solution(ctx, objs[0], payloads[0]),)), front)
+    write_front_csv(ParetoFront(solutions=(_solution(ctx, objs[0], A[0], M[0]),)), front)
     capsys.readouterr()
     assert main(["validate", "--instance", str(path), "--front", str(front)]) == 0
     assert capsys.readouterr().out == "valid\n"

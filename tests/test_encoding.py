@@ -18,7 +18,7 @@ from hubnet.evaluation import (
     plan_from_mask,
 )
 from hubnet.generator import GeneratorSpec, generate, preset
-from hubnet.metaheuristics import _evaluate_population, _payload_solution
+from hubnet.metaheuristics import _evaluate_population, _solution
 from hubnet.model import FEAS_TOL, NetworkDesign, round6
 
 
@@ -31,18 +31,17 @@ def _check_population(inst, seed, count):
     # the population pipeline the metaheuristics run: decode, repair, price
     ctx = make_context(inst, 0.5)
     X = np.random.default_rng(seed).random((count, genome_length(inst.n)))
-    objs, payloads, _ = _evaluate_population(ctx, X)
-    again, payloads_again, _ = _evaluate_population(ctx, X)
+    objs, A, M, _ = _evaluate_population(ctx, X)
+    again, A_again, M_again, _ = _evaluate_population(ctx, X)
     assert np.array_equal(objs, again)
     feasible_seen = 0
-    for row, payload, other in zip(objs, payloads, payloads_again):
-        assert (payload is None) == (other is None)
-        if payload is None:
+    for r, row in enumerate(objs):
+        if not np.isfinite(row).all():
             assert np.all(np.isinf(row))
             continue
         feasible_seen += 1
-        assert all(np.array_equal(a, b) for a, b in zip(payload, other))
-        sol = _payload_solution(ctx, row, payload)
+        assert np.array_equal(A[r], A_again[r]) and np.array_equal(M[r], M_again[r])
+        sol = _solution(ctx, row, A[r], M[r])
         assert check(inst, sol.design, sol.plan, 0.5)[0] == []
         assert compute_objectives(inst, sol.design, sol.plan, 0.5) == tuple(row)
     assert feasible_seen > 0
@@ -315,11 +314,10 @@ def test_population_path_matches_the_genome_by_genome_reference(name, gen6, monk
             for m in (None, memo):
                 calls.clear()
                 entries = None if m is None else len(m)
-                got, got_payloads, keys = _evaluate_population(ctx, X, m)
+                got, A, M, keys = _evaluate_population(ctx, X, m)
                 assert got.tobytes() == want.tobytes()
-                assert len(got_payloads) == len(want_payloads)
-                for g, w in zip(got_payloads, want_payloads):
-                    assert (g is None) == (w is None)
+                assert len(A) == len(M) == len(want_payloads)
+                for g, w in zip(zip(A, M), want_payloads):
                     if w is not None:
                         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
                                    for a, b in zip(g, w))
@@ -331,10 +329,8 @@ def test_population_path_matches_the_genome_by_genome_reference(name, gen6, monk
                     assert len(calls) == len(m) - entries
                     assert [k is not None for k in keys] == decoded
                     assert set(m) == {k for k in keys if k is not None}
-                # payloads own their masks: scribbling on them leaves the memo intact
-                for payload in got_payloads:
-                    if payload is not None:
-                        payload[1][...] = ~payload[1]
+                # the returned masks are not the memo's: scribbling on them leaves it intact
+                M[...] = ~M
         if name == "squeezed":
             repairs = [v is None for v in memo.values()]
             assert any(repairs) and not all(repairs)
@@ -371,9 +367,12 @@ def test_population_memory_stays_bounded():
     X = np.random.default_rng(0).random((100, genome_length(inst.n)))
     tracemalloc.start()
     try:
-        objs, payloads, _ = _evaluate_population(ctx, X)
+        objs, A, M, _ = _evaluate_population(ctx, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 150 * 2 ** 20
-    assert np.isfinite(objs).all(axis=1).sum() == sum(p is not None for p in payloads)
+    n = inst.n
+    assert objs.shape == (100, 3) and A.shape == (100, n) and M.shape == (100, n, n)
+    finite = np.isfinite(objs).all(axis=1)
+    assert finite.any() and np.isposinf(objs[~finite]).all()

@@ -29,7 +29,7 @@ from hubnet.evaluation import (
     plan_from_mask,
 )
 from hubnet.generator import GeneratorSpec, generate, preset
-from hubnet.metaheuristics import _evaluate_population, _payload_solution
+from hubnet.metaheuristics import _evaluate_population, _solution
 from hubnet.model import (
     FEAS_TOL,
     NetworkDesign,
@@ -131,12 +131,11 @@ def test_mask_path_matches_the_oracle_reference():
         inst = generate(spec)
         ctx = make_context(inst, rate)
         X = np.random.default_rng(seed).random((count, genome_length(inst.n)))
-        objs, payloads, _ = _evaluate_population(ctx, X)
-        for row, payload in zip(objs, payloads):
-            if payload is None:
+        objs, A, M, _ = _evaluate_population(ctx, X)
+        for row, a, mask in zip(objs, A, M):
+            if not np.isfinite(row).all():
                 continue
-            a, mask = payload
-            sol = _payload_solution(ctx, row, payload)
+            sol = _solution(ctx, row, a, mask)
             ref = plan_objectives(inst, sol.design, sol.plan, rate)
             alone = evaluate_mask(ctx, hub_tables(ctx, a[None]), a[None], mask[None])[0]
             assert np.array_equal(alone, row)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hubnet import fronts
 from hubnet.fronts import (
     ParetoFront,
     crowding_distance,
@@ -87,6 +88,16 @@ def test_nondominated_mask_matches_brute_force():
             assert surv_got == surv_want
             seen_first_duplicate(rows, got)
         assert np.flatnonzero(got).tolist() == [6]     # the group's first row
+
+
+def test_nondominated_mask_in_row_blocks_matches_one_block(monkeypatch):
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 5, size=(60, 3)).astype(float)
+    rows[rng.random(60) < 0.1] = np.inf
+    whole = nondominated_mask(rows)
+    assert sorted(map(tuple, rows[whole])) == sorted(map(tuple, rows[brute_mask(rows)]))
+    monkeypatch.setattr(fronts, "_MASK_CELLS", 7 * len(rows))   # blocks of 7, a short last one
+    assert nondominated_mask(rows).tolist() == whole.tolist()
 
 
 def test_nondominated_mask_edge_shapes():

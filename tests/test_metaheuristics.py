@@ -135,20 +135,20 @@ def _reference_nsga2(inst, params, seed, alpha_prime=0.5):
     rng = np.random.default_rng(seed)
     N = params.population_size
     X = rng.random((N, genome_length(inst.n)))
-    objs, data, _ = metaheuristics._evaluate_population(ctx, X)
+    objs, A, M, _ = metaheuristics._evaluate_population(ctx, X)
     for _ in range(params.max_iterations):
         rank, crowd = _reference_rank_and_crowding(objs)
         parents = X[metaheuristics._tournament(rng, rank, crowd, N)]
         Y = metaheuristics._variation(rng, parents, params.crossover_prob, params.mutation_prob)
-        objs_y, data_y, _ = metaheuristics._evaluate_population(ctx, Y)
+        objs_y, A_y, M_y, _ = metaheuristics._evaluate_population(ctx, Y)
         merged_objs = np.vstack([objs, objs_y])
-        merged_data = data + data_y
         keep = _reference_keep(merged_objs, N)
         X = np.vstack([X, Y])[keep]
         objs = merged_objs[keep]
-        data = [merged_data[k] for k in keep]
-    sols = [metaheuristics._payload_solution(ctx, objs[k], data[k])
-            for k in nondominated_sort(objs)[0] if data[k] is not None]
+        A = np.vstack([A, A_y])[keep]
+        M = np.vstack([M, M_y])[keep]
+    sols = [metaheuristics._solution(ctx, objs[k], A[k], M[k])
+            for k in nondominated_sort(objs)[0] if np.isfinite(objs[k]).all()]
     return ParetoFront.from_candidates(sols)
 
 

@@ -25,10 +25,10 @@ _UPPER = np.nextafter(1.0, 0.0)
 C7 = GeneratorSpec(n=10, p=3, seed=7)
 
 
-def _reference_feed(archive, objs, X, data, rng):
-    for i, payload in enumerate(data):
-        if payload is not None:
-            archive.add(tuple(objs[i]), X[i], payload, rng)
+def _reference_feed(archive, objs, X, A, M, rng):
+    for i, row in enumerate(objs):
+        if np.isfinite(row).all():
+            archive.add(tuple(row), X[i], (A[i], M[i]), rng)
 
 
 def _reference_swarm_step(archive, X, V, pbest_x, p_turb, params, rng):
@@ -84,23 +84,23 @@ def _reference_mopso(inst, params, seed, step=_reference_swarm_step):
     L = genome_length(inst.n)
     X = rng.random((N, L))
     V = np.zeros((N, L))
-    objs, data, _ = metaheuristics._evaluate_population(ctx, X)
+    objs, A, M, _ = metaheuristics._evaluate_population(ctx, X)
     pbest_x = X.copy()
     pbest = objs.copy()
     archive = GridArchive(capacity=params.archive_capacity or N, divisions=params.grid_divisions)
-    _reference_feed(archive, objs, X, data, rng)
+    _reference_feed(archive, objs, X, A, M, rng)
     T = params.max_iterations
     for t in range(T):
         p_turb = 1.0 - t / max(T - 1, 1)
         X, V = step(archive, X, V, pbest_x, p_turb, params, rng)
-        objs, data, _ = metaheuristics._evaluate_population(ctx, X)
+        objs, A, M, _ = metaheuristics._evaluate_population(ctx, X)
         new_wins = dominates(objs, pbest)
         better = new_wins.copy()
         for i in np.flatnonzero(~new_wins & ~dominates(pbest, objs)):
             better[i] = rng.random() < 0.5
         pbest[better] = objs[better]
         pbest_x[better] = X[better]
-        _reference_feed(archive, objs, X, data, rng)
+        _reference_feed(archive, objs, X, A, M, rng)
     return metaheuristics._archive_front(ctx, archive)
 
 
@@ -110,14 +110,14 @@ def _reference_mowoa(inst, params, seed, step=_reference_whale_step):
     N = params.population_size
     T = params.max_iterations
     X = rng.random((N, genome_length(inst.n)))
-    objs, data, _ = metaheuristics._evaluate_population(ctx, X)
+    objs, A, M, _ = metaheuristics._evaluate_population(ctx, X)
     archive = GridArchive(capacity=params.archive_capacity or N, divisions=params.grid_divisions)
-    _reference_feed(archive, objs, X, data, rng)
+    _reference_feed(archive, objs, X, A, M, rng)
     for t in range(T):
         a = params.whale_a_max * (1.0 - t / max(T - 1, 1))
         X, _ = step(archive, X, a, params, rng)
-        objs, data, _ = metaheuristics._evaluate_population(ctx, X)
-        _reference_feed(archive, objs, X, data, rng)
+        objs, A, M, _ = metaheuristics._evaluate_population(ctx, X)
+        _reference_feed(archive, objs, X, A, M, rng)
     return metaheuristics._archive_front(ctx, archive)
 
 
