@@ -16,6 +16,16 @@ a configuration whose bound equals it is never searched.  The winner is
 the least full key (objectives, then encoding) among the configurations
 searched; on a full tie the first in visiting order is kept.
 
+A cost search bounds each node by the suffix's cheapest options plus the
+largest of three fractional repair prices: one per budget, and one per hub
+that the cheapest options overload, shedding the excess by sending the
+cheapest share of its demand direct (the continuous relaxation of the
+single-assignment capacity rows; Contreras, Diaz & Fernandez 2009,
+"Lagrangean relaxation for the capacitated hub location problem with
+single assignment", OR Spectrum 31).  Each price is a valid lower bound,
+so a stronger one prunes only subtrees that cannot hold the least key:
+it cuts nodes, never moves a winner.
+
 The routing search runs on Python floats copied out of each config's
 arrays with ``.tolist()``.  They add, subtract and compare with the same
 IEEE-754 double bits as ``np.float64`` scalars, so every bound, prune and
@@ -25,6 +35,7 @@ cost per access.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -66,6 +77,10 @@ DEFAULT_BUDGET = 10 ** 8
 # Objectives are rounded to 1e-6; a bound within half that of an incumbent
 # could still tie after rounding, so pruning leaves this much slack.
 _ROUND_SLACK = 6e-7
+
+# Hub loads summed in different orders differ by a few ulps; the capacity
+# term lets a hub's limit exceed its capacity by this share of its scale.
+_LOAD_DRIFT = 1e-12
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -343,13 +358,17 @@ def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float)
     return index.lb[0, g] + pen
 
 
-def _repair_price(need: float, save: np.ndarray, cost: np.ndarray,
-                  ratio: np.ndarray) -> tuple[float, int]:
+def _repair_price(need: float, save: Sequence[float], cost: Sequence[float],
+                  ratio: Sequence[float]) -> tuple[float, int]:
     """Price of the cheapest fractional repair covering an overuse ``need`` > 0,
     and its marginal switch k: the first k switches whole plus a share of
     switch k, along the cumulative ``save``/``cost`` of the switches in
-    ratio order; (inf, k) when all of them together save too little."""
-    k = int(np.searchsorted(save, need))
+    ratio order; (inf, k) when all of them together save too little.
+
+    The rows may be numpy arrays or lists of Python floats: ``bisect_left``
+    finds the index ``np.searchsorted`` would, and the price has the same
+    double bits either way."""
+    k = bisect.bisect_left(save, need)
     if k >= len(ratio):
         return math.inf, k
     p = cost[k - 1] + (need - save[k - 1]) * ratio[k] if k else need * ratio[k]
@@ -433,6 +452,43 @@ def _budget_tables(contrib: np.ndarray) -> list:
             _repair_tables(contrib, 1, 2), _repair_tables(contrib, 2, 1)]
 
 
+def _capacity_tables(pd: _PairData, caps: list[float]) -> list[tuple]:
+    """Shed tables of the hubs that the cost floor overloads at the root.
+
+    With every pair on its cheapest option (a tie flies direct, as in
+    ``suffix_min``), a hub may carry more than its capacity.  A routing
+    must then shed the excess by sending some of those pairs direct, at
+    (direct - hub) cost per unit of demand: a continuous knapsack, read
+    from the ``_repair_tables`` of cost against the hub's load.  One
+    ``(hub, limit, used, cum_save, cum_cost, ratio, pos)`` per overloaded
+    hub, the rows as lists of Python floats for the search's per-node
+    pricing.  ``limit`` is the load the hub may carry: its capacity plus
+    ``FEAS_TOL``, as the search's load check allows, plus ``_LOAD_DRIFT``
+    of its scale, so that a load summed in another order never makes a
+    routing that lands on the limit look unfit.  Hubs that the floor fits
+    get no table.
+    """
+    contrib = pd.contrib
+    P = len(contrib)
+    rows = np.arange(P)
+    load = np.zeros((P, len(caps)))     # demand each pair's hub route puts on each node
+    load[rows, pd.load_nodes[:, 0]] = pd.load_q
+    second = pd.load_nodes[:, 1] >= 0
+    load[rows[second], pd.load_nodes[second, 1]] = pd.load_q[second]
+    floor_load = load[contrib[:, 1, 0] < contrib[:, 0, 0]].sum(axis=0)
+    caps_arr = np.asarray(caps)
+    limit = caps_arr + FEAS_TOL + _LOAD_DRIFT * (caps_arr + floor_load)
+    opts = np.zeros((P, 2, 2))          # (cost, load on the hub) of each option
+    opts[:, :, 0] = contrib[:, :, 0]
+    tables = []
+    for h in np.flatnonzero(floor_load > limit).tolist():
+        opts[:, 1, 1] = load[:, h]
+        used, cum_save, cum_cost, ratio, pos = _repair_tables(opts, 0, 1)
+        tables.append((h, float(limit[h]), used, cum_save.tolist(), cum_cost.tolist(),
+                       ratio.tolist(), pos))
+    return tables
+
+
 def _pair_order(contrib: np.ndarray) -> np.ndarray:
     """Search order over pairs: forced ones first, then descending spread.
 
@@ -499,6 +555,20 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     sharing the same objectives, as with zero demand) that a plain value
     bound would fully enumerate.
 
+    The cost bound is the suffix floor plus a penalty, the largest of
+    the fractional repairs that the budgets need (``_budget_tables``) and
+    of one shed per hub that the floor overloads (``_capacity_tables``):
+    the load placed so far plus the suffix's floor load, less the hub's
+    limit, priced as the cheapest fractional share of the suffix pairs
+    whose floor loads the hub sent direct; a node whose pairs cannot
+    shed it is pruned.  The hubs' prices are not summed, since one pair
+    sent direct can unload two hubs at once.  Each price lies below every
+    routing under the node that fits, so the bound tuple stays below
+    every leaf key and the prunes above keep the least key: a stronger
+    bound only visits fewer nodes.  Loads are put back, not subtracted,
+    when the search backtracks, so a leaf's load check sees its path's
+    sum whichever nodes a bound let the search skip.
+
     A search on emissions or penalty (``main != 0``) prunes on the main
     value alone and settles ties by first discovery: those solves only
     span the bound grid, and hunting, say, the cheapest among all
@@ -508,7 +578,10 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     floors and load data, and keeps hub loads as Python floats: the same
     double bits as the numpy scalars they stand for, so the keys are those
     of a numpy-scalar search (``tests/test_bb_routing.py`` keeps one as
-    the reference).  The repair tables keep their numpy rows.
+    the reference).  The budget tables keep their numpy rows; the hub
+    shed tables are built per call, as lists, and only for hubs that the
+    floor overloads, so a config whose floor fits searches as without
+    them.
     """
     P = len(pd.contrib)
     contrib = pd.contrib.tolist()
@@ -550,12 +623,14 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
 
     pos2 = budget[0][4] if budget else None
     pos3 = budget[1][4] if budget else None
+    shed = _capacity_tables(pd, caps) if main == 0 else []
 
     def rec(t: int, s0: float, s1: float, s2: float) -> None:
         nonlocal best, best_prefix
         floor = suffix[t]
         pen = 0.0
         k2 = k3 = -1
+        shed_t = False
         if constrained:
             # budget-priced floors: each objective's suffix floor plus the
             # cheapest fractional repair honoring the other budgets
@@ -575,6 +650,15 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
             if sums[main] + floor[main] >= best_prefix[0]:
                 return
         else:
+            for h, limit, used, cum_save, cum_cost, ratio, pos in shed:
+                need = loads[h] + used[t] - limit
+                if need > 0.0:
+                    p, k = _repair_price(need, cum_save[t], cum_cost[t], ratio)
+                    if p == math.inf:
+                        return
+                    if p > pen:
+                        pen = p
+                    shed_t = shed_t or pos[t] <= k
             b1 = s0 + floor[0] + pen
             bound = (b1, b1, s1 + floor[1], s2 + floor[2])
             if bound > best_prefix or (bound == best_prefix and best is not None
@@ -591,9 +675,9 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
             return
         opts = contrib[t]
         order_t = opt_order[t]
-        if (k2 >= 0 and pos2[t] <= k2) or (k3 >= 0 and pos3[t] <= k3):
-            # the fractional repair flips this pair, so follow it first:
-            # the dive then lands near the relaxation's optimum
+        if shed_t or (k2 >= 0 and pos2[t] <= k2) or (k3 >= 0 and pos3[t] <= k3):
+            # a fractional repair or shed flips this pair, so follow it
+            # first: the dive then lands near the relaxation's optimum
             order_t = (order_t[1], order_t[0])
         for opt in order_t:
             c0, c1, c2 = opts[opt]
@@ -602,17 +686,21 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
             if opt == 1:
                 a, b = load_nodes[t]
                 q = load_q[t]
-                loads[a] += q
+                # put the old loads back rather than subtract q: a load
+                # is then its path's sum, whatever the search visited before
+                la = loads[a]
+                loads[a] = la + q
                 ok = loads[a] <= caps[a] + FEAS_TOL
                 if b >= 0:
-                    loads[b] += q
+                    lb = loads[b]
+                    loads[b] = lb + q
                     ok = ok and loads[b] <= caps[b] + FEAS_TOL
                 if ok:
                     choices[t] = 1
                     rec(t + 1, s0 + c0, s1 + c1, s2 + c2)
-                loads[a] -= q
+                loads[a] = la
                 if b >= 0:
-                    loads[b] -= q
+                    loads[b] = lb
             else:
                 choices[t] = 0
                 rec(t + 1, s0 + c0, s1 + c1, s2 + c2)

@@ -11,6 +11,7 @@ whose hubs or route tokens disagree with its assignment is refused here.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import astuple, dataclass, fields
 from itertools import compress
@@ -177,6 +178,13 @@ def read_front_csv(path: Union[str, Path]) -> list[FrontRow]:
     return rows
 
 
+@functools.lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Ordered node pairs (i, j), i != j, in row-major order: one list per
+    ``n``, shared by every row of a front."""
+    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
+
+
 def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution:
     """Rebuild the full solution object encoded by one CSV record.
 
@@ -190,7 +198,7 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
             the pair's endpoints' hubs.
     """
     n = inst.n
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = _pairs(n)
     if len(row.routes) != len(pairs):
         raise ValueError(f"expected {len(pairs)} route tokens, got {len(row.routes)}")
     if len(row.assignment) != n:

@@ -8,10 +8,16 @@ subtract and compare with the same IEEE-754 double bits, so every key must
 match the reference's: each objective equal by ``float.hex`` and the same
 route encoding, on every config, main objective and grid cell, unprimed
 and primed with the key's own prefix.
+
+The reference also has no capacity term in its cost bound.  A valid bound
+prunes only subtrees that cannot hold the least key, so on the instances
+where hub capacity binds the keys must match as well, and the term's root
+price must never exceed the oracle's cheapest routing.
 """
 
 import dataclasses
 import gc
+import itertools
 import math
 from typing import Optional
 
@@ -22,6 +28,8 @@ from hubnet import exact
 from hubnet.exact import DEFAULT_BUDGET, EpsilonGrid
 from hubnet.generator import GeneratorSpec, generate
 from hubnet.model import FEAS_TOL, round6
+
+import oracle
 
 UNPRIMED = (math.inf,) * 4
 
@@ -131,9 +139,17 @@ def _tight_capacity():
     return dataclasses.replace(inst, capacity=inst.capacity * 0.4)
 
 
+def _quarter_capacity():
+    """Six nodes, two hubs, at a quarter of their hub capacities: the cost
+    floor overloads a hub in most configs, and both hubs in a third."""
+    inst = generate(GeneratorSpec(n=6, p=2, seed=11))
+    return dataclasses.replace(inst, capacity=inst.capacity * 0.25)
+
+
 INSTANCES = {
     "c10": lambda: generate(GeneratorSpec(n=5, p=2, seed=100)),
     "n6-tight-capacity": _tight_capacity,
+    "n6-quarter-capacity": _quarter_capacity,
 }
 
 
@@ -181,6 +197,77 @@ def test_hub_loads_bind_on_the_tight_capacity_instance():
         ref_bb_routing(index.pair_data(g), inst.capacity, 0, math.inf, math.inf, UNPRIMED)
         != ref_bb_routing(index.pair_data(g), lifted, 0, math.inf, math.inf, UNPRIMED)
         for g in range(index.total))
+
+
+def _root_capacity_price(tables):
+    """The capacity term at a search's root, as the search prices it from
+    ``_capacity_tables``: the largest fractional shed over the hubs."""
+    return max((exact._repair_price(used[0] - limit, save[0], cost[0], ratio)[0]
+                for _, limit, used, save, cost, ratio, _ in tables), default=0.0)
+
+
+@pytest.mark.parametrize("seed", [100, 103])
+def test_the_root_capacity_bound_never_exceeds_the_cheapest_fitting_routing(seed):
+    """Five nodes at a quarter of their hub capacities.  Per config, the
+    cost floor plus the root's capacity price is at most the cost of the
+    oracle's cheapest routing that fits the hub capacities, and the price
+    is positive on some config, one of whose floor overloads both hubs."""
+    base = generate(GeneratorSpec(n=5, p=2, seed=seed))
+    inst = dataclasses.replace(base, capacity=base.capacity * 0.25)
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    caps = inst.capacity.tolist()
+    priced = two_hubs = 0
+    for g in range(index.total):
+        pd = index.pair_data(g)
+        tables = exact._capacity_tables(pd, caps)
+        price = _root_capacity_price(tables)
+        found = oracle.config_states(inst, pd.design)
+        if found is not None:
+            # the oracle sums in another order: equal bounds may differ by ulps
+            assert pd.fixed + pd.suffix_min[0, 0] + price <= found[0][:, 0].min() + 1e-6, g
+        priced += price > 0
+        two_hubs += price > 0 and len(tables) > 1
+    assert priced > 0 and two_hubs > 0
+
+
+def _boundary_pd(q):
+    """Two pairs on one hub, each cheaper via the hub (2) than direct (3
+    and 4), with demands ``q``: hand-built search data."""
+    option = [[[3.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[4.0, 0.0, 0.0], [2.0, 0.0, 0.0]]]
+    return exact._PairData(
+        design=None, fixed=0.0, contrib=np.array(option),
+        suffix_min=np.array([[4.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        load_nodes=np.array([[0, -1], [0, -1]]), load_q=np.array(q),
+        canon_pos=np.array([0, 1]))
+
+
+@pytest.mark.parametrize("q, cap", [((0.1, 0.3), 0.3 - 1e-9), ((0.1, 0.2), 0.1 - 1e-9)],
+                         ids=["a-load-put-back", "a-load-on-the-limit"])
+def test_a_routing_whose_load_lands_on_the_limit_is_found(q, cap):
+    """A capacity one ``FEAS_TOL`` below a sum of demands: the routing
+    whose load lands exactly on the limit is the cheapest, and both the
+    unprimed and the primed search return it.
+
+    In the first case the search tries both pairs via the hub first, and
+    a load taken back by subtraction (0.1 + 0.3 - 0.3) would then be 0.1
+    plus an ulp, leaving the hub route of the second pair one ulp over.
+    In the second case the suffix floor load, summed in another order, is
+    one ulp above the demand the pair that remains can shed, so the
+    capacity term would price the search's one fitting subtree out."""
+    pd = _boundary_pd(q)
+    caps = [cap]
+    fits = []
+    for enc in itertools.product((0, 1), repeat=2):
+        cost, load = 0.0, 0.0
+        for t, x in enumerate(enc):
+            cost += pd.contrib[t, x, 0]
+            load += q[t] * x
+        if load <= cap + FEAS_TOL:
+            fits.append((cost, enc))
+    cost, enc = min(fits)
+    want = (cost, cost, 0.0, 0.0, enc)
+    assert exact._bb_routing(pd, caps, 0, math.inf, math.inf, UNPRIMED) == want
+    assert exact._bb_routing(pd, caps, 0, math.inf, math.inf, want[:4]) == want
 
 
 def test_a_search_leaves_no_reference_cycle():
