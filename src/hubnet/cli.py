@@ -175,10 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     w.add_argument("--values", required=True, help="comma-separated knob values")
     w.add_argument("--out", required=True)
-    w.add_argument("--front", help="front CSV; its minimum-cost row is the plan "
-                                   "(default: solve exactly first)")
-    w.add_argument("--alpha-prime", type=_rate, default=0.5,
-                   help="demand defuzzification rate in [0, 1]")
+    plan = w.add_mutually_exclusive_group()
+    plan.add_argument("--front", help="front CSV; its minimum-cost row is the plan, at its "
+                                      "stored rate (default: solve exactly first)")
+    plan.add_argument("--alpha-prime", type=_rate, default=0.5,
+                      help="demand defuzzification rate in [0, 1] of the exact solve")
     _add_exact_options(w)
 
     c = sub.add_parser("compare", help="instances x algorithms x seeds experiment")

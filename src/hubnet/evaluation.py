@@ -70,10 +70,11 @@ def _one_row(ctx: EvalContext, design: NetworkDesign, plan: RoutePlan
     The (design, plan) is priced as a one-row batch on ``ctx``.  A pair
     whose chosen route breaks its time cap prices at inf in all three
     objectives and gets a finding naming the pair and its cap.  The design
-    must name nodes and the plan be n x n.
+    must name nodes and the plan hold one bit per pair.
     """
     a = np.array([design.assignment], dtype=np.intp)
-    mask = np.array([plan.hub], dtype=bool)
+    mask = np.zeros((1,) + ctx.offdiag.shape, dtype=bool)
+    mask[:, ctx.offdiag] = plan.hub
     tables = hub_tables(ctx, a)
     chosen = np.where(mask[..., None], tables, ctx.direct)[0]
     late = np.isinf(chosen).all(axis=-1) & ctx.offdiag
@@ -88,9 +89,8 @@ def _check(ctx: EvalContext, design: NetworkDesign, plan: RoutePlan
     inst = ctx.inst
     n = inst.n
     out = design_violations(inst, design)
-    rows = [len(row) for row in plan.hub]
-    if not out and rows != [n] * n:
-        out = [f"plan rows have lengths {rows}, instance has {n} nodes"]
+    if not out and len(plan.hub) != n * (n - 1):
+        out = [f"plan has {len(plan.hub)} pair bits, instance has {n * (n - 1)} pairs"]
     if out:
         return out, None
     z, out, loads = _one_row(ctx, design, plan)
@@ -271,6 +271,5 @@ def loads_from_mask(ctx: EvalContext, assignment: np.ndarray, mask: np.ndarray) 
 
 def plan_from_mask(mask: np.ndarray) -> RoutePlan:
     """The plan of an (n, n) hub-route mask; its diagonal is ignored."""
-    hub = np.array(mask, dtype=bool)
-    np.fill_diagonal(hub, False)
-    return RoutePlan(hub=tuple(map(tuple, hub.tolist())))
+    mask = np.asarray(mask, dtype=bool)
+    return RoutePlan(hub=tuple(mask[~np.eye(len(mask), dtype=bool)].tolist()))

@@ -49,7 +49,6 @@ from .evaluation import (
     _evaluate,
     _hub_route,
     make_context,
-    plan_from_mask,
 )
 from .fronts import ParetoFront
 from .model import (
@@ -57,6 +56,7 @@ from .model import (
     EvaluatedSolution,
     NetworkDesign,
     ProblemInstance,
+    RoutePlan,
     round6,
 )
 
@@ -68,9 +68,9 @@ __all__ = [
     "epsilon_constraint_front",
 ]
 
-# The index costs 48 bytes per configuration, a (3, total) float64 bound
-# array plus three int64 sort orders, so this budget admits an index of
-# about 4.8 GB; the conditioned cost bounds are priced in chunks along the
+# The index costs 32 bytes per configuration, a (3, total) float64 bound
+# array plus the int64 cost sort order, so this budget admits an index of
+# about 3.2 GB; the conditioned cost bounds are priced in chunks along the
 # scan and add no per-configuration memory.
 DEFAULT_BUDGET = 10 ** 8
 
@@ -179,7 +179,7 @@ class _ExactIndex:
     blocks: list[_Block]
     offsets: np.ndarray           # block start indices, len(blocks)+1
     lb: np.ndarray                # (3, total) objective lower bounds
-    orders: list[np.ndarray]      # argsort of each lb row
+    order: np.ndarray             # stable argsort of lb[0]
     i_arr: np.ndarray             # canonical off-diagonal pair rows
     j_arr: np.ndarray
     pd_cache: dict = field(default_factory=dict)
@@ -279,8 +279,8 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
                 # a pair with no option within its time cap makes the sum inf
                 lb[row, base + start:base + stop] = best.sum(axis=(1, 2))
             lb[0, base + start:base + stop] += block.fixed_total
-    orders = [np.argsort(lb[row], kind="stable") for row in range(3)]
-    return _ExactIndex(ctx=ctx, blocks=blocks, offsets=offsets, lb=lb, orders=orders,
+    return _ExactIndex(ctx=ctx, blocks=blocks, offsets=offsets, lb=lb,
+                       order=np.argsort(lb[0], kind="stable"),
                        i_arr=i_arr, j_arr=j_arr)
 
 
@@ -382,13 +382,14 @@ def _visiting_order(index: _ExactIndex, main: int, eps2: float,
 
     The bound on ``main`` is the budget-conditioned one (_conditional_lb)
     for cost and the stock ``index.lb[main]`` otherwise.  Configs are
-    priced in growing chunks along the stock order ``index.orders[main]``;
+    priced in growing chunks along the stable sort of ``index.lb[main]``;
     no bound is below its stock bound, so the heap's top is final once it
     lies strictly below the next unpriced stock bound (on a tie, an
     unpriced config could still come first by id).  Configs with an
     infinite bound are never yielded.
     """
-    floor, order = index.lb[main], index.orders[main]
+    floor = index.lb[main]
+    order = index.order if main == 0 else np.argsort(floor, kind="stable")
     heap: list[tuple[float, int]] = []
     start, size = 0, 16
     while True:
@@ -579,9 +580,9 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     double bits as the numpy scalars they stand for, so the keys are those
     of a numpy-scalar search (``tests/test_bb_routing.py`` keeps one as
     the reference).  The budget tables keep their numpy rows; the hub
-    shed tables are built per call, as lists, and only for hubs that the
-    floor overloads, so a config whose floor fits searches as without
-    them.
+    shed tables are built per call, as lists, once the root passes the
+    budget checks, and only for hubs that the floor overloads, so a
+    config whose floor fits searches as without them.
     """
     P = len(pd.contrib)
     contrib = pd.contrib.tolist()
@@ -623,10 +624,10 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
 
     pos2 = budget[0][4] if budget else None
     pos3 = budget[1][4] if budget else None
-    shed = _capacity_tables(pd, caps) if main == 0 else []
+    shed = None
 
     def rec(t: int, s0: float, s1: float, s2: float) -> None:
-        nonlocal best, best_prefix
+        nonlocal best, best_prefix, shed
         floor = suffix[t]
         pen = 0.0
         k2 = k3 = -1
@@ -650,6 +651,8 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
             if sums[main] + floor[main] >= best_prefix[0]:
                 return
         else:
+            if shed is None:
+                shed = _capacity_tables(pd, caps)
             for h, limit, used, cum_save, cum_cost, ratio, pos in shed:
                 need = loads[h] + used[t] - limit
                 if need > 0.0:
@@ -735,9 +738,7 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
             best, design = key, pd.design
     if design is None:
         return None
-    mask = np.zeros_like(index.ctx.offdiag)
-    mask[index.ctx.offdiag] = best[4]
-    plan = plan_from_mask(mask)
+    plan = RoutePlan(hub=tuple(map(bool, best[4])))
     # checked and priced on the index's own context: an infeasible winner raises
     return EvaluatedSolution(design, plan, _evaluate(index.ctx, design, plan),
                              index.ctx.alpha_prime)

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .analysis import FrontMetrics
-from .evaluation import plan_from_mask
 from .fronts import ParetoFront
 from .fuzzy import check_rate
 from .model import (
@@ -29,6 +28,7 @@ from .model import (
     NetworkDesign,
     ObjectiveVector,
     ProblemInstance,
+    RoutePlan,
 )
 
 __all__ = [
@@ -130,7 +130,7 @@ class FrontRow:
 def _solution_row(sol: EvaluatedSolution) -> list:
     a = sol.design.assignment
     tokens = [_render_route(_visited_hubs(a, i, j) if hub else ())
-              for i, row in enumerate(sol.plan.hub) for j, hub in enumerate(row) if i != j]
+              for (i, j), hub in zip(_pairs(len(a)), sol.plan.hub)]
     return [
         *sol.objectives.as_tuple(),
         float(sol.alpha_prime),
@@ -216,16 +216,14 @@ def solution_from_row(inst: ProblemInstance, row: FrontRow) -> EvaluatedSolution
         raise ValueError(f"hubs: {list(row.hubs)} but the nodes assigned to themselves "
                          f"are {list(design.hubs)}")
     a = design.assignment
-    hub = [tok != "Direct" for tok in row.routes]
+    hub = tuple(tok != "Direct" for tok in row.routes)
     for (i, j), tok in compress(zip(pairs, row.routes), hub):
         want = _render_route(_visited_hubs(a, i, j))      # the token the writer renders
         if tok != want:
             raise ValueError(f"pair ({i}, {j}): route token {tok!r} is neither 'Direct' "
                              f"nor {want!r}")
-    mask = np.zeros((n, n), dtype=bool)
-    mask[~np.eye(n, dtype=bool)] = hub
     return EvaluatedSolution(
-        design=design, plan=plan_from_mask(mask),
+        design=design, plan=RoutePlan(hub),
         objectives=ObjectiveVector(row.z1, row.z2, row.z3),
         alpha_prime=row.alpha_prime,
     )

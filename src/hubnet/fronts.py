@@ -129,8 +129,7 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
 
 def solution_sort_key(sol: EvaluatedSolution):
     """Objectives, hubs, assignment, then each pair's hub bit, row-major off the diagonal."""
-    codes = tuple(hub for i, row in enumerate(sol.plan.hub) for j, hub in enumerate(row) if i != j)
-    return (sol.objectives.as_tuple(), sol.design.hubs, sol.design.assignment, codes)
+    return (sol.objectives.as_tuple(), sol.design.hubs, sol.design.assignment, sol.plan.hub)
 
 
 @dataclass(frozen=True)

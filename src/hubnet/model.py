@@ -127,10 +127,10 @@ class NetworkDesign:
 
 @dataclass(frozen=True)
 class RoutePlan:
-    """``hub[i][j]`` is True when pair (i, j) flies its endpoints' hubs and
-    False when it flies direct; an n x n grid with a False diagonal."""
+    """One bit per ordered pair (i, j), i != j, in row-major order: True
+    when the pair flies its endpoints' hubs, False when it flies direct."""
 
-    hub: tuple[tuple[bool, ...], ...]
+    hub: tuple[bool, ...]
 
 
 @dataclass(frozen=True)

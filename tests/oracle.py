@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from hubnet.evaluation import evaluate, plan_from_mask
+from hubnet.evaluation import evaluate
 from hubnet.fronts import ParetoFront, nondominated_mask
 from hubnet.model import (
     FEAS_TOL,
@@ -51,10 +51,8 @@ def implied_route(k: int, l: int) -> Route:
 def plan_routes(design: NetworkDesign, plan: RoutePlan):
     """``(i, j, route)`` of every ordered pair, i != j, in row-major order."""
     a = design.assignment
-    for i, row in enumerate(plan.hub):
-        for j, hub in enumerate(row):
-            if i != j:
-                yield i, j, implied_route(a[i], a[j]) if hub else ()
+    for (i, j), hub in zip(canonical_pairs(len(a)), plan.hub):
+        yield i, j, implied_route(a[i], a[j]) if hub else ()
 
 
 def canonical_pairs(n: int) -> list[tuple[int, int]]:
@@ -232,10 +230,7 @@ def config_states(inst: ProblemInstance, design: NetworkDesign,
 
 def _plan_of(inst: ProblemInstance, mask: int) -> RoutePlan:
     """The plan whose canonical pair t flies its hub route where bit t is set."""
-    grid = np.zeros((inst.n, inst.n), dtype=bool)
-    for t, (i, j) in enumerate(canonical_pairs(inst.n)):
-        grid[i, j] = bool(mask >> t & 1)
-    return plan_from_mask(grid)
+    return RoutePlan(hub=tuple(bool(mask >> t & 1) for t in range(inst.n * (inst.n - 1))))
 
 
 def oracle_front(inst: ProblemInstance, alpha_prime: float = 0.5) -> ParetoFront:

@@ -286,3 +286,26 @@ def test_a_search_leaves_no_reference_cycle():
             assert gc.collect() == 0, eps2
     finally:
         gc.enable()
+
+
+def test_a_root_that_the_budget_checks_prune_builds_no_shed_tables(monkeypatch):
+    """A cost cell whose emission budget lies below the config's emission
+    floor ends at the root's budget checks, before the capacity term is
+    priced, so that search builds no shed tables.  A search whose root
+    passes builds them once, though its floor overloads a hub."""
+    inst = _quarter_capacity()
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    caps = inst.capacity.tolist()
+    pd = next(pd for pd in map(index.pair_data, range(index.total))
+              if exact._capacity_tables(pd, caps))
+    build = exact._capacity_tables
+
+    def refuse(*args):
+        raise AssertionError("shed tables built for a pruned root")
+
+    monkeypatch.setattr(exact, "_capacity_tables", refuse)
+    assert exact._bb_routing(pd, caps, 0, pd.suffix_min[0, 1] / 2, math.inf, UNPRIMED) is None
+    calls = []
+    monkeypatch.setattr(exact, "_capacity_tables", lambda *args: calls.append(args) or build(*args))
+    assert exact._bb_routing(pd, caps, 0, math.inf, math.inf, UNPRIMED) is not None
+    assert len(calls) == 1

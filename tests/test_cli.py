@@ -23,10 +23,17 @@ from hubnet.cli import _params_from, build_parser, main
 from hubnet.encoding import genome_length
 from hubnet.evaluation import make_context
 from hubnet.exact import EpsilonGrid
-from hubnet.fileio import load_instance, read_front_csv, save_instance, write_front_csv
+from hubnet.fileio import (
+    load_instance,
+    read_front_csv,
+    save_instance,
+    solution_from_row,
+    write_front_csv,
+)
 from hubnet.fronts import ParetoFront
 from hubnet.generator import GeneratorSpec, generate, preset
 from hubnet.metaheuristics import AlgorithmParams, _evaluate_population, _solution
+from hubnet.workbench import sweep_rows
 
 
 def _gen(tmp_path, name="inst.json", nodes=5, hubs=2, seed=100):
@@ -348,6 +355,29 @@ def test_sweep_from_front(tmp_path):
     assert rows[0] == ["value", "z1", "z2", "z3"]
     assert len(rows) == 6
     assert [float(r[0]) for r in rows[1:]] == [30.0, 40.0, 50.0, 60.0, 70.0]
+
+
+def test_sweep_from_a_front_refuses_a_rate_flag(tmp_path, capsys):
+    # a front row is priced at its stored rate, so a rate flag beside
+    # --front would change nothing; it is refused before any work
+    inst = _gen(tmp_path)
+    front = tmp_path / "front.csv"
+    assert main(["solve", "--instance", str(inst), "--solver", "exact", "--alpha-prime", "0.3",
+                 "--out", str(front), "--grid-z2", "2", "--grid-z3", "2"]) == 0
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--instance", str(inst), "--param", "phi", "--values", "30,50",
+            "--front", str(front), "--out", str(out)]
+    capsys.readouterr()
+    assert main(args + ["--alpha-prime", "0.9"]) == 1
+    assert "argument --alpha-prime: not allowed with argument --front" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args) == 0
+    loaded = load_instance(inst)
+    best = min(read_front_csv(front), key=lambda r: (r.z1, r.z2, r.z3))
+    assert best.alpha_prime == 0.3
+    want = sweep_rows(loaded, solution_from_row(loaded, best), "phi", [30.0, 50.0])
+    with open(out, newline="") as fh:
+        assert [tuple(map(float, r)) for r in list(csv.reader(fh))[1:]] == want
 
 
 def test_sweep_refuses_a_front_row_over_a_time_cap(tmp_path, capsys):

@@ -397,7 +397,7 @@ def _tie_cells(index):
     first 16 of the stock order) gets a conditioned bound exactly equal to
     the stock bound of ``order[16]``, which opens the second chunk and has
     the smaller id: the walk must price that chunk before yielding either."""
-    lb, order = index.lb, index.orders[0]
+    lb, order = index.lb, index.order
     first = int(order[16])
     target = lb[0, first]
     cells = []

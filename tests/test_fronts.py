@@ -23,7 +23,7 @@ from hubnet.model import (
 def sol(z1, z2, z3, hub=0):
     """Dummy solution carrying the given objective triple."""
     design = NetworkDesign((hub, hub))
-    plan = RoutePlan(hub=((False, True), (True, False)))
+    plan = RoutePlan(hub=(True, True))
     return EvaluatedSolution(design=design, plan=plan,
                              objectives=ObjectiveVector(z1, z2, z3),
                              alpha_prime=0.5)
@@ -136,7 +136,7 @@ def test_crowding_distance():
 
 def test_solution_sort_key_codes_routes_direct_first():
     hub = sol(1.0, 1.0, 1.0)
-    direct = dataclasses.replace(hub, plan=RoutePlan(hub=((False, False), (True, False))))
+    direct = dataclasses.replace(hub, plan=RoutePlan(hub=(False, True)))
     assert solution_sort_key(hub)[-1] == (1, 1)
     assert solution_sort_key(direct)[-1] == (0, 1)
     assert solution_sort_key(direct) < solution_sort_key(hub)

@@ -59,7 +59,7 @@ def test_network_design_hubs_are_the_self_assigned_nodes():
 def test_route_plan_accessors():
     # a set bit flies the hubs the endpoints are assigned to, in row-major order
     design = NetworkDesign((0, 0, 2))
-    plan = RoutePlan(hub=((False, True, True), (False, False, True), (True, False, False)))
+    plan = RoutePlan(hub=(True, True, False, True, True, False))
     assert list(plan_routes(design, plan)) == [
         (0, 1, (0,)), (0, 2, (0, 2)), (1, 0, ()), (1, 2, (0, 2)), (2, 0, (2, 0)), (2, 1, ())]
     # the diagonal is never a pair, whatever its bit
@@ -188,13 +188,11 @@ def test_plan_violations(tiny):
     msgs = check(slow, design, direct_plan(3, (0, 2)), 0.5)[0]
     assert msgs == ["pair (0, 2) route time exceeds cap 21.0"]
 
-    wide = direct_plan(4)
-    assert check(tiny, design, wide, 0.5)[0] == [
-        "plan rows have lengths [4, 4, 4, 4], instance has 3 nodes"]
-    # a short row would leave its pairs unpriced
-    ragged = RoutePlan(hub=((False, True), (True, False, True), (True, True, False)))
-    assert check(tiny, design, ragged, 0.5)[0] == [
-        "plan rows have lengths [2, 3, 3], instance has 3 nodes"]
+    long = direct_plan(4)
+    assert check(tiny, design, long, 0.5)[0] == ["plan has 12 pair bits, instance has 6 pairs"]
+    # a short plan would leave its last pairs unpriced
+    short = RoutePlan(hub=(True,) * 5)
+    assert check(tiny, design, short, 0.5)[0] == ["plan has 5 pair bits, instance has 6 pairs"]
 
 
 def test_route_time_and_feasible_routes(tiny):
