@@ -39,7 +39,7 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -71,7 +71,9 @@ __all__ = [
 # The index costs 32 bytes per configuration, a (3, total) float64 bound
 # array plus the int64 cost sort order, so this budget admits an index of
 # about 3.2 GB; the conditioned cost bounds are priced in chunks along the
-# scan and add no per-configuration memory.
+# scan and add no per-configuration memory.  A front holds the index plus
+# one search's tables at a time: a config's search data is built for the
+# one search that uses it and dropped after it.
 DEFAULT_BUDGET = 10 ** 8
 
 # Objectives are rounded to 1e-6; a bound within half that of an incumbent
@@ -171,7 +173,7 @@ def _build_block(ctx: EvalContext, hubs: tuple[int, ...]) -> Optional[_Block]:
                   hub_opts=hub_opts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ExactIndex:
     """Enumerated configuration space with per-config objective lower bounds."""
 
@@ -182,21 +184,19 @@ class _ExactIndex:
     order: np.ndarray             # stable argsort of lb[0]
     i_arr: np.ndarray             # canonical off-diagonal pair rows
     j_arr: np.ndarray
-    pd_cache: dict = field(default_factory=dict)
 
     @property
     def total(self) -> int:
         return int(self.offsets[-1])
 
     def pair_data(self, g: int) -> _PairData:
-        """Config id -> its design and routing search data, memoised."""
-        cached = self.pd_cache.get(g)
-        if cached is None:
-            cached = _pair_data(self, g)
-            if len(self.pd_cache) >= 1024:
-                self.pd_cache.pop(next(iter(self.pd_cache)))
-            self.pd_cache[g] = cached
-        return cached
+        """Config id -> its design and routing search data, built afresh.
+
+        A plain call of ``_pair_data``, kept as a method because
+        ``bench/tracer.py`` binds it as the span ``exact.pair_data``, whose
+        count ``bench/test_bench.py`` asserts is above 0.
+        """
+        return _pair_data(self, g)
 
 
 def _assignment_chunk(block: _Block, local: np.ndarray) -> np.ndarray:
@@ -409,7 +409,7 @@ def _visiting_order(index: _ExactIndex, main: int, eps2: float,
 # --- routing branch and bound ----------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PairData:
     """One config's design and fixed cost, its per-pair route options in
     search order, and the bounding suffixes."""
@@ -421,7 +421,6 @@ class _PairData:
     load_nodes: np.ndarray    # (P, 2) nodes loaded by the hub option (-1 = none)
     load_q: np.ndarray        # (P,) demand added per loaded node
     canon_pos: np.ndarray     # (P,) canonical pair position of search position t
-    budget: list = field(default_factory=list)   # repair tables, see _budget_tables
 
 
 def _repair_tables(contrib: np.ndarray, v: int, b: int) -> tuple:
@@ -579,9 +578,10 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     floors and load data, and keeps hub loads as Python floats: the same
     double bits as the numpy scalars they stand for, so the keys are those
     of a numpy-scalar search (``tests/test_bb_routing.py`` keeps one as
-    the reference).  The budget tables keep their numpy rows; the hub
-    shed tables are built per call, as lists, once the root passes the
-    budget checks, and only for hubs that the floor overloads, so a
+    the reference).  Both kinds of repair table are built per call.  The
+    budget tables, built only when a bound is finite, keep their numpy
+    rows; the hub shed tables are lists, built once the root passes the
+    budget checks and only for hubs that the floor overloads, so a
     config whose floor fits searches as without them.
     """
     P = len(pd.contrib)
@@ -597,9 +597,7 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     canon = pd.canon_pos
 
     constrained = math.isfinite(eps2) or math.isfinite(eps3)
-    if constrained and not pd.budget:
-        pd.budget = _budget_tables(pd.contrib)
-    budget = pd.budget
+    budget = _budget_tables(pd.contrib) if constrained else []
 
     # greedy option order per pair: main value, cost breaks the frequent
     # main ties (zero-penalty plateaus), so early leaves are near-optimal

@@ -45,9 +45,7 @@ def ref_bb_routing(pd, caps, main, eps2, eps3, incumbent) -> Optional[tuple]:
     canon = pd.canon_pos
 
     constrained = math.isfinite(eps2) or math.isfinite(eps3)
-    if constrained and not pd.budget:
-        pd.budget = exact._budget_tables(pd.contrib)
-    budget = pd.budget
+    budget = exact._budget_tables(pd.contrib) if constrained else []
 
     hub_first = (contrib[:, 1, main] < contrib[:, 0, main]) | (
         (contrib[:, 1, main] == contrib[:, 0, main]) & (contrib[:, 1, 0] < contrib[:, 0, 0]))

@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -581,6 +582,21 @@ def test_exact_front_bytes_are_pinned(seed, segments, tmp_path):
     write_front_csv(front, tmp_path / "front.csv")
     digest = hashlib.sha256((tmp_path / "front.csv").read_bytes()).hexdigest()
     assert digest == _PINNED_FRONTS[seed, segments]
+
+
+def test_a_front_holds_one_search_data_at_a_time():
+    # C7 at 3 x 3 peaks near 14 MB when a config's search data lives for
+    # one search; a cache of it across cells, whose records grew budget
+    # tables after insertion, peaked near 34 MB
+    inst = generate(GeneratorSpec(n=10, p=3, seed=7))
+    tracemalloc.start()
+    try:
+        front = epsilon_constraint_front(inst, EpsilonGrid(3, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(front) > 1
+    assert peak < 24 * 2 ** 20
 
 
 def test_solvers_match_the_oracle_where_hub_capacity_binds(monkeypatch):
