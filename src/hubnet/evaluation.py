@@ -7,7 +7,7 @@ once.  A route is priced in one place: the kernel :func:`_price`, with
 :func:`_hub_route` for the hub-route geometry, returns (..., 3) objective
 triples with inf over the pair's time cap.  The direct table of
 :func:`make_context`, :func:`hub_tables` and the exact solver's
-per-hub-set option arrays are its output as it is.  :func:`check` is
+route table are its output as it is.  :func:`check` is
 the one judge of a stored (design, plan): it prices the plan as a
 one-row batch and reads its findings off the same tables (a time-cap
 breach is an inf in the chosen option, and hub loads come from

@@ -8,6 +8,15 @@ branch-and-bound; configurations are visited in order of a cost bound
 conditioned on the cell's budgets, built only for those the scan reaches,
 so most are pruned without search.
 
+The index prices every pair's hub route over every hub pair a design can
+use once, into one route table (``_ExactIndex.routes``).  A config's three
+stock lower bounds sum, over the n x n pair grid in row-major order, each
+pair's floor ``min(hub route, direct)`` (0 on the diagonal), taken from a
+floor table built from the route table with one flat index per chunk of
+configs (``_route_at``); the option tables of ``_options`` read hub routes
+through the same index.  Each config's sum runs over its own contiguous
+n x n block, so its bound has the same bits whichever chunk prices it.
+
 Determinism: ties between equal-objective routings break on the route
 encoding (direct=0, hub route=1, canonical pair order).  Configurations
 are visited once, in ascending (bound, canonical config id) order, and
@@ -40,6 +49,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -68,13 +78,14 @@ __all__ = [
     "epsilon_constraint_front",
 ]
 
-# The index costs 32 bytes per configuration, a (3, total) float64 bound
-# array plus the int64 cost sort order, so this budget admits an index of
-# about 3.2 GB; the conditioned cost bounds are priced in chunks along the
-# scan and add no per-configuration memory.  A front holds the index plus
-# one search's tables at a time: a config's search data is built for the
-# one search that uses it and dropped after it.
+# The index costs _INDEX_BYTES per configuration, a (3, total) float64
+# bound array plus the int64 cost sort order, so this budget admits an
+# index of about 3.2 GB; the conditioned cost bounds are priced in chunks
+# along the scan and add no per-configuration memory.  A front holds the
+# index plus one search's tables at a time: a config's search data is
+# built for the one search that uses it and dropped after it.
 DEFAULT_BUDGET = 10 ** 8
+_INDEX_BYTES = 32
 
 # Objectives are rounded to 1e-6; a bound within half that of an incumbent
 # could still tie after rounding, so pruning leaves this much slack.
@@ -92,14 +103,24 @@ class EnumerationBudgetError(RuntimeError):
         self.count = count
         self.budget = budget
         super().__init__(
-            f"configuration count {count} exceeds enumeration budget {budget}; "
-            "use a metaheuristic solver for this size"
+            f"configuration count {count} exceeds enumeration budget {budget} "
+            f"(an index of {_byte_size(count * _INDEX_BYTES)} at {_INDEX_BYTES} B per "
+            "configuration); use a metaheuristic solver for this size"
         )
 
     def __reduce__(self):
         # two required init args: stock exception pickling rebuilds from the
         # formatted message alone and breaks process pools mid-transfer
         return (EnumerationBudgetError, (self.count, self.budget))
+
+
+def _byte_size(nbytes: int) -> str:
+    """``nbytes`` to three significant digits, in B up to PB."""
+    for step, unit in enumerate(("B", "kB", "MB", "GB", "TB")):
+        if nbytes < 999.5 * 1000 ** step:
+            return f"{nbytes / 1000 ** step:.3g} {unit}"
+    # a Decimal quotient: a count past the float range still formats
+    return f"{Decimal(nbytes) / 10 ** 15:.3g} PB"
 
 
 def configuration_count(n: int, p: int) -> int:
@@ -135,47 +156,53 @@ class EpsilonGrid:
         return [(e2, e3) for e2 in v2 for e3 in v3]
 
 
-# --- per-hub-set options and the configuration index -----------------------
+# --- hub sets, route tables and the configuration index -------------------
 
 
 @dataclass
 class _Block:
-    """All configurations sharing one hub set, with its hub-route options.
-
-    ``hub_opts[i, j, x, y]`` holds the (z1, z2, z3) of pair (i, j)'s hub
-    route when x and y are the positions in ``hubs`` of the origin's and
-    destination's hub; inf marks a route over the pair's time cap, as in
-    the option tables of ``_options``.
-    """
+    """All configurations sharing one hub set."""
 
     hubs: tuple[int, ...]
     spokes: np.ndarray            # non-hub node ids
-    choices: list[np.ndarray]     # per spoke: hub positions within omega
+    choices: list[np.ndarray]     # per spoke: ids of the hubs within omega, ascending
     n_configs: int
     fixed_total: float
-    hub_opts: np.ndarray          # (n, n, h, h, 3)
 
 
-def _build_block(ctx: EvalContext, hubs: tuple[int, ...]) -> Optional[_Block]:
+def _build_block(inst: ProblemInstance, hubs: tuple[int, ...]) -> Optional[_Block]:
     """The hub set's block, or None when some spoke has no hub within omega."""
-    inst = ctx.inst
-    idx = np.arange(inst.n)
     H = np.asarray(hubs, dtype=np.intp)
-    spokes = np.setdiff1d(idx, H)
+    spokes = np.setdiff1d(np.arange(inst.n), H)
     reach = inst.coverage()[spokes[:, None], H]
     counts = reach.sum(axis=1)
     if not counts.all():
         return None
-    hub_opts = _hub_route(ctx, idx[:, None, None, None], idx[None, :, None, None],
-                          H[None, None, :, None], H[None, None, None, :], np.s_[:, :, None, None])
-    return _Block(hubs=hubs, spokes=spokes, choices=[np.flatnonzero(row) for row in reach],
-                  n_configs=int(np.prod(counts)), fixed_total=float(inst.fixed_cost[H].sum()),
-                  hub_opts=hub_opts)
+    return _Block(hubs=hubs, spokes=spokes, choices=[H[row] for row in reach],
+                  n_configs=int(np.prod(counts)), fixed_total=float(inst.fixed_cost[H].sum()))
+
+
+def _route_at(n: int, stride: int, i, j, a_i, a_j):
+    """Flat index into an (n, n, K) route table of pair (i, j)'s route from
+    hub ``a_i`` to hub ``a_j``; the arguments broadcast.
+
+    The hub pair (k, l) has code ``k * stride + l``: ``stride`` is n, and
+    K = n^2, where a design may open two hubs; with at most one hub open
+    k equals l, so ``stride`` is 0 and K = n.  The budget bounds n where
+    p > 1 (24 n^4 bytes is 0.5 MB at n = 12) but not where p = 1, whose
+    table so grows as n^3.
+    """
+    return (i * n + j) * (n * (stride or 1)) + (a_i * stride + a_j)
 
 
 @dataclass(frozen=True)
 class _ExactIndex:
-    """Enumerated configuration space with per-config objective lower bounds."""
+    """Enumerated configuration space with per-config objective lower bounds.
+
+    ``routes[i, j, c]`` holds the (z1, z2, z3) of pair (i, j)'s hub route
+    over the hub pair with code c (see ``_route_at``), inf over the pair's
+    time cap, as in the option tables of ``_options``.
+    """
 
     ctx: EvalContext
     blocks: list[_Block]
@@ -184,6 +211,8 @@ class _ExactIndex:
     order: np.ndarray             # stable argsort of lb[0]
     i_arr: np.ndarray             # canonical off-diagonal pair rows
     j_arr: np.ndarray
+    routes: np.ndarray            # (n, n, K, 3)
+    stride: int                   # hub-pair code stride, see _route_at
 
     @property
     def total(self) -> int:
@@ -200,11 +229,10 @@ class _ExactIndex:
 
 
 def _assignment_chunk(block: _Block, local: np.ndarray) -> np.ndarray:
-    """(m, n) hub-position assignments for the local config indices ``local``."""
+    """(m, n) assignments (hub ids) of the block's local config indices ``local``."""
     n = len(block.spokes) + len(block.hubs)
     out = np.empty((len(local), n), dtype=np.intp)
-    for pos, k in enumerate(block.hubs):
-        out[:, k] = pos
+    out[:, list(block.hubs)] = block.hubs
     local = np.array(local, dtype=np.intp)      # a copy: divided in place below
     for spoke, choices in zip(block.spokes[::-1], block.choices[::-1]):
         out[:, spoke] = choices[local % len(choices)]
@@ -214,7 +242,7 @@ def _assignment_chunk(block: _Block, local: np.ndarray) -> np.ndarray:
 
 def _options(index: _ExactIndex, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical (m, P, 2, 3) option tables of the configs ``g``, and their
-    (m, n) assignments as positions in each config's ``block.hubs``.
+    (m, n) assignments.
 
     Row t of a table holds canonical pair t's direct route (option 0) and
     hub route (option 1) as objective triples, inf where the option breaks
@@ -222,16 +250,17 @@ def _options(index: _ExactIndex, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     cannot be routed.
     """
     i_arr, j_arr = index.i_arr, index.j_arr
-    opts = np.empty((len(g), len(i_arr), 2, 3))
-    opts[:, :, 0] = index.ctx.direct[i_arr, j_arr]
-    positions = np.empty((len(g), index.ctx.inst.n), dtype=np.intp)
+    n = index.ctx.inst.n
+    A = np.empty((len(g), n), dtype=np.intp)
     block_of = np.searchsorted(index.offsets, g, side="right") - 1
     for b in np.unique(block_of):
         sel = block_of == b
-        A = _assignment_chunk(index.blocks[b], g[sel] - index.offsets[b])
-        opts[sel, :, 1] = index.blocks[b].hub_opts[i_arr, j_arr, A[:, i_arr], A[:, j_arr]]
-        positions[sel] = A
-    return opts, positions
+        A[sel] = _assignment_chunk(index.blocks[b], g[sel] - index.offsets[b])
+    opts = np.empty((len(g), len(i_arr), 2, 3))
+    opts[:, :, 0] = index.ctx.direct[i_arr, j_arr]
+    at = _route_at(n, index.stride, i_arr, j_arr, A[:, i_arr], A[:, j_arr])
+    opts[:, :, 1] = index.routes.reshape(-1, 3)[at]
+    return opts, A
 
 
 _LB_CHUNK = 4096
@@ -257,31 +286,39 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
     blocks: list[_Block] = []
     for h in range(1, inst.p + 1):
         for hubs in itertools.combinations(range(n), h):
-            block = _build_block(ctx, hubs)
+            block = _build_block(inst, hubs)
             if block is not None:
                 blocks.append(block)
 
     i_arr, j_arr = np.where(ctx.offdiag)
     offsets = np.cumsum([0] + [block.n_configs for block in blocks], dtype=np.int64)
+    # every pair's route over every hub pair a design can use, in one table
+    idx = np.arange(n)
+    stride = n if inst.p > 1 else 0
+    k, l = np.divmod(np.arange(n * n), n) if stride else (idx, idx)
+    routes = _hub_route(ctx, idx[:, None, None], idx[None, :, None], k, l, np.s_[:, :, None])
+    # each route's floor, min(hub route, direct), 0 on the diagonal: one
+    # contiguous row per objective, read with one flat take per chunk
+    floors = np.minimum(routes, ctx.direct[:, :, None])
+    floors[idx, idx] = 0.0
+    floors = np.ascontiguousarray(np.moveaxis(floors, -1, 0)).reshape(3, -1)
 
-    # summed per config over the n x n grid: the bounds' bits depend on that order
+    # summed per config over a contiguous n x n grid of floors in pair order:
+    # the bounds' bits depend on that order.  A pair with no option within
+    # its time cap makes the sum inf.
     lb = np.empty((3, int(offsets[-1])))
     ii, jj = np.indices((n, n))
-    diag = np.arange(n)
     for block, base in zip(blocks, offsets.tolist()):
         for start in range(0, block.n_configs, _LB_CHUNK):
             stop = min(start + _LB_CHUNK, block.n_configs)
             A = _assignment_chunk(block, np.arange(start, stop))
-            at = (ii[None], jj[None], A[:, :, None], A[:, None, :])
+            flat = _route_at(n, stride, ii, jj, A[:, :, None], A[:, None, :])
             for row in range(3):
-                best = np.minimum(block.hub_opts[at + (row,)], ctx.direct[None, :, :, row])
-                best[:, diag, diag] = 0.0
-                # a pair with no option within its time cap makes the sum inf
-                lb[row, base + start:base + stop] = best.sum(axis=(1, 2))
+                lb[row, base + start:base + stop] = floors[row].take(flat).sum(axis=(1, 2))
             lb[0, base + start:base + stop] += block.fixed_total
     return _ExactIndex(ctx=ctx, blocks=blocks, offsets=offsets, lb=lb,
                        order=np.argsort(lb[0], kind="stable"),
-                       i_arr=i_arr, j_arr=j_arr)
+                       i_arr=i_arr, j_arr=j_arr, routes=routes, stride=stride)
 
 
 def _repair_terms(opts: np.ndarray, v: int, b: int) -> tuple[np.ndarray, ...]:
@@ -511,10 +548,10 @@ def _pair_order(contrib: np.ndarray) -> np.ndarray:
 def _pair_data(index: _ExactIndex, g: int) -> _PairData:
     """Config id -> its design, fixed cost and routing search data."""
     block = index.blocks[int(np.searchsorted(index.offsets, g, side="right")) - 1]
-    opts, positions = _options(index, np.array([g]))
+    opts, assignments = _options(index, np.array([g]))
     order = _pair_order(opts[0])
     contrib = opts[0, order]
-    assignment = np.asarray(block.hubs, dtype=np.intp)[positions[0]]
+    assignment = assignments[0]
     first = assignment[index.i_arr[order]]
     second = assignment[index.j_arr[order]]
     best = np.minimum(contrib[:, 0, :], contrib[:, 1, :])

@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -161,6 +162,22 @@ def test_budget_error_carries_counts(tiny):
         epsilon_constraint_front(tiny, EpsilonGrid(2, 2), budget=5)
     assert err.value.count == 9
     assert err.value.budget == 5
+
+
+def test_budget_error_names_the_index_size(tiny):
+    """The message names the index the refused count would take, at 32 B
+    per configuration; the budget itself stays a configuration count."""
+    with pytest.raises(EnumerationBudgetError) as err:
+        epsilon_constraint_front(tiny, EpsilonGrid(2, 2), budget=5)
+    assert str(err.value) == ("configuration count 9 exceeds enumeration budget 5 (an index "
+                              "of 288 B at 32 B per configuration); use a metaheuristic "
+                              "solver for this size")
+    assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
+    assert "an index of 3.2 GB " in str(EnumerationBudgetError(DEFAULT_BUDGET + 1, DEFAULT_BUDGET))
+    assert "an index of 1 MB " in str(EnumerationBudgetError(31_250, 1))
+    assert "an index of 999 kB " in str(EnumerationBudgetError(31_234, 1))
+    # a count past the float range still formats
+    assert " PB at 32 B" in str(EnumerationBudgetError(configuration_count(400, 200), 1))
 
 
 def test_epsilon_grid_cells():
@@ -355,7 +372,7 @@ def test_default_budget_is_large():
 @pytest.mark.parametrize("cap", [None, 2.0, 1.0], ids=["uncapped", "some-options-late", "pairs-stranded"])
 def test_heuristic_and_exact_paths_price_routes_alike(n, cap):
     """The metaheuristics price hub routes with ``hub_tables``, the exact
-    solver with each hub set's ``hub_opts``: both must give the same bits,
+    solver with its route table ``routes``: both must give the same bits,
     inf entries over the time cap included.
 
     ``cap`` sets every time cap to that multiple of the median flight time:
@@ -370,10 +387,9 @@ def test_heuristic_and_exact_paths_price_routes_alike(n, cap):
     ii, jj = np.indices((n, n))
     rng = np.random.default_rng(n)
     for g in rng.choice(index.total, size=min(16, index.total), replace=False):
-        block = index.blocks[np.searchsorted(index.offsets, g, side="right") - 1]
-        a_idx = exact._options(index, np.array([g]))[1][0]
+        a = exact._options(index, np.array([g]))[1][0]
         tables = hub_tables(index.ctx, np.asarray(index.pair_data(int(g)).design.assignment))
-        opts = block.hub_opts[ii, jj, a_idx[ii], a_idx[jj]]
+        opts = index.routes.reshape(-1, 3)[exact._route_at(n, index.stride, ii, jj, a[ii], a[jj])]
         assert tables.tobytes() == opts.tobytes()
 
 
