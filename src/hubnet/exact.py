@@ -6,7 +6,9 @@ of the three objectives.  Per grid cell the solver takes the minimum over
 every configuration (hub set + assignment) of an exact routing
 branch-and-bound; configurations are visited in order of a cost bound
 conditioned on the cell's budgets, built only for those the scan reaches,
-so most are pruned without search.
+so most are pruned without search.  The scan also makes the search's root
+budget checks for each chunk of configs, so a config that the search
+would reject at its root gets no search data and no search.
 
 The index prices every pair's hub route over every hub pair a design can
 use once, into one route table (``_ExactIndex.routes``).  A config's three
@@ -336,32 +338,45 @@ def _repair_terms(opts: np.ndarray, v: int, b: int) -> tuple[np.ndarray, ...]:
     finite and a positive saving), and the stable ratio order along the
     pair axis.
     """
-    hub = (opts[..., 1, v] < opts[..., 0, v])[..., None]
-    base = np.where(hub, opts[..., 1, :], opts[..., 0, :])
-    alt = np.where(hub, opts[..., 0, :], opts[..., 1, :])
+    hub = opts[..., 1, v] < opts[..., 0, v]
+
+    def floor_and_other(c: int) -> tuple[np.ndarray, np.ndarray]:
+        # one objective at a time: a where over whole (..., 3) triples,
+        # through strided views, costs several times more
+        return (np.where(hub, opts[..., 1, c], opts[..., 0, c]),
+                np.where(hub, opts[..., 0, c], opts[..., 1, c]))
+
+    base_v, alt_v = floor_and_other(v)
+    base_b, alt_b = floor_and_other(b)
     with np.errstate(invalid="ignore"):
-        dv = alt[..., v] - base[..., v]
-        db = base[..., b] - alt[..., b]
+        dv = alt_v - base_v
+        db = base_b - alt_b
     valid = np.isfinite(dv) & np.isfinite(db) & (db > 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(valid, dv / db, np.inf)
-    return base[..., b], dv, db, ratio, valid, np.argsort(ratio, axis=-1, kind="stable")
+    return base_b, dv, db, ratio, valid, np.argsort(ratio, axis=-1, kind="stable")
+
+
+# (bounded objective, budget objective) of each fractional-repair table:
+# cost under either budget, then the cross pair, emissions under the
+# penalty budget and penalty under the emissions budget
+_REPAIR_PAIRS = ((0, 1), (0, 2), (1, 2), (2, 1))
 
 
 def _build_repair(index: _ExactIndex, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Fractional-repair tables of the configs ``g``, one per budget objective.
+    """Fractional-repair tables of the configs ``g``, one per (bounded,
+    budget) pair of ``_REPAIR_PAIRS``.
 
     Read from the configs' option tables (``_options``) through
-    ``_repair_terms`` with cost as the bounded objective.  A table holds
-    how much of the budget objective the cost floor uses, (m,), and, in
-    ratio order, the cumulative savings and costs of the switches and
-    their ratios, (m, P) each, invalid switches adding zero.  See
-    _conditional_lb.
+    ``_repair_terms``.  A table holds how much of the budget objective the
+    bounded objective's floor uses, (m,), and, in ratio order, the
+    cumulative savings and costs of the switches and their ratios, (m, P)
+    each, invalid switches adding zero.  See _conditional_lb.
     """
     opts, _ = _options(index, g)
     tables = []
-    for c in (1, 2):
-        base_b, dv, db, ratio, valid, order = _repair_terms(opts, 0, c)
+    for v, b in _REPAIR_PAIRS:
+        base_b, dv, db, ratio, valid, order = _repair_terms(opts, v, b)
 
         def ordered(x: np.ndarray) -> np.ndarray:
             return np.take_along_axis(np.where(valid, x, 0.0), order, axis=1)
@@ -378,20 +393,42 @@ def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float)
 
     The unconstrained bound plus the cheapest fractional repair (greedy
     over cost/saving ratios) that brings each budget objective's floor
-    usage inside its bound; inf marks configs that cannot fit the cell.
-    The repairs for the two budgets are computed independently, so the
-    max of the two penalties is still a valid joint bound.  Never below
-    ``index.lb[0, g]``.
+    usage inside its bound.  The repairs for the two budgets are computed
+    independently, so the max of the two penalties is still a valid joint
+    bound.  Never below ``index.lb[0, g]``.
+
+    inf marks configs that cannot fit the cell: those that no cost repair
+    fits, and those that fail the routing search's root checks on the
+    cross pair, where a budget objective's floor (``index.lb[v, g]``) plus
+    the cheapest fractional repair that honors the other budget already
+    exceeds its own bound.  ``_bb_routing`` returns None for such a config
+    at its root, so it gets no search data.  The chunk adds in canonical
+    pair order and the search in its own, so the two checks differ by a
+    few ulps, and the chunk may reject a config whose root the search
+    passes by an ulp.  That config still has no routing that fits: the
+    check compares with the bound plus ``_ROUND_SLACK`` (6e-7), while a
+    routing fits only within 5e-7 of the bound, since its rounded value
+    must not exceed it.  A gap of 1e-7 is far beyond the drift of P
+    summed floors (about P ulps: 1e-9 at values near 1e5).
     """
     if not (math.isfinite(eps2) or math.isfinite(eps3)):
         return index.lb[0, g]
     pen = np.zeros(len(g))
-    for (used, cum_save, cum_cost, ratio), eps in zip(_build_repair(index, g), (eps2, eps3)):
+    cost2, cost3, cross23, cross32 = _build_repair(index, g)
+    for (used, cum_save, cum_cost, ratio), eps in ((cost2, eps2), (cost3, eps3)):
         if not math.isfinite(eps):
             continue
         need = used - (eps + _ROUND_SLACK)
         for r in np.flatnonzero((need > 0) & np.isfinite(need)):
             pen[r] = max(pen[r], _repair_price(need[r], cum_save[r], cum_cost[r], ratio[r])[0])
+    # the search's root checks on the cross pair, with its operand order
+    for (used, cum_save, cum_cost, ratio), v, eps_v, eps_b in (
+            (cross23, 1, eps2, eps3), (cross32, 2, eps3, eps2)):
+        need = used - eps_b - _ROUND_SLACK
+        price = np.zeros(len(g))
+        for r in np.flatnonzero((need > 0) & (pen < math.inf)):
+            price[r] = _repair_price(need[r], cum_save[r], cum_cost[r], ratio[r])[0]
+        pen[index.lb[v, g] + price > eps_v + _ROUND_SLACK] = math.inf
     return index.lb[0, g] + pen
 
 
@@ -422,8 +459,12 @@ def _visiting_order(index: _ExactIndex, main: int, eps2: float,
     priced in growing chunks along the stable sort of ``index.lb[main]``;
     no bound is below its stock bound, so the heap's top is final once it
     lies strictly below the next unpriced stock bound (on a tie, an
-    unpriced config could still come first by id).  Configs with an
-    infinite bound are never yielded.
+    unpriced config could still come first by id).  Configs over a
+    budget on their stock bounds are dropped before pricing, and configs
+    with an infinite bound are never yielded: for cost, those that no
+    cost repair fits and those that fail the search's root checks on the
+    cross pair (_conditional_lb).  None of them has a routing within the
+    cell, so none gets search data.
     """
     floor = index.lb[main]
     order = index.order if main == 0 else np.argsort(floor, kind="stable")
@@ -482,11 +523,11 @@ def _repair_tables(contrib: np.ndarray, v: int, b: int) -> tuple:
 
 
 def _budget_tables(contrib: np.ndarray) -> list:
-    """Repair tables used by the search: cost under either budget, plus the
-    cross pair (emissions under the penalty budget and vice versa), which
-    prices out budget-infeasible subtrees before any incumbent exists."""
-    return [_repair_tables(contrib, 0, 1), _repair_tables(contrib, 0, 2),
-            _repair_tables(contrib, 1, 2), _repair_tables(contrib, 2, 1)]
+    """Repair tables used by the search, one per pair of ``_REPAIR_PAIRS``:
+    cost under either budget, plus the cross pair (emissions under the
+    penalty budget and vice versa), which prices out budget-infeasible
+    subtrees before any incumbent exists."""
+    return [_repair_tables(contrib, v, b) for v, b in _REPAIR_PAIRS]
 
 
 def _capacity_tables(pd: _PairData, caps: list[float]) -> list[tuple]:
@@ -619,7 +660,11 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     budget tables, built only when a bound is finite, keep their numpy
     rows; the hub shed tables are lists, built once the root passes the
     budget checks and only for hubs that the floor overloads, so a
-    config whose floor fits searches as without them.
+    config whose floor fits searches as without them.  A cost solve
+    builds no budget tables for a config that the root's cross checks
+    reject: ``_conditional_lb`` makes the same checks for each chunk of
+    configs, so such a config is never visited.  The root checks stay
+    here for any caller, and for the configs a chunk passes by an ulp.
     """
     P = len(pd.contrib)
     contrib = pd.contrib.tolist()

@@ -615,6 +615,23 @@ def test_a_front_holds_one_search_data_at_a_time():
     assert peak < 24 * 2 ** 20
 
 
+def test_a_front_searches_no_config_that_fails_the_root_checks(monkeypatch):
+    # C7's 3 x 3 front: the chunked scan drops the configs that fail the
+    # search's root budget checks, so 19 routing searches run; with those
+    # checks left to the search, 164 more returned None at their root
+    calls = []
+    search = exact._bb_routing
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(exact, "_bb_routing", counted)
+    front = epsilon_constraint_front(generate(GeneratorSpec(n=10, p=3, seed=7)), EpsilonGrid(3, 3))
+    assert len(front) == 5
+    assert len(calls) == 19
+
+
 def test_solvers_match_the_oracle_where_hub_capacity_binds(monkeypatch):
     """At half capacity, unlike C1's instances, hub loads bind: the oracle
     prunes on load columns, every 6 x 6 cell's cost optimum equals the

@@ -18,28 +18,28 @@ from hubnet import exact
 from hubnet.exact import DEFAULT_BUDGET, EpsilonGrid
 from hubnet.generator import GeneratorSpec, generate
 
-PAIRS = ((0, 1), (0, 2), (1, 2), (2, 1))   # (bounded, budget) as in _budget_tables
+PAIRS = ((0, 1), (0, 2), (1, 2), (2, 1))   # (bounded, budget) as in exact._REPAIR_PAIRS
 
 
 def ref_build_repair(index, g):
     opts, _ = exact._options(index, g)
-    cheap_hub = opts[:, :, 1, 0] < opts[:, :, 0, 0]
-    base = np.where(cheap_hub[..., None], opts[:, :, 1], opts[:, :, 0])
-    alt = np.where(cheap_hub[..., None], opts[:, :, 0], opts[:, :, 1])
     tables = []
-    for c in (1, 2):
+    for v, b in PAIRS:
+        cheap_hub = opts[:, :, 1, v] < opts[:, :, 0, v]
+        base = np.where(cheap_hub[..., None], opts[:, :, 1], opts[:, :, 0])
+        alt = np.where(cheap_hub[..., None], opts[:, :, 0], opts[:, :, 1])
         with np.errstate(invalid="ignore"):
-            d1 = alt[..., 0] - base[..., 0]
-            dc = base[..., c] - alt[..., c]
-        valid = np.isfinite(d1) & np.isfinite(dc) & (dc > 0)
-        d1 = np.where(valid, d1, 0.0)
-        dc = np.where(valid, dc, 0.0)
+            dv = alt[..., v] - base[..., v]
+            db = base[..., b] - alt[..., b]
+        valid = np.isfinite(dv) & np.isfinite(db) & (db > 0)
+        dv = np.where(valid, dv, 0.0)
+        db = np.where(valid, db, 0.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.where(valid, d1 / dc, np.inf)
+            r = np.where(valid, dv / db, np.inf)
         ord_ = np.argsort(r, axis=1, kind="stable")
-        tables.append((np.cumsum(base[..., c], axis=1)[:, -1],
-                       np.cumsum(np.take_along_axis(dc, ord_, axis=1), axis=1),
-                       np.cumsum(np.take_along_axis(d1, ord_, axis=1), axis=1),
+        tables.append((np.cumsum(base[..., b], axis=1)[:, -1],
+                       np.cumsum(np.take_along_axis(db, ord_, axis=1), axis=1),
+                       np.cumsum(np.take_along_axis(dv, ord_, axis=1), axis=1),
                        np.take_along_axis(np.where(valid, r, 0.0), ord_, axis=1)))
     return tables
 
@@ -120,7 +120,9 @@ def _cells(index):
 
 def test_config_tables_and_conditioned_bounds_keep_their_bits(index, monkeypatch):
     g = _sample(index, 4096)
-    for got, want in zip(exact._build_repair(index, g), ref_build_repair(index, g)):
+    tables = exact._build_repair(index, g)
+    assert len(tables) == len(PAIRS)
+    for got, want in zip(tables, ref_build_repair(index, g)):
         _same_bits(got, want)
     cells = _cells(index)
     new = [exact._conditional_lb(index, g, e2, e3) for e2, e3 in cells]
@@ -167,3 +169,52 @@ def test_an_overflowing_ratio_keeps_its_place(monkeypatch):
     monkeypatch.setattr(exact, "_build_repair", ref_build_repair)
     for (e2, e3), a in zip(cells, new):
         assert a.tobytes() == exact._conditional_lb(fake, g, e2, e3).tobytes()
+
+
+def ref_conditional_lb(index, g, eps2, eps3):
+    """The conditioned cost bound without the cross pair's root checks:
+    the cost repairs alone, from the reference tables."""
+    if not (math.isfinite(eps2) or math.isfinite(eps3)):
+        return index.lb[0, g]
+    pen = np.zeros(len(g))
+    for (used, cum_save, cum_cost, ratio), eps in zip(ref_build_repair(index, g), (eps2, eps3)):
+        if not math.isfinite(eps):
+            continue
+        need = used - (eps + exact._ROUND_SLACK)
+        for r in np.flatnonzero((need > 0) & np.isfinite(need)):
+            pen[r] = max(pen[r], exact._repair_price(need[r], cum_save[r], cum_cost[r], ratio[r])[0])
+    return index.lb[0, g] + pen
+
+
+@pytest.mark.parametrize("seed", [7, 8], ids=["c7", "n10-seed8"])
+def test_configs_the_cross_checks_drop_have_no_routing_in_the_cell(seed):
+    """Every 3 x 3 cell of C7 and of 10-node seed 8: a config that the
+    cross pair's root checks mark inf gets None from an unprimed routing
+    search, and every bound that stays finite keeps the bits of the bound
+    without those checks.  Priced over the configs that pass the stock
+    filter, the first 1,024 in cost order (more than the scan reaches)
+    and 1,024 spread over the rest; about 64 dropped ones are searched
+    per cell."""
+    inst = generate(GeneratorSpec(n=10, p=3, seed=seed))
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    rows = np.array([exact._solve_min(index, main, math.inf, math.inf).objectives.as_tuple()
+                     for main in range(3)])
+    cells = EpsilonGrid(3, 3).cells((rows[:, 1].min(), rows[:, 1].max()),
+                                    (rows[:, 2].min(), rows[:, 2].max()))
+    searched = 0
+    for eps2, eps3 in cells:
+        order = index.order
+        order = order[(index.lb[1, order] <= eps2 + exact._ROUND_SLACK)
+                      & (index.lb[2, order] <= eps3 + exact._ROUND_SLACK)]
+        rest = order[1024:]
+        g = np.concatenate([order[:1024], rest[::max(1, len(rest) // 1024)]])
+        new = exact._conditional_lb(index, g, eps2, eps3)
+        old = ref_conditional_lb(index, g, eps2, eps3)
+        kept = np.isfinite(new)
+        assert new[kept].tobytes() == old[kept].tobytes()
+        dropped = g[~kept & np.isfinite(old)]
+        for cfg in dropped[::max(1, len(dropped) // 64)].tolist():
+            pd = index.pair_data(cfg)
+            assert exact._bb_routing(pd, inst.capacity, 0, eps2, eps3, (math.inf,) * 4) is None
+            searched += 1
+    assert searched > 0
