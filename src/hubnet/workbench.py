@@ -7,18 +7,20 @@ plan is kept on purpose even where it would no longer be chosen.  A plan
 with a route over its time cap has no finite price and is refused; no
 knob moves travel times, so no value could price it.
 
-The comparison experiment runs a (instance, algorithm, seed) grid of
-cells, each cell fully self-contained, and aggregates per-algorithm
-averages plus a closeness ranking.  Cells can run in a process pool; all
+The comparison experiment fills a (instance, algorithm, seed) grid of
+cells and aggregates per-algorithm averages plus a closeness ranking.
+Each task solves one (instance, algorithm) once for the seeds it serves:
+one seed for a metaheuristic, every seed for ``exact``, which ignores the
+seed, so an exact front is solved once per instance and its result and
+front file go to every seed's cell.  Tasks can run in a process pool; all
 output bytes except the timing column are independent of the worker
-count because each cell writes only its own front file and the tables
-are written from the results in grid order.
+count because each task writes only its own cells' front files and the
+tables are written from the results in grid order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import sys
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -171,82 +173,110 @@ def _failed_cell(name: str, algorithm: str, seed: int, exc: Exception) -> CellRe
     return CellResult(instance=name, algorithm=algorithm, seed=seed, metrics=None, error=error)
 
 
-def _run_cell(config: ExperimentConfig, path: str, algorithm: str, seed: int) -> CellResult:
-    """Solve and score one cell, then write its front under ``fronts/``."""
+def _run_cell(config: ExperimentConfig, path: str, algorithm: str,
+              seeds: tuple[int, ...]) -> list[CellResult]:
+    """Solve and score once with the first seed, then write the front under
+    ``fronts/`` for each seed served; one result per seed, in seed order.
+
+    Every seed's cell carries the one solve's metrics, its time included.
+    """
     name = Path(path).stem
     try:
         inst = load_instance(path)
-        front, elapsed = run_solver(inst, algorithm, seed, config.alpha_prime, config.params,
-                                    config.grid, config.budget)
+        front, elapsed = run_solver(inst, algorithm, seeds[0], config.alpha_prime,
+                                    config.params, config.grid, config.budget)
         metrics = compute_metrics(front, elapsed)
     except FileNotFoundError:
         raise       # a missing instance file ends the campaign
     except Exception as exc:
         # an unreadable or invalid instance, a failed solve (budget blown,
-        # empty front) or any other fault aborts this cell only
-        return _failed_cell(name, algorithm, seed, exc)
-    try:
-        write_front_csv(front, Path(config.out_dir, "fronts", f"{name}_{algorithm}_seed{seed}.csv"))
-    except Exception as exc:
-        return _failed_cell(name, algorithm, seed, exc)
-    return CellResult(instance=name, algorithm=algorithm, seed=seed, metrics=metrics)
+        # empty front) or any other fault aborts this task's cells only
+        return [_failed_cell(name, algorithm, seed, exc) for seed in seeds]
+    results = []
+    for seed in seeds:
+        try:
+            write_front_csv(front, Path(config.out_dir, "fronts",
+                                        f"{name}_{algorithm}_seed{seed}.csv"))
+        except Exception as exc:
+            results.append(_failed_cell(name, algorithm, seed, exc))
+        else:
+            results.append(CellResult(instance=name, algorithm=algorithm, seed=seed,
+                                      metrics=metrics))
+    return results
 
 
-def _collect(future: Future, path: str, algorithm: str, seed: int) -> CellResult:
-    """The cell's result, or a failed cell when its worker process died."""
+def _collect(future: Future, path: str, algorithm: str,
+             seeds: tuple[int, ...]) -> list[CellResult]:
+    """The task's results, or a failed cell per seed when its worker died."""
     try:
         return future.result()
     except BrokenProcessPool as exc:
-        return _failed_cell(Path(path).stem, algorithm, seed, exc)
+        return [_failed_cell(Path(path).stem, algorithm, seed, exc) for seed in seeds]
 
 
-def _run_alone(config: ExperimentConfig, path: str, algorithm: str, seed: int) -> CellResult:
-    """One cell in a fresh one-worker pool of its own, so a cell that kills
-    its worker fails only itself."""
+def _run_alone(config: ExperimentConfig, path: str, algorithm: str,
+               seeds: tuple[int, ...]) -> list[CellResult]:
+    """One task in a fresh one-worker pool of its own, so a task that kills
+    its worker fails only its own cells."""
     with ProcessPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(_run_cell, config, path, algorithm, seed)
-        return _collect(future, path, algorithm, seed)
+        future = pool.submit(_run_cell, config, path, algorithm, seeds)
+        return _collect(future, path, algorithm, seeds)
 
 
 def run_compare(config: ExperimentConfig) -> list[CellResult]:
-    """Run the cell grid, each cell writing its own front, then the
-    cells/averages/ranking tables.
+    """Run the cell grid, one solve per task, then the cells/averages/ranking
+    tables.
+
+    Each task writes the front file of every seed's cell it serves, and
+    the results come back one per cell, in grid order (instances x
+    algorithms x seeds).  ``exact`` ignores the seed, so it is solved once
+    per instance: its seeds' cells share that solve's front bytes and
+    metrics, ``cpt`` included, which is the measured time of that one
+    solve.  The pool has at most one worker per task.
 
     A cell whose instance file cannot be read or fails
     ``validate_instance``, whose solve fails (enumeration budget, empty
     front, or any other exception, recorded with its type), or whose front
     cannot be written is recorded as missing: its row keeps blank
     indicator fields, and the averages and ranking cover only algorithms
-    with at least one completed cell.  A worker process that dies breaks
-    the pool: finished cells keep their rows and fronts, and every cell not
-    yet finished runs once more in a one-worker pool of its own, so only a
-    cell whose own worker dies is recorded as missing, with a
-    ``BrokenProcessPool`` error.  A missing instance file raises
-    ``FileNotFoundError`` and ends the campaign.  When TOPSIS cannot rank the averages (a criterion
-    is zero for every algorithm, as msi and sm are when every front has
-    one point), ``ranking.csv`` keeps only its header and the reason goes
-    to stderr.
+    with at least one completed cell.  A failed shared solve fails every
+    seed's cell it serves; a failed write fails only its own cell.  A
+    worker process that dies breaks the pool: finished tasks keep their
+    rows and fronts, and every task not yet finished runs once more in a
+    one-worker pool of its own, so only the cells of a task whose own
+    worker dies are recorded as missing, with a ``BrokenProcessPool``
+    error.  A missing instance file raises ``FileNotFoundError`` and ends
+    the campaign.  When TOPSIS cannot rank the averages (a criterion is
+    zero for every algorithm, as msi and sm are when every front has one
+    point), ``ranking.csv`` keeps only its header and the reason goes to
+    stderr.
     """
     out = Path(config.out_dir)
     (out / "fronts").mkdir(parents=True, exist_ok=True)
 
-    keys = list(itertools.product(config.instances, config.algorithms, config.seeds))
+    # one task per solve, as (instance path, algorithm, seeds served), in
+    # grid order: exact ignores the seed, so one solve serves every seed
+    tasks = [(path, algorithm, seeds)
+             for path in config.instances for algorithm in config.algorithms
+             for seeds in ([config.seeds] if algorithm == "exact"
+                           else [(seed,) for seed in config.seeds])]
     if config.workers == 1:
-        results = [_run_cell(config, *key) for key in keys]
+        done = [_run_cell(config, *task) for task in tasks]
     else:
         # the fork start method forks every worker at the first submit
-        pool = ProcessPoolExecutor(max_workers=min(config.workers, len(keys)))
+        pool = ProcessPoolExecutor(max_workers=min(config.workers, len(tasks)))
         try:
-            futures = [pool.submit(_run_cell, config, *key) for key in keys]
-            results = [_collect(f, *key) for f, key in zip(futures, keys)]
+            futures = [pool.submit(_run_cell, config, *task) for task in tasks]
+            done = [_collect(f, *task) for f, task in zip(futures, tasks)]
         finally:
             # a missing instance file ends the campaign without running the rest
             pool.shutdown(cancel_futures=True)
-        # a dead worker breaks the pool and fails every cell still in it;
+        # a dead worker breaks the pool and fails every task still in it;
         # each of those runs once more, alone and one after another (no
         # fork while another pool's threads run)
-        results = [_run_alone(config, *key) if isinstance(f.exception(), BrokenProcessPool)
-                   else r for f, r, key in zip(futures, results, keys)]
+        done = [_run_alone(config, *task) if isinstance(f.exception(), BrokenProcessPool)
+                else r for f, r, task in zip(futures, done, tasks)]
+    results = [r for cells in done for r in cells]
 
     indicators = tuple(f.name for f in dataclasses.fields(FrontMetrics))
     write_csv(out / "cells.csv", ("instance", "algorithm", "seed") + indicators,

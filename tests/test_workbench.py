@@ -8,7 +8,7 @@ import pytest
 
 from hubnet import workbench
 from hubnet.exact import EpsilonGrid, epsilon_constraint_front
-from hubnet.fileio import read_front_csv, save_instance
+from hubnet.fileio import read_front_csv, save_instance, write_front_csv
 from hubnet.metaheuristics import ALGORITHMS, AlgorithmParams
 from hubnet.workbench import (
     SWEEP_PARAMETERS,
@@ -263,7 +263,9 @@ def test_a_dead_worker_fails_only_its_own_cells(tmp_path, gen5, monkeypatch):
 
 def test_the_pool_has_at_most_one_worker_per_cell(tmp_path, gen5, monkeypatch):
     """A stand-in executor records the pool size and runs the cells inline,
-    so no process starts however many workers the campaign asks for."""
+    so no process starts however many workers the campaign asks for.  The
+    pool is capped at the number of solves, which is below the number of
+    cells when ``exact`` serves several seeds with one solve."""
     sizes = []
 
     class InlinePool:
@@ -286,9 +288,132 @@ def test_the_pool_has_at_most_one_worker_per_cell(tmp_path, gen5, monkeypatch):
         out_dir=str(tmp_path / "out"), params=SMALL, workers=64))
     assert sizes == [2]
     assert all(r.metrics is not None for r in results)
+    # exact makes one solve for all three seeds, so one worker has work
+    results = run_compare(ExperimentConfig(
+        instances=(str(p),), algorithms=("exact",), seeds=(0, 1, 2),
+        out_dir=str(tmp_path / "out_exact"), params=SMALL, grid=EpsilonGrid(3, 3),
+        workers=8))
+    assert sizes == [2, 1]
+    assert [r.seed for r in results if r.metrics is not None] == [0, 1, 2]
 
 
 def test_config_refuses_negative_seeds(tmp_path):
     with pytest.raises(ValueError, match=r"seeds must be >= 0, got \[0, -1\]"):
         ExperimentConfig(instances=("x.json",), algorithms=("nsga2",), seeds=(0, -1),
                          out_dir=str(tmp_path))
+
+
+def test_exact_fronts_do_not_depend_on_the_seed(tmp_path, gen5):
+    """The premise of the campaign's shared exact solve: ``exact`` ignores
+    the seed, so one solve may stand for every seed's cell."""
+    files = []
+    for seed in (0, 7):
+        front, _ = run_solver(gen5, "exact", seed, 0.5, SMALL, EpsilonGrid(3, 3))
+        files.append(tmp_path / f"seed{seed}.csv")
+        write_front_csv(front, files[-1])
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
+def _saved(tmp_path, *insts):
+    paths = []
+    for name, inst in zip(("alpha", "bravo"), insts):
+        save_instance(inst, tmp_path / f"{name}.json")
+        paths.append(str(tmp_path / f"{name}.json"))
+    return tuple(paths)
+
+
+def test_exact_is_solved_once_per_instance_and_shared_by_its_seeds(tmp_path, gen5, gen6,
+                                                                    monkeypatch):
+    calls = []
+    solve = workbench.run_solver
+
+    def counting(inst, algorithm, *args):
+        calls.append(algorithm)
+        return solve(inst, algorithm, *args)
+
+    monkeypatch.setattr(workbench, "run_solver", counting)
+    out = tmp_path / "out"
+    seeds = (0, 1, 2)
+    results = run_compare(ExperimentConfig(
+        instances=_saved(tmp_path, gen5, gen6), algorithms=("exact", "nsga2"), seeds=seeds,
+        out_dir=str(out), params=SMALL, grid=EpsilonGrid(3, 3), workers=1))
+    assert calls.count("exact") == 2 and calls.count("nsga2") == 6
+    grid = [(i, a, s) for i in ("alpha", "bravo") for a in ("exact", "nsga2") for s in seeds]
+    assert [(r.instance, r.algorithm, r.seed) for r in results] == grid
+    cells = _read(out / "cells.csv")
+    assert [tuple(row[:2]) + (int(row[2]),) for row in cells[1:]] == grid
+    for name in ("alpha", "bravo"):
+        fronts = {(out / "fronts" / f"{name}_exact_seed{s}.csv").read_bytes() for s in seeds}
+        assert len(fronts) == 1
+        # every column but the seed agrees, the shared solve's time included
+        rows = {tuple(row[:2] + row[3:]) for row in cells[1:] if row[:2] == [name, "exact"]}
+        assert len(rows) == 1 and list(rows)[0][-1]
+
+
+def test_a_blown_budget_fails_every_seed_of_the_shared_exact_solve(tmp_path, gen5):
+    out = tmp_path / "out"
+    results = run_compare(ExperimentConfig(
+        instances=_saved(tmp_path, gen5), algorithms=("exact", "nsga2"), seeds=(0, 1, 2),
+        out_dir=str(out), params=SMALL, grid=EpsilonGrid(3, 3), budget=1, workers=1))
+    exact = [r for r in results if r.algorithm == "exact"]
+    assert [r.seed for r in exact] == [0, 1, 2]
+    assert all(r.metrics is None for r in exact)
+    assert len({r.error for r in exact}) == 1
+    assert exact[0].error.startswith("configuration count") and "budget 1 " in exact[0].error
+    assert all(r.metrics is not None for r in results if r.algorithm == "nsga2")
+    assert sorted(f.name for f in (out / "fronts").iterdir()) == [
+        f"alpha_nsga2_seed{s}.csv" for s in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_exact_front_that_cannot_be_written_fails_only_its_seed(tmp_path, gen5, workers):
+    p = tmp_path / "inst.json"
+    save_instance(gen5, p)
+    out = tmp_path / "out"
+    (out / "fronts" / "inst_exact_seed1.csv").mkdir(parents=True)
+    results = run_compare(ExperimentConfig(
+        instances=(str(p),), algorithms=("exact", "nsga2"), seeds=(0, 1, 2),
+        out_dir=str(out), params=SMALL, grid=EpsilonGrid(3, 3), workers=workers))
+    failed = [r for r in results if r.error is not None]
+    assert [(r.algorithm, r.seed) for r in failed] == [("exact", 1)]
+    assert failed[0].error.startswith("IsADirectoryError")
+    assert all(r.metrics is not None for r in results if r is not failed[0])
+    assert _read(out / "cells.csv")[2] == ["inst", "exact", "1", "", "", "", ""]
+    assert sorted(f.name for f in (out / "fronts").iterdir() if f.is_file()) == [
+        "inst_exact_seed0.csv", "inst_exact_seed2.csv",
+        "inst_nsga2_seed0.csv", "inst_nsga2_seed1.csv", "inst_nsga2_seed2.csv"]
+    assert ((out / "fronts" / "inst_exact_seed0.csv").read_bytes()
+            == (out / "fronts" / "inst_exact_seed2.csv").read_bytes())
+
+
+def test_a_worker_dying_in_the_shared_exact_solve_fails_each_of_its_seeds(tmp_path, gen5,
+                                                                          monkeypatch):
+    """The worker that runs the one exact solve dies; the retry alone dies
+    too, so every seed's exact cell names the broken pool, and every
+    metaheuristic cell completes."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched solver reaches the workers only when they fork")
+    solve = workbench.run_solver
+
+    def dying(inst, algorithm, *args):
+        if algorithm == "exact":
+            os._exit(1)
+        return solve(inst, algorithm, *args)
+
+    monkeypatch.setattr(workbench, "run_solver", dying)
+    p = tmp_path / "inst.json"
+    save_instance(gen5, p)
+    out = tmp_path / "out"
+    results = run_compare(ExperimentConfig(
+        instances=(str(p),), algorithms=("nsga2", "exact", "mopso"), seeds=(0, 1),
+        out_dir=str(out), params=SMALL, grid=EpsilonGrid(3, 3), workers=2))
+    assert [(r.algorithm, r.seed) for r in results] == [
+        (a, s) for a in ("nsga2", "exact", "mopso") for s in (0, 1)]
+    for r in results:
+        if r.algorithm == "exact":
+            assert r.metrics is None and r.error.startswith("BrokenProcessPool"), r
+        else:
+            assert r.metrics is not None and r.error is None, r
+    assert [row[0] for row in _read(out / "averages.csv")[1:]] == ["nsga2", "mopso"]
+    assert sorted(f.name for f in (out / "fronts").iterdir()) == [
+        f"inst_{a}_seed{s}.csv" for a in ("mopso", "nsga2") for s in (0, 1)]
