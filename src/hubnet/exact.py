@@ -6,9 +6,12 @@ of the three objectives.  Per grid cell the solver takes the minimum over
 every configuration (hub set + assignment) of an exact routing
 branch-and-bound; configurations are visited in order of a cost bound
 conditioned on the cell's budgets, built only for those the scan reaches,
-so most are pruned without search.  The scan also makes the search's root
-budget checks for each chunk of configs, so a config that the search
-would reject at its root gets no search data and no search.
+so most are pruned without search.  The scan prices each chunk's repairs
+for all its configs at once, and also makes the search's root budget
+checks for the chunk, so a config that the search would reject at its
+root gets no search data and no search.  A solve whose bound is the stock
+one (the payoff rows and the unconstrained cost row) needs no pricing: it
+walks the stable sort of that bound as it stands.
 
 The index prices every pair's hub route over every hub pair a design can
 use once, into one route table (``_ExactIndex.routes``).  A config's three
@@ -18,6 +21,9 @@ floor table built from the route table with one flat index per chunk of
 configs (``_route_at``); the option tables of ``_options`` read hub routes
 through the same index.  Each config's sum runs over its own contiguous
 n x n block, so its bound has the same bits whichever chunk prices it.
+Config ids turn into assignments through per-hub-set place-value and
+choice tables (``_decode``), one gather for any ids across hub sets,
+shared by the build and the option tables.
 
 Determinism: ties between equal-objective routings break on the route
 encoding (direct=0, hub route=1, canonical pair order).  Configurations
@@ -161,29 +167,6 @@ class EpsilonGrid:
 # --- hub sets, route tables and the configuration index -------------------
 
 
-@dataclass
-class _Block:
-    """All configurations sharing one hub set."""
-
-    hubs: tuple[int, ...]
-    spokes: np.ndarray            # non-hub node ids
-    choices: list[np.ndarray]     # per spoke: ids of the hubs within omega, ascending
-    n_configs: int
-    fixed_total: float
-
-
-def _build_block(inst: ProblemInstance, hubs: tuple[int, ...]) -> Optional[_Block]:
-    """The hub set's block, or None when some spoke has no hub within omega."""
-    H = np.asarray(hubs, dtype=np.intp)
-    spokes = np.setdiff1d(np.arange(inst.n), H)
-    reach = inst.coverage()[spokes[:, None], H]
-    counts = reach.sum(axis=1)
-    if not counts.all():
-        return None
-    return _Block(hubs=hubs, spokes=spokes, choices=[H[row] for row in reach],
-                  n_configs=int(np.prod(counts)), fixed_total=float(inst.fixed_cost[H].sum()))
-
-
 def _route_at(n: int, stride: int, i, j, a_i, a_j):
     """Flat index into an (n, n, K) route table of pair (i, j)'s route from
     hub ``a_i`` to hub ``a_j``; the arguments broadcast.
@@ -197,22 +180,44 @@ def _route_at(n: int, stride: int, i, j, a_i, a_j):
     return (i * n + j) * (n * (stride or 1)) + (a_i * stride + a_j)
 
 
+def _decode(offsets: np.ndarray, place: np.ndarray, radix: np.ndarray, choice: np.ndarray,
+            g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block ids (m,) and (m, n) assignments (hub ids) of the config ids ``g``.
+
+    A config's local id in its block is a mixed-radix number with one
+    digit per node: node k's digit ``local // place[b, k] % radix[b, k]``
+    picks its hub ``choice[b, k, digit]``.  A hub has radix 1 and itself
+    as its one choice, so every node decodes in the same gather.
+    """
+    b = np.searchsorted(offsets, g, side="right") - 1
+    digit = (g - offsets[b])[:, None] // place[b] % radix[b]
+    return b, choice[b[:, None], np.arange(choice.shape[1]), digit]
+
+
 @dataclass(frozen=True)
 class _ExactIndex:
     """Enumerated configuration space with per-config objective lower bounds.
 
-    ``routes[i, j, c]`` holds the (z1, z2, z3) of pair (i, j)'s hub route
-    over the hub pair with code c (see ``_route_at``), inf over the pair's
-    time cap, as in the option tables of ``_options``.
+    One block per legal hub set holds the configs that open it, ids
+    ``offsets[b]`` to ``offsets[b + 1]``; ``place``, ``radix`` and
+    ``choice`` decode them (``_decode``).  ``routes[i, j, c]`` holds the
+    (z1, z2, z3) of pair (i, j)'s hub route over the hub pair with code c
+    (see ``_route_at``), inf over the pair's time cap, and ``direct[t]``
+    canonical pair t's direct route, as in the option tables of
+    ``_options``.
     """
 
     ctx: EvalContext
-    blocks: list[_Block]
-    offsets: np.ndarray           # block start indices, len(blocks)+1
+    offsets: np.ndarray           # (blocks + 1,) block start ids
+    fixed: np.ndarray             # (blocks,) fixed cost of each block's hubs
+    place: np.ndarray             # (blocks, n) place value of each node's digit
+    radix: np.ndarray             # (blocks, n) hub choices of each node, 1 at a hub
+    choice: np.ndarray            # (blocks, n, p) each node's hubs within omega, ascending
     lb: np.ndarray                # (3, total) objective lower bounds
     order: np.ndarray             # stable argsort of lb[0]
     i_arr: np.ndarray             # canonical off-diagonal pair rows
     j_arr: np.ndarray
+    direct: np.ndarray            # (P, 3) direct routes in canonical pair order
     routes: np.ndarray            # (n, n, K, 3)
     stride: int                   # hub-pair code stride, see _route_at
 
@@ -230,18 +235,6 @@ class _ExactIndex:
         return _pair_data(self, g)
 
 
-def _assignment_chunk(block: _Block, local: np.ndarray) -> np.ndarray:
-    """(m, n) assignments (hub ids) of the block's local config indices ``local``."""
-    n = len(block.spokes) + len(block.hubs)
-    out = np.empty((len(local), n), dtype=np.intp)
-    out[:, list(block.hubs)] = block.hubs
-    local = np.array(local, dtype=np.intp)      # a copy: divided in place below
-    for spoke, choices in zip(block.spokes[::-1], block.choices[::-1]):
-        out[:, spoke] = choices[local % len(choices)]
-        local //= len(choices)
-    return out
-
-
 def _options(index: _ExactIndex, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical (m, P, 2, 3) option tables of the configs ``g``, and their
     (m, n) assignments.
@@ -252,20 +245,18 @@ def _options(index: _ExactIndex, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     cannot be routed.
     """
     i_arr, j_arr = index.i_arr, index.j_arr
-    n = index.ctx.inst.n
-    A = np.empty((len(g), n), dtype=np.intp)
-    block_of = np.searchsorted(index.offsets, g, side="right") - 1
-    for b in np.unique(block_of):
-        sel = block_of == b
-        A[sel] = _assignment_chunk(index.blocks[b], g[sel] - index.offsets[b])
+    _, A = _decode(index.offsets, index.place, index.radix, index.choice, g)
     opts = np.empty((len(g), len(i_arr), 2, 3))
-    opts[:, :, 0] = index.ctx.direct[i_arr, j_arr]
-    at = _route_at(n, index.stride, i_arr, j_arr, A[:, i_arr], A[:, j_arr])
+    opts[:, :, 0] = index.direct
+    at = _route_at(index.ctx.inst.n, index.stride, i_arr, j_arr, A[:, i_arr], A[:, j_arr])
     opts[:, :, 1] = index.routes.reshape(-1, 3)[at]
     return opts, A
 
 
 _LB_CHUNK = 4096
+# the index build's chunk: its (m, n, n) gathers of 8 m n^2 bytes each stay
+# in cache, where at 4,096 configs of 10 nodes (3.3 MB) they do not
+_INDEX_CHUNK = 1024
 
 
 def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _ExactIndex:
@@ -285,15 +276,35 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
     if count > budget:
         raise EnumerationBudgetError(count, budget)
     n = inst.n
-    blocks: list[_Block] = []
+    cover = inst.coverage()
+    fixed, radix, choice = [], [], []
     for h in range(1, inst.p + 1):
-        for hubs in itertools.combinations(range(n), h):
-            block = _build_block(inst, hubs)
-            if block is not None:
-                blocks.append(block)
+        # every hub set of size h at once, one row per set
+        H = np.array(list(itertools.combinations(range(n), h)), dtype=np.intp).reshape(-1, h)
+        spoke = np.ones((len(H), n), dtype=bool)
+        spoke[np.arange(len(H))[:, None], H] = False
+        # reach[s, k, c]: node k is a spoke of set s within omega of its c-th hub
+        reach = cover[:, H].transpose(1, 0, 2) & spoke[:, :, None]
+        counts = np.where(spoke, reach.sum(axis=2), 1)
+        legal = counts.all(axis=1)      # every spoke has a hub within omega
+        H, spoke, reach = H[legal], spoke[legal], reach[legal]
+        # a spoke's hubs within omega first, ascending; a hub chooses itself
+        hubs = np.take_along_axis(np.broadcast_to(H[:, None, :], reach.shape),
+                                  np.argsort(~reach, axis=2, kind="stable"), axis=2)
+        hubs = np.where(spoke[:, :, None], hubs, np.arange(n)[:, None])
+        fixed.append(inst.fixed_cost[H].sum(axis=1))
+        radix.append(counts[legal])
+        choice.append(np.pad(hubs, ((0, 0), (0, 0), (0, inst.p - h))))
+    radix = np.concatenate(radix).astype(np.int64)
+    choice = np.concatenate(choice)
+    # the last node is the least significant digit
+    place = np.ones_like(radix)
+    place[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+    offsets = np.zeros(len(radix) + 1, dtype=np.int64)
+    np.cumsum(radix.prod(axis=1), out=offsets[1:])
+    fixed = np.concatenate(fixed)
 
     i_arr, j_arr = np.where(ctx.offdiag)
-    offsets = np.cumsum([0] + [block.n_configs for block in blocks], dtype=np.int64)
     # every pair's route over every hub pair a design can use, in one table
     idx = np.arange(n)
     stride = n if inst.p > 1 else 0
@@ -306,21 +317,22 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
     floors = np.ascontiguousarray(np.moveaxis(floors, -1, 0)).reshape(3, -1)
 
     # summed per config over a contiguous n x n grid of floors in pair order:
-    # the bounds' bits depend on that order.  A pair with no option within
-    # its time cap makes the sum inf.
-    lb = np.empty((3, int(offsets[-1])))
+    # the bounds' bits depend on that order, not on the chunk.  A pair with
+    # no option within its time cap makes the sum inf.
+    total = int(offsets[-1])
+    lb = np.empty((3, total))
     ii, jj = np.indices((n, n))
-    for block, base in zip(blocks, offsets.tolist()):
-        for start in range(0, block.n_configs, _LB_CHUNK):
-            stop = min(start + _LB_CHUNK, block.n_configs)
-            A = _assignment_chunk(block, np.arange(start, stop))
-            flat = _route_at(n, stride, ii, jj, A[:, :, None], A[:, None, :])
-            for row in range(3):
-                lb[row, base + start:base + stop] = floors[row].take(flat).sum(axis=(1, 2))
-            lb[0, base + start:base + stop] += block.fixed_total
-    return _ExactIndex(ctx=ctx, blocks=blocks, offsets=offsets, lb=lb,
-                       order=np.argsort(lb[0], kind="stable"),
-                       i_arr=i_arr, j_arr=j_arr, routes=routes, stride=stride)
+    for start in range(0, total, _INDEX_CHUNK):
+        stop = min(start + _INDEX_CHUNK, total)
+        b, A = _decode(offsets, place, radix, choice, np.arange(start, stop))
+        flat = _route_at(n, stride, ii, jj, A[:, :, None], A[:, None, :])
+        for row in range(3):
+            lb[row, start:stop] = floors[row].take(flat).sum(axis=(1, 2))
+        lb[0, start:stop] += fixed[b]
+    return _ExactIndex(ctx=ctx, offsets=offsets, fixed=fixed, place=place, radix=radix,
+                       choice=choice, lb=lb, order=np.argsort(lb[0], kind="stable"),
+                       i_arr=i_arr, j_arr=j_arr, direct=ctx.direct[i_arr, j_arr],
+                       routes=routes, stride=stride)
 
 
 def _repair_terms(opts: np.ndarray, v: int, b: int) -> tuple[np.ndarray, ...]:
@@ -419,15 +431,15 @@ def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float)
         if not math.isfinite(eps):
             continue
         need = used - (eps + _ROUND_SLACK)
-        for r in np.flatnonzero((need > 0) & np.isfinite(need)):
-            pen[r] = max(pen[r], _repair_price(need[r], cum_save[r], cum_cost[r], ratio[r])[0])
+        r = np.flatnonzero((need > 0) & np.isfinite(need))
+        pen[r] = np.maximum(pen[r], _repair_prices(need[r], cum_save[r], cum_cost[r], ratio[r]))
     # the search's root checks on the cross pair, with its operand order
     for (used, cum_save, cum_cost, ratio), v, eps_v, eps_b in (
             (cross23, 1, eps2, eps3), (cross32, 2, eps3, eps2)):
         need = used - eps_b - _ROUND_SLACK
         price = np.zeros(len(g))
-        for r in np.flatnonzero((need > 0) & (pen < math.inf)):
-            price[r] = _repair_price(need[r], cum_save[r], cum_cost[r], ratio[r])[0]
+        r = np.flatnonzero((need > 0) & (pen < math.inf))
+        price[r] = _repair_prices(need[r], cum_save[r], cum_cost[r], ratio[r])
         pen[index.lb[v, g] + price > eps_v + _ROUND_SLACK] = math.inf
     return index.lb[0, g] + pen
 
@@ -450,24 +462,53 @@ def _repair_price(need: float, save: Sequence[float], cost: Sequence[float],
     return (p - 1e-9 if p > 1e-9 else 0.0), k
 
 
+def _repair_prices(need: np.ndarray, save: np.ndarray, cost: np.ndarray,
+                   ratio: np.ndarray) -> np.ndarray:
+    """``_repair_price`` of each row: the overuses ``need`` (m,) > 0 against
+    the (m, P) cumulative savings, costs and ratios of a repair table.
+
+    The same double bits row by row.  ``save`` is nondecreasing along a
+    row, so the count of its entries below ``need`` is the index that
+    ``bisect_left`` finds.  The arithmetic runs only on the rows that the
+    scalar form prices, so a row that it leaves inf raises no warning.
+    """
+    rows, P = save.shape
+    k = (save < need[:, None]).sum(axis=1)
+    price = np.full(rows, math.inf)
+    fits = k < P                    # else all switches save too little
+    r = np.flatnonzero(fits)
+    k = k[r]
+    p = ratio[r, k]                 # the marginal switch's ratio
+    first = k == 0
+    p[first] *= need[r[first]]
+    r, k = r[~first], k[~first] - 1
+    p[~first] = cost[r, k] + (need[r] - save[r, k]) * p[~first]
+    # cumsum drift must never push the bound past the true cost
+    price[fits] = np.where(p > 1e-9, p - 1e-9, 0.0)
+    return price
+
+
 def _visiting_order(index: _ExactIndex, main: int, eps2: float,
                     eps3: float) -> Iterator[tuple[float, int]]:
     """Configs that fit the cell, as (bound, id) in ascending order, lazily.
 
     The bound on ``main`` is the budget-conditioned one (_conditional_lb)
-    for cost and the stock ``index.lb[main]`` otherwise.  Configs are
-    priced in growing chunks along the stable sort of ``index.lb[main]``;
-    no bound is below its stock bound, so the heap's top is final once it
-    lies strictly below the next unpriced stock bound (on a tie, an
-    unpriced config could still come first by id).  Configs over a
-    budget on their stock bounds are dropped before pricing, and configs
-    with an infinite bound are never yielded: for cost, those that no
-    cost repair fits and those that fail the search's root checks on the
-    cross pair (_conditional_lb).  None of them has a routing within the
-    cell, so none gets search data.
+    for a cost solve with a finite budget, and the stock ``index.lb[main]``
+    otherwise.  Configs are read in growing chunks along the stable sort
+    of ``index.lb[main]``.  Where the bound is the stock one, that sort
+    already is the (bound, id) order, so each chunk is yielded as read.
+    Otherwise the chunk is priced into a heap: no bound is below its
+    stock bound, so the heap's top is final once it lies strictly below
+    the next unread stock bound (on a tie, an unread config could still
+    come first by id).  Configs over a budget on their stock bounds are
+    dropped before pricing, and configs with an infinite bound are never
+    yielded: for cost, those that no cost repair fits and those that fail
+    the search's root checks on the cross pair (_conditional_lb).  None of
+    them has a routing within the cell, so none gets search data.
     """
     floor = index.lb[main]
     order = index.order if main == 0 else np.argsort(floor, kind="stable")
+    priced = main == 0 and (math.isfinite(eps2) or math.isfinite(eps3))
     heap: list[tuple[float, int]] = []
     start, size = 0, 16
     while True:
@@ -479,8 +520,12 @@ def _visiting_order(index: _ExactIndex, main: int, eps2: float,
         g = order[start:start + size]
         start, size = start + len(g), min(2 * size, _LB_CHUNK)
         g = g[(index.lb[1, g] <= eps2 + _ROUND_SLACK) & (index.lb[2, g] <= eps3 + _ROUND_SLACK)]
-        bound = _conditional_lb(index, g, eps2, eps3) if main == 0 else floor[g]
-        for item in zip(bound.tolist(), g.tolist()):
+        if not priced:
+            bound = floor[g]
+            finite = np.isfinite(bound)     # a prefix: the chunk ascends
+            yield from zip(bound[finite].tolist(), g[finite].tolist())
+            continue
+        for item in zip(_conditional_lb(index, g, eps2, eps3).tolist(), g.tolist()):
             heapq.heappush(heap, item)
 
 
@@ -588,7 +633,7 @@ def _pair_order(contrib: np.ndarray) -> np.ndarray:
 
 def _pair_data(index: _ExactIndex, g: int) -> _PairData:
     """Config id -> its design, fixed cost and routing search data."""
-    block = index.blocks[int(np.searchsorted(index.offsets, g, side="right")) - 1]
+    b = int(np.searchsorted(index.offsets, g, side="right")) - 1
     opts, assignments = _options(index, np.array([g]))
     order = _pair_order(opts[0])
     contrib = opts[0, order]
@@ -600,7 +645,7 @@ def _pair_data(index: _ExactIndex, g: int) -> _PairData:
     suffix[:-1] = best[::-1].cumsum(axis=0)[::-1]
     return _PairData(
         design=NetworkDesign(tuple(assignment.tolist())),
-        fixed=block.fixed_total, contrib=contrib, suffix_min=suffix,
+        fixed=float(index.fixed[b]), contrib=contrib, suffix_min=suffix,
         load_nodes=np.stack([first, np.where(first == second, -1, second)], axis=1),
         load_q=index.ctx.q[index.i_arr[order], index.j_arr[order]], canon_pos=order)
 
@@ -658,7 +703,11 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     of a numpy-scalar search (``tests/test_bb_routing.py`` keeps one as
     the reference).  Both kinds of repair table are built per call.  The
     budget tables, built only when a bound is finite, keep their numpy
-    rows; the hub shed tables are lists, built once the root passes the
+    rows; they are unpacked once per call, and each node prices them
+    inline, in a fixed operand order: ``need`` = the budget objective
+    used so far + the suffix floor's use - the bound - ``_ROUND_SLACK``,
+    and a repair is priced (``_repair_price``) only where ``need`` > 0.
+    The hub shed tables are lists, built once the root passes the
     budget checks and only for hubs that the floor overloads, so a
     config whose floor fits searches as without them.  A cost solve
     builds no budget tables for a config that the root's cross checks
@@ -679,7 +728,10 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     canon = pd.canon_pos
 
     constrained = math.isfinite(eps2) or math.isfinite(eps3)
-    budget = _budget_tables(pd.contrib) if constrained else []
+    if constrained:
+        ((used2, save2, cost2, ratio2, pos2), (used3, save3, cost3, ratio3, pos3),
+         (used23, save23, cost23, ratio23, _), (used32, save32, cost32, ratio32, _)) = \
+            _budget_tables(pd.contrib)
 
     # greedy option order per pair: main value, cost breaks the frequent
     # main ties (zero-penalty plateaus), so early leaves are near-optimal
@@ -693,17 +745,6 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
         enc[canon[:t]] = choices[:t]
         return tuple(enc.tolist())
 
-    def pen_for(tab: tuple, t: int, used_b: float, eps_b: float) -> tuple[float, int]:
-        """Fractional repair price for the suffix at t plus the marginal
-        candidate index; (inf, k) when no repair fits, (0, -1) when slack."""
-        used, cum_save, cum_cost, ratio, _ = tab
-        need = used_b + used[t] - eps_b - _ROUND_SLACK
-        if need <= 0.0:
-            return 0.0, -1
-        return _repair_price(need, cum_save[t], cum_cost[t], ratio)
-
-    pos2 = budget[0][4] if budget else None
-    pos3 = budget[1][4] if budget else None
     shed = None
 
     def rec(t: int, s0: float, s1: float, s2: float) -> None:
@@ -715,14 +756,18 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
         if constrained:
             # budget-priced floors: each objective's suffix floor plus the
             # cheapest fractional repair honoring the other budgets
-            p23, _ = pen_for(budget[2], t, s2, eps3)
+            need = s2 + used23[t] - eps3 - _ROUND_SLACK
+            p23 = 0.0 if need <= 0.0 else _repair_price(need, save23[t], cost23[t], ratio23)[0]
             if s1 + floor[1] + p23 > eps2 + _ROUND_SLACK:
                 return
-            p32, _ = pen_for(budget[3], t, s1, eps2)
+            need = s1 + used32[t] - eps2 - _ROUND_SLACK
+            p32 = 0.0 if need <= 0.0 else _repair_price(need, save32[t], cost32[t], ratio32)[0]
             if s2 + floor[2] + p32 > eps3 + _ROUND_SLACK:
                 return
-            pen2, k2 = pen_for(budget[0], t, s1, eps2)
-            pen3, k3 = pen_for(budget[1], t, s2, eps3)
+            need = s1 + used2[t] - eps2 - _ROUND_SLACK
+            pen2, k2 = (0.0, -1) if need <= 0.0 else _repair_price(need, save2[t], cost2[t], ratio2)
+            need = s2 + used3[t] - eps3 - _ROUND_SLACK
+            pen3, k3 = (0.0, -1) if need <= 0.0 else _repair_price(need, save3[t], cost3[t], ratio3)
             pen = pen2 if pen2 >= pen3 else pen3
             if pen == math.inf:
                 return
@@ -835,7 +880,7 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
     duplicate cell optima.
     """
     index = _build_index(inst, alpha_prime, budget)
-    if not index.blocks:
+    if not index.total:
         return ParetoFront(solutions=())
 
     payoff: list[EvaluatedSolution] = []

@@ -467,6 +467,27 @@ def test_visiting_order_is_the_stable_sort_of_the_conditioned_bound(gen5, gen6):
         assert all(np.all(b >= index.lb[0]) for b in bound.values())
 
 
+
+def test_a_stock_bound_walk_is_the_stable_sort_of_the_floor(gen5, gen6):
+    """Where a solve's bound is the stock floor (payoff rows 1 and 2, and
+    the cost row without budgets), the walk yields every config with a
+    finite floor, in the floor's stable order, with no heap to settle its
+    ties: the lattice's tied floors, and a time-capped gen6 whose configs
+    but one have a stranded pair (an infinite floor), included."""
+    capped = _time_capped(gen6, "one-stop")
+    for inst in (gen5, gen6, _lattice_instance(), capped):
+        index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+        for main in range(3):
+            floor = index.lb[main]
+            want = [(float(floor[g]), int(g)) for g in np.argsort(floor, kind="stable")
+                    if np.isfinite(floor[g])]
+            assert list(exact._visiting_order(index, main, math.inf, math.inf)) == want
+        if inst is capped:
+            assert 0 < np.isfinite(index.lb[0]).sum() < index.total
+        else:
+            assert np.isfinite(index.lb).all()
+            assert len(np.unique(index.lb[2])) < index.total     # tied floors
+
 def _oracle_states(inst):
     """The exact index, the oracle's rounded objective states per config id
     (None where nothing routes), and a 5 x 5 grid of cells over them."""

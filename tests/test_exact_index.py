@@ -7,7 +7,9 @@ came before it: one hub-option array per hub set, priced by
 row and summed per chunk of at most 4,096 configs of one hub set.  The
 bounds must keep their bits and the cost order its ids, whatever chunk
 size the solver uses, and the option tables of ``_options`` must hold
-the reference's hub routes.
+the reference's hub routes.  ``_options`` decodes config ids across hub
+sets in one gather; the decode it replaced, one hub set at a time, is
+kept below as the reference for its assignments and option tables.
 """
 
 import dataclasses
@@ -88,14 +90,14 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("chunk", [exact._LB_CHUNK, 7], ids=["stock-chunk", "chunk-7"])
+@pytest.mark.parametrize("chunk", [exact._INDEX_CHUNK, 7], ids=["stock-chunk", "chunk-7"])
 @pytest.mark.parametrize("case", list(CASES))
 def test_index_bounds_match_the_per_hub_set_gather(case, chunk, monkeypatch):
     """Every config's bounds keep their bits and the cost order its ids;
     chunks of 7 end inside hub sets, so a config's bound does not depend
     on the chunk that prices it."""
     inst = CASES[case]()
-    monkeypatch.setattr(exact, "_LB_CHUNK", chunk)
+    monkeypatch.setattr(exact, "_INDEX_CHUNK", chunk)
     index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
     lb, order = ref_bounds(index.ctx)
     assert index.total == lb.shape[1] > 0
@@ -127,3 +129,77 @@ def test_option_tables_match_the_per_hub_set_gather(case):
     assert opts[:, :, 1].tobytes() == rows[g].tobytes()
     assert np.array_equal(assignments, designs[g])
     assert [index.pair_data(int(k)).design.assignment for k in g] == [tuple(d) for d in designs[g].tolist()]
+
+
+def ref_hub_sets(inst):
+    """Per legal hub set, in canonical order: its hubs, its spokes and, per
+    spoke, the ids of its hubs within omega, ascending."""
+    cover = inst.coverage()
+    for h in range(1, inst.p + 1):
+        for hubs in itertools.combinations(range(inst.n), h):
+            H = np.asarray(hubs, dtype=np.intp)
+            spokes = np.setdiff1d(np.arange(inst.n), H)
+            reach = cover[spokes[:, None], H]
+            if reach.sum(axis=1).all():
+                yield hubs, spokes, [H[row] for row in reach]
+
+
+def ref_assignment_chunk(hubs, spokes, choices, local):
+    """(m, n) assignments (hub ids) of one hub set's local config ids, the
+    last spoke the least significant digit."""
+    out = np.empty((len(local), len(spokes) + len(hubs)), dtype=np.intp)
+    out[:, list(hubs)] = hubs
+    local = np.array(local, dtype=np.intp)
+    for spoke, options in zip(spokes[::-1], choices[::-1]):
+        out[:, spoke] = options[local % len(options)]
+        local //= len(options)
+    return out
+
+
+def ref_options(index, g):
+    """``_options`` decoding one hub set at a time."""
+    sets = list(ref_hub_sets(index.ctx.inst))
+    offsets = np.cumsum([0] + [int(np.prod([len(c) for c in choices])) for _, _, choices in sets])
+    n = index.ctx.inst.n
+    A = np.empty((len(g), n), dtype=np.intp)
+    block_of = np.searchsorted(offsets, g, side="right") - 1
+    for b in np.unique(block_of):
+        sel = block_of == b
+        A[sel] = ref_assignment_chunk(*sets[b], g[sel] - offsets[b])
+    i_arr, j_arr = index.i_arr, index.j_arr
+    opts = np.empty((len(g), len(i_arr), 2, 3))
+    opts[:, :, 0] = index.ctx.direct[i_arr, j_arr]
+    at = exact._route_at(n, index.stride, i_arr, j_arr, A[:, i_arr], A[:, j_arr])
+    opts[:, :, 1] = index.routes.reshape(-1, 3)[at]
+    return opts, A, offsets
+
+
+DECODE_CASES = {
+    "p1": CASES["p1"],
+    "c7": CASES["c7"],
+    # p = 5 and every link within omega: a spoke of five hubs has five choices
+    "p5": lambda: dataclasses.replace(generate(GeneratorSpec(n=6, p=5, seed=2)), omega=1e9),
+    # test_zero_demand_fronts_equal_the_oracle_front[5-1]: spokes of 4 choices
+    "n5-p5": lambda: generate(GeneratorSpec(n=5, p=5, seed=1)),
+}
+
+
+@pytest.mark.parametrize("case", list(DECODE_CASES))
+def test_options_decode_across_hub_sets_as_one_hub_set_at_a_time(case):
+    """Config ids that span hub sets decode in one gather to the
+    assignments and option tables of a decode per hub set: every id of a
+    small index, or the ids around each hub set's first one."""
+    inst = DECODE_CASES[case]()
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    if index.total <= 4096:
+        g = np.arange(index.total)
+    else:
+        g = np.unique(np.clip(index.offsets[:-1, None] + np.arange(-2, 3), 0, index.total - 1))
+    opts, A = exact._options(index, g)
+    want_opts, want_A, offsets = ref_options(index, g)
+    assert np.array_equal(index.offsets, offsets)
+    assert len(np.unique(np.searchsorted(offsets, g, side="right"))) > 1
+    assert np.array_equal(A, want_A)
+    assert opts.tobytes() == want_opts.tobytes()
+    if case in ("p5", "n5-p5"):
+        assert max(len(c) for _, _, choices in ref_hub_sets(inst) for c in choices) >= 4

@@ -5,6 +5,9 @@
 both build on ``_repair_terms``.  Their earlier forms, which derived the
 terms separately, are kept below as the reference: every table, every
 conditioned cost bound and every suffix row must match them bit for bit.
+``_conditional_lb`` prices each table's repairs for all its rows at once
+(``_repair_prices``); its per-row loop over the scalar ``_repair_price``
+is kept below as the reference, byte for byte.
 """
 
 import dataclasses
@@ -17,6 +20,8 @@ import pytest
 from hubnet import exact
 from hubnet.exact import DEFAULT_BUDGET, EpsilonGrid
 from hubnet.generator import GeneratorSpec, generate
+
+from test_exact import _lattice_instance, _payoff_cells
 
 PAIRS = ((0, 1), (0, 2), (1, 2), (2, 1))   # (bounded, budget) as in exact._REPAIR_PAIRS
 
@@ -218,3 +223,96 @@ def test_configs_the_cross_checks_drop_have_no_routing_in_the_cell(seed):
             assert exact._bb_routing(pd, inst.capacity, 0, eps2, eps3, (math.inf,) * 4) is None
             searched += 1
     assert searched > 0
+
+
+def ref_conditional_lb_loop(index, g, eps2, eps3):
+    """``_conditional_lb`` as it priced its repairs before: row by row,
+    through the scalar ``_repair_price``."""
+    if not (math.isfinite(eps2) or math.isfinite(eps3)):
+        return index.lb[0, g]
+    pen = np.zeros(len(g))
+    cost2, cost3, cross23, cross32 = exact._build_repair(index, g)
+    for (used, cum_save, cum_cost, ratio), eps in ((cost2, eps2), (cost3, eps3)):
+        if not math.isfinite(eps):
+            continue
+        need = used - (eps + exact._ROUND_SLACK)
+        for r in np.flatnonzero((need > 0) & np.isfinite(need)):
+            pen[r] = max(pen[r], exact._repair_price(need[r], cum_save[r], cum_cost[r], ratio[r])[0])
+    for (used, cum_save, cum_cost, ratio), v, eps_v, eps_b in (
+            (cross23, 1, eps2, eps3), (cross32, 2, eps3, eps2)):
+        need = used - eps_b - exact._ROUND_SLACK
+        price = np.zeros(len(g))
+        for r in np.flatnonzero((need > 0) & (pen < math.inf)):
+            price[r] = exact._repair_price(need[r], cum_save[r], cum_cost[r], ratio[r])[0]
+        pen[index.lb[v, g] + price > eps_v + exact._ROUND_SLACK] = math.inf
+    return index.lb[0, g] + pen
+
+
+@pytest.mark.parametrize("name", ["gen5", "gen6", "lattice", "c7"])
+def test_conditioned_bounds_equal_the_per_row_loop(name, monkeypatch):
+    """Every config and every 3 x 3 front cell, plus each budget alone and
+    none: the array-priced bound keeps the bytes of the per-row loop.  Each
+    chunk's tables are built once and shared by both sides."""
+    inst = _lattice_instance() if name == "lattice" else INSTANCES[name]()
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    cells = _payoff_cells(index, EpsilonGrid(3, 3))
+    cells += [(cells[0][0], math.inf), (math.inf, cells[0][1]), (math.inf, math.inf)]
+    build = exact._build_repair
+    priced = 0
+    for start in range(0, index.total, 4096):
+        g = np.arange(start, min(start + 4096, index.total))
+        tables = build(index, g)
+        monkeypatch.setattr(exact, "_build_repair", lambda index, g: tables)
+        for eps2, eps3 in cells:
+            new = exact._conditional_lb(index, g, eps2, eps3)
+            assert new.tobytes() == ref_conditional_lb_loop(index, g, eps2, eps3).tobytes()
+            priced += int(np.count_nonzero(new != index.lb[0, g]))
+    assert priced > 0
+
+
+def test_array_repair_prices_equal_the_scalar_price():
+    """Every row with a positive need, in each of the four tables of every
+    chunk that C7's 3 x 3 front prices, and edge rows: a marginal switch
+    k = 0, a need equal to a cumulative saving, a need beyond the total
+    saving (inf) and a price at most 1e-9 (0.0)."""
+    index = exact._build_index(INSTANCES["c7"](), 0.5, DEFAULT_BUDGET)
+    calls = []
+
+    def record(index, g, eps2, eps3):
+        calls.append((g, eps2, eps3))
+        return conditional_lb(index, g, eps2, eps3)
+
+    conditional_lb = exact._conditional_lb
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_conditional_lb", record)
+        exact.epsilon_constraint_front(INSTANCES["c7"](), EpsilonGrid(3, 3))
+
+    def same_as_scalar(need, save, cost, ratio):
+        want = [exact._repair_price(need[r], save[r], cost[r], ratio[r])[0] for r in range(len(need))]
+        got = exact._repair_prices(need, save, cost, ratio)
+        assert got.tobytes() == np.array(want).tobytes()
+        return got
+
+    rows = 0
+    for g, eps2, eps3 in calls:
+        tables = exact._build_repair(index, g)
+        for (used, save, cost, ratio), (_, b) in zip(tables, PAIRS):
+            need = used - ((eps2, eps3)[b - 1] + exact._ROUND_SLACK)
+            r = np.flatnonzero(need > 0)
+            same_as_scalar(need[r], save[r], cost[r], ratio[r])
+            rows += len(r)
+    assert len(calls) > 30 and rows > 1000
+
+    # three switches saving 1, 2 and 3 at ratios 2, 3 and 4, then one
+    # invalid switch that adds nothing
+    save = np.array([[1.0, 3.0, 6.0, 6.0]] * 6)
+    cost = np.array([[2.0, 8.0, 20.0, 20.0]] * 6)
+    ratio = np.array([[2.0, 3.0, 4.0, 0.0]] * 6)
+    need = np.array([0.5, 3.0, 6.0, 6.5, 1e-12, 2.0])
+    got = same_as_scalar(need, save, cost, ratio)
+    assert got[0] == 1.0 - 1e-9                  # k = 0: need * ratio[0]
+    assert got[1] == 2.0 + 2.0 * 3.0 - 1e-9      # need = save[1]: switch 1 is marginal
+    assert got[2] == 8.0 + 3.0 * 4.0 - 1e-9      # need = the total saving
+    assert got[3] == math.inf                    # beyond it
+    assert got[4] == 0.0                         # at most 1e-9
+    same_as_scalar(need, save[:, :0], cost[:, :0], ratio[:, :0])     # no switch at all
