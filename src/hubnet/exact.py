@@ -13,6 +13,17 @@ root gets no search data and no search.  A solve whose bound is the stock
 one (the payoff rows and the unconstrained cost row) needs no pricing: it
 walks the stable sort of that bound as it stands.
 
+Every cell's scan starts at the head of the cost order, so the cells of
+one front reach many of the same configs and search some of the same.
+A front keeps a memo (``_FrontMemo``) for its solves, in a context
+variable that it sets when it starts and resets when it returns.  The
+first scan to reach a config builds its repair tables and prices them at
+every emission and penalty value of the grid at once; the memo keeps
+only those prices, and a later cell reads its own.  A searched
+config's search data (``_PairData``) is built once per front and kept;
+the search's budget and shed tables, O(P^2) per config, are still built
+per search and dropped after it.
+
 The index prices every pair's hub route over every hub pair a design can
 use once, into one route table (``_ExactIndex.routes``).  A config's three
 stock lower bounds sum, over the n x n pair grid in row-major order, each
@@ -56,6 +67,7 @@ import bisect
 import heapq
 import itertools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterator, Optional, Sequence
@@ -90,8 +102,10 @@ __all__ = [
 # bound array plus the int64 cost sort order, so this budget admits an
 # index of about 3.2 GB; the conditioned cost bounds are priced in chunks
 # along the scan and add no per-configuration memory.  A front holds the
-# index plus one search's tables at a time: a config's search data is
-# built for the one search that uses it and dropped after it.
+# index, its memo (2 (G2 + G3) repair prices per config its scans reach
+# and the O(P) search data of each config it searches) and one search's
+# budget and shed tables at a time, built for that search and dropped
+# after it.
 DEFAULT_BUDGET = 10 ** 8
 _INDEX_BYTES = 32
 
@@ -226,13 +240,20 @@ class _ExactIndex:
         return int(self.offsets[-1])
 
     def pair_data(self, g: int) -> _PairData:
-        """Config id -> its design and routing search data, built afresh.
+        """Config id -> its design and routing search data.
 
-        A plain call of ``_pair_data``, kept as a method because
-        ``bench/tracer.py`` binds it as the span ``exact.pair_data``, whose
-        count ``bench/test_bench.py`` asserts is above 0.
+        Within a front, built once (``_pair_data``) and kept in the front's
+        memo for its later searches; outside one, built afresh.
+        ``bench/tracer.py`` binds this method as the span
+        ``exact.pair_data`` and ``_pair_data`` as its builds.
         """
-        return _pair_data(self, g)
+        memo = _FRONT.get()
+        if memo is None or memo.index is not self:
+            return _pair_data(self, g)
+        pd = memo.searched.get(g)
+        if pd is None:
+            pd = memo.searched[g] = _pair_data(self, g)
+        return pd
 
 
 def _options(index: _ExactIndex, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,9 +367,9 @@ def _repair_terms(opts: np.ndarray, v: int, b: int) -> tuple[np.ndarray, ...]:
     given overuse is the continuous knapsack over the switches, greedy by
     cost/saving ratio (Dantzig 1957), a valid lower bound on any integral
     routing.  Returns, per pair, the floor option's use of b, ``dv``,
-    ``db``, the ratio (inf where invalid), the validity mask (both deltas
-    finite and a positive saving), and the stable ratio order along the
-    pair axis.
+    ``db``, the ratio (inf where invalid) and the validity mask (both
+    deltas finite and a positive saving); the greedy takes the switches
+    in the stable order of the ratios along the pair axis.
     """
     hub = opts[..., 1, v] < opts[..., 0, v]
 
@@ -366,7 +387,7 @@ def _repair_terms(opts: np.ndarray, v: int, b: int) -> tuple[np.ndarray, ...]:
     valid = np.isfinite(dv) & np.isfinite(db) & (db > 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(valid, dv / db, np.inf)
-    return base_b, dv, db, ratio, valid, np.argsort(ratio, axis=-1, kind="stable")
+    return base_b, dv, db, ratio, valid
 
 
 # (bounded objective, budget objective) of each fractional-repair table:
@@ -375,29 +396,82 @@ def _repair_terms(opts: np.ndarray, v: int, b: int) -> tuple[np.ndarray, ...]:
 _REPAIR_PAIRS = ((0, 1), (0, 2), (1, 2), (2, 1))
 
 
-def _build_repair(index: _ExactIndex, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+def _build_repair(index: _ExactIndex, g: np.ndarray,
+                  low: Optional[tuple[float, float]] = None) -> list[tuple[np.ndarray, ...]]:
     """Fractional-repair tables of the configs ``g``, one per (bounded,
     budget) pair of ``_REPAIR_PAIRS``.
 
     Read from the configs' option tables (``_options``) through
-    ``_repair_terms``.  A table holds how much of the budget objective the
-    bounded objective's floor uses, (m,), and, in ratio order, the
-    cumulative savings and costs of the switches and their ratios, (m, P)
-    each, invalid switches adding zero.  See _conditional_lb.
+    ``_repair_terms``.  A table is ``(used, rows, cum_save, cum_cost,
+    ratio)``: how much of the budget objective the bounded objective's
+    floor uses, (m,), and the configs' rows that have a table, with, in
+    ratio order, the cumulative savings and costs of their switches and
+    the switches' ratios, (len(rows), P) each, invalid switches adding
+    zero.  ``low`` holds the least emission and penalty budgets that the
+    tables will be priced at (``_price_grid``): a row gets a table only
+    where that budget prices its need (``_need``, ``_priced``), since no
+    higher budget prices a need that the least one does not.  Without
+    ``low`` every row gets one.
     """
     opts, _ = _options(index, g)
     tables = []
     for v, b in _REPAIR_PAIRS:
-        base_b, dv, db, ratio, valid, order = _repair_terms(opts, v, b)
+        base_b, dv, db, ratio, valid = _repair_terms(opts, v, b)
+        # summed in pair order: .sum() adds a lone config's row pairwise but
+        # a chunk's rows in pair order, which would tie a bound to its chunk
+        used = np.cumsum(base_b, axis=1)[:, -1]
+        rows = np.arange(len(g))
+        if low is not None:
+            rows = np.flatnonzero(_priced(_need(used, low[b - 1], v), v))
+            dv, db, ratio, valid = dv[rows], db[rows], ratio[rows], valid[rows]
+        order = np.argsort(ratio, axis=1, kind="stable")
 
         def ordered(x: np.ndarray) -> np.ndarray:
             return np.take_along_axis(np.where(valid, x, 0.0), order, axis=1)
 
-        # summed in pair order: .sum() adds a lone config's row pairwise but
-        # a chunk's rows in pair order, which would tie a bound to its chunk
-        tables.append((np.cumsum(base_b, axis=1)[:, -1], np.cumsum(ordered(db), axis=1),
+        tables.append((used, rows, np.cumsum(ordered(db), axis=1),
                        np.cumsum(ordered(dv), axis=1), ordered(ratio)))
     return tables
+
+
+def _need(used: np.ndarray, eps, v: int) -> np.ndarray:
+    """Overuse of a budget ``eps`` by a table's ``used``, in the operand
+    order of its check: the cost tables' (v = 0) bound check, the cross
+    tables' root check of the routing search.  ``eps`` may be an array of
+    budgets against a column of ``used``."""
+    return used - (eps + _ROUND_SLACK) if v == 0 else used - eps - _ROUND_SLACK
+
+
+def _priced(need: np.ndarray, v: int) -> np.ndarray:
+    """Where a table prices a repair: a positive need, and for the cost
+    tables a finite one.  An inf need comes from a pair with no option
+    within its time cap, whose config has an inf stock bound."""
+    return (need > 0) & np.isfinite(need) if v == 0 else need > 0
+
+
+def _price_grid(index: _ExactIndex, g: np.ndarray, values2: Sequence[float],
+                values3: Sequence[float]) -> np.ndarray:
+    """Repair prices of the configs ``g`` at every emission budget of
+    ``values2`` and penalty budget of ``values3`` (each ascending).
+
+    One column per (table, budget), the tables in ``_REPAIR_PAIRS`` order,
+    each against its own budget objective's values: cost under emissions,
+    cost under penalty, emissions under penalty (cross-23) and penalty
+    under emissions (cross-32).  A price is 0 where the need is not priced
+    (``_priced``).  Each table is built only for the rows that the least
+    budget prices, which covers every higher one.
+    """
+    values = (np.asarray(values2, dtype=float), np.asarray(values3, dtype=float))
+    out = np.zeros((len(g), sum(len(values[b - 1]) for _, b in _REPAIR_PAIRS)))
+    tables = _build_repair(index, g, (float(values[0][0]), float(values[1][0])))
+    col = 0
+    for (used, rows, cum_save, cum_cost, ratio), (v, b) in zip(tables, _REPAIR_PAIRS):
+        vals = values[b - 1]
+        need = _need(used[rows, None], vals, v)             # (rows, budgets)
+        r, c = np.nonzero(_priced(need, v))
+        out[rows[r], col + c] = _repair_prices(need[r, c], cum_save, cum_cost, ratio, r)
+        col += len(vals)
+    return out
 
 
 def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float) -> np.ndarray:
@@ -422,26 +496,93 @@ def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float)
     routing fits only within 5e-7 of the bound, since its rounded value
     must not exceed it.  A gap of 1e-7 is far beyond the drift of P
     summed floors (about P ulps: 1e-9 at values near 1e5).
+
+    The repairs are priced per config and budget (``_price_grid``).
+    Within a front, on its grid's budgets, the prices come from the
+    front's memo (``_FrontMemo.prices``), which prices each config once,
+    the first time a cell's scan reaches it; otherwise the chunk is priced
+    at these budgets alone.  An empty chunk returns at once.
     """
-    if not (math.isfinite(eps2) or math.isfinite(eps3)):
+    if not (len(g) and (math.isfinite(eps2) or math.isfinite(eps3))):
         return index.lb[0, g]
-    pen = np.zeros(len(g))
-    cost2, cost3, cross23, cross32 = _build_repair(index, g)
-    for (used, cum_save, cum_cost, ratio), eps in ((cost2, eps2), (cost3, eps3)):
-        if not math.isfinite(eps):
-            continue
-        need = used - (eps + _ROUND_SLACK)
-        r = np.flatnonzero((need > 0) & np.isfinite(need))
-        pen[r] = np.maximum(pen[r], _repair_prices(need[r], cum_save[r], cum_cost[r], ratio[r]))
-    # the search's root checks on the cross pair, with its operand order
-    for (used, cum_save, cum_cost, ratio), v, eps_v, eps_b in (
-            (cross23, 1, eps2, eps3), (cross32, 2, eps3, eps2)):
-        need = used - eps_b - _ROUND_SLACK
-        price = np.zeros(len(g))
-        r = np.flatnonzero((need > 0) & (pen < math.inf))
-        price[r] = _repair_prices(need[r], cum_save[r], cum_cost[r], ratio[r])
-        pen[index.lb[v, g] + price > eps_v + _ROUND_SLACK] = math.inf
+    memo = _FRONT.get()
+    if memo is not None and memo.index is index and memo.on_grid(eps2, eps3):
+        cost2, cost3, cross23, cross32 = memo.prices(g, eps2, eps3)
+    else:
+        cost2, cost3, cross23, cross32 = _price_grid(index, g, [eps2], [eps3]).T
+    pen = np.maximum(cost2, cost3)
+    # the search's root checks on the cross pair, with its operand order; a
+    # config whose pen is already inf stays inf whatever its cross price
+    pen[index.lb[1, g] + cross23 > eps2 + _ROUND_SLACK] = math.inf
+    pen[index.lb[2, g] + cross32 > eps3 + _ROUND_SLACK] = math.inf
     return index.lb[0, g] + pen
+
+
+class _FrontMemo:
+    """What the solves of one front share: each searched config's
+    ``_PairData`` (``searched``, filled by ``_ExactIndex.pair_data``), and
+    the repair prices of each config that a cell's scan has reached, at
+    every budget of the grid.
+
+    A config's prices are made the first time a cell's scan reaches it,
+    for every emission and penalty value of the grid at once
+    (``_price_grid``), and kept as one row of 2 (G2 + G3) floats; its
+    repair tables are dropped.  The rows grow by doubling and are found by
+    config id through the ascending ``ids`` (ending in the sentinel
+    ``index.total``) and their ``slots``.  Memory grows with the configs
+    reached and searched, never with the index.
+    """
+
+    def __init__(self, index: _ExactIndex):
+        self.index = index
+        self.searched: dict[int, _PairData] = {}
+        self.values: tuple[list[float], list[float]] = ([], [])
+        self.columns: tuple[dict[float, int], dict[float, int]] = ({}, {})
+        self.starts: list[int] = []
+        self.ids = np.array([index.total], dtype=np.int64)
+        self.slots = np.array([-1], dtype=np.intp)
+        self.rows = np.empty((0, 0))
+        self.count = 0
+
+    def set_grid(self, cells: Sequence[tuple[float, float]]) -> None:
+        """The grid's emission and penalty values, from its cells; before
+        this, no budget is on the grid."""
+        self.values = tuple(sorted({cell[b] for cell in cells}) for b in (0, 1))
+        self.columns = tuple({e: c for c, e in enumerate(vals)} for vals in self.values)
+        # each table's first column, in the layout of _price_grid
+        widths = [len(self.values[b - 1]) for _, b in _REPAIR_PAIRS]
+        self.starts = [sum(widths[:t]) for t in range(len(widths))]
+        self.rows = np.empty((16, sum(widths)))
+
+    def on_grid(self, eps2: float, eps3: float) -> bool:
+        return eps2 in self.columns[0] and eps3 in self.columns[1]
+
+    def prices(self, g: np.ndarray, eps2: float, eps3: float) -> np.ndarray:
+        """(4, m) prices of the configs ``g`` at the grid budgets ``eps2``
+        and ``eps3``, one row per table of ``_REPAIR_PAIRS``, pricing the
+        configs not reached before."""
+        at = np.searchsorted(self.ids, g)
+        new = np.sort(g[self.ids[at] != g])
+        if len(new):
+            stop = self.count + len(new)
+            if stop > len(self.rows):
+                grown = np.empty((max(2 * len(self.rows), stop), self.rows.shape[1]))
+                grown[:self.count] = self.rows[:self.count]
+                self.rows = grown
+            self.rows[self.count:stop] = _price_grid(self.index, new, *self.values)
+            where = np.searchsorted(self.ids, new)
+            self.ids = np.insert(self.ids, where, new)
+            self.slots = np.insert(self.slots, where, np.arange(self.count, stop))
+            self.count = stop
+            at = np.searchsorted(self.ids, g)
+        column = (self.columns[0][eps2], self.columns[1][eps3])
+        cols = [start + column[b - 1] for start, (_, b) in zip(self.starts, _REPAIR_PAIRS)]
+        return self.rows[self.slots[at][:, None], cols].T
+
+
+# the running front's memo, set by epsilon_constraint_front for its own
+# solves and reset when it returns
+_FRONT: ContextVar[Optional[_FrontMemo]] = ContextVar("_FRONT", default=None)
 
 
 def _repair_price(need: float, save: Sequence[float], cost: Sequence[float],
@@ -462,27 +603,29 @@ def _repair_price(need: float, save: Sequence[float], cost: Sequence[float],
     return (p - 1e-9 if p > 1e-9 else 0.0), k
 
 
-def _repair_prices(need: np.ndarray, save: np.ndarray, cost: np.ndarray,
-                   ratio: np.ndarray) -> np.ndarray:
-    """``_repair_price`` of each row: the overuses ``need`` (m,) > 0 against
-    the (m, P) cumulative savings, costs and ratios of a repair table.
+def _repair_prices(need: np.ndarray, save: np.ndarray, cost: np.ndarray, ratio: np.ndarray,
+                   row: Optional[np.ndarray] = None) -> np.ndarray:
+    """``_repair_price`` of each overuse ``need`` (n,) > 0 against its row
+    ``row`` (n,) of the (m, P) cumulative savings, costs and ratios of a
+    repair table; without ``row``, need i against row i.
 
-    The same double bits row by row.  ``save`` is nondecreasing along a
-    row, so the count of its entries below ``need`` is the index that
-    ``bisect_left`` finds.  The arithmetic runs only on the rows that the
-    scalar form prices, so a row that it leaves inf raises no warning.
+    The same double bits need by need.  ``save`` is nondecreasing along a
+    row, so the count of its entries below a need is the index that
+    ``bisect_left`` finds.  The arithmetic runs only on the needs that the
+    scalar form prices, so a need that it leaves inf raises no warning.
     """
-    rows, P = save.shape
-    k = (save < need[:, None]).sum(axis=1)
-    price = np.full(rows, math.inf)
-    fits = k < P                    # else all switches save too little
-    r = np.flatnonzero(fits)
-    k = k[r]
+    if row is None:
+        row = np.arange(len(need))
+    k = (save[row] < need[:, None]).sum(axis=1)
+    price = np.full(len(need), math.inf)
+    fits = np.flatnonzero(k < save.shape[1])    # else all switches save too little
+    r, k, need = row[fits], k[fits], need[fits]
     p = ratio[r, k]                 # the marginal switch's ratio
     first = k == 0
-    p[first] *= need[r[first]]
-    r, k = r[~first], k[~first] - 1
-    p[~first] = cost[r, k] + (need[r] - save[r, k]) * p[~first]
+    p[first] *= need[first]
+    rest = ~first
+    r, k = r[rest], k[rest] - 1
+    p[rest] = cost[r, k] + (need[rest] - save[r, k]) * p[rest]
     # cumsum drift must never push the bound past the true cost
     price[fits] = np.where(p > 1e-9, p - 1e-9, 0.0)
     return price
@@ -501,10 +644,15 @@ def _visiting_order(index: _ExactIndex, main: int, eps2: float,
     stock bound, so the heap's top is final once it lies strictly below
     the next unread stock bound (on a tie, an unread config could still
     come first by id).  Configs over a budget on their stock bounds are
-    dropped before pricing, and configs with an infinite bound are never
-    yielded: for cost, those that no cost repair fits and those that fail
-    the search's root checks on the cross pair (_conditional_lb).  None of
-    them has a routing within the cell, so none gets search data.
+    dropped before pricing (a chunk that loses every config still makes
+    its ``_conditional_lb`` call, which returns at once), and configs with
+    an infinite bound are never yielded: for cost, those that no cost
+    repair fits and those that fail the search's root checks on the cross
+    pair (_conditional_lb).  None of them has a routing within the cell,
+    so none gets search data.  Within a front, a config's prices are made
+    once, by the first cell whose scan reaches it, and later cells read
+    them from the front's memo: the bounds, and so this order, keep the
+    bits of pricing each chunk afresh.
     """
     floor = index.lb[main]
     order = index.order if main == 0 else np.argsort(floor, kind="stable")
@@ -555,7 +703,8 @@ def _repair_tables(contrib: np.ndarray, v: int, b: int) -> tuple:
     place in that order (P when it has no valid switch).
     """
     P = len(contrib)
-    base_b, dv, db, ratio, valid, order = _repair_terms(contrib, v, b)
+    base_b, dv, db, ratio, valid = _repair_terms(contrib, v, b)
+    order = np.argsort(ratio, kind="stable")
     used = np.zeros(P + 1)
     used[:P] = base_b[::-1].cumsum()[::-1]
     ss = order[valid[order]]
@@ -848,7 +997,9 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
     known feasible solution); returns None when nothing at least ties it,
     in which case the caller's incumbent solution is already optimal.
     Configs are visited once, in _visiting_order, so a cost solve orders
-    and cuts off on the budget-conditioned bound.
+    and cuts off on the budget-conditioned bound.  Each visited config's
+    search data comes from ``index.pair_data``, which within a front
+    builds it once for all the front's solves.
     """
     best: tuple = (incumbent_value, math.inf, math.inf, math.inf)
     design = None
@@ -882,7 +1033,18 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
     index = _build_index(inst, alpha_prime, budget)
     if not index.total:
         return ParetoFront(solutions=())
+    memo = _FrontMemo(index)
+    token = _FRONT.set(memo)
+    try:
+        return _sweep(memo, grid)
+    finally:
+        _FRONT.reset(token)
 
+
+def _sweep(memo: _FrontMemo, grid: EpsilonGrid) -> ParetoFront:
+    """The payoff rows and the cells of ``epsilon_constraint_front``, whose
+    solves share ``memo``."""
+    index = memo.index
     payoff: list[EvaluatedSolution] = []
     for main in range(3):
         # rows 1 and 2 settle ties in their main objective by first
@@ -895,12 +1057,14 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
     rows = np.array([s.objectives.as_tuple() for s in payoff])
     range2 = (float(rows[:, 1].min()), float(rows[:, 1].max()))
     range3 = (float(rows[:, 2].min()), float(rows[:, 2].max()))
+    cells = grid.cells(range2, range3)
+    memo.set_grid(cells)
 
     # cell winners seed later cells: any pooled solution inside a cell's
     # bounds primes the search with a proven-feasible cost
     pool: list[EvaluatedSolution] = list(payoff)
     candidates: list[EvaluatedSolution] = []
-    for eps2, eps3 in grid.cells(range2, range3):
+    for eps2, eps3 in cells:
         inc_sol = min((s for s in pool if s.objectives.z2 <= eps2 and s.objectives.z3 <= eps3),
                       key=lambda s: s.objectives.z1, default=None)
         inc_val = inc_sol.objectives.z1 if inc_sol is not None else math.inf

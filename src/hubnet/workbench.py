@@ -23,11 +23,9 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +42,9 @@ from .fronts import ParetoFront
 from .fuzzy import check_rate
 from .metaheuristics import ALGORITHMS, AlgorithmParams
 from .model import EvaluatedSolution, ProblemInstance, validate_instance
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = [
     "SOLVERS",
@@ -208,6 +209,8 @@ def _run_cell(config: ExperimentConfig, path: str, algorithm: str,
 def _collect(future: Future, path: str, algorithm: str,
              seeds: tuple[int, ...]) -> list[CellResult]:
     """The task's results, or a failed cell per seed when its worker died."""
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return future.result()
     except BrokenProcessPool as exc:
@@ -218,6 +221,8 @@ def _run_alone(config: ExperimentConfig, path: str, algorithm: str,
                seeds: tuple[int, ...]) -> list[CellResult]:
     """One task in a fresh one-worker pool of its own, so a task that kills
     its worker fails only its own cells."""
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=1) as pool:
         future = pool.submit(_run_cell, config, path, algorithm, seeds)
         return _collect(future, path, algorithm, seeds)
@@ -251,6 +256,11 @@ def run_compare(config: ExperimentConfig) -> list[CellResult]:
     point), ``ranking.csv`` keeps only its header and the reason goes to
     stderr.
     """
+    # imported here, not with the module: the pool machinery (and
+    # multiprocessing under it) costs every ``import hubnet`` otherwise
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     out = Path(config.out_dir)
     (out / "fronts").mkdir(parents=True, exist_ok=True)
 

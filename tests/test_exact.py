@@ -622,9 +622,10 @@ def test_exact_front_bytes_are_pinned(seed, segments, tmp_path):
 
 
 def test_a_front_holds_one_search_data_at_a_time():
-    # C7 at 3 x 3 peaks near 14 MB when a config's search data lives for
-    # one search; a cache of it across cells, whose records grew budget
-    # tables after insertion, peaked near 34 MB
+    # C7 at 3 x 3 peaks near 7 MiB: the front keeps each searched config's
+    # O(P) search data, but a search's O(P^2) budget and shed tables live
+    # for that search alone; a cache of search data across cells, whose
+    # records grew budget tables after insertion, peaked near 34 MB
     inst = generate(GeneratorSpec(n=10, p=3, seed=7))
     tracemalloc.start()
     try:

@@ -5,10 +5,14 @@ An import nothing reads is dead code that still claims a dependency.  The
 scan covers ``src/hubnet/`` and ``tests/``; ``__future__`` imports and the
 package ``__init__.py``, whose imports exist to load the modules, are
 exempt.  An export nothing binds is a stale name left behind by a
-deletion: ``from module import *`` fails on it.
+deletion: ``from module import *`` fails on it.  And ``import hubnet``
+leaves the process-pool machinery to the ``compare`` runs that use it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +83,14 @@ def test_every_exported_name_is_bound():
     found = [f"{path.relative_to(ROOT)}: {name}"
              for path in MODULES for name in stale_exports(path.read_text())]
     assert found == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """``workbench`` imports ``concurrent.futures`` (and with it
+    ``multiprocessing``) only inside the functions that start a pool, so
+    a fresh ``import hubnet`` does not pay for them."""
+    code = ("import sys, hubnet; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"

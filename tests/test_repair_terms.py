@@ -26,7 +26,9 @@ from test_exact import _lattice_instance, _payoff_cells
 PAIRS = ((0, 1), (0, 2), (1, 2), (2, 1))   # (bounded, budget) as in exact._REPAIR_PAIRS
 
 
-def ref_build_repair(index, g):
+def ref_build_repair(index, g, low=None):
+    """Every row gets a table, whatever ``low``: a table the pricing never
+    reads does not change a price."""
     opts, _ = exact._options(index, g)
     tables = []
     for v, b in PAIRS:
@@ -42,7 +44,7 @@ def ref_build_repair(index, g):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             r = np.where(valid, dv / db, np.inf)
         ord_ = np.argsort(r, axis=1, kind="stable")
-        tables.append((np.cumsum(base[..., b], axis=1)[:, -1],
+        tables.append((np.cumsum(base[..., b], axis=1)[:, -1], np.arange(len(g)),
                        np.cumsum(np.take_along_axis(db, ord_, axis=1), axis=1),
                        np.cumsum(np.take_along_axis(dv, ord_, axis=1), axis=1),
                        np.take_along_axis(np.where(valid, r, 0.0), ord_, axis=1)))
@@ -166,7 +168,7 @@ def test_an_overflowing_ratio_keeps_its_place(monkeypatch):
     fake = SimpleNamespace(lb=np.zeros((3, 2)))
     g = np.arange(2)
     got = exact._build_repair(fake, g)
-    assert np.isinf(got[0][3]).any()
+    assert np.isinf(got[0][4]).any()
     for a, b in zip(got, ref_build_repair(fake, g)):
         _same_bits(a, b)
     cells = [(e2, e3) for e2 in (0.0, 5.0, 9.0, math.inf) for e3 in (0.0, 4.0, math.inf)]
@@ -182,7 +184,7 @@ def ref_conditional_lb(index, g, eps2, eps3):
     if not (math.isfinite(eps2) or math.isfinite(eps3)):
         return index.lb[0, g]
     pen = np.zeros(len(g))
-    for (used, cum_save, cum_cost, ratio), eps in zip(ref_build_repair(index, g), (eps2, eps3)):
+    for (used, _, cum_save, cum_cost, ratio), eps in zip(ref_build_repair(index, g), (eps2, eps3)):
         if not math.isfinite(eps):
             continue
         need = used - (eps + exact._ROUND_SLACK)
@@ -232,13 +234,13 @@ def ref_conditional_lb_loop(index, g, eps2, eps3):
         return index.lb[0, g]
     pen = np.zeros(len(g))
     cost2, cost3, cross23, cross32 = exact._build_repair(index, g)
-    for (used, cum_save, cum_cost, ratio), eps in ((cost2, eps2), (cost3, eps3)):
+    for (used, _, cum_save, cum_cost, ratio), eps in ((cost2, eps2), (cost3, eps3)):
         if not math.isfinite(eps):
             continue
         need = used - (eps + exact._ROUND_SLACK)
         for r in np.flatnonzero((need > 0) & np.isfinite(need)):
             pen[r] = max(pen[r], exact._repair_price(need[r], cum_save[r], cum_cost[r], ratio[r])[0])
-    for (used, cum_save, cum_cost, ratio), v, eps_v, eps_b in (
+    for (used, _, cum_save, cum_cost, ratio), v, eps_v, eps_b in (
             (cross23, 1, eps2, eps3), (cross32, 2, eps3, eps2)):
         need = used - eps_b - exact._ROUND_SLACK
         price = np.zeros(len(g))
@@ -262,7 +264,7 @@ def test_conditioned_bounds_equal_the_per_row_loop(name, monkeypatch):
     for start in range(0, index.total, 4096):
         g = np.arange(start, min(start + 4096, index.total))
         tables = build(index, g)
-        monkeypatch.setattr(exact, "_build_repair", lambda index, g: tables)
+        monkeypatch.setattr(exact, "_build_repair", lambda index, g, low=None: tables)
         for eps2, eps3 in cells:
             new = exact._conditional_lb(index, g, eps2, eps3)
             assert new.tobytes() == ref_conditional_lb_loop(index, g, eps2, eps3).tobytes()
@@ -272,9 +274,10 @@ def test_conditioned_bounds_equal_the_per_row_loop(name, monkeypatch):
 
 def test_array_repair_prices_equal_the_scalar_price():
     """Every row with a positive need, in each of the four tables of every
-    chunk that C7's 3 x 3 front prices, and edge rows: a marginal switch
-    k = 0, a need equal to a cumulative saving, a need beyond the total
-    saving (inf) and a price at most 1e-9 (0.0)."""
+    chunk that C7's 3 x 3 front prices, also with each need pointed at its
+    row of the whole table, as ``_price_grid`` prices them, and edge rows:
+    a marginal switch k = 0, a need equal to a cumulative saving, a need
+    beyond the total saving (inf) and a price at most 1e-9 (0.0)."""
     index = exact._build_index(INSTANCES["c7"](), 0.5, DEFAULT_BUDGET)
     calls = []
 
@@ -296,10 +299,11 @@ def test_array_repair_prices_equal_the_scalar_price():
     rows = 0
     for g, eps2, eps3 in calls:
         tables = exact._build_repair(index, g)
-        for (used, save, cost, ratio), (_, b) in zip(tables, PAIRS):
+        for (used, _, save, cost, ratio), (_, b) in zip(tables, PAIRS):
             need = used - ((eps2, eps3)[b - 1] + exact._ROUND_SLACK)
             r = np.flatnonzero(need > 0)
-            same_as_scalar(need[r], save[r], cost[r], ratio[r])
+            prices = same_as_scalar(need[r], save[r], cost[r], ratio[r])
+            assert exact._repair_prices(need[r], save, cost, ratio, r).tobytes() == prices.tobytes()
             rows += len(r)
     assert len(calls) > 30 and rows > 1000
 

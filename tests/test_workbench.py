@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import multiprocessing
 import os
@@ -280,7 +281,8 @@ def test_the_pool_has_at_most_one_worker_per_cell(tmp_path, gen5, monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(workbench, "ProcessPoolExecutor", InlinePool)
+    # run_compare imports the executor from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     p = tmp_path / "inst.json"
     save_instance(gen5, p)
     results = run_compare(ExperimentConfig(
