@@ -15,14 +15,14 @@ walks the stable sort of that bound as it stands.
 
 Every cell's scan starts at the head of the cost order, so the cells of
 one front reach many of the same configs and search some of the same.
-A front keeps a memo (``_FrontMemo``) for its solves, in a context
-variable that it sets when it starts and resets when it returns.  The
-first scan to reach a config builds its repair tables and prices them at
-every emission and penalty value of the grid at once; the memo keeps
-only those prices, and a later cell reads its own.  A searched
-config's search data (``_PairData``) is built once per front and kept;
-the search's budget and shed tables, O(P^2) per config, are still built
-per search and dropped after it.
+Each front builds its own index, and the index carries the front's memo
+(``_FrontMemo``); both die when the front returns.  The first scan to
+reach a config builds its repair tables and prices them at every
+emission and penalty value of the grid at once; the memo keeps only
+those prices, and a later cell reads its own.  A searched config's
+search data (``_PairData``) is built once and kept in the memo; the
+search's budget and shed tables, O(P^2) per config, are still built per
+search and dropped after it.
 
 The index prices every pair's hub route over every hub pair a design can
 use once, into one route table (``_ExactIndex.routes``).  A config's three
@@ -67,8 +67,7 @@ import bisect
 import heapq
 import itertools
 import math
-from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterator, Optional, Sequence
 
@@ -102,10 +101,10 @@ __all__ = [
 # bound array plus the int64 cost sort order, so this budget admits an
 # index of about 3.2 GB; the conditioned cost bounds are priced in chunks
 # along the scan and add no per-configuration memory.  A front holds the
-# index, its memo (2 (G2 + G3) repair prices per config its scans reach
-# and the O(P) search data of each config it searches) and one search's
-# budget and shed tables at a time, built for that search and dropped
-# after it.
+# index with its memo (2 (G2 + G3) repair prices per config its scans
+# reach and the O(P) search data of each config it searches) and one
+# search's budget and shed tables at a time, built for that search and
+# dropped after it.
 DEFAULT_BUDGET = 10 ** 8
 _INDEX_BYTES = 32
 
@@ -218,7 +217,7 @@ class _ExactIndex:
     (z1, z2, z3) of pair (i, j)'s hub route over the hub pair with code c
     (see ``_route_at``), inf over the pair's time cap, and ``direct[t]``
     canonical pair t's direct route, as in the option tables of
-    ``_options``.
+    ``_options``.  ``memo`` holds what the solves on the index share.
     """
 
     ctx: EvalContext
@@ -234,25 +233,21 @@ class _ExactIndex:
     direct: np.ndarray            # (P, 3) direct routes in canonical pair order
     routes: np.ndarray            # (n, n, K, 3)
     stride: int                   # hub-pair code stride, see _route_at
+    memo: _FrontMemo = field(repr=False, compare=False)
 
     @property
     def total(self) -> int:
         return int(self.offsets[-1])
 
     def pair_data(self, g: int) -> _PairData:
-        """Config id -> its design and routing search data.
-
-        Within a front, built once (``_pair_data``) and kept in the front's
-        memo for its later searches; outside one, built afresh.
+        """Config id -> its design and routing search data, built once
+        (``_pair_data``) and kept in the memo for every later search.
         ``bench/tracer.py`` binds this method as the span
         ``exact.pair_data`` and ``_pair_data`` as its builds.
         """
-        memo = _FRONT.get()
-        if memo is None or memo.index is not self:
-            return _pair_data(self, g)
-        pd = memo.searched.get(g)
+        pd = self.memo.searched.get(g)
         if pd is None:
-            pd = memo.searched[g] = _pair_data(self, g)
+            pd = self.memo.searched[g] = _pair_data(self, g)
         return pd
 
 
@@ -353,7 +348,7 @@ def _build_index(inst: ProblemInstance, alpha_prime: float, budget: int) -> _Exa
     return _ExactIndex(ctx=ctx, offsets=offsets, fixed=fixed, place=place, radix=radix,
                        choice=choice, lb=lb, order=np.argsort(lb[0], kind="stable"),
                        i_arr=i_arr, j_arr=j_arr, direct=ctx.direct[i_arr, j_arr],
-                       routes=routes, stride=stride)
+                       routes=routes, stride=stride, memo=_FrontMemo())
 
 
 def _repair_terms(opts: np.ndarray, v: int, b: int) -> tuple[np.ndarray, ...]:
@@ -397,7 +392,7 @@ _REPAIR_PAIRS = ((0, 1), (0, 2), (1, 2), (2, 1))
 
 
 def _build_repair(index: _ExactIndex, g: np.ndarray,
-                  low: Optional[tuple[float, float]] = None) -> list[tuple[np.ndarray, ...]]:
+                  low: tuple[float, float]) -> list[tuple[np.ndarray, ...]]:
     """Fractional-repair tables of the configs ``g``, one per (bounded,
     budget) pair of ``_REPAIR_PAIRS``.
 
@@ -410,8 +405,7 @@ def _build_repair(index: _ExactIndex, g: np.ndarray,
     zero.  ``low`` holds the least emission and penalty budgets that the
     tables will be priced at (``_price_grid``): a row gets a table only
     where that budget prices its need (``_need``, ``_priced``), since no
-    higher budget prices a need that the least one does not.  Without
-    ``low`` every row gets one.
+    higher budget prices a need that the least one does not.
     """
     opts, _ = _options(index, g)
     tables = []
@@ -420,10 +414,8 @@ def _build_repair(index: _ExactIndex, g: np.ndarray,
         # summed in pair order: .sum() adds a lone config's row pairwise but
         # a chunk's rows in pair order, which would tie a bound to its chunk
         used = np.cumsum(base_b, axis=1)[:, -1]
-        rows = np.arange(len(g))
-        if low is not None:
-            rows = np.flatnonzero(_priced(_need(used, low[b - 1], v), v))
-            dv, db, ratio, valid = dv[rows], db[rows], ratio[rows], valid[rows]
+        rows = np.flatnonzero(_priced(_need(used, low[b - 1], v), v))
+        dv, db, ratio, valid = dv[rows], db[rows], ratio[rows], valid[rows]
         order = np.argsort(ratio, axis=1, kind="stable")
 
         def ordered(x: np.ndarray) -> np.ndarray:
@@ -497,17 +489,16 @@ def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float)
     must not exceed it.  A gap of 1e-7 is far beyond the drift of P
     summed floors (about P ulps: 1e-9 at values near 1e5).
 
-    The repairs are priced per config and budget (``_price_grid``).
-    Within a front, on its grid's budgets, the prices come from the
-    front's memo (``_FrontMemo.prices``), which prices each config once,
-    the first time a cell's scan reaches it; otherwise the chunk is priced
-    at these budgets alone.  An empty chunk returns at once.
+    The repairs are priced per config and budget (``_price_grid``).  On
+    the budgets of the front's grid, the prices come from the index's
+    memo (``_FrontMemo.prices``), which prices each config once, the first
+    time a cell's scan reaches it; on any other budgets the chunk is
+    priced at these alone.  An empty chunk returns at once.
     """
     if not (len(g) and (math.isfinite(eps2) or math.isfinite(eps3))):
         return index.lb[0, g]
-    memo = _FRONT.get()
-    if memo is not None and memo.index is index and memo.on_grid(eps2, eps3):
-        cost2, cost3, cross23, cross32 = memo.prices(g, eps2, eps3)
+    if index.memo.on_grid(eps2, eps3):
+        cost2, cost3, cross23, cross32 = index.memo.prices(index, g, eps2, eps3)
     else:
         cost2, cost3, cross23, cross32 = _price_grid(index, g, [eps2], [eps3]).T
     pen = np.maximum(cost2, cost3)
@@ -519,27 +510,28 @@ def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float)
 
 
 class _FrontMemo:
-    """What the solves of one front share: each searched config's
-    ``_PairData`` (``searched``, filled by ``_ExactIndex.pair_data``), and
-    the repair prices of each config that a cell's scan has reached, at
-    every budget of the grid.
+    """What the solves on one index share, kept on the index (``memo``):
+    each searched config's ``_PairData`` (``searched``, filled by
+    ``_ExactIndex.pair_data``), and the repair prices of each config that
+    a cell's scan has reached, at every budget of the front's grid.
 
     A config's prices are made the first time a cell's scan reaches it,
     for every emission and penalty value of the grid at once
     (``_price_grid``), and kept as one row of 2 (G2 + G3) floats; its
     repair tables are dropped.  The rows grow by doubling and are found by
-    config id through the ascending ``ids`` (ending in the sentinel
-    ``index.total``) and their ``slots``.  Memory grows with the configs
-    reached and searched, never with the index.
+    config id through the ascending ``ids`` (ending in a sentinel above
+    every id) and their ``slots``.  Memory grows with the configs reached
+    and searched, never with the index.  The memo holds no reference to
+    its index, so the two die together, by refcount, when the front
+    returns.
     """
 
-    def __init__(self, index: _ExactIndex):
-        self.index = index
+    def __init__(self):
         self.searched: dict[int, _PairData] = {}
         self.values: tuple[list[float], list[float]] = ([], [])
         self.columns: tuple[dict[float, int], dict[float, int]] = ({}, {})
         self.starts: list[int] = []
-        self.ids = np.array([index.total], dtype=np.int64)
+        self.ids = np.array([np.iinfo(np.int64).max], dtype=np.int64)
         self.slots = np.array([-1], dtype=np.intp)
         self.rows = np.empty((0, 0))
         self.count = 0
@@ -557,10 +549,10 @@ class _FrontMemo:
     def on_grid(self, eps2: float, eps3: float) -> bool:
         return eps2 in self.columns[0] and eps3 in self.columns[1]
 
-    def prices(self, g: np.ndarray, eps2: float, eps3: float) -> np.ndarray:
-        """(4, m) prices of the configs ``g`` at the grid budgets ``eps2``
-        and ``eps3``, one row per table of ``_REPAIR_PAIRS``, pricing the
-        configs not reached before."""
+    def prices(self, index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float) -> np.ndarray:
+        """(4, m) prices of the configs ``g`` of ``index`` at the grid
+        budgets ``eps2`` and ``eps3``, one row per table of
+        ``_REPAIR_PAIRS``, pricing the configs not reached before."""
         at = np.searchsorted(self.ids, g)
         new = np.sort(g[self.ids[at] != g])
         if len(new):
@@ -569,7 +561,7 @@ class _FrontMemo:
                 grown = np.empty((max(2 * len(self.rows), stop), self.rows.shape[1]))
                 grown[:self.count] = self.rows[:self.count]
                 self.rows = grown
-            self.rows[self.count:stop] = _price_grid(self.index, new, *self.values)
+            self.rows[self.count:stop] = _price_grid(index, new, *self.values)
             where = np.searchsorted(self.ids, new)
             self.ids = np.insert(self.ids, where, new)
             self.slots = np.insert(self.slots, where, np.arange(self.count, stop))
@@ -578,11 +570,6 @@ class _FrontMemo:
         column = (self.columns[0][eps2], self.columns[1][eps3])
         cols = [start + column[b - 1] for start, (_, b) in zip(self.starts, _REPAIR_PAIRS)]
         return self.rows[self.slots[at][:, None], cols].T
-
-
-# the running front's memo, set by epsilon_constraint_front for its own
-# solves and reset when it returns
-_FRONT: ContextVar[Optional[_FrontMemo]] = ContextVar("_FRONT", default=None)
 
 
 def _repair_price(need: float, save: Sequence[float], cost: Sequence[float],
@@ -604,18 +591,16 @@ def _repair_price(need: float, save: Sequence[float], cost: Sequence[float],
 
 
 def _repair_prices(need: np.ndarray, save: np.ndarray, cost: np.ndarray, ratio: np.ndarray,
-                   row: Optional[np.ndarray] = None) -> np.ndarray:
+                   row: np.ndarray) -> np.ndarray:
     """``_repair_price`` of each overuse ``need`` (n,) > 0 against its row
     ``row`` (n,) of the (m, P) cumulative savings, costs and ratios of a
-    repair table; without ``row``, need i against row i.
+    repair table.
 
     The same double bits need by need.  ``save`` is nondecreasing along a
     row, so the count of its entries below a need is the index that
     ``bisect_left`` finds.  The arithmetic runs only on the needs that the
     scalar form prices, so a need that it leaves inf raises no warning.
     """
-    if row is None:
-        row = np.arange(len(need))
     k = (save[row] < need[:, None]).sum(axis=1)
     price = np.full(len(need), math.inf)
     fits = np.flatnonzero(k < save.shape[1])    # else all switches save too little
@@ -649,10 +634,10 @@ def _visiting_order(index: _ExactIndex, main: int, eps2: float,
     an infinite bound are never yielded: for cost, those that no cost
     repair fits and those that fail the search's root checks on the cross
     pair (_conditional_lb).  None of them has a routing within the cell,
-    so none gets search data.  Within a front, a config's prices are made
-    once, by the first cell whose scan reaches it, and later cells read
-    them from the front's memo: the bounds, and so this order, keep the
-    bits of pricing each chunk afresh.
+    so none gets search data.  A config's prices are made once, by the
+    first cell whose scan reaches it, and later cells read them from the
+    index's memo: the bounds, and so this order, keep the bits of pricing
+    each chunk afresh.
     """
     floor = index.lb[main]
     order = index.order if main == 0 else np.argsort(floor, kind="stable")
@@ -998,8 +983,8 @@ def _solve_min(index: _ExactIndex, main: int, eps2: float, eps3: float,
     in which case the caller's incumbent solution is already optimal.
     Configs are visited once, in _visiting_order, so a cost solve orders
     and cuts off on the budget-conditioned bound.  Each visited config's
-    search data comes from ``index.pair_data``, which within a front
-    builds it once for all the front's solves.
+    search data comes from ``index.pair_data``, which builds it once for
+    all the solves on the index.
     """
     best: tuple = (incumbent_value, math.inf, math.inf, math.inf)
     design = None
@@ -1028,23 +1013,12 @@ def epsilon_constraint_front(inst: ProblemInstance, grid: EpsilonGrid = EpsilonG
     Five steps: enumerate configurations; find each objective's individual
     optimum (payoff rows); span the secondary ranges with the grid's
     inclusive bounds; solve the cost minimum per cell; filter dominated and
-    duplicate cell optima.
+    duplicate cell optima.  The solves share the index's memo, which
+    prices each config at every budget of the grid.
     """
     index = _build_index(inst, alpha_prime, budget)
     if not index.total:
         return ParetoFront(solutions=())
-    memo = _FrontMemo(index)
-    token = _FRONT.set(memo)
-    try:
-        return _sweep(memo, grid)
-    finally:
-        _FRONT.reset(token)
-
-
-def _sweep(memo: _FrontMemo, grid: EpsilonGrid) -> ParetoFront:
-    """The payoff rows and the cells of ``epsilon_constraint_front``, whose
-    solves share ``memo``."""
-    index = memo.index
     payoff: list[EvaluatedSolution] = []
     for main in range(3):
         # rows 1 and 2 settle ties in their main objective by first
@@ -1058,7 +1032,7 @@ def _sweep(memo: _FrontMemo, grid: EpsilonGrid) -> ParetoFront:
     range2 = (float(rows[:, 1].min()), float(rows[:, 1].max()))
     range3 = (float(rows[:, 2].min()), float(rows[:, 2].max()))
     cells = grid.cells(range2, range3)
-    memo.set_grid(cells)
+    index.memo.set_grid(cells)
 
     # cell winners seed later cells: any pooled solution inside a cell's
     # bounds primes the search with a proven-feasible cost

@@ -114,6 +114,14 @@ def _same_bits(got, want):
             assert a.tobytes() == b.tobytes()
 
 
+def _same_kept_rows(tables, whole):
+    """Tables that ``_build_repair`` built for some rows hold the bits of
+    those rows of the whole tables (``ref_build_repair``); ``used`` covers
+    every row."""
+    for (used, rows, *table), (whole_used, _, *whole_table) in zip(tables, whole):
+        _same_bits([used, *table], [whole_used, *(x[rows] for x in whole_table)])
+
+
 def _cells(index):
     """A 4x4 grid over the finite stock emission and penalty floors, plus
     the unconstrained cell and each budget alone."""
@@ -127,11 +135,10 @@ def _cells(index):
 
 def test_config_tables_and_conditioned_bounds_keep_their_bits(index, monkeypatch):
     g = _sample(index, 4096)
-    tables = exact._build_repair(index, g)
-    assert len(tables) == len(PAIRS)
-    for got, want in zip(tables, ref_build_repair(index, g)):
-        _same_bits(got, want)
     cells = _cells(index)
+    tables = exact._build_repair(index, g, cells[0])       # the least budgets
+    assert len(tables) == len(PAIRS) and any(len(rows) for _, rows, *_ in tables)
+    _same_kept_rows(tables, ref_build_repair(index, g))
     new = [exact._conditional_lb(index, g, e2, e3) for e2, e3 in cells]
     monkeypatch.setattr(exact, "_build_repair", ref_build_repair)
     old = [exact._conditional_lb(index, g, e2, e3) for e2, e3 in cells]
@@ -165,12 +172,11 @@ def test_an_overflowing_ratio_keeps_its_place(monkeypatch):
 
     opts = np.stack([contrib, contrib[::-1]])
     monkeypatch.setattr(exact, "_options", lambda index, g: (opts[g], None))
-    fake = SimpleNamespace(lb=np.zeros((3, 2)))
+    fake = SimpleNamespace(lb=np.zeros((3, 2)), memo=exact._FrontMemo())
     g = np.arange(2)
-    got = exact._build_repair(fake, g)
+    got = exact._build_repair(fake, g, (0.0, 0.0))
     assert np.isinf(got[0][4]).any()
-    for a, b in zip(got, ref_build_repair(fake, g)):
-        _same_bits(a, b)
+    _same_kept_rows(got, ref_build_repair(fake, g))
     cells = [(e2, e3) for e2 in (0.0, 5.0, 9.0, math.inf) for e3 in (0.0, 4.0, math.inf)]
     new = [exact._conditional_lb(fake, g, e2, e3) for e2, e3 in cells]
     monkeypatch.setattr(exact, "_build_repair", ref_build_repair)
@@ -254,16 +260,16 @@ def ref_conditional_lb_loop(index, g, eps2, eps3):
 def test_conditioned_bounds_equal_the_per_row_loop(name, monkeypatch):
     """Every config and every 3 x 3 front cell, plus each budget alone and
     none: the array-priced bound keeps the bytes of the per-row loop.  Each
-    chunk's tables are built once and shared by both sides."""
+    chunk's whole tables (``ref_build_repair``) are built once and shared
+    by both sides."""
     inst = _lattice_instance() if name == "lattice" else INSTANCES[name]()
     index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
     cells = _payoff_cells(index, EpsilonGrid(3, 3))
     cells += [(cells[0][0], math.inf), (math.inf, cells[0][1]), (math.inf, math.inf)]
-    build = exact._build_repair
     priced = 0
     for start in range(0, index.total, 4096):
         g = np.arange(start, min(start + 4096, index.total))
-        tables = build(index, g)
+        tables = ref_build_repair(index, g)
         monkeypatch.setattr(exact, "_build_repair", lambda index, g, low=None: tables)
         for eps2, eps3 in cells:
             new = exact._conditional_lb(index, g, eps2, eps3)
@@ -292,13 +298,13 @@ def test_array_repair_prices_equal_the_scalar_price():
 
     def same_as_scalar(need, save, cost, ratio):
         want = [exact._repair_price(need[r], save[r], cost[r], ratio[r])[0] for r in range(len(need))]
-        got = exact._repair_prices(need, save, cost, ratio)
+        got = exact._repair_prices(need, save, cost, ratio, np.arange(len(need)))
         assert got.tobytes() == np.array(want).tobytes()
         return got
 
     rows = 0
     for g, eps2, eps3 in calls:
-        tables = exact._build_repair(index, g)
+        tables = ref_build_repair(index, g)
         for (used, _, save, cost, ratio), (_, b) in zip(tables, PAIRS):
             need = used - ((eps2, eps3)[b - 1] + exact._ROUND_SLACK)
             r = np.flatnonzero(need > 0)
