@@ -16,13 +16,14 @@ walks the stable sort of that bound as it stands.
 Every cell's scan starts at the head of the cost order, so the cells of
 one front reach many of the same configs and search some of the same.
 Each front builds its own index, and the index carries the front's memo
-(``_FrontMemo``); both die when the front returns.  The first scan to
-reach a config builds its repair tables and prices them at every
-emission and penalty value of the grid at once; the memo keeps only
-those prices, and a later cell reads its own.  A searched config's
-search data (``_PairData``) is built once and kept in the memo; the
-search's budget and shed tables, O(P^2) per config, are still built per
-search and dropped after it.
+(``_FrontMemo``); both die when the front returns.  Every conditioned
+bound is read from the memo, which the front gives its grid once the
+payoff rows have spanned it.  The first scan to reach a config builds
+its repair tables and prices them at every emission and penalty value of
+the grid at once; the memo keeps only those prices, and a later cell
+reads its own.  A searched config's search data (``_PairData``) is built
+once and kept in the memo; the search's budget and shed tables, O(P^2)
+per config, are still built per search and dropped after it.
 
 The index prices every pair's hub route over every hub pair a design can
 use once, into one route table (``_ExactIndex.routes``).  A config's three
@@ -489,18 +490,12 @@ def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float)
     must not exceed it.  A gap of 1e-7 is far beyond the drift of P
     summed floors (about P ulps: 1e-9 at values near 1e5).
 
-    The repairs are priced per config and budget (``_price_grid``).  On
-    the budgets of the front's grid, the prices come from the index's
-    memo (``_FrontMemo.prices``), which prices each config once, the first
-    time a cell's scan reaches it; on any other budgets the chunk is
-    priced at these alone.  An empty chunk returns at once.
+    The repairs are priced per config and budget (``_price_grid``) and
+    read from the index's memo (``_FrontMemo.prices``), which prices each
+    config once, the first time a cell's scan reaches it; ``eps2`` and
+    ``eps3`` must be budgets of the memo's grid.
     """
-    if not (len(g) and (math.isfinite(eps2) or math.isfinite(eps3))):
-        return index.lb[0, g]
-    if index.memo.on_grid(eps2, eps3):
-        cost2, cost3, cross23, cross32 = index.memo.prices(index, g, eps2, eps3)
-    else:
-        cost2, cost3, cross23, cross32 = _price_grid(index, g, [eps2], [eps3]).T
+    cost2, cost3, cross23, cross32 = index.memo.prices(index, g, eps2, eps3)
     pen = np.maximum(cost2, cost3)
     # the search's root checks on the cross pair, with its operand order; a
     # config whose pen is already inf stays inf whatever its cross price
@@ -512,8 +507,9 @@ def _conditional_lb(index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float)
 class _FrontMemo:
     """What the solves on one index share, kept on the index (``memo``):
     each searched config's ``_PairData`` (``searched``, filled by
-    ``_ExactIndex.pair_data``), and the repair prices of each config that
-    a cell's scan has reached, at every budget of the front's grid.
+    ``_ExactIndex.pair_data``), and, once ``set_grid`` has given it the
+    front's grid, the repair prices of each config that a cell's scan has
+    reached, at every budget of that grid.
 
     A config's prices are made the first time a cell's scan reaches it,
     for every emission and penalty value of the grid at once
@@ -528,26 +524,19 @@ class _FrontMemo:
 
     def __init__(self):
         self.searched: dict[int, _PairData] = {}
-        self.values: tuple[list[float], list[float]] = ([], [])
-        self.columns: tuple[dict[float, int], dict[float, int]] = ({}, {})
-        self.starts: list[int] = []
-        self.ids = np.array([np.iinfo(np.int64).max], dtype=np.int64)
-        self.slots = np.array([-1], dtype=np.intp)
-        self.rows = np.empty((0, 0))
-        self.count = 0
 
     def set_grid(self, cells: Sequence[tuple[float, float]]) -> None:
-        """The grid's emission and penalty values, from its cells; before
-        this, no budget is on the grid."""
+        """The grid's emission and penalty values, from its cells, and an
+        empty price table over them; prices made on an earlier grid go."""
         self.values = tuple(sorted({cell[b] for cell in cells}) for b in (0, 1))
         self.columns = tuple({e: c for c, e in enumerate(vals)} for vals in self.values)
         # each table's first column, in the layout of _price_grid
         widths = [len(self.values[b - 1]) for _, b in _REPAIR_PAIRS]
         self.starts = [sum(widths[:t]) for t in range(len(widths))]
+        self.ids = np.array([np.iinfo(np.int64).max], dtype=np.int64)
+        self.slots = np.array([-1], dtype=np.intp)
         self.rows = np.empty((16, sum(widths)))
-
-    def on_grid(self, eps2: float, eps3: float) -> bool:
-        return eps2 in self.columns[0] and eps3 in self.columns[1]
+        self.count = 0
 
     def prices(self, index: _ExactIndex, g: np.ndarray, eps2: float, eps3: float) -> np.ndarray:
         """(4, m) prices of the configs ``g`` of ``index`` at the grid
@@ -629,15 +618,15 @@ def _visiting_order(index: _ExactIndex, main: int, eps2: float,
     stock bound, so the heap's top is final once it lies strictly below
     the next unread stock bound (on a tie, an unread config could still
     come first by id).  Configs over a budget on their stock bounds are
-    dropped before pricing (a chunk that loses every config still makes
-    its ``_conditional_lb`` call, which returns at once), and configs with
-    an infinite bound are never yielded: for cost, those that no cost
-    repair fits and those that fail the search's root checks on the cross
-    pair (_conditional_lb).  None of them has a routing within the cell,
-    so none gets search data.  A config's prices are made once, by the
-    first cell whose scan reaches it, and later cells read them from the
-    index's memo: the bounds, and so this order, keep the bits of pricing
-    each chunk afresh.
+    dropped before pricing (a chunk that loses every config is not
+    priced), and configs with an infinite bound are never yielded: for
+    cost, those that no cost repair fits and those that fail the search's
+    root checks on the cross pair (_conditional_lb).  None of them has a
+    routing within the cell, so none gets search data.  A config's prices
+    are made once, by the first cell whose scan reaches it, and later
+    cells read them from the index's memo, so a priced solve's budgets
+    must be on the memo's grid (``_FrontMemo.set_grid``): the bounds, and
+    so this order, keep the bits of pricing each chunk afresh.
     """
     floor = index.lb[main]
     order = index.order if main == 0 else np.argsort(floor, kind="stable")
@@ -657,9 +646,9 @@ def _visiting_order(index: _ExactIndex, main: int, eps2: float,
             bound = floor[g]
             finite = np.isfinite(bound)     # a prefix: the chunk ascends
             yield from zip(bound[finite].tolist(), g[finite].tolist())
-            continue
-        for item in zip(_conditional_lb(index, g, eps2, eps3).tolist(), g.tolist()):
-            heapq.heappush(heap, item)
+        elif len(g):
+            for item in zip(_conditional_lb(index, g, eps2, eps3).tolist(), g.tolist()):
+                heapq.heappush(heap, item)
 
 
 # --- routing branch and bound ----------------------------------------------
@@ -699,14 +688,6 @@ def _repair_tables(contrib: np.ndarray, v: int, b: int) -> tuple:
     pos = np.full(P, P, dtype=np.intp)
     pos[ss] = np.arange(len(ss))
     return (used.tolist(), cum_save, cum_cost, ratio[ss], pos.tolist())
-
-
-def _budget_tables(contrib: np.ndarray) -> list:
-    """Repair tables used by the search, one per pair of ``_REPAIR_PAIRS``:
-    cost under either budget, plus the cross pair (emissions under the
-    penalty budget and vice versa), which prices out budget-infeasible
-    subtrees before any incumbent exists."""
-    return [_repair_tables(contrib, v, b) for v, b in _REPAIR_PAIRS]
 
 
 def _capacity_tables(pd: _PairData, caps: list[float]) -> list[tuple]:
@@ -813,12 +794,14 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     bound would fully enumerate.
 
     The cost bound is the suffix floor plus a penalty, the largest of
-    the fractional repairs that the budgets need (``_budget_tables``) and
-    of one shed per hub that the floor overloads (``_capacity_tables``):
-    the load placed so far plus the suffix's floor load, less the hub's
-    limit, priced as the cheapest fractional share of the suffix pairs
-    whose floor loads the hub sent direct; a node whose pairs cannot
-    shed it is pruned.  The hubs' prices are not summed, since one pair
+    the fractional repairs that the budgets need (one ``_repair_tables``
+    per pair of ``_REPAIR_PAIRS``; the cross pair prices out
+    budget-infeasible subtrees before any incumbent exists) and of one
+    shed per hub that the floor overloads (``_capacity_tables``): the load
+    placed so far plus the suffix's floor load, less the hub's limit,
+    priced as the cheapest fractional share of the suffix pairs whose
+    floor loads the hub sent direct; a node whose pairs cannot shed it is
+    pruned.  The hubs' prices are not summed, since one pair
     sent direct can unload two hubs at once.  Each price lies below every
     routing under the node that fits, so the bound tuple stays below
     every leaf key and the prunes above keep the least key: a stronger
@@ -865,7 +848,7 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     if constrained:
         ((used2, save2, cost2, ratio2, pos2), (used3, save3, cost3, ratio3, pos3),
          (used23, save23, cost23, ratio23, _), (used32, save32, cost32, ratio32, _)) = \
-            _budget_tables(pd.contrib)
+            [_repair_tables(pd.contrib, v, b) for v, b in _REPAIR_PAIRS]
 
     # greedy option order per pair: main value, cost breaks the frequent
     # main ties (zero-penalty plateaus), so early leaves are near-optimal

@@ -87,7 +87,9 @@ def test_c01_exact_solver_matches_exhaustive_oracle():
         rows = np.array([s.objectives.as_tuple() for s in payoff])
         r2 = (float(rows[:, 1].min()), float(rows[:, 1].max()))
         r3 = (float(rows[:, 2].min()), float(rows[:, 2].max()))
-        for eps2, eps3 in grid.cells(r2, r3):
+        row_cells = grid.cells(r2, r3)
+        index.memo.set_grid(row_cells)
+        for eps2, eps3 in row_cells:
             cells += 1
             res = _solve_min(index, 0, eps2, eps3)
             sel = (orows[:, 1] <= eps2 + 1e-9) & (orows[:, 2] <= eps3 + 1e-9)

@@ -45,7 +45,8 @@ def ref_bb_routing(pd, caps, main, eps2, eps3, incumbent) -> Optional[tuple]:
     canon = pd.canon_pos
 
     constrained = math.isfinite(eps2) or math.isfinite(eps3)
-    budget = exact._budget_tables(pd.contrib) if constrained else []
+    budget = ([exact._repair_tables(pd.contrib, v, b) for v, b in exact._REPAIR_PAIRS]
+              if constrained else [])
 
     hub_first = (contrib[:, 1, main] < contrib[:, 0, main]) | (
         (contrib[:, 1, main] == contrib[:, 0, main]) & (contrib[:, 1, 0] < contrib[:, 0, 0]))

@@ -64,6 +64,14 @@ from oracle import (
 UNPRIMED = (math.inf,) * 4
 
 
+def conditional_lb_at(index, g, eps2, eps3):
+    """``exact._conditional_lb`` of the configs ``g`` at one cell, read from
+    a fresh memo whose grid is that cell alone, on a copy of ``index``."""
+    memo = exact._FrontMemo()
+    memo.set_grid([(eps2, eps3)])
+    return exact._conditional_lb(type(index)(**{**vars(index), "memo": memo}), g, eps2, eps3)
+
+
 def naive_routes(inst, design, i, j):
     """The direct route plus the one hub route the assignments allow, each
     kept only within the pair's time cap."""
@@ -423,7 +431,7 @@ def _tie_cells(index):
             continue
 
         def bound(eps2, g=g):
-            return exact._conditional_lb(index, np.array([g]), eps2, math.inf)[0]
+            return conditional_lb_at(index, np.array([g]), eps2, math.inf)[0]
 
         # bisect the budget between the emission floor and a loose one
         lo, hi = lb[1, g], lb[1, g] + 1e6
@@ -436,7 +444,7 @@ def _tie_cells(index):
                 break
             lo, hi = (mid, hi) if value > target else (lo, mid)
         if (value == target and lb[1, first] <= mid + exact._ROUND_SLACK
-                and exact._conditional_lb(index, np.array([first]), mid, math.inf)[0] == target):
+                and conditional_lb_at(index, np.array([first]), mid, math.inf)[0] == target):
             cells.append((mid, math.inf))
     return cells
 
@@ -453,9 +461,10 @@ def test_visiting_order_is_the_stable_sort_of_the_conditioned_bound(gen5, gen6):
             ties = _tie_cells(index)
             assert ties
             cells += ties
+        index.memo.set_grid(cells)
         bound = {}
         for eps2, eps3 in cells:
-            every = exact._conditional_lb(index, np.arange(index.total), eps2, eps3)
+            every = conditional_lb_at(index, np.arange(index.total), eps2, eps3)
             # inf marks a config whose budgets no repair can meet
             fits = ((index.lb[1] <= eps2 + exact._ROUND_SLACK)
                     & (index.lb[2] <= eps3 + exact._ROUND_SLACK) & np.isfinite(every))
@@ -516,7 +525,7 @@ def test_conditioned_bound_never_exceeds_a_fitting_routing(name, request):
     index, states, cells = _oracle_states(request.getfixturevalue(name))
     raised = 0
     for eps2, eps3 in cells:
-        bound = exact._conditional_lb(index, np.arange(index.total), eps2, eps3)
+        bound = conditional_lb_at(index, np.arange(index.total), eps2, eps3)
         for g, objs in enumerate(states):
             fit = _fitting_costs(objs, eps2, eps3)
             if len(fit):
@@ -702,8 +711,10 @@ def test_solvers_match_the_oracle_where_hub_capacity_binds(monkeypatch):
         index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
         payoff = np.array([exact._solve_min(index, m, math.inf, math.inf).objectives.as_tuple()
                            for m in range(3)])
-        for eps2, eps3 in grid.cells((payoff[:, 1].min(), payoff[:, 1].max()),
-                                     (payoff[:, 2].min(), payoff[:, 2].max())):
+        cells = grid.cells((payoff[:, 1].min(), payoff[:, 1].max()),
+                           (payoff[:, 2].min(), payoff[:, 2].max()))
+        index.memo.set_grid(cells)
+        for eps2, eps3 in cells:
             res = exact._solve_min(index, 0, eps2, eps3)
             sel = (orows[:, 1] <= eps2 + 1e-9) & (orows[:, 2] <= eps3 + 1e-9)
             assert (res is None) == (not sel.any()), (seed, eps2, eps3)
@@ -756,8 +767,10 @@ def test_solvers_match_the_oracle_where_time_caps_bind(caps, monkeypatch):
         index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
         payoff = np.array([exact._solve_min(index, m, math.inf, math.inf).objectives.as_tuple()
                            for m in range(3)])
-        for eps2, eps3 in grid.cells((payoff[:, 1].min(), payoff[:, 1].max()),
-                                     (payoff[:, 2].min(), payoff[:, 2].max())):
+        cells = grid.cells((payoff[:, 1].min(), payoff[:, 1].max()),
+                           (payoff[:, 2].min(), payoff[:, 2].max()))
+        index.memo.set_grid(cells)
+        for eps2, eps3 in cells:
             res = exact._solve_min(index, 0, eps2, eps3)
             sel = (orows[:, 1] <= eps2 + 1e-9) & (orows[:, 2] <= eps3 + 1e-9)
             assert (res is None) == (not sel.any()), (seed, eps2, eps3)

@@ -1,15 +1,15 @@
 """The per-front memo of the exact solver (``exact._FrontMemo``).
 
-Each front builds its own index, and the index carries the memo.  The
-conditioned cost bounds of the cells come from repair prices made once
+Each front builds its own index, and the index carries the memo.  Every
+conditioned cost bound comes from the memo's repair prices, made once
 per config, at every budget of the grid, the first time a cell's scan
 reaches it; each searched config's ``_PairData`` is built once.  These
-tests hold the memo to the bounds of pricing each chunk afresh, byte for
-byte, count the builds it saves, and bound the memory a front holds with
-it.
+tests hold the memo to the bounds of pricing each chunk afresh through a
+fresh memo whose grid is the chunk's cell (``conditional_lb_at``), byte
+for byte, also after the memo is given another grid; they count the
+builds it saves and bound the memory a front holds with it.
 """
 
-import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -21,6 +21,7 @@ from hubnet import exact
 from hubnet.exact import DEFAULT_BUDGET, EpsilonGrid, epsilon_constraint_front
 from hubnet.generator import GeneratorSpec, generate
 
+from test_exact import _payoff_cells, conditional_lb_at
 from test_repair_terms import _same_kept_rows, ref_build_repair
 
 FRONTS = {
@@ -53,27 +54,54 @@ def _recorded_front(monkeypatch, spec, segments, *names):
 def test_memo_bounds_equal_the_bounds_priced_afresh(name, monkeypatch):
     """Every chunk that every cell of the front prices: the bound read from
     the memo has the bytes of the same chunk priced at the cell's budgets
-    alone, on the index with a fresh memo that holds no grid.  The memo
+    alone, through a fresh memo whose grid is that cell.  Every chunk
+    holds configs, and its budgets are on the memo's grid.  The memo
     prices fewer chunks than the cells read."""
     spec, segments = FRONTS[name]
     front, records = _recorded_front(monkeypatch, spec, segments, "_conditional_lb",
                                      "_price_grid")
-    calls = records["_conditional_lb"]
-    priced = [(args, bound) for args, bound in calls if len(args[1])]
+    priced = records["_conditional_lb"]
     assert len(front) > 1 and priced
-    afresh = dataclasses.replace(priced[0][0][0], memo=exact._FrontMemo())
     for (index, g, eps2, eps3), bound in priced:
-        assert index.memo.on_grid(eps2, eps3)
-        assert bound.tobytes() == exact._conditional_lb(afresh, g, eps2, eps3).tobytes()
+        assert len(g)
+        assert eps2 in index.memo.columns[0] and eps3 in index.memo.columns[1]
+        assert bound.tobytes() == conditional_lb_at(index, g, eps2, eps3).tobytes()
     # one pricing per chunk that reaches a config no earlier chunk reached
     assert len(records["_price_grid"]) < len(priced)
 
 
+def test_a_memo_given_another_grid_prices_as_a_fresh_one():
+    """C7: a memo that has priced the first 2,048 configs of the cost order
+    on a 3 x 3 grid and searched some configs, then given a 4 x 4 grid,
+    returns for the first 4,096 at every cell the bytes that a fresh memo
+    gives, and keeps its search data."""
+    index = exact._build_index(generate(FRONTS["c7-3x3"][0]), 0.5, DEFAULT_BUDGET)
+    first, cells = (_payoff_cells(index, EpsilonGrid(s, s)) for s in (3, 4))
+    index.memo.set_grid(first)
+    for eps2, eps3 in first:
+        exact._conditional_lb(index, index.order[:2048], eps2, eps3)
+    searched = dict(index.memo.searched)     # the payoff rows' searches
+    assert searched and index.memo.count == 2048
+
+    index.memo.set_grid(cells)
+    g = index.order[:4096]
+    raised = 0
+    for eps2, eps3 in cells:
+        bound = exact._conditional_lb(index, g, eps2, eps3)
+        assert bound.tobytes() == conditional_lb_at(index, g, eps2, eps3).tobytes()
+        raised += int(np.count_nonzero(bound > index.lb[0, g]))
+    assert raised > 0
+    assert index.memo.count == 4096
+    assert index.memo.searched.keys() == searched.keys()
+    assert all(index.memo.searched[k] is pd for k, pd in searched.items())
+
+
 def test_a_front_builds_each_config_s_tables_and_search_data_once(monkeypatch):
-    """C7 at 3 x 3: 38 chunks, 16 of them emptied by the stock budget filter,
-    price 986 rows over 508 distinct configs, and ``_build_repair`` builds
-    those 508 rows once each; 12 solves make 19 routing searches over 9
-    distinct configs, and ``_pair_data`` builds 9 search data."""
+    """C7 at 3 x 3: 22 chunks, none emptied by the stock budget filter
+    (an emptied chunk makes no call), price 986 rows over 508 distinct
+    configs, and ``_build_repair`` builds those 508 rows once each; 12
+    solves make 19 routing searches over 9 distinct configs, and
+    ``_pair_data`` builds 9 search data."""
     spec, segments = FRONTS["c7-3x3"]
     pair_data = exact._ExactIndex.pair_data
     asked = []
@@ -87,7 +115,7 @@ def test_a_front_builds_each_config_s_tables_and_search_data_once(monkeypatch):
                                      "_build_repair", "_pair_data", "_solve_min")
     assert len(front) == 5
     chunks = [args[1] for args, _ in records["_conditional_lb"]]
-    assert (len(chunks), sum(not len(g) for g in chunks)) == (38, 16)
+    assert (len(chunks), sum(not len(g) for g in chunks)) == (22, 0)
     reached = np.concatenate(chunks)
     assert (len(reached), len(np.unique(reached))) == (986, 508)
     built = np.concatenate([args[1] for args, _ in records["_build_repair"]])

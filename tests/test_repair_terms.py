@@ -7,7 +7,9 @@ terms separately, are kept below as the reference: every table, every
 conditioned cost bound and every suffix row must match them bit for bit.
 ``_conditional_lb`` prices each table's repairs for all its rows at once
 (``_repair_prices``); its per-row loop over the scalar ``_repair_price``
-is kept below as the reference, byte for byte.
+is kept below as the reference, byte for byte.  The bounds are read at
+one cell at a time through ``conditional_lb_at``, a fresh memo whose
+grid is that cell.
 """
 
 import dataclasses
@@ -21,7 +23,7 @@ from hubnet import exact
 from hubnet.exact import DEFAULT_BUDGET, EpsilonGrid
 from hubnet.generator import GeneratorSpec, generate
 
-from test_exact import _lattice_instance, _payoff_cells
+from test_exact import _lattice_instance, _payoff_cells, conditional_lb_at
 
 PAIRS = ((0, 1), (0, 2), (1, 2), (2, 1))   # (bounded, budget) as in exact._REPAIR_PAIRS
 
@@ -139,9 +141,9 @@ def test_config_tables_and_conditioned_bounds_keep_their_bits(index, monkeypatch
     tables = exact._build_repair(index, g, cells[0])       # the least budgets
     assert len(tables) == len(PAIRS) and any(len(rows) for _, rows, *_ in tables)
     _same_kept_rows(tables, ref_build_repair(index, g))
-    new = [exact._conditional_lb(index, g, e2, e3) for e2, e3 in cells]
+    new = [conditional_lb_at(index, g, e2, e3) for e2, e3 in cells]
     monkeypatch.setattr(exact, "_build_repair", ref_build_repair)
-    old = [exact._conditional_lb(index, g, e2, e3) for e2, e3 in cells]
+    old = [conditional_lb_at(index, g, e2, e3) for e2, e3 in cells]
     assert any(np.isinf(b).any() or np.any(b > index.lb[0, g]) for b in new)   # repairs priced
     for a, b in zip(new, old):
         assert a.tobytes() == b.tobytes()
@@ -150,7 +152,7 @@ def test_config_tables_and_conditioned_bounds_keep_their_bits(index, monkeypatch
 def test_suffix_tables_keep_their_bits(index):
     for g in _sample(index, 48).tolist():
         pd = index.pair_data(g)
-        tables = exact._budget_tables(pd.contrib)
+        tables = [exact._repair_tables(pd.contrib, v, b) for v, b in exact._REPAIR_PAIRS]
         for got, (v, b) in zip(tables, PAIRS):
             _same_bits(got, ref_repair_tables(pd.contrib, v, b))
 
@@ -172,16 +174,16 @@ def test_an_overflowing_ratio_keeps_its_place(monkeypatch):
 
     opts = np.stack([contrib, contrib[::-1]])
     monkeypatch.setattr(exact, "_options", lambda index, g: (opts[g], None))
-    fake = SimpleNamespace(lb=np.zeros((3, 2)), memo=exact._FrontMemo())
+    fake = SimpleNamespace(lb=np.zeros((3, 2)))
     g = np.arange(2)
     got = exact._build_repair(fake, g, (0.0, 0.0))
     assert np.isinf(got[0][4]).any()
     _same_kept_rows(got, ref_build_repair(fake, g))
     cells = [(e2, e3) for e2 in (0.0, 5.0, 9.0, math.inf) for e3 in (0.0, 4.0, math.inf)]
-    new = [exact._conditional_lb(fake, g, e2, e3) for e2, e3 in cells]
+    new = [conditional_lb_at(fake, g, e2, e3) for e2, e3 in cells]
     monkeypatch.setattr(exact, "_build_repair", ref_build_repair)
     for (e2, e3), a in zip(cells, new):
-        assert a.tobytes() == exact._conditional_lb(fake, g, e2, e3).tobytes()
+        assert a.tobytes() == conditional_lb_at(fake, g, e2, e3).tobytes()
 
 
 def ref_conditional_lb(index, g, eps2, eps3):
@@ -221,7 +223,7 @@ def test_configs_the_cross_checks_drop_have_no_routing_in_the_cell(seed):
                       & (index.lb[2, order] <= eps3 + exact._ROUND_SLACK)]
         rest = order[1024:]
         g = np.concatenate([order[:1024], rest[::max(1, len(rest) // 1024)]])
-        new = exact._conditional_lb(index, g, eps2, eps3)
+        new = conditional_lb_at(index, g, eps2, eps3)
         old = ref_conditional_lb(index, g, eps2, eps3)
         kept = np.isfinite(new)
         assert new[kept].tobytes() == old[kept].tobytes()
@@ -272,7 +274,7 @@ def test_conditioned_bounds_equal_the_per_row_loop(name, monkeypatch):
         tables = ref_build_repair(index, g)
         monkeypatch.setattr(exact, "_build_repair", lambda index, g, low=None: tables)
         for eps2, eps3 in cells:
-            new = exact._conditional_lb(index, g, eps2, eps3)
+            new = conditional_lb_at(index, g, eps2, eps3)
             assert new.tobytes() == ref_conditional_lb_loop(index, g, eps2, eps3).tobytes()
             priced += int(np.count_nonzero(new != index.lb[0, g]))
     assert priced > 0
@@ -280,7 +282,7 @@ def test_conditioned_bounds_equal_the_per_row_loop(name, monkeypatch):
 
 def test_array_repair_prices_equal_the_scalar_price():
     """Every row with a positive need, in each of the four tables of every
-    chunk that C7's 3 x 3 front prices, also with each need pointed at its
+    chunk that C7's 6 x 6 front prices, also with each need pointed at its
     row of the whole table, as ``_price_grid`` prices them, and edge rows:
     a marginal switch k = 0, a need equal to a cumulative saving, a need
     beyond the total saving (inf) and a price at most 1e-9 (0.0)."""
@@ -294,7 +296,7 @@ def test_array_repair_prices_equal_the_scalar_price():
     conditional_lb = exact._conditional_lb
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_conditional_lb", record)
-        exact.epsilon_constraint_front(INSTANCES["c7"](), EpsilonGrid(3, 3))
+        exact.epsilon_constraint_front(INSTANCES["c7"](), EpsilonGrid(6, 6))
 
     def same_as_scalar(need, save, cost, ratio):
         want = [exact._repair_price(need[r], save[r], cost[r], ratio[r])[0] for r in range(len(need))]
