@@ -392,21 +392,16 @@ def _repair_terms(opts: np.ndarray, v: int, b: int) -> tuple[np.ndarray, ...]:
 _REPAIR_PAIRS = ((0, 1), (0, 2), (1, 2), (2, 1))
 
 
-def _build_repair(index: _ExactIndex, g: np.ndarray,
-                  low: tuple[float, float]) -> list[tuple[np.ndarray, ...]]:
+def _build_repair(index: _ExactIndex, g: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Fractional-repair tables of the configs ``g``, one per (bounded,
     budget) pair of ``_REPAIR_PAIRS``.
 
     Read from the configs' option tables (``_options``) through
-    ``_repair_terms``.  A table is ``(used, rows, cum_save, cum_cost,
-    ratio)``: how much of the budget objective the bounded objective's
-    floor uses, (m,), and the configs' rows that have a table, with, in
-    ratio order, the cumulative savings and costs of their switches and
-    the switches' ratios, (len(rows), P) each, invalid switches adding
-    zero.  ``low`` holds the least emission and penalty budgets that the
-    tables will be priced at (``_price_grid``): a row gets a table only
-    where that budget prices its need (``_need``, ``_priced``), since no
-    higher budget prices a need that the least one does not.
+    ``_repair_terms``.  A table is ``(used, cum_save, cum_cost, ratio)``:
+    how much of the budget objective the bounded objective's floor uses,
+    (m,), and, in ratio order, the cumulative savings and costs of each
+    config's switches and the switches' ratios, (m, P) each, invalid
+    switches adding zero.
     """
     opts, _ = _options(index, g)
     tables = []
@@ -415,54 +410,39 @@ def _build_repair(index: _ExactIndex, g: np.ndarray,
         # summed in pair order: .sum() adds a lone config's row pairwise but
         # a chunk's rows in pair order, which would tie a bound to its chunk
         used = np.cumsum(base_b, axis=1)[:, -1]
-        rows = np.flatnonzero(_priced(_need(used, low[b - 1], v), v))
-        dv, db, ratio, valid = dv[rows], db[rows], ratio[rows], valid[rows]
         order = np.argsort(ratio, axis=1, kind="stable")
 
         def ordered(x: np.ndarray) -> np.ndarray:
             return np.take_along_axis(np.where(valid, x, 0.0), order, axis=1)
 
-        tables.append((used, rows, np.cumsum(ordered(db), axis=1),
+        tables.append((used, np.cumsum(ordered(db), axis=1),
                        np.cumsum(ordered(dv), axis=1), ordered(ratio)))
     return tables
-
-
-def _need(used: np.ndarray, eps, v: int) -> np.ndarray:
-    """Overuse of a budget ``eps`` by a table's ``used``, in the operand
-    order of its check: the cost tables' (v = 0) bound check, the cross
-    tables' root check of the routing search.  ``eps`` may be an array of
-    budgets against a column of ``used``."""
-    return used - (eps + _ROUND_SLACK) if v == 0 else used - eps - _ROUND_SLACK
-
-
-def _priced(need: np.ndarray, v: int) -> np.ndarray:
-    """Where a table prices a repair: a positive need, and for the cost
-    tables a finite one.  An inf need comes from a pair with no option
-    within its time cap, whose config has an inf stock bound."""
-    return (need > 0) & np.isfinite(need) if v == 0 else need > 0
 
 
 def _price_grid(index: _ExactIndex, g: np.ndarray, values2: Sequence[float],
                 values3: Sequence[float]) -> np.ndarray:
     """Repair prices of the configs ``g`` at every emission budget of
-    ``values2`` and penalty budget of ``values3`` (each ascending).
+    ``values2`` and penalty budget of ``values3``.
 
     One column per (table, budget), the tables in ``_REPAIR_PAIRS`` order,
     each against its own budget objective's values: cost under emissions,
     cost under penalty, emissions under penalty (cross-23) and penalty
-    under emissions (cross-32).  A price is 0 where the need is not priced
-    (``_priced``).  Each table is built only for the rows that the least
-    budget prices, which covers every higher one.
+    under emissions (cross-32).  A price is 0 where the need, the overuse
+    of the budget, is not positive.  The need keeps the operand order of
+    its check: the cost tables' bound check, the cross tables' root check
+    of the routing search.  An inf need, from a pair with no option within
+    its time cap, prices inf; its config's stock bound is inf already.
     """
     values = (np.asarray(values2, dtype=float), np.asarray(values3, dtype=float))
     out = np.zeros((len(g), sum(len(values[b - 1]) for _, b in _REPAIR_PAIRS)))
-    tables = _build_repair(index, g, (float(values[0][0]), float(values[1][0])))
     col = 0
-    for (used, rows, cum_save, cum_cost, ratio), (v, b) in zip(tables, _REPAIR_PAIRS):
+    for (used, cum_save, cum_cost, ratio), (v, b) in zip(_build_repair(index, g), _REPAIR_PAIRS):
         vals = values[b - 1]
-        need = _need(used[rows, None], vals, v)             # (rows, budgets)
-        r, c = np.nonzero(_priced(need, v))
-        out[rows[r], col + c] = _repair_prices(need[r, c], cum_save, cum_cost, ratio, r)
+        need = (used[:, None] - (vals + _ROUND_SLACK) if v == 0
+                else used[:, None] - vals - _ROUND_SLACK)           # (m, budgets)
+        r, c = np.nonzero(need > 0)
+        out[r, col + c] = _repair_prices(need[r, c], cum_save, cum_cost, ratio, r)
         col += len(vals)
     return out
 
@@ -824,13 +804,13 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
     inline, in a fixed operand order: ``need`` = the budget objective
     used so far + the suffix floor's use - the bound - ``_ROUND_SLACK``,
     and a repair is priced (``_repair_price``) only where ``need`` > 0.
-    The hub shed tables are lists, built once the root passes the
-    budget checks and only for hubs that the floor overloads, so a
-    config whose floor fits searches as without them.  A cost solve
-    builds no budget tables for a config that the root's cross checks
-    reject: ``_conditional_lb`` makes the same checks for each chunk of
-    configs, so such a config is never visited.  The root checks stay
-    here for any caller, and for the configs a chunk passes by an ulp.
+    The hub shed tables are lists, built once per cost search, before its
+    root, and only for hubs that the floor overloads, so a config whose
+    floor fits searches as without them.  A cost solve builds no budget
+    tables for a config that the root's cross checks reject:
+    ``_conditional_lb`` makes the same checks for each chunk of configs,
+    so such a config is never visited.  The root checks stay here for any
+    caller, and for the configs a chunk passes by an ulp.
     """
     P = len(pd.contrib)
     contrib = pd.contrib.tolist()
@@ -862,10 +842,10 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
         enc[canon[:t]] = choices[:t]
         return tuple(enc.tolist())
 
-    shed = None
+    shed = _capacity_tables(pd, caps) if main == 0 else ()
 
     def rec(t: int, s0: float, s1: float, s2: float) -> None:
-        nonlocal best, best_prefix, shed
+        nonlocal best, best_prefix
         floor = suffix[t]
         pen = 0.0
         k2 = k3 = -1
@@ -893,8 +873,6 @@ def _bb_routing(pd: _PairData, caps: Sequence[float], main: int,
             if sums[main] + floor[main] >= best_prefix[0]:
                 return
         else:
-            if shed is None:
-                shed = _capacity_tables(pd, caps)
             for h, limit, used, cum_save, cum_cost, ratio, pos in shed:
                 need = loads[h] + used[t] - limit
                 if need > 0.0:

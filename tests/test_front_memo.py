@@ -22,7 +22,7 @@ from hubnet.exact import DEFAULT_BUDGET, EpsilonGrid, epsilon_constraint_front
 from hubnet.generator import GeneratorSpec, generate
 
 from test_exact import _payoff_cells, conditional_lb_at
-from test_repair_terms import _same_kept_rows, ref_build_repair
+from test_repair_terms import _same_tables, ref_build_repair
 
 FRONTS = {
     "gen5-6x6": (GeneratorSpec(n=5, p=2, seed=100), 6),
@@ -155,26 +155,19 @@ def test_a_front_s_index_and_memo_die_when_it_returns(monkeypatch):
             gc.enable()
 
 
-def test_a_table_is_built_only_for_rows_that_a_grid_budget_prices(monkeypatch):
+def test_every_table_a_front_builds_is_the_whole_table(monkeypatch):
     """10-node seed 4 at 3 x 3: each table that ``_build_repair`` builds for
-    the memo holds exactly the rows whose need at the grid's least budget
-    is priced, with the bits of those rows of the whole table
-    (``ref_build_repair``); no row needs the emissions-under-penalty
-    (cross-23) table."""
+    the memo covers every config of its chunk, with the bits of the whole
+    table (``ref_build_repair``), the emissions-under-penalty (cross-23)
+    tables too, though no need of this front is priced from them."""
     _, records = _recorded_front(monkeypatch, GeneratorSpec(n=10, p=3, seed=4), 3,
                                  "_build_repair")
     assert records["_build_repair"]
-    kept = [0] * 4
-    for (index, g, low), tables in records["_build_repair"]:
-        _same_kept_rows(tables, ref_build_repair(index, g))
-        for t, ((used, rows, *_), (v, b)) in enumerate(zip(tables, exact._REPAIR_PAIRS)):
-            eps = low[b - 1]
-            need = used - (eps + exact._ROUND_SLACK) if v == 0 else used - eps - exact._ROUND_SLACK
-            want = np.flatnonzero((need > 0) & np.isfinite(need) if v == 0 else need > 0)
-            assert np.array_equal(rows, want)
-            kept[t] += len(rows)
-    cost2, cost3, cross23, cross32 = kept
-    assert cross23 == 0 and min(cost2, cost3, cross32) > 0
+    for (index, g), tables in records["_build_repair"]:
+        assert len(g)
+        _same_tables(tables, ref_build_repair(index, g))
+        # no cross-23 need is positive, even at the grid's least penalty budget
+        assert not np.any(tables[2][0] - index.memo.values[1][0] - exact._ROUND_SLACK > 0)
 
 
 def test_a_6x6_front_holds_its_memo_in_little_memory():

@@ -13,6 +13,7 @@ grid is that cell.
 """
 
 import dataclasses
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -20,7 +21,8 @@ import numpy as np
 import pytest
 
 from hubnet import exact
-from hubnet.exact import DEFAULT_BUDGET, EpsilonGrid
+from hubnet.exact import DEFAULT_BUDGET, EpsilonGrid, epsilon_constraint_front
+from hubnet.fileio import write_front_csv
 from hubnet.generator import GeneratorSpec, generate
 
 from test_exact import _lattice_instance, _payoff_cells, conditional_lb_at
@@ -28,9 +30,7 @@ from test_exact import _lattice_instance, _payoff_cells, conditional_lb_at
 PAIRS = ((0, 1), (0, 2), (1, 2), (2, 1))   # (bounded, budget) as in exact._REPAIR_PAIRS
 
 
-def ref_build_repair(index, g, low=None):
-    """Every row gets a table, whatever ``low``: a table the pricing never
-    reads does not change a price."""
+def ref_build_repair(index, g):
     opts, _ = exact._options(index, g)
     tables = []
     for v, b in PAIRS:
@@ -46,7 +46,7 @@ def ref_build_repair(index, g, low=None):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             r = np.where(valid, dv / db, np.inf)
         ord_ = np.argsort(r, axis=1, kind="stable")
-        tables.append((np.cumsum(base[..., b], axis=1)[:, -1], np.arange(len(g)),
+        tables.append((np.cumsum(base[..., b], axis=1)[:, -1],
                        np.cumsum(np.take_along_axis(db, ord_, axis=1), axis=1),
                        np.cumsum(np.take_along_axis(dv, ord_, axis=1), axis=1),
                        np.take_along_axis(np.where(valid, r, 0.0), ord_, axis=1)))
@@ -116,12 +116,12 @@ def _same_bits(got, want):
             assert a.tobytes() == b.tobytes()
 
 
-def _same_kept_rows(tables, whole):
-    """Tables that ``_build_repair`` built for some rows hold the bits of
-    those rows of the whole tables (``ref_build_repair``); ``used`` covers
-    every row."""
-    for (used, rows, *table), (whole_used, _, *whole_table) in zip(tables, whole):
-        _same_bits([used, *table], [whole_used, *(x[rows] for x in whole_table)])
+def _same_tables(tables, whole):
+    """Tables that ``_build_repair`` built hold the bits of the whole tables
+    (``ref_build_repair``), every row of each."""
+    assert len(tables) == len(whole)
+    for table, whole_table in zip(tables, whole):
+        _same_bits(table, whole_table)
 
 
 def _cells(index):
@@ -138,9 +138,9 @@ def _cells(index):
 def test_config_tables_and_conditioned_bounds_keep_their_bits(index, monkeypatch):
     g = _sample(index, 4096)
     cells = _cells(index)
-    tables = exact._build_repair(index, g, cells[0])       # the least budgets
-    assert len(tables) == len(PAIRS) and any(len(rows) for _, rows, *_ in tables)
-    _same_kept_rows(tables, ref_build_repair(index, g))
+    tables = exact._build_repair(index, g)
+    assert len(tables) == len(PAIRS)
+    _same_tables(tables, ref_build_repair(index, g))
     new = [conditional_lb_at(index, g, e2, e3) for e2, e3 in cells]
     monkeypatch.setattr(exact, "_build_repair", ref_build_repair)
     old = [conditional_lb_at(index, g, e2, e3) for e2, e3 in cells]
@@ -176,9 +176,9 @@ def test_an_overflowing_ratio_keeps_its_place(monkeypatch):
     monkeypatch.setattr(exact, "_options", lambda index, g: (opts[g], None))
     fake = SimpleNamespace(lb=np.zeros((3, 2)))
     g = np.arange(2)
-    got = exact._build_repair(fake, g, (0.0, 0.0))
-    assert np.isinf(got[0][4]).any()
-    _same_kept_rows(got, ref_build_repair(fake, g))
+    got = exact._build_repair(fake, g)
+    assert np.isinf(got[0][3]).any()
+    _same_tables(got, ref_build_repair(fake, g))
     cells = [(e2, e3) for e2 in (0.0, 5.0, 9.0, math.inf) for e3 in (0.0, 4.0, math.inf)]
     new = [conditional_lb_at(fake, g, e2, e3) for e2, e3 in cells]
     monkeypatch.setattr(exact, "_build_repair", ref_build_repair)
@@ -192,7 +192,7 @@ def ref_conditional_lb(index, g, eps2, eps3):
     if not (math.isfinite(eps2) or math.isfinite(eps3)):
         return index.lb[0, g]
     pen = np.zeros(len(g))
-    for (used, _, cum_save, cum_cost, ratio), eps in zip(ref_build_repair(index, g), (eps2, eps3)):
+    for (used, cum_save, cum_cost, ratio), eps in zip(ref_build_repair(index, g), (eps2, eps3)):
         if not math.isfinite(eps):
             continue
         need = used - (eps + exact._ROUND_SLACK)
@@ -242,13 +242,13 @@ def ref_conditional_lb_loop(index, g, eps2, eps3):
         return index.lb[0, g]
     pen = np.zeros(len(g))
     cost2, cost3, cross23, cross32 = exact._build_repair(index, g)
-    for (used, _, cum_save, cum_cost, ratio), eps in ((cost2, eps2), (cost3, eps3)):
+    for (used, cum_save, cum_cost, ratio), eps in ((cost2, eps2), (cost3, eps3)):
         if not math.isfinite(eps):
             continue
         need = used - (eps + exact._ROUND_SLACK)
         for r in np.flatnonzero((need > 0) & np.isfinite(need)):
             pen[r] = max(pen[r], exact._repair_price(need[r], cum_save[r], cum_cost[r], ratio[r])[0])
-    for (used, _, cum_save, cum_cost, ratio), v, eps_v, eps_b in (
+    for (used, cum_save, cum_cost, ratio), v, eps_v, eps_b in (
             (cross23, 1, eps2, eps3), (cross32, 2, eps3, eps2)):
         need = used - eps_b - exact._ROUND_SLACK
         price = np.zeros(len(g))
@@ -272,12 +272,48 @@ def test_conditioned_bounds_equal_the_per_row_loop(name, monkeypatch):
     for start in range(0, index.total, 4096):
         g = np.arange(start, min(start + 4096, index.total))
         tables = ref_build_repair(index, g)
-        monkeypatch.setattr(exact, "_build_repair", lambda index, g, low=None: tables)
+        monkeypatch.setattr(exact, "_build_repair", lambda index, g: tables)
         for eps2, eps3 in cells:
             new = conditional_lb_at(index, g, eps2, eps3)
             assert new.tobytes() == ref_conditional_lb_loop(index, g, eps2, eps3).tobytes()
             priced += int(np.count_nonzero(new != index.lb[0, g]))
     assert priced > 0
+
+
+def _detour_capped():
+    """Seven nodes in which pairs (0, 1), (0, 4) and (1, 0), the first three
+    in row-major order whose fastest one-hub detour beats the direct time,
+    are capped at that detour: a config without a hub route within a
+    pair's cap has an inf stock bound, and an inf need in its tables."""
+    inst = generate(GeneratorSpec(n=7, p=3, seed=3))
+    t = inst.travel_time
+    cap = np.array(inst.max_transfer_time)
+    for i, j in ((0, 1), (0, 4), (1, 0)):
+        detour = min(t[i, k] + t[k, j] for k in range(inst.n) if k not in (i, j))
+        assert detour < t[i, j]
+        cap[i, j] = detour
+    return dataclasses.replace(inst, max_transfer_time=cap)
+
+
+def test_configs_with_an_inf_need_keep_the_bounds_of_the_per_row_loop(tmp_path):
+    """Every config at every 3 x 3 front cell of ``_detour_capped``, where
+    1,170 of 1,292 configs have an inf stock bound: the bound keeps the
+    bytes of the per-row loop, which prices no inf cost need, and the
+    front keeps its CSV bytes.  Only finite cells: at an inf budget, an
+    inf use less the budget is nan."""
+    inst = _detour_capped()
+    index = exact._build_index(inst, 0.5, DEFAULT_BUDGET)
+    assert (index.total, int(np.count_nonzero(np.isinf(index.lb[0])))) == (1292, 1170)
+    g = np.arange(index.total)
+    for eps2, eps3 in _payoff_cells(index, EpsilonGrid(3, 3)):
+        new = conditional_lb_at(index, g, eps2, eps3)
+        assert np.isinf(new[np.isinf(index.lb[0])]).all()
+        assert new.tobytes() == ref_conditional_lb_loop(index, g, eps2, eps3).tobytes()
+    front = epsilon_constraint_front(inst, EpsilonGrid(3, 3))
+    write_front_csv(front, tmp_path / "front.csv")
+    assert len(front) == 5
+    assert hashlib.sha256((tmp_path / "front.csv").read_bytes()).hexdigest() == (
+        "3b6c8f6472810f9588c2cdb7a908a7049067f17b657ab4cf05f0165e4e9d356d")
 
 
 def test_array_repair_prices_equal_the_scalar_price():
@@ -307,7 +343,7 @@ def test_array_repair_prices_equal_the_scalar_price():
     rows = 0
     for g, eps2, eps3 in calls:
         tables = ref_build_repair(index, g)
-        for (used, _, save, cost, ratio), (_, b) in zip(tables, PAIRS):
+        for (used, save, cost, ratio), (_, b) in zip(tables, PAIRS):
             need = used - ((eps2, eps3)[b - 1] + exact._ROUND_SLACK)
             r = np.flatnonzero(need > 0)
             prices = same_as_scalar(need[r], save[r], cost[r], ratio[r])
